@@ -31,7 +31,7 @@ from .optimality import (AllocationSolution, OptimalityCertificate,
                          certify_equilibrium_optimality,
                          check_gamma_condition, solve_weighted_l1_lp)
 from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f, eval_h,
-                     identity_zero, pwl_from_breakpoints, saturation_deadzone,
+                     identity_zero, integral_from_zero, saturation_deadzone,
                      scale_pair, sector_audit, shift_pair)
 from .simulate import (CostReport, LyapunovParameters, LyapunovTrace,
                        Trajectory, evaluate_costs, integrate,

@@ -506,7 +506,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--controller", choices=variants, default=None)
     sim.add_argument("--dt", type=float, default=None)
     sim.add_argument("--t-end", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=None)
     sim.set_defaults(func=cmd_simulate)
 
     cmp_ = sub.add_parser("compare", help="cost table across controllers")
@@ -516,7 +515,6 @@ def build_parser() -> _Parser:
     cmp_.add_argument("--out", default=None, help="output directory")
     cmp_.add_argument("--dt", type=float, default=None)
     cmp_.add_argument("--t-end", type=float, default=None)
-    cmp_.add_argument("--seed", type=int, default=None)
     cmp_.set_defaults(func=cmd_compare)
 
     eqp = sub.add_parser("equilibrium", help="solve the stationary point")

@@ -61,7 +61,7 @@ class ContractionMap:
 class FixedPointResult:
     zeta: np.ndarray
     iterations: int
-    deltas: np.ndarray
+    last_step: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,16 +123,15 @@ def iterate_fixed_point(cmap: ContractionMap, zeta0,
         raise DimensionMismatch("start point width disagrees with the map")
     g = cmap.contraction_bound
     thresh = tol * (1.0 - g) / g
-    deltas = []
+    delta = np.inf
     for it in range(1, max_iter + 1):
         nxt = cmap(zeta)
         delta = float(np.max(np.sum(np.abs(nxt - zeta), axis=-1)))
-        deltas.append(delta)
         zeta = nxt
         if delta <= thresh:
-            return FixedPointResult(zeta, it, np.asarray(deltas))
+            return FixedPointResult(zeta, it, delta)
     raise MaxIterationsExceeded(
-        f"no convergence in {max_iter} iterations, last step {deltas[-1]:.3e}")
+        f"no convergence in {max_iter} iterations, last step {delta:.3e}")
 
 
 def stationary_residual(plant: model.PlantModel, ctrl: model.ControllerSpec,
@@ -194,8 +193,7 @@ def measure_contraction(cmap: ContractionMap, trials: int,
     if rng is None:
         rng = np.random.default_rng(0)
     n = cmap.n
-    base = max(1.0, max(float(np.max(np.abs(c.knots))) for c in
-                        cmap.scaled_pair.components))
+    base = max(1.0, float(np.max(np.abs(cmap.scaled_pair.knots))))
     half = trials // 2 + 1
     pts_a = np.vstack([rng.normal(0.0, 0.3 * base, (half, n)),
                        rng.normal(0.0, 3.0 * base, (trials - half + 1, n))])

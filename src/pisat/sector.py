@@ -30,7 +30,9 @@ class PwlFunction:
 
     Defined by knot/value pairs plus extension slopes to the left of the
     first knot and to the right of the last one.  A single knot is
-    allowed (two half lines meeting at a point).
+    allowed (two half lines meeting at a point).  This is the
+    per-coordinate input of a ``SectorPair``, which evaluates its
+    components together.
     """
 
     knots: np.ndarray
@@ -54,69 +56,73 @@ class PwlFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.interp(x, self.knots, self.values)
-        k0, km = self.knots[0], self.knots[-1]
-        y = np.where(x < k0, self.values[0] + self.slope_left * (x - k0), y)
-        y = np.where(x > km, self.values[-1] + self.slope_right * (x - km), y)
-        return y
-
-    def segment_slopes(self) -> np.ndarray:
-        """All slopes, extensions included, left to right."""
-        if self.knots.size > 1:
-            inner = np.diff(self.values) / np.diff(self.knots)
-        else:
-            inner = np.empty(0)
-        return np.concatenate(([self.slope_left], inner, [self.slope_right]))
-
-    def shifted(self, x0: float) -> "PwlFunction":
-        """The recentered function x -> f(x + x0) - f(x0)."""
-        f_x0 = float(self(x0))
-        return PwlFunction(self.knots - x0, self.values - f_x0,
-                           self.slope_left, self.slope_right)
-
-    def scaled(self, d: float) -> "PwlFunction":
-        """The conjugated function x -> d f(x / d) for d > 0 (slopes kept)."""
-        if not d > 0.0:
-            raise InvalidSectorPair("scaling factors must be positive")
-        return PwlFunction(d * self.knots, d * self.values,
-                           self.slope_left, self.slope_right)
-
-    def _antiderivative(self, x: np.ndarray) -> np.ndarray:
-        """Integral from knots[0] to x, exact on every segment."""
-        k, v = self.knots, self.values
-        m = k.size
-        if m > 1:
-            seg = np.diff(k)
-            cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * seg)))
-            inner = np.diff(v) / seg
-        else:
-            cum = np.zeros(1)
-            inner = np.empty(0)
-        # slope lookup indexed by segment: left extension, inner, right extension
-        slopes = np.concatenate(([self.slope_left], inner, [self.slope_right]))
-        idx = np.searchsorted(k, x, side="right") - 1
-        base = np.clip(idx, 0, m - 1)
-        dx = x - k[base]
-        sl = slopes[idx + 1]
-        return cum[base] + v[base] * dx + 0.5 * sl * dx * dx
+        return _table_f(SectorPair(KIND_CUSTOM, (self,)), x[..., None])[..., 0]
 
     def integral_from_zero(self, b):
         """Exact integral of the function from 0 to b, vectorized in b."""
         b = np.asarray(b, dtype=float)
-        shift = self._antiderivative(np.zeros(1))[0]
-        return self._antiderivative(b) - shift
+        return integral_from_zero(SectorPair(KIND_CUSTOM, (self,)),
+                                  b[..., None])[..., 0]
 
 
-@dataclass(frozen=True, eq=False)
 class SectorPair:
-    """A componentwise sector nonlinearity f with its complement h = id - f."""
+    """A componentwise sector nonlinearity f with its complement h = id - f.
 
-    kind: str
-    components: tuple[PwlFunction, ...]
+    The components are stacked once, when the pair is made, into padded
+    tables with one column per coordinate: ``knots`` and ``values`` of
+    shape (K, n), where a coordinate with fewer knots repeats its last
+    knot and value, and the extension slopes ``slope_left`` and
+    ``slope_right`` of shape (n,).  Segment ``j`` runs from ``lo[j]`` to
+    ``hi[j]`` with slope ``slope[j]`` (all (K - 1, n)); padded segments
+    have zero length and slope 0.
+    """
+
+    def __init__(self, kind: str, components: Sequence[PwlFunction]):
+        comps = tuple(components)
+        if not comps:
+            raise InvalidSectorPair("at least one component required")
+        size = np.array([c.knots.size for c in comps])
+        # row j of column i takes knot min(j, size_i - 1) of component i
+        take = (np.cumsum(size) - size
+                + np.minimum(np.arange(size.max())[:, None], size - 1))
+        self._set_tables(kind, np.concatenate([c.knots for c in comps])[take],
+                         np.concatenate([c.values for c in comps])[take],
+                         np.array([c.slope_left for c in comps]),
+                         np.array([c.slope_right for c in comps]))
+        self._components = comps
+
+    @classmethod
+    def _from_tables(cls, kind, knots, values, slope_left,
+                     slope_right) -> "SectorPair":
+        pair = cls.__new__(cls)
+        pair._set_tables(kind, knots, values, slope_left, slope_right)
+        pair._components = None
+        return pair
+
+    def _set_tables(self, kind, knots, values, slope_left, slope_right):
+        self.kind = kind
+        self.knots, self.values = knots, values
+        self.slope_left, self.slope_right = slope_left, slope_right
+        self.lo, self.hi = knots[:-1], knots[1:]
+        run = self.hi - self.lo
+        self.slope = np.divide(np.diff(values, axis=0), run,
+                               out=np.zeros_like(run), where=run > 0.0)
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return self.knots.shape[1]
+
+    @property
+    def components(self) -> tuple[PwlFunction, ...]:
+        """The per-coordinate functions, padding removed."""
+        if self._components is None:
+            size = 1 + np.count_nonzero(self.hi > self.lo, axis=0)
+            self._components = tuple(
+                PwlFunction(self.knots[:m, i], self.values[:m, i],
+                            float(self.slope_left[i]),
+                            float(self.slope_right[i]))
+                for i, m in enumerate(size))
+        return self._components
 
 
 def saturation_deadzone(n: int) -> SectorPair:
@@ -131,15 +137,6 @@ def identity_zero(n: int) -> SectorPair:
     return SectorPair(KIND_IDENTITY, (comp,) * int(n))
 
 
-def pwl_from_breakpoints(points, slope_left: float = 0.0,
-                         slope_right: float = 0.0) -> PwlFunction:
-    """Build a component from (x, f(x)) breakpoints sorted by x."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise InvalidSectorPair("breakpoints must be a nonempty sequence of (x, y)")
-    return PwlFunction(pts[:, 0], pts[:, 1], slope_left, slope_right)
-
-
 def custom_pwl(components: Sequence[PwlFunction], validate: bool = True) -> SectorPair:
     """Assemble a pair from per-coordinate piecewise-linear components.
 
@@ -147,22 +144,21 @@ def custom_pwl(components: Sequence[PwlFunction], validate: bool = True) -> Sect
     f(0) = 0 and keep all slopes inside [0, 1]; pass ``validate=False``
     only to build deliberately nonconforming pairs for auditing.
     """
-    comps = tuple(components)
-    if not comps:
-        raise InvalidSectorPair("at least one component required")
+    pair = SectorPair(KIND_CUSTOM, components)
     if validate:
-        for i, comp in enumerate(comps):
-            _validate_component(i, comp)
-    return SectorPair(KIND_CUSTOM, comps)
-
-
-def _validate_component(i: int, comp: PwlFunction) -> None:
-    slopes = comp.segment_slopes()
-    if np.any(slopes < -_SLOPE_TOL) or np.any(slopes > 1.0 + _SLOPE_TOL):
-        raise InvalidSectorPair(f"component {i}: slopes must lie in [0, 1]")
-    scale = max(1.0, float(np.max(np.abs(comp.values))))
-    if abs(float(comp(0.0))) > _SLOPE_TOL * scale:
-        raise InvalidSectorPair(f"component {i}: f(0) must be 0")
+        slopes = np.vstack([pair.slope_left, pair.slope, pair.slope_right])
+        bad_slope = np.any((slopes < -_SLOPE_TOL) | (slopes > 1.0 + _SLOPE_TOL),
+                           axis=0)
+        scale = np.maximum(1.0, np.max(np.abs(pair.values), axis=0))
+        bad_zero = (np.abs(_table_f(pair, np.zeros(pair.n)))
+                    > _SLOPE_TOL * scale)
+        bad = np.flatnonzero(bad_slope | bad_zero)
+        if bad.size:
+            i = int(bad[0])
+            what = ("slopes must lie in [0, 1]" if bad_slope[i]
+                    else "f(0) must be 0")
+            raise InvalidSectorPair(f"component {i}: {what}")
+    return pair
 
 
 def _check_width(pair: SectorPair, u: np.ndarray) -> None:
@@ -172,25 +168,65 @@ def _check_width(pair: SectorPair, u: np.ndarray) -> None:
             f"pair has {pair.n} coordinates")
 
 
+def _table_f(pair: SectorPair, u: np.ndarray) -> np.ndarray:
+    """f from the tables: first value, clipped segments, extensions.
+
+    On a row with one segment this rounds as ``np.interp`` with the
+    extension slopes does, so scaled and shifted saturation pairs agree
+    with the per-coordinate evaluation bit for bit.
+    """
+    k0, km = pair.knots[0], pair.knots[-1]
+    c = np.minimum(np.maximum(u[..., None, :], pair.lo), pair.hi)
+    return (pair.values[0] + np.add.reduce(pair.slope * (c - pair.lo), axis=-2)
+            + pair.slope_left * np.minimum(u - k0, 0.0)
+            + pair.slope_right * np.maximum(u - km, 0.0))
+
+
+def _table_antiderivative(pair: SectorPair, u: np.ndarray) -> np.ndarray:
+    """The integral of f from the first knot to u, exact on every piece.
+
+    Past the last knot it is written from the last knot (the area up to
+    it plus the right extension), so a large saturated input does not
+    cancel the segment terms against the first value.
+    """
+    k0, km = pair.knots[0], pair.knots[-1]
+    x = u[..., None, :]
+    c = np.minimum(np.maximum(x, pair.lo), pair.hi)
+    run = c - pair.lo
+    inner = np.add.reduce(0.5 * pair.slope * run * run
+                          + pair.slope * run * (x - c), axis=-2)
+    left = np.minimum(u - k0, 0.0)
+    from_first = (pair.values[0] * (u - k0)
+                  + (inner + 0.5 * pair.slope_left * left * left))
+    area = np.add.reduce(0.5 * (pair.values[1:] + pair.values[:-1])
+                         * (pair.hi - pair.lo), axis=0)
+    right = u - km
+    from_last = (area + pair.values[-1] * right
+                 + 0.5 * pair.slope_right * right * right)
+    return np.where(u >= km, from_last, from_first)
+
+
 def eval_f(pair: SectorPair, u) -> np.ndarray:
     """Apply f along the last axis of ``u`` (any number of leading axes)."""
     u = np.asarray(u, dtype=float)
     _check_width(pair, u)
     if pair.kind == KIND_SATURATION:
         return np.clip(u, -1.0, 1.0)
-    if pair.kind == KIND_IDENTITY:
-        return u + 0.0
-    flat = u.reshape(-1, pair.n)
-    out = np.empty_like(flat)
-    for i, comp in enumerate(pair.components):
-        out[:, i] = comp(flat[:, i])
-    return out.reshape(u.shape)
+    return _table_f(pair, u)
 
 
 def eval_h(pair: SectorPair, u) -> np.ndarray:
     """Apply the complement h(u) = u - f(u) along the last axis."""
     u = np.asarray(u, dtype=float)
     return u - eval_f(pair, u)
+
+
+def integral_from_zero(pair: SectorPair, b) -> np.ndarray:
+    """Exact integral of f from 0 to b along the last axis of ``b``."""
+    b = np.asarray(b, dtype=float)
+    _check_width(pair, b)
+    return (_table_antiderivative(pair, b)
+            - _table_antiderivative(pair, np.zeros(pair.n)))
 
 
 def shift_pair(pair: SectorPair, x0) -> SectorPair:
@@ -201,8 +237,11 @@ def shift_pair(pair: SectorPair, x0) -> SectorPair:
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_width(pair, x0)
-    comps = tuple(comp.shifted(float(x0[i])) for i, comp in enumerate(pair.components))
-    return SectorPair(KIND_CUSTOM, comps)
+    if not np.all(np.isfinite(x0)):
+        raise InvalidSectorPair("shift must be finite")
+    return SectorPair._from_tables(KIND_CUSTOM, pair.knots - x0,
+                                   pair.values - _table_f(pair, x0),
+                                   pair.slope_left, pair.slope_right)
 
 
 def scale_pair(pair: SectorPair, d) -> SectorPair:
@@ -214,8 +253,8 @@ def scale_pair(pair: SectorPair, d) -> SectorPair:
     _check_width(pair, d)
     if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise InvalidSectorPair("scaling vector must be positive and finite")
-    comps = tuple(comp.scaled(float(d[i])) for i, comp in enumerate(pair.components))
-    return SectorPair(KIND_CUSTOM, comps)
+    return SectorPair._from_tables(KIND_CUSTOM, d * pair.knots, d * pair.values,
+                                   pair.slope_left, pair.slope_right)
 
 
 @dataclass(frozen=True)
@@ -266,7 +305,7 @@ def sector_audit(pair: SectorPair, samples: int,
 
     f_lo, f_hi = _bounds(slopes_f)
     h_lo, h_hi = _bounds(slopes_h)
-    scale = max(1.0, max(float(np.max(np.abs(c.values))) for c in pair.components))
+    scale = max(1.0, float(np.max(np.abs(pair.values))))
     f_zero = float(np.max(np.abs(eval_f(pair, np.zeros(pair.n)))))
     ok = (min(f_lo, h_lo) >= -tolerance and max(f_hi, h_hi) <= 1.0 + tolerance
           and f_zero <= tolerance * scale)

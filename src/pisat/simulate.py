@@ -288,12 +288,13 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
     z_t = -ctrl.r * (traj.z - eq.z0)
     u_t = traj.u - eq.u0
 
-    value = np.zeros(traj.t.size)
-    for i, comp in enumerate(pair_t.components):
-        value += coeff_z[i] * (comp.integral_from_zero(z_t[:, i])
-                               + 0.5 * eps * z_t[:, i] ** 2)
-        value += q[i] * (comp.integral_from_zero(u_t[:, i])
-                         + 0.5 * eps * u_t[:, i] ** 2)
+    terms = np.stack([coeff_z * (sector.integral_from_zero(pair_t, z_t)
+                                 + 0.5 * eps * z_t ** 2),
+                      q * (sector.integral_from_zero(pair_t, u_t)
+                           + 0.5 * eps * u_t ** 2)], axis=-1)
+    # a running sum, agent by agent and z term first, so the rounding of
+    # the value does not depend on numpy's pairwise summation
+    value = np.cumsum(terms.reshape(traj.t.size, -1), axis=1)[:, -1]
 
     fz = sector.eval_f(pair_t, z_t)
     fu = sector.eval_f(pair_t, u_t)

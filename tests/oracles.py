@@ -3,7 +3,8 @@ library.  Everything here deliberately avoids the code paths under
 test: eigenvalues instead of the solve-based M-matrix test, a
 semismooth Newton solver instead of the contraction iteration, matrix
 exponentials instead of Runge-Kutta, scipy's LP solver instead of the
-in-repo simplex, and quadrature instead of closed-form integrals.
+in-repo simplex, quadrature instead of closed-form integrals, and
+per-coordinate ``np.interp`` instead of the stacked sector tables.
 """
 
 import numpy as np
@@ -135,3 +136,21 @@ def pwl_integral_quad(fn, upper, breakpoints=()) -> float:
     pts = [b for b in breakpoints if lo < b < hi] or None
     val, _ = scipy.integrate.quad(fn, 0.0, upper, limit=400, points=pts)
     return val
+
+
+def pwl_eval_interp(components, u):
+    """Per-coordinate reference for f along the last axis of ``u``.
+
+    ``np.interp`` between the knots of each component, its extension
+    slopes outside them; one coordinate at a time.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    for i, comp in enumerate(components):
+        x = u[..., i]
+        k, v = comp.knots, comp.values
+        y = np.interp(x, k, v)
+        y = np.where(x < k[0], v[0] + comp.slope_left * (x - k[0]), y)
+        y = np.where(x > k[-1], v[-1] + comp.slope_right * (x - k[-1]), y)
+        out[..., i] = y
+    return out

@@ -204,6 +204,15 @@ def test_usage_errors(tmp_path):
     assert _run("simulate", "--config", TEXTBOOK) == 64  # nowhere to write
 
 
+def test_seed_flag_only_on_certify(tmp_path):
+    # simulate and compare draw no random numbers, so they take no --seed
+    assert _run("simulate", "--config", TEXTBOOK, "--seed", "1",
+                "--out", str(tmp_path / "sim")) == 64
+    assert _run("compare", "--config", TEXTBOOK, "--controllers",
+                "decentralized", "static", "--seed", "1") == 64
+    assert _run("certify", "--config", TEXTBOOK, "--seed", "1") == 0
+
+
 def test_config_scenario_reference_and_run_defaults(tmp_path):
     scn_path = _quiet_scenario(tmp_path, name="ref")
     cfg = tmp_path / "cfg.json"

@@ -112,6 +112,17 @@ def test_iteration_budget_enforced():
         equilibrium.iterate_fixed_point(cmap, np.array([50.0]), 1e-14, 3)
 
 
+def test_fixed_point_reports_last_step():
+    plant, ctrl = _textbook()
+    cmap = equilibrium.build_contraction(plant, ctrl, [-2.0])
+    g = cmap.contraction_bound
+    fp = equilibrium.iterate_fixed_point(cmap, np.array([50.0]), 1e-12)
+    assert 0.0 <= fp.last_step <= 1e-12 * (1.0 - g) / g
+    assert not hasattr(fp, "deltas")
+    with pytest.raises(MaxIterationsExceeded, match="last step"):
+        equilibrium.iterate_fixed_point(cmap, np.array([50.0]), 1e-14, 3)
+
+
 def test_requires_decentralized_variant():
     plant, _ = _textbook()
     coord = model.ControllerSpec.coordinating([1.0], [0.5], [0.5])

@@ -84,13 +84,53 @@ def test_audit_catches_out_of_sector():
 
 
 def test_integral_from_zero_matches_quadrature(rng):
-    pair = random_pwl_pair(rng, 1)
-    comp = pair.components[0]
-    for upper in rng.uniform(-8.0, 8.0, 12):
-        want = oracles.pwl_integral_quad(lambda x: float(comp(x)), upper,
-                                         breakpoints=comp.knots)
-        got = comp.integral_from_zero(upper)
-        assert got == pytest.approx(want, abs=1e-10)
+    pair = random_pwl_pair(rng, 4)
+    for p in (pair, sector.shift_pair(pair, rng.uniform(-3.0, 3.0, 4)),
+              sector.scale_pair(pair, rng.uniform(0.2, 5.0, 4))):
+        upper = rng.uniform(-8.0, 8.0, (12, p.n))
+        got = sector.integral_from_zero(p, upper)
+        for i, comp in enumerate(p.components):
+            def f(x, comp=comp):
+                return float(oracles.pwl_eval_interp((comp,), [x])[0])
+            for b, g in zip(upper[:, i], got[:, i]):
+                want = oracles.pwl_integral_quad(f, b, breakpoints=comp.knots)
+                assert g == pytest.approx(want, abs=1e-10)
+                assert comp.integral_from_zero(b) == pytest.approx(want,
+                                                                   abs=1e-10)
+
+
+def test_stacked_eval_equals_interp_on_saturation_transforms(rng):
+    n = 6
+    base = sector.saturation_deadzone(n)
+    pairs = [sector.scale_pair(base, np.exp(rng.uniform(-5.0, 5.0, n)))]
+    for spread in (0.5, 1.0, 3.0, 100.0):
+        pairs.append(sector.shift_pair(base, rng.normal(0.0, spread, n)))
+    for pair in pairs:
+        assert pair.kind == sector.KIND_CUSTOM
+        for shape in ((200, n), (20, 10, n)):
+            # signed, magnitudes from 1e-3 up to 1e6
+            u = (rng.uniform(-1.0, 1.0, shape)
+                 * 10.0 ** rng.uniform(-3.0, 6.0, shape))
+            u[0] = pair.knots[0]    # exactly on the knots
+            u[1] = pair.knots[-1]
+            np.testing.assert_array_equal(
+                sector.eval_f(pair, u),
+                oracles.pwl_eval_interp(pair.components, u))
+
+
+def test_stacked_eval_matches_interp_on_custom_pairs(rng):
+    single = sector.PwlFunction(np.zeros(1), np.zeros(1), 0.3, 0.7)
+    comps = random_pwl_pair(rng, 5).components + (single,)
+    pair = sector.custom_pwl(comps)
+    assert len({c.knots.size for c in comps}) > 2    # padding exercised
+    n = pair.n
+    for p in (pair, sector.shift_pair(pair, rng.uniform(-3.0, 3.0, n)),
+              sector.scale_pair(pair, rng.uniform(0.2, 5.0, n))):
+        for shape in ((n,), (300, n), (20, 15, n)):
+            u = rng.uniform(-20.0, 20.0, shape)
+            np.testing.assert_allclose(
+                sector.eval_f(p, u), oracles.pwl_eval_interp(p.components, u),
+                rtol=0.0, atol=1e-12)
 
 
 def test_integral_vectorized_and_signed():
