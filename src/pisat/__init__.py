@@ -27,8 +27,7 @@ from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
                     default_static_gain, error_coordinate_pair,
                     error_coords_derivative, transform_to_error_coords)
 from .optimality import (AllocationSolution, OptimalityCertificate,
-                         admissible_gamma, brute_force_oracle,
-                         certify_equilibrium_optimality,
+                         admissible_gamma, certify_equilibrium_optimality,
                          check_gamma_condition, solve_weighted_l1_lp)
 from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f, eval_h,
                      identity_zero, integral_from_zero, saturation_deadzone,

@@ -185,7 +185,9 @@ def cmd_certify(args) -> int:
     eq = None
     if ctrl.variant == model.VARIANT_DECENTRALIZED:
         cmap = equilibrium.build_contraction(plant, ctrl, w_ref)
-        eq = equilibrium.solve_equilibrium(plant, ctrl, w_ref, tol=1e-10)
+        # one solve serves every check, the optimality certificate too
+        eq = equilibrium.solve_equilibrium(plant, ctrl, w_ref,
+                                           tol=min(1e-10, 1e-3 * tol))
         checks.append({"name": "equilibrium_residual",
                        "status": "pass" if eq.residual_stationary <= 1e-8
                        else "fail",
@@ -220,7 +222,7 @@ def cmd_certify(args) -> int:
                        "status": "not_applicable",
                        "detail": "needs the decentralized equilibrium"})
 
-    checks.append(_optimality_check(plant, ctrl, w_ref, tol))
+    checks.append(_optimality_check(plant, ctrl, w_ref, tol, eq))
     return _finish_certify(args, scn, w_ref, checks)
 
 
@@ -267,11 +269,11 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
             "value_final": float(trace.value[-1])}
 
 
-def _optimality_check(plant, ctrl, w_ref, tol) -> dict:
+def _optimality_check(plant, ctrl, w_ref, tol, eq) -> dict:
     gamma = optimality.admissible_gamma(plant)
     try:
         cert = optimality.certify_equilibrium_optimality(gamma, plant, ctrl,
-                                                         w_ref, tol=tol)
+                                                         w_ref, tol=tol, eq=eq)
     except (ConditionViolated, UnsupportedVariant) as exc:
         return {"name": "allocation_optimality", "status": "not_applicable",
                 "detail": str(exc), "gamma": gamma}

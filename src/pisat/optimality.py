@@ -10,8 +10,11 @@ When diag(gamma) A^-1 B is a strictly column-dominant M-matrix, the
 saturated closed-loop equilibrium attains this optimum; the certificate
 below recomputes both sides independently and compares.  The LP is
 solved on the x-eliminated epigraph form by a dense two-phase simplex
-with Bland's rule, so no external solver is involved and runs are
-deterministic.
+with Bland's rule, so no external solver is involved.  Each pivot is one
+vectorized rank-one update of the whole tableau and each entering and
+leaving choice is made on whole columns; the path and every rounding
+match a row-by-row elimination.  Runs are deterministic at a fixed BLAS
+thread count (the pricing row is a matrix-vector product).
 """
 
 from __future__ import annotations
@@ -21,21 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equilibrium, matrixlab, model, sector
-from .errors import (ConditionViolated, DimensionMismatch, DimensionTooLarge,
-                     SolverFailure, UnsupportedVariant)
+from .errors import (ConditionViolated, DimensionMismatch, SolverFailure,
+                     UnsupportedVariant)
 
 _PIVOT_EPS = 1e-9
-_MAX_PIVOTS = 10_000
+_MIN_PIVOTS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
 class AllocationSolution:
-    """Optimal steady state x_star with the input v_star achieving it."""
+    """Optimal steady state x_star with the input v_star achieving it,
+    and the simplex pivots the solve took."""
 
     x_star: np.ndarray
     v_star: np.ndarray
     cost: float
     status: str
+    pivots: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,49 +83,72 @@ def admissible_gamma(plant: model.PlantModel) -> np.ndarray:
     return d / float(np.max(d))
 
 
+def _pivot_budget(rows: int, cols: int) -> int:
+    """Pivot guard for the two-phase solve of a rows x cols system.
+
+    One pivot per entry of the phase-one tableau (the system plus one
+    artificial column per row), and never fewer than 10,000.  Bland's
+    path on generated allocation LPs grows about as n^2.5 (7,852 pivots
+    at n = 200, where this guard allows 960,000, and 11,681 at n = 240),
+    so a fixed guard would cut off feasible, bounded problems that are
+    merely large.
+    """
+    return max(_MIN_PIVOTS, rows * (cols + rows))
+
+
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    # one rank-one update: every entry gets the same multiply and
+    # subtract as a row-by-row elimination; rows with a zero in the
+    # pivot column subtract an exact zero
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    f = tab[:, col].copy()
+    f[row] = 0.0
+    tab -= f[:, None] * tab[row]
 
 
 def _run_simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray,
-                 ncols: int, pivots_left: int) -> int:
-    """Optimize min cost @ y on the tableau in place (Bland's rule)."""
+                 ncols: int, budget: int) -> int:
+    """Optimize min cost @ y on the tableau in place (Bland's rule).
+
+    Returns the number of pivots made; raises SolverFailure when it
+    reaches ``budget``.
+    """
+    pivots = 0
     while True:
-        cb = cost[basis]
-        reduced = cost[:ncols] - cb @ tab[:, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -_PIVOT_EPS:
-                entering = j
-                break
-        if entering < 0:
-            return pivots_left
+        reduced = cost[:ncols] - cost[basis] @ tab[:, :ncols]
+        entering = np.flatnonzero(reduced < -_PIVOT_EPS)
+        if entering.size == 0:
+            return pivots
+        entering = int(entering[0])
         col = tab[:, entering]
-        rhs = tab[:, -1]
+        rows = np.flatnonzero(col > _PIVOT_EPS)
+        ratios = tab[rows, -1] / col[rows]
+        # sequential scan: the tolerance ties are not transitive, so the
+        # smallest ratio is not always the row Bland's rule leaves by
         best_ratio = np.inf
         leave = -1
-        for i in range(tab.shape[0]):
-            if col[i] > _PIVOT_EPS:
-                ratio = rhs[i] / col[i]
-                if ratio < best_ratio - _PIVOT_EPS or (
-                        abs(ratio - best_ratio) <= _PIVOT_EPS
-                        and (leave < 0 or basis[i] < basis[leave])):
-                    best_ratio = ratio
-                    leave = i
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best_ratio - _PIVOT_EPS or (
+                    abs(ratio - best_ratio) <= _PIVOT_EPS
+                    and (leave < 0 or basis[i] < basis[leave])):
+                best_ratio = ratio
+                leave = i
         if leave < 0:
             raise SolverFailure("objective unbounded on the tableau")
         _pivot(tab, leave, entering)
         basis[leave] = entering
-        pivots_left -= 1
-        if pivots_left <= 0:
+        pivots += 1
+        if pivots >= budget:
             raise SolverFailure("pivot guard exceeded")
 
 
-def _simplex(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
-    """Two-phase dense simplex for min c @ y s.t. a_eq y = b_eq, y >= 0."""
+def _simplex(c: np.ndarray, a_eq: np.ndarray,
+             b_eq: np.ndarray) -> tuple[np.ndarray, int]:
+    """Two-phase dense simplex for min c @ y s.t. a_eq y = b_eq, y >= 0.
+
+    Returns the optimal y and the pivots made: phase one, the drive-out
+    of artificial variables and phase two.
+    """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
     m, ncols = a.shape
@@ -131,9 +159,11 @@ def _simplex(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     tab = np.hstack([a, np.eye(m), b[:, None]])
     basis = list(range(ncols, ncols + m))
     phase1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    budget = _run_simplex(tab, basis, phase1, ncols + m, _MAX_PIVOTS)
+    budget = _pivot_budget(m, ncols)
+    pivots = _run_simplex(tab, basis, phase1, ncols + m, budget)
     if float(phase1[basis] @ tab[:, -1]) > 1e-7 * (1.0 + float(np.max(np.abs(b)))):
         raise SolverFailure("phase one failed to reach feasibility")
+    budget -= pivots
 
     # drive leftover artificial variables out of the basis
     drop_rows = []
@@ -144,6 +174,7 @@ def _simplex(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
             if abs(row[j]) > _PIVOT_EPS:
                 _pivot(tab, i, j)
                 basis[i] = j
+                pivots += 1
             else:
                 drop_rows.append(i)
     if drop_rows:
@@ -153,11 +184,29 @@ def _simplex(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
 
     tab = np.hstack([tab[:, :ncols], tab[:, -1:]])
     cost = np.concatenate([c, [0.0]])
-    _run_simplex(tab, basis, cost, ncols, budget)
+    pivots += _run_simplex(tab, basis, cost, ncols, budget)
 
     y = np.zeros(ncols)
     y[basis] = tab[:, -1]
-    return y
+    return y, pivots
+
+
+def _allocation_lp(gm: np.ndarray, gw: np.ndarray):
+    """Standard-form epigraph LP (c, a_eq, b_eq) of min ||gm v + gw||_1
+    over -1 <= v <= 1, in the variables y = [v + 1, t, slack1, slack2,
+    slack3] >= 0."""
+    n = gw.size
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    a_eq = np.block([
+        [gm, -eye, eye, zero, zero],
+        [-gm, -eye, zero, eye, zero],
+        [eye, zero, zero, zero, eye],
+    ])
+    ones = np.ones(n)
+    b_eq = np.concatenate([gm @ ones - gw, gw - gm @ ones, 2.0 * ones])
+    c = np.concatenate([np.zeros(n), np.ones(n), np.zeros(3 * n)])
+    return c, a_eq, b_eq
 
 
 def solve_weighted_l1_lp(gamma, plant: model.PlantModel, w) -> AllocationSolution:
@@ -171,75 +220,32 @@ def solve_weighted_l1_lp(gamma, plant: model.PlantModel, w) -> AllocationSolutio
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.size != plant.n:
         raise DimensionMismatch("disturbance width disagrees with plant")
-    n = plant.n
     gm = (g / plant.a)[:, None] * plant.b       # diag(gamma) A^-1 B
     gw = g / plant.a * w
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    # variables y = [v + 1, t, slack1, slack2, slack3] >= 0
-    a_eq = np.block([
-        [gm, -eye, eye, zero, zero],
-        [-gm, -eye, zero, eye, zero],
-        [eye, zero, zero, zero, eye],
-    ])
-    ones = np.ones(n)
-    b_eq = np.concatenate([gm @ ones - gw, gw - gm @ ones, 2.0 * ones])
-    c = np.concatenate([np.zeros(n), np.ones(n), np.zeros(3 * n)])
-    y = _simplex(c, a_eq, b_eq)
-    v = y[:n] - 1.0
+    y, pivots = _simplex(*_allocation_lp(gm, gw))
+    v = y[:plant.n] - 1.0
     if np.max(np.abs(v) - 1.0) > 1e-9:
         raise SolverFailure("recovered input violates its box bound")
     v = np.clip(v, -1.0, 1.0)
     x = (plant.b @ v + w) / plant.a
     cost = float(np.sum(g * np.abs(x)))
-    return AllocationSolution(x, v, cost, "optimal")
+    return AllocationSolution(x, v, cost, "optimal", pivots)
 
 
-def brute_force_oracle(gamma, plant: model.PlantModel, w,
-                       grid: int = 41) -> AllocationSolution:
-    """Grid search reference for the allocation problem (n <= 4).
-
-    Scans a uniform grid over the input box and refines twice around the
-    incumbent, shrinking the span to the previous grid spacing each
-    time.  Accuracy is of the order of the final spacing.
-    """
-    if plant.n > 4:
-        raise DimensionTooLarge("brute force restricted to n <= 4")
-    if grid < 3:
-        raise ValueError("grid must have at least 3 points per axis")
-    g = _gamma_vector(gamma, plant.n)
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    n = plant.n
-    center = np.zeros(n)
-    half = 1.0
-    best_v = center
-    best_cost = np.inf
-    for _ in range(3):
-        axes = [np.linspace(max(-1.0, c - half), min(1.0, c + half), grid)
-                for c in center]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        x = (pts @ plant.b.T + w) / plant.a
-        costs = np.sum(g * np.abs(x), axis=1)
-        idx = int(np.argmin(costs))
-        best_v = pts[idx]
-        best_cost = float(costs[idx])
-        spacing = max(float(ax[1] - ax[0]) for ax in axes)
-        center = best_v
-        half = spacing
-    x_best = (plant.b @ best_v + w) / plant.a
-    return AllocationSolution(x_best, best_v, best_cost, "optimal")
-
-
-def certify_equilibrium_optimality(gamma, plant: model.PlantModel,
-                                   ctrl: model.ControllerSpec, w,
-                                   tol: float = 1e-7) -> OptimalityCertificate:
+def certify_equilibrium_optimality(
+        gamma, plant: model.PlantModel, ctrl: model.ControllerSpec, w,
+        tol: float = 1e-7,
+        eq: equilibrium.EquilibriumResult | None = None,
+) -> OptimalityCertificate:
     """Check that the closed-loop equilibrium solves the allocation LP.
 
     Requires the saturation pair, the decentralized variant, and the
     weight condition on diag(gamma) A^-1 B (ConditionViolated otherwise,
     meaning the certificate is not applicable).  Also verifies the sign
-    structure x0_i = -s_i dz(u0_i).
+    structure x0_i = -s_i dz(u0_i).  ``eq`` is the equilibrium of this
+    plant, controller and w, if the caller has solved it already (to a
+    residual well below ``tol``); otherwise it is solved here, to
+    min(1e-3 tol, 1e-10).
     """
     if plant.pair.kind != sector.KIND_SATURATION:
         raise UnsupportedVariant("certificate requires the saturation pair")
@@ -250,8 +256,9 @@ def certify_equilibrium_optimality(gamma, plant: model.PlantModel,
         raise ConditionViolated(
             "diag(gamma) A^-1 B is not a strictly column-dominant M-matrix")
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    eq = equilibrium.solve_equilibrium(plant, ctrl, w,
-                                       tol=min(1e-3 * tol, 1e-10))
+    if eq is None:
+        eq = equilibrium.solve_equilibrium(plant, ctrl, w,
+                                           tol=min(1e-3 * tol, 1e-10))
     lp = solve_weighted_l1_lp(g, plant, w)
     eq_cost = float(np.sum(g * np.abs(eq.x0)))
     gap = abs(eq_cost - lp.cost)

@@ -2,15 +2,20 @@
 library.  Everything here deliberately avoids the code paths under
 test: eigenvalues instead of the solve-based M-matrix test, a
 semismooth Newton solver instead of the contraction iteration, matrix
-exponentials instead of Runge-Kutta, scipy's LP solver instead of the
-in-repo simplex, quadrature instead of closed-form integrals, and
-per-coordinate ``np.interp`` instead of the stacked sector tables.
+exponentials instead of Runge-Kutta, scipy's LP solver and a grid
+search instead of the in-repo simplex, quadrature instead of
+closed-form integrals, and per-coordinate ``np.interp`` instead of the
+stacked sector tables.  ``simplex_loop`` is the exception: it is the
+row-by-row form of the library's simplex, kept to pin the vectorized
+solver to the same pivot path.
 """
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.optimize
+
+from pisat.errors import DimensionTooLarge, SolverFailure
 
 
 def is_m_matrix_eig(m) -> bool:
@@ -154,3 +159,133 @@ def pwl_eval_interp(components, u):
         y = np.where(x > k[-1], v[-1] + comp.slope_right * (x - k[-1]), y)
         out[..., i] = y
     return out
+
+
+def brute_force_oracle(gamma, a, b, w, grid: int = 41):
+    """Grid search reference for the allocation problem (n <= 4).
+
+    Scans a uniform grid over the input box and refines twice around the
+    incumbent, shrinking the span to the previous grid spacing each
+    time.  Accuracy is of the order of the final spacing.  Returns
+    (x, v, cost) like ``weighted_l1_linprog``.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    n = a.size
+    if n > 4:
+        raise DimensionTooLarge("brute force restricted to n <= 4")
+    if grid < 3:
+        raise ValueError("grid must have at least 3 points per axis")
+    center = np.zeros(n)
+    half = 1.0
+    best_v = center
+    best_cost = np.inf
+    for _ in range(3):
+        axes = [np.linspace(max(-1.0, c - half), min(1.0, c + half), grid)
+                for c in center]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        x = (pts @ b.T + w) / a
+        costs = np.sum(gamma * np.abs(x), axis=1)
+        idx = int(np.argmin(costs))
+        best_v = pts[idx]
+        best_cost = float(costs[idx])
+        spacing = max(float(ax[1] - ax[0]) for ax in axes)
+        center = best_v
+        half = spacing
+    return (b @ best_v + w) / a, best_v, best_cost
+
+
+_LOOP_EPS = 1e-9
+_LOOP_MAX_PIVOTS = 10_000
+
+
+def _pivot_loop(tab, row, col):
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and tab[i, col] != 0.0:
+            tab[i] -= tab[i, col] * tab[row]
+
+
+def _run_simplex_loop(tab, basis, cost, ncols, pivots_left):
+    while True:
+        cb = cost[basis]
+        reduced = cost[:ncols] - cb @ tab[:, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if reduced[j] < -_LOOP_EPS:
+                entering = j
+                break
+        if entering < 0:
+            return pivots_left
+        col = tab[:, entering]
+        rhs = tab[:, -1]
+        best_ratio = np.inf
+        leave = -1
+        for i in range(tab.shape[0]):
+            if col[i] > _LOOP_EPS:
+                ratio = rhs[i] / col[i]
+                if ratio < best_ratio - _LOOP_EPS or (
+                        abs(ratio - best_ratio) <= _LOOP_EPS
+                        and (leave < 0 or basis[i] < basis[leave])):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise SolverFailure("objective unbounded on the tableau")
+        _pivot_loop(tab, leave, entering)
+        basis[leave] = entering
+        pivots_left -= 1
+        if pivots_left <= 0:
+            raise SolverFailure("pivot guard exceeded")
+
+
+def simplex_loop(c, a_eq, b_eq):
+    """Row-by-row two-phase simplex with Bland's rule: min c @ y s.t.
+    a_eq y = b_eq, y >= 0.
+
+    The library's solver before its pivots and ratio tests were
+    vectorized, unchanged but for counting pivots.  Returns (y, pivots),
+    pivots summed over phase one, the artificial drive-out and phase two.
+    """
+    a = np.array(a_eq, dtype=float)
+    b = np.array(b_eq, dtype=float)
+    m, ncols = a.shape
+    neg = b < 0.0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+
+    tab = np.hstack([a, np.eye(m), b[:, None]])
+    basis = list(range(ncols, ncols + m))
+    phase1 = np.concatenate([np.zeros(ncols), np.ones(m)])
+    budget = _run_simplex_loop(tab, basis, phase1, ncols + m,
+                               _LOOP_MAX_PIVOTS)
+    if float(phase1[basis] @ tab[:, -1]) > 1e-7 * (1.0 + float(np.max(np.abs(b)))):
+        raise SolverFailure("phase one failed to reach feasibility")
+    pivots = _LOOP_MAX_PIVOTS - budget
+
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= ncols:
+            row = tab[i, :ncols]
+            j = int(np.argmax(np.abs(row)))
+            if abs(row[j]) > _LOOP_EPS:
+                _pivot_loop(tab, i, j)
+                basis[i] = j
+                pivots += 1
+            else:
+                drop_rows.append(i)
+    if drop_rows:
+        keep = [i for i in range(m) if i not in drop_rows]
+        tab = tab[keep]
+        basis = [basis[i] for i in keep]
+
+    tab = np.hstack([tab[:, :ncols], tab[:, -1:]])
+    cost = np.concatenate([c, [0.0]])
+    left = _run_simplex_loop(tab, basis, cost, ncols, budget)
+    pivots += budget - left
+
+    y = np.zeros(ncols)
+    y[basis] = tab[:, -1]
+    return y, pivots

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pisat import cli, heating, model, simulate
+from pisat import cli, equilibrium, heating, model, simulate
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 TEXTBOOK = str(CONFIGS / "textbook_single.json")
@@ -44,6 +44,22 @@ def test_certify_textbook_passes(tmp_path, capsys):
             "contraction_ratio", "uniqueness_probe", "storage_decrease",
             "allocation_optimality"} <= names
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_certify_solves_equilibrium_once(monkeypatch):
+    calls = []
+    solve = equilibrium.solve_equilibrium
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tol"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", counted)
+    assert _run("certify", "--config", TEXTBOOK) == 0
+    assert calls == [1e-10]
+    calls.clear()
+    assert _run("certify", "--config", TEXTBOOK, "--tol", "1e-9") == 0
+    assert calls == [pytest.approx(1e-12)]
 
 
 def test_certify_benchmark_warns(tmp_path, capsys):

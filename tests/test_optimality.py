@@ -1,11 +1,15 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_disturbance, random_instance
-from pisat import model, optimality, sector
-from pisat.errors import (ConditionViolated, DimensionTooLarge,
+from pisat import cli, equilibrium, heating, model, optimality, sector
+from pisat.errors import (ConditionViolated, DimensionTooLarge, SolverFailure,
                           UnsupportedVariant)
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_simplex_matches_scipy(rng):
@@ -19,6 +23,80 @@ def test_simplex_matches_scipy(rng):
                                                      plant.b, w)
         assert mine.cost == pytest.approx(ref_cost, abs=1e-8)
         assert np.all(np.abs(mine.v_star) <= 1.0 + 1e-12)
+
+
+def _assert_same_path(c, a_eq, b_eq):
+    y, pivots = optimality._simplex(c, a_eq, b_eq)
+    y_ref, pivots_ref = oracles.simplex_loop(c, a_eq, b_eq)
+    np.testing.assert_array_equal(y, y_ref)
+    assert pivots == pivots_ref
+    return pivots
+
+
+def _allocation_lp(gamma, plant, w):
+    gm = (gamma / plant.a)[:, None] * plant.b
+    return optimality._allocation_lp(gm, gamma / plant.a * np.asarray(w))
+
+
+def test_simplex_path_matches_loop_oracle(rng):
+    # the vectorized pivots and ratio tests take Bland's path of the
+    # row-by-row solver, bit for bit
+    for n in range(1, 41):
+        plant, _ = random_instance(rng, n)
+        w = random_disturbance(rng, n)
+        gamma = optimality.admissible_gamma(plant)
+        pivots = _assert_same_path(*_allocation_lp(gamma, plant, w))
+        assert optimality.solve_weighted_l1_lp(gamma, plant,
+                                               w).pivots == pivots
+
+
+def test_simplex_path_matches_loop_oracle_degenerate(rng):
+    for n in (1, 2, 5, 12, 25):
+        plant, _ = random_instance(rng, n)
+        gamma = optimality.admissible_gamma(plant)
+        # w = 0: the optimum x = 0 is a degenerate vertex
+        _assert_same_path(*_allocation_lp(gamma, plant, np.zeros(n)))
+        # a huge pull puts the optimum on a corner of the input box
+        corner = 100.0 * np.sign(rng.uniform(-1.0, 1.0, n))
+        _assert_same_path(*_allocation_lp(gamma, plant, corner))
+    for n in (2, 3, 8, 20):
+        # duplicate columns of B: ties in the ratio test and the pricing
+        gm = rng.uniform(-1.0, 1.0, (n, n))
+        gm[:, 1] = gm[:, 0]
+        gm[:, -1] = gm[:, 0]
+        _assert_same_path(*optimality._allocation_lp(
+            gm, rng.uniform(-3.0, 3.0, n)))
+
+
+@pytest.mark.parametrize("config", ["benchmark_constant.json",
+                                    "textbook_single.json"])
+def test_simplex_path_matches_loop_oracle_bundled(config):
+    scn, _ = cli.load_config(CONFIGS / config)
+    plant, wsig = heating.to_standard_form(scn)
+    w = wsig.constant_value()
+    _assert_same_path(*_allocation_lp(optimality.admissible_gamma(plant),
+                                      plant, w))
+
+
+def test_pivot_guard_scales_with_tableau():
+    # Bland's path grows about as n^2.5 on generated ratio-4 networks
+    # (7,852 pivots at n = 200, 9,713 at n = 230, 11,681 at n = 240), so
+    # a fixed guard of 10,000 fails feasible, bounded problems; the guard
+    # read from the n = 230 tableau's shape alone must allow more
+    _, a_eq, _ = optimality._allocation_lp(np.eye(230), np.zeros(230))
+    assert a_eq.shape == (690, 1150)
+    assert optimality._pivot_budget(*a_eq.shape) > 10_000
+    assert optimality._pivot_budget(3, 5) == 10_000
+
+
+def test_pivot_guard_raises_when_exhausted(rng, monkeypatch):
+    plant, _ = random_instance(rng, 6)
+    w = random_disturbance(rng, 6)
+    gamma = optimality.admissible_gamma(plant)
+    assert optimality.solve_weighted_l1_lp(gamma, plant, w).pivots > 3
+    monkeypatch.setattr(optimality, "_pivot_budget", lambda rows, cols: 3)
+    with pytest.raises(SolverFailure, match="pivot guard exceeded"):
+        optimality.solve_weighted_l1_lp(gamma, plant, w)
 
 
 def test_lp_cost_zero_when_interior(rng):
@@ -106,9 +184,10 @@ def test_brute_force_oracle_vertex_case():
     w = np.array([-9.0, -9.0])
     gamma = optimality.admissible_gamma(plant)
     sol = optimality.solve_weighted_l1_lp(gamma, plant, w)
-    bf = optimality.brute_force_oracle(gamma, plant, w, grid=9)
+    _, _, bf_cost = oracles.brute_force_oracle(gamma, plant.a, plant.b, w,
+                                               grid=9)
     np.testing.assert_allclose(sol.v_star, [1.0, 1.0], atol=1e-9)
-    assert sol.cost == pytest.approx(bf.cost, abs=1e-8)
+    assert sol.cost == pytest.approx(bf_cost, abs=1e-8)
 
 
 def test_brute_force_oracle_within_resolution(rng):
@@ -118,20 +197,21 @@ def test_brute_force_oracle_within_resolution(rng):
         w = random_disturbance(rng, plant.n)
         gamma = optimality.admissible_gamma(plant)
         sol = optimality.solve_weighted_l1_lp(gamma, plant, w)
-        bf = optimality.brute_force_oracle(gamma, plant, w, grid=grid)
+        _, _, bf_cost = oracles.brute_force_oracle(gamma, plant.a, plant.b,
+                                                   w, grid=grid)
         # the convexity argument only guarantees first-pass resolution:
         # some coarse point sits within spacing/2 of the optimum in every
         # coordinate, and refinement never worsens the incumbent
         lip = float(np.sum(np.abs((gamma / plant.a)[:, None] * plant.b)))
         spacing = 2.0 / (grid - 1)
-        assert sol.cost <= bf.cost + 1e-9
-        assert bf.cost - sol.cost <= lip * 0.5 * spacing + 1e-9
+        assert sol.cost <= bf_cost + 1e-9
+        assert bf_cost - sol.cost <= lip * 0.5 * spacing + 1e-9
 
 
 def test_brute_force_dimension_guard(rng):
     plant, _ = random_instance(rng, 5)
     with pytest.raises(DimensionTooLarge):
-        optimality.brute_force_oracle(np.ones(5), plant, np.zeros(5))
+        oracles.brute_force_oracle(np.ones(5), plant.a, plant.b, np.zeros(5))
 
 
 def test_certificate_on_textbook_saturated():
@@ -153,6 +233,26 @@ def test_certificate_random_instances(rng):
         cert = optimality.certify_equilibrium_optimality(gamma, plant, ctrl,
                                                          w, tol=1e-7)
         assert cert.passed, (cert.cost_gap, cert.sign_structure_error)
+
+
+def test_certificate_uses_given_equilibrium(rng, monkeypatch):
+    plant, ctrl = random_instance(rng, 5)
+    w = random_disturbance(rng, 5)
+    gamma = optimality.admissible_gamma(plant)
+    own = optimality.certify_equilibrium_optimality(gamma, plant, ctrl, w,
+                                                    tol=1e-7)
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-10)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("equilibrium solved again")
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", no_solve)
+    given = optimality.certify_equilibrium_optimality(gamma, plant, ctrl, w,
+                                                      tol=1e-7, eq=eq)
+    assert given.eq is eq
+    assert given.passed
+    assert given.equilibrium_cost == own.equilibrium_cost
+    assert given.lp_cost == own.lp_cost
 
 
 def test_certificate_guards():
