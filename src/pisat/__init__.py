@@ -24,8 +24,7 @@ from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
                     VARIANT_STATIC, ControllerSpec, DisturbanceSignal,
                     PlantModel, TuningReport, check_tuning,
                     closed_loop_derivative, control_input,
-                    default_static_gain, error_coordinate_pair,
-                    error_coords_derivative, transform_to_error_coords)
+                    default_static_gain, error_coordinate_pair)
 from .optimality import (AllocationSolution, OptimalityCertificate,
                          admissible_gamma, certify_equilibrium_optimality,
                          check_gamma_condition, solve_weighted_l1_lp)

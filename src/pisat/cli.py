@@ -112,12 +112,15 @@ def _pick(flag, run: dict, key: str, default):
     return default
 
 
-def _resolve_controller(scn: heating.HeatingScenario,
-                        name: str | None) -> heating.HeatingScenario:
+def _resolve_controller(scn: heating.HeatingScenario, name: str | None,
+                        plant: model.PlantModel | None = None
+                        ) -> heating.HeatingScenario:
+    # the static default gain needs the plant; pass it when already built
     if name is None or name == scn.controller.variant:
         return scn
     if name == model.VARIANT_STATIC:
-        plant, _ = heating.to_standard_form(scn)
+        if plant is None:
+            plant, _ = heating.to_standard_form(scn)
         ctrl = model.ControllerSpec.static(model.default_static_gain(plant))
     elif name in model.PI_VARIANTS:
         base = scn.controller
@@ -313,15 +316,12 @@ def _exit_from_status(status: str) -> int:
 # --------------------------------------------------------------- simulate
 
 
-def _run_simulation(scn, dt, t_end):
-    plant, wsig = heating.to_standard_form(scn)
+def _run_simulation(plant, wsig, ctrl, l_diag, dt, t_end):
     n = plant.n
-    z0 = None if scn.controller.variant == model.VARIANT_STATIC \
-        else np.zeros(n)
-    traj = simulate.integrate(plant, scn.controller, wsig, np.zeros(n), z0,
+    z0 = np.zeros(n) if ctrl.is_pi else None
+    traj = simulate.integrate(plant, ctrl, wsig, np.zeros(n), z0,
                               (0.0, t_end), dt)
-    costs = simulate.evaluate_costs(traj, heating.default_cost_weights(scn))
-    return traj, costs
+    return traj, simulate.evaluate_costs(traj, l_diag)
 
 
 def cmd_simulate(args) -> int:
@@ -338,7 +338,9 @@ def cmd_simulate(args) -> int:
     if out_dir is None:
         raise ConfigError("simulate needs --out or run.out_dir")
     os.makedirs(out_dir, exist_ok=True)
-    traj, costs = _run_simulation(scn, dt, t_end)
+    plant, wsig = heating.to_standard_form(scn)
+    traj, costs = _run_simulation(plant, wsig, scn.controller,
+                                  heating.default_cost_weights(scn), dt, t_end)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     simulate.write_trajectory_csv(traj, csv_path)
     report = {"schema_version": SCHEMA_VERSION,
@@ -366,10 +368,13 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two controllers")
     dt = float(_pick(args.dt, run, "dt_h", _DEF_DT))
     t_end = float(_pick(args.t_end, run, "t_end_h", _t_end_default(scn)))
+    # the plant and the load do not depend on the controller
+    plant, wsig = heating.to_standard_form(scn)
+    l_diag = heating.default_cost_weights(scn)
     rows = []
     for name in names:
-        variant_scn = _resolve_controller(scn, name)
-        traj, costs = _run_simulation(variant_scn, dt, t_end)
+        ctrl = _resolve_controller(scn, name, plant).controller
+        traj, costs = _run_simulation(plant, wsig, ctrl, l_diag, dt, t_end)
         rows.append({"controller": name, "j1": costs.j1, "jinf": costs.jinf,
                      "j2": costs.j2,
                      "final_max_abs_x": float(np.max(np.abs(traj.x[-1])))})
@@ -399,28 +404,6 @@ def cmd_compare(args) -> int:
                   "rows": rows}
         _emit(report, os.path.join(args.out, "comparison.json"))
     return EXIT_PASS
-
-
-def read_comparison_csv(path) -> list[dict]:
-    """Parse a comparison.csv back into its row dicts."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = "controller,j1,jinf,j2,final_max_abs_x"
-    if not lines or lines[0] != header:
-        raise ParseError(f"{path}: unexpected header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"{path}: ragged row {ln!r}")
-        try:
-            rows.append({"controller": parts[0],
-                         "j1": float(parts[1]), "jinf": float(parts[2]),
-                         "j2": float(parts[3]),
-                         "final_max_abs_x": float(parts[4])})
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return rows
 
 
 # ------------------------------------------------------------ equilibrium

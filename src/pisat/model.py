@@ -1,5 +1,5 @@
 """Plant and controller descriptions and the assembled closed-loop
-vector fields.
+vector field.
 
 The plant is a network of first-order agents with diagonal decay, an
 M-matrix input coupling, and an elementwise sector nonlinearity acting
@@ -7,17 +7,21 @@ on the input:
 
     dx = -diag(a) x + b f(u) + w
 
-Three controller variants are supported: per-agent PI with local
-anti-windup, the same PI loops sharing a rank-one anti-windup signal,
-and pure static state feedback.  Evaluation functions broadcast over
-leading axes of the state arrays, so a stack of states integrates as
-cheaply as a single one.
+All three controller variants share one canonical linear form, with
+h(u) = u - f(u) the excess over the sector:
+
+    u = -Kx x - Kz z,    dz = E x + S_aw h(u)
+
+Per-agent PI with local anti-windup is (diag(p), diag(r), I, diag(s));
+the same PI loops sharing one anti-windup signal replace S_aw by
+beta 11^T; static state feedback is (K, 0, 0, 0), so its integral
+state z stays at zero.  The vector field therefore has one body for
+every variant, and it broadcasts over leading axes of the state arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,14 +45,6 @@ def _positive_vector(v, name: str, n: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError(f"{name} must be positive and finite")
     return arr
-
-
-class ClosedLoopState(NamedTuple):
-    """State of the loop: plant state x and integral state z (z is None
-    for static feedback)."""
-
-    x: np.ndarray
-    z: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +85,9 @@ class ControllerSpec:
     integrator; the coordinating variant replaces the local anti-windup
     channel by a shared one weighted beta.  Static feedback is
     u = -k_static x with no integral state.
+
+    kx, kz, e and s_aw are the matrices of the canonical form
+    u = -kx x - kz z, dz = e x + s_aw h(u), derived from the gains.
     """
 
     variant: str
@@ -97,6 +96,10 @@ class ControllerSpec:
     s: np.ndarray | None = None
     beta: float | None = None
     k_static: np.ndarray | None = None
+    kx: np.ndarray = field(init=False, repr=False)
+    kz: np.ndarray = field(init=False, repr=False)
+    e: np.ndarray = field(init=False, repr=False)
+    s_aw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
@@ -108,16 +111,26 @@ class ControllerSpec:
             object.__setattr__(self, "p", p)
             object.__setattr__(self, "r", r)
             object.__setattr__(self, "s", s)
+            n = p.size
             if self.variant == VARIANT_COORDINATING:
-                beta = float(self.beta) if self.beta is not None else 1.0 / p.size
+                beta = float(self.beta) if self.beta is not None else 1.0 / n
                 if not beta > 0.0:
                     raise ValueError("beta must be positive")
                 object.__setattr__(self, "beta", beta)
+                s_aw = np.full((n, n), beta)
+            else:
+                s_aw = np.diag(s)
+            canonical = (np.diag(p), np.diag(r), np.eye(n), s_aw)
         else:
             if self.k_static is None:
                 raise DimensionMismatch("static feedback requires a gain matrix")
             k = matrixlab.as_square_matrix(self.k_static)
             object.__setattr__(self, "k_static", k)
+            # kx is the stored gain itself: x @ kx.T on a contiguous copy of
+            # k.T rounds differently
+            canonical = (k, *np.zeros((3,) + k.shape))
+        for name, m in zip(("kx", "kz", "e", "s_aw"), canonical):
+            object.__setattr__(self, name, m)
 
     @classmethod
     def decentralized(cls, p, r, s) -> "ControllerSpec":
@@ -138,7 +151,11 @@ class ControllerSpec:
 
     @property
     def n(self) -> int:
-        return self.p.size if self.is_pi else self.k_static.shape[0]
+        return self.kx.shape[0]
+
+    def feedback(self, x, z) -> np.ndarray:
+        """The law u = -kx x - kz z; z is zero for static feedback."""
+        return -(x @ self.kx.T) - z @ self.kz.T
 
 
 def default_static_gain(plant: PlantModel) -> np.ndarray:
@@ -198,54 +215,51 @@ class DisturbanceSignal:
         return self._values.min(axis=0)
 
     def __call__(self, t):
-        if self.is_constant:
-            t = np.asarray(t, dtype=float)
-            if t.ndim == 0:
-                return self._values.copy()
-            return np.broadcast_to(self._values, t.shape + self._values.shape).copy()
+        """w at time(s) t, with shape t.shape + (n,)."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
+        if self.is_constant:
+            return np.broadcast_to(self._values, t.shape + self._values.shape).copy()
+        tt = t.ravel()
         out = np.empty((tt.size, self.n))
         for j in range(self.n):
             out[:, j] = np.interp(tt, self._times, self._values[:, j])
-        return out[0] if scalar else out.reshape(t.shape + (self.n,))
+        return out.reshape(t.shape + (self.n,))
 
 
 def control_input(ctrl: ControllerSpec, x, z=None) -> np.ndarray:
-    """Evaluate the feedback law at the given state (broadcasts)."""
-    x = np.asarray(x, dtype=float)
-    if ctrl.variant == VARIANT_STATIC:
-        if z is not None:
-            raise DimensionMismatch("static feedback carries no integral state")
-        return -(x @ ctrl.k_static.T)
-    if z is None:
+    """Evaluate the feedback law at the given state (broadcasts).
+
+    PI variants need the integral state z; static feedback takes none.
+    """
+    if ctrl.is_pi and z is None:
         raise DimensionMismatch("PI variants require the integral state z")
-    z = np.asarray(z, dtype=float)
-    return -ctrl.p * x - ctrl.r * z
+    if not ctrl.is_pi and z is not None:
+        raise DimensionMismatch("static feedback carries no integral state")
+    x = np.asarray(x, dtype=float)
+    z = np.zeros_like(x) if z is None else np.asarray(z, dtype=float)
+    return ctrl.feedback(x, z)
 
 
 def closed_loop_derivative(plant: PlantModel, ctrl: ControllerSpec,
-                           x, z, w) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+                           x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-loop vector field at state (x, z) under disturbance value w.
 
-    Returns (dx, dz, u); dz is None for static feedback.  All arguments
-    broadcast over leading axes, with agent coordinates on the last axis.
+    Returns (dx, dz, u); for static feedback z and dz are zeros.  All
+    arguments broadcast over leading axes, with agent coordinates on the
+    last axis.
     """
     x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    if x.shape[-1:] != (plant.n,) or w.shape[-1:] != (plant.n,):
+    if not x.shape[-1:] == z.shape[-1:] == w.shape[-1:] == (plant.n,):
         raise DimensionMismatch("state and disturbance must have n coordinates")
-    u = control_input(ctrl, x, z)
+    u = ctrl.feedback(x, z)
     fu = sector.eval_f(plant.pair, u)
     dx = -plant.a * x + fu @ plant.b.T + w
-    if ctrl.variant == VARIANT_STATIC:
-        return dx, None, u
-    hu = u - fu
-    if ctrl.variant == VARIANT_DECENTRALIZED:
-        dz = x + ctrl.s * hu
-    else:
-        dz = x + ctrl.beta * np.sum(hu, axis=-1, keepdims=True)
+    # s_aw is symmetric for every variant, so this is h @ s_aw.T; on the
+    # bundled cold snap this side rounds the coordinating costs exactly as
+    # beta * sum(h) does, the transposed view does not
+    dz = x @ ctrl.e.T + (u - fu) @ ctrl.s_aw
     return dx, dz, u
 
 
@@ -274,49 +288,6 @@ def check_tuning(plant: PlantModel, ctrl: ControllerSpec) -> TuningReport:
     return TuningReport(integral, antiwindup, passed)
 
 
-def transform_to_error_coords(plant: PlantModel, ctrl: ControllerSpec, eq,
-                              x, z) -> tuple[np.ndarray, np.ndarray]:
-    """Map a state to equilibrium-relative coordinates.
-
-    Returns (z_t, u_t) with z_t = -r (z - z0) and u_t = u - u0, where
-    (x0, z0, u0) come from an equilibrium result ``eq``.  Decentralized
-    variant only.
-    """
-    if ctrl.variant != VARIANT_DECENTRALIZED:
-        raise UnsupportedVariant("error coordinates are defined for the "
-                                 "decentralized variant")
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    u = control_input(ctrl, x, z)
-    return -ctrl.r * (z - eq.z0), u - eq.u0
-
-
 def error_coordinate_pair(plant: PlantModel, eq) -> sector.SectorPair:
     """The sector pair recentered at the equilibrium input u0."""
     return sector.shift_pair(plant.pair, eq.u0)
-
-
-def error_coords_derivative(plant: PlantModel, ctrl: ControllerSpec, eq,
-                            z_t, u_t,
-                            pair_t: sector.SectorPair | None = None
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-loop vector field in equilibrium-relative coordinates.
-
-    Evaluates the transformed two-block system driven by the recentered
-    pair (f~, h~); it agrees with pushing closed_loop_derivative through
-    transform_to_error_coords.
-    """
-    if ctrl.variant != VARIANT_DECENTRALIZED:
-        raise UnsupportedVariant("error coordinates are defined for the "
-                                 "decentralized variant")
-    z_t = np.asarray(z_t, dtype=float)
-    u_t = np.asarray(u_t, dtype=float)
-    if pair_t is None:
-        pair_t = error_coordinate_pair(plant, eq)
-    fu = sector.eval_f(pair_t, u_t)
-    hu = u_t - fu
-    rp = ctrl.r / ctrl.p
-    rs = ctrl.r * ctrl.s
-    dz_t = -rp * z_t + rp * u_t - rs * hu
-    du_t = (plant.a - rp) * (z_t - u_t) - ctrl.p * (fu @ plant.b.T) - rs * hu
-    return dz_t, du_t

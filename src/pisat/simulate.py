@@ -2,7 +2,9 @@
 Lyapunov decrease monitor.
 
 Integration uses the classic fourth-order Runge-Kutta scheme on a fixed
-grid; time-varying disturbances are interpolated linearly.  Costs are
+grid, stepping the stacked state [x, z]; the disturbance is sampled at
+every stage time in one call before the loop (time-varying signals are
+interpolated linearly).  Costs are
 time averages computed with trapezoidal quadrature on the recorded
 grid.  The monitor evaluates a piecewise-quadratic storage function in
 closed form along a trajectory together with its analytic derivative,
@@ -31,12 +33,13 @@ _RK4_STABILITY = 2.5
 class Trajectory:
     """Recorded closed-loop run: states, inputs, and saturated inputs.
 
-    ``z`` is None for static feedback.  Rows index time, columns agents.
+    ``z`` is all zeros for static feedback.  Rows index time, columns
+    agents.
     """
 
     t: np.ndarray
     x: np.ndarray
-    z: np.ndarray | None
+    z: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
@@ -44,25 +47,14 @@ class Trajectory:
     def n(self) -> int:
         return self.x.shape[1]
 
-    def state_at(self, k: int) -> model.ClosedLoopState:
-        return model.ClosedLoopState(self.x[k],
-                                     None if self.z is None else self.z[k])
-
-    def final_state(self) -> model.ClosedLoopState:
-        return self.state_at(-1)
-
 
 def stability_dt_bound(plant: model.PlantModel, ctrl: model.ControllerSpec) -> float:
     """Step-size bound from the linear-regime closed-loop spectrum."""
-    a = np.diag(plant.a)
-    if ctrl.variant == model.VARIANT_STATIC:
-        j = -a - plant.b @ ctrl.k_static
-    else:
-        n = plant.n
-        j = np.zeros((2 * n, 2 * n))
-        j[:n, :n] = -a - plant.b * ctrl.p[None, :]
-        j[:n, n:] = -plant.b * ctrl.r[None, :]
-        j[n:, :n] = np.eye(n)
+    n = plant.n
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, :n] = -np.diag(plant.a) - plant.b @ ctrl.kx
+    j[:n, n:] = -plant.b @ ctrl.kz
+    j[n:, :n] = ctrl.e
     rho = float(np.max(np.abs(np.linalg.eigvals(j))))
     return _RK4_STABILITY / rho if rho > 0.0 else math.inf
 
@@ -83,24 +75,22 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     """Integrate the closed loop over ``t_span`` with fixed step ``dt``.
 
     ``w`` may be a DisturbanceSignal or a constant vector.  ``z_init``
-    must be None for static feedback.  Every step is recorded.  A rough
-    spectral pre-check warns when dt looks too coarse for the linear
-    regime; exceeding ``blowup_limit`` in any state raises
-    NonFiniteState.
+    must be None for static feedback, whose integral state is then held
+    at zero.  Every step is recorded.  A rough spectral pre-check warns
+    when dt looks too coarse for the linear regime; a state that is not
+    finite or exceeds ``blowup_limit`` raises NonFiniteState.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0 and dt > 0.0):
         raise ValueError("need t1 > t0 and dt > 0")
     wsig = _as_signal(w, plant.n)
-    x = np.array(x_init, dtype=float).reshape(plant.n)
-    if ctrl.variant == model.VARIANT_STATIC:
-        if z_init is not None:
-            raise DimensionMismatch("static feedback carries no integral state")
-        z = None
-    else:
-        if z_init is None:
-            raise DimensionMismatch("PI variants require an initial integral state")
-        z = np.array(z_init, dtype=float).reshape(plant.n)
+    n = plant.n
+    x = np.array(x_init, dtype=float).reshape(n)
+    if ctrl.is_pi and z_init is None:
+        raise DimensionMismatch("PI variants require an initial integral state")
+    if not ctrl.is_pi and z_init is not None:
+        raise DimensionMismatch("static feedback carries no integral state")
+    z = np.zeros(n) if z_init is None else np.array(z_init, dtype=float)
     if stability_check:
         bound = stability_dt_bound(plant, ctrl)
         if dt > bound:
@@ -114,56 +104,35 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     has_partial = rem > 1e-12 * max(dt, 1.0)
     steps = full + (1 if has_partial else 0)
 
-    ts = np.empty(steps + 1)
-    xs = np.empty((steps + 1, plant.n))
-    zs = None if z is None else np.empty((steps + 1, plant.n))
-    ts[0] = t0
-    xs[0] = x
-    if zs is not None:
-        zs[0] = z
+    ts = t0 + np.arange(steps + 1) * dt
+    ts[full + 1:] = t1
+    # the disturbance at the stage times t_k, t_k + h/2 and t_k + h
+    hs = np.where(np.arange(steps) < full, dt, rem)
+    tk = ts[:steps]
+    forcing = wsig(np.stack([tk, tk + 0.5 * hs, tk + hs], axis=1))
 
-    for k in range(steps):
-        t = t0 + k * dt
-        h = dt if k < full else rem
-        x, z = _rk4_step(plant, ctrl, wsig, t, x, z, h)
-        tk = t0 + (k + 1) * dt if k + 1 <= full else t1
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > blowup_limit or (
-                z is not None and (not np.all(np.isfinite(z))
-                                   or np.max(np.abs(z)) > blowup_limit)):
-            raise NonFiniteState(f"state left +-{blowup_limit:g} near t={tk:.6g} "
-                                 f"(step {k + 1})")
-        ts[k + 1] = tk
-        xs[k + 1] = x
-        if zs is not None:
-            zs[k + 1] = z
+    def deriv(y, wk):
+        dx, dz, _ = model.closed_loop_derivative(plant, ctrl, y[:n], y[n:], wk)
+        return np.concatenate((dx, dz))
 
-    us = model.control_input(ctrl, xs, zs)
+    ys = np.empty((steps + 1, 2 * n))
+    y = ys[0] = np.concatenate((x, z.reshape(n)))
+    for k, h in enumerate(hs.tolist()):
+        w0, wm, w1 = forcing[k]
+        k1 = deriv(y, w0)
+        k2 = deriv(y + 0.5 * h * k1, wm)
+        k3 = deriv(y + 0.5 * h * k2, wm)
+        k4 = deriv(y + h * k3, w1)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.max(np.abs(y)) <= blowup_limit:
+            raise NonFiniteState(f"state left +-{blowup_limit:g} near "
+                                 f"t={ts[k + 1]:.6g} (step {k + 1})")
+        ys[k + 1] = y
+
+    xs, zs = ys[:, :n], ys[:, n:]
+    us = ctrl.feedback(xs, zs)
     vs = sector.eval_f(plant.pair, us)
     return Trajectory(ts, xs, zs, us, vs)
-
-
-def _rk4_step(plant, ctrl, wsig, t, x, z, h):
-    w0 = wsig(t)
-    wm = wsig(t + 0.5 * h)
-    w1 = wsig(t + h)
-
-    def deriv(xx, zz, ww):
-        dx, dz, _ = model.closed_loop_derivative(plant, ctrl, xx, zz, ww)
-        return dx, dz
-
-    k1x, k1z = deriv(x, z, w0)
-    k2x, k2z = deriv(x + 0.5 * h * k1x, _step(z, 0.5 * h, k1z), wm)
-    k3x, k3z = deriv(x + 0.5 * h * k2x, _step(z, 0.5 * h, k2z), wm)
-    k4x, k4z = deriv(x + h * k3x, _step(z, h, k3z), w1)
-    xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    if z is None:
-        return xn, None
-    zn = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    return xn, zn
-
-
-def _step(z, h, dz):
-    return None if z is None else z + h * dz
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +244,6 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
     finite-difference column.  Steps with
     V(t_{k+1}) > V(t_k) + tol max(1, V(t_k)) are flagged.
     """
-    if traj.z is None:
-        raise UnsupportedVariant("trajectory has no integral state")
     params = lyapunov_parameters(plant, ctrl, epsilon)
     eps = params.epsilon
     q = params.q
@@ -321,13 +288,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as CSV with full double precision.
 
     Header: t,x1..xn,z1..zn,u1..un,v1..vn.  For static feedback the z
-    columns are written as zeros.
+    columns are zeros.
     """
     n = traj.n
-    z = traj.z if traj.z is not None else np.zeros_like(traj.x)
     header = "t," + ",".join(f"{p}{i + 1}" for p in _CSV_PREFIXES
                              for i in range(n))
-    blocks = np.hstack([traj.t[:, None], traj.x, z, traj.u, traj.v])
+    blocks = np.hstack([traj.t[:, None], traj.x, traj.z, traj.u, traj.v])
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
         for row in blocks:

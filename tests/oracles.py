@@ -5,17 +5,23 @@ semismooth Newton solver instead of the contraction iteration, matrix
 exponentials instead of Runge-Kutta, scipy's LP solver and a grid
 search instead of the in-repo simplex, quadrature instead of
 closed-form integrals, and per-coordinate ``np.interp`` instead of the
-stacked sector tables.  ``simplex_loop`` is the exception: it is the
-row-by-row form of the library's simplex, kept to pin the vectorized
-solver to the same pivot path.
+stacked sector tables.  ``simplex_loop``, ``closed_loop_derivative_branches``
+and ``integrate_loop`` are the exceptions: they are the earlier forms of
+the library's simplex and RK4 loop, kept to pin the vectorized code to
+the same arithmetic.  The error-coordinate helpers and the comparison
+CSV reader are test-only tools with no library caller.
 """
+
+import math
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from pisat.errors import DimensionTooLarge, SolverFailure
+from pisat import model, sector
+from pisat.errors import (DimensionTooLarge, ParseError, SolverFailure,
+                          UnsupportedVariant)
 
 
 def is_m_matrix_eig(m) -> bool:
@@ -289,3 +295,133 @@ def simplex_loop(c, a_eq, b_eq):
     y = np.zeros(ncols)
     y[basis] = tab[:, -1]
     return y, pivots
+
+
+def closed_loop_derivative_branches(plant, ctrl, x, z, w):
+    """The closed-loop vector field written out per variant.
+
+    Returns (dx, dz, u); dz is None for static feedback, whose z is None.
+    Decentralized: dz = x + s h(u); coordinating: dz = x + beta sum h(u).
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if ctrl.variant == model.VARIANT_STATIC:
+        u = -(x @ ctrl.k_static.T)
+    else:
+        u = -ctrl.p * x - ctrl.r * np.asarray(z, dtype=float)
+    fu = sector.eval_f(plant.pair, u)
+    dx = -plant.a * x + fu @ plant.b.T + w
+    if ctrl.variant == model.VARIANT_STATIC:
+        return dx, None, u
+    hu = u - fu
+    if ctrl.variant == model.VARIANT_DECENTRALIZED:
+        dz = x + ctrl.s * hu
+    else:
+        dz = x + ctrl.beta * np.sum(hu, axis=-1, keepdims=True)
+    return dx, dz, u
+
+
+def integrate_loop(plant, ctrl, wsig, x_init, z_init, t_span, dt):
+    """RK4 with separate x and z updates and the signal called per stage.
+
+    Same step grid as ``simulate.integrate`` (full steps plus a partial
+    last one).  Returns (t, x, z, u, v); z is None for static feedback.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    x = np.array(x_init, dtype=float)
+    z = None if z_init is None else np.array(z_init, dtype=float)
+    span = t1 - t0
+    full = int(math.floor(span / dt + 1e-9))
+    rem = span - full * dt
+    steps = full + (1 if rem > 1e-12 * max(dt, 1.0) else 0)
+
+    def deriv(xx, zz, ww):
+        dx, dz, _ = closed_loop_derivative_branches(plant, ctrl, xx, zz, ww)
+        return dx, dz
+
+    def step(zz, h, dz):
+        return None if zz is None else zz + h * dz
+
+    ts, xs, zs = [t0], [x], [z]
+    for k in range(steps):
+        t = t0 + k * dt
+        h = dt if k < full else rem
+        w0, wm, w1 = wsig(t), wsig(t + 0.5 * h), wsig(t + h)
+        k1x, k1z = deriv(x, z, w0)
+        k2x, k2z = deriv(x + 0.5 * h * k1x, step(z, 0.5 * h, k1z), wm)
+        k3x, k3z = deriv(x + 0.5 * h * k2x, step(z, 0.5 * h, k2z), wm)
+        k4x, k4z = deriv(x + h * k3x, step(z, h, k3z), w1)
+        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        if z is not None:
+            z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        ts.append(t0 + (k + 1) * dt if k + 1 <= full else t1)
+        xs.append(x)
+        zs.append(z)
+    xs = np.array(xs)
+    zs = None if z is None else np.array(zs)
+    if zs is None:
+        us = -(xs @ ctrl.k_static.T)
+    else:
+        us = -ctrl.p * xs - ctrl.r * zs
+    return np.array(ts), xs, zs, us, sector.eval_f(plant.pair, us)
+
+
+def transform_to_error_coords(plant, ctrl, eq, x, z):
+    """Map a state to equilibrium-relative coordinates.
+
+    Returns (z_t, u_t) with z_t = -r (z - z0) and u_t = u - u0, where
+    (x0, z0, u0) come from an equilibrium result ``eq``.  Decentralized
+    variant only.
+    """
+    if ctrl.variant != model.VARIANT_DECENTRALIZED:
+        raise UnsupportedVariant("error coordinates are defined for the "
+                                 "decentralized variant")
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    u = -ctrl.p * x - ctrl.r * z
+    return -ctrl.r * (z - eq.z0), u - eq.u0
+
+
+def error_coords_derivative(plant, ctrl, eq, z_t, u_t, pair_t=None):
+    """Closed-loop vector field in equilibrium-relative coordinates.
+
+    Evaluates the transformed two-block system driven by the recentered
+    pair (f~, h~); it agrees with pushing the closed-loop vector field
+    through ``transform_to_error_coords``.
+    """
+    if ctrl.variant != model.VARIANT_DECENTRALIZED:
+        raise UnsupportedVariant("error coordinates are defined for the "
+                                 "decentralized variant")
+    z_t = np.asarray(z_t, dtype=float)
+    u_t = np.asarray(u_t, dtype=float)
+    if pair_t is None:
+        pair_t = model.error_coordinate_pair(plant, eq)
+    fu = sector.eval_f(pair_t, u_t)
+    hu = u_t - fu
+    rp = ctrl.r / ctrl.p
+    rs = ctrl.r * ctrl.s
+    dz_t = -rp * z_t + rp * u_t - rs * hu
+    du_t = (plant.a - rp) * (z_t - u_t) - ctrl.p * (fu @ plant.b.T) - rs * hu
+    return dz_t, du_t
+
+
+def read_comparison_csv(path) -> list[dict]:
+    """Parse a comparison.csv written by ``pisat compare`` into row dicts."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    header = "controller,j1,jinf,j2,final_max_abs_x"
+    if not lines or lines[0] != header:
+        raise ParseError(f"{path}: unexpected header")
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 5:
+            raise ParseError(f"{path}: ragged row {ln!r}")
+        try:
+            rows.append({"controller": parts[0],
+                         "j1": float(parts[1]), "jinf": float(parts[2]),
+                         "j2": float(parts[3]),
+                         "final_max_abs_x": float(parts[4])})
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    return rows

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from pisat import cli, equilibrium, heating, model, simulate
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -147,7 +148,7 @@ def test_compare_table_and_files(tmp_path, capsys):
     table = capsys.readouterr().out
     for name in ("decentralized", "coordinating", "static"):
         assert name in table
-    rows = cli.read_comparison_csv(out / "comparison.csv")
+    rows = oracles.read_comparison_csv(out / "comparison.csv")
     assert [r["controller"] for r in rows] == ["decentralized",
                                                "coordinating", "static"]
     report = json.loads((out / "comparison.json").read_text())
@@ -162,7 +163,7 @@ def test_compare_duplicates_are_identical_rows(tmp_path):
                 "decentralized", "decentralized", "--out", str(out),
                 "--t-end", "20")
     assert code == 0
-    rows = cli.read_comparison_csv(out / "comparison.csv")
+    rows = oracles.read_comparison_csv(out / "comparison.csv")
     assert len(rows) == 2
     assert rows[0] == rows[1]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_instance
 from pisat import equilibrium, model, sector
 from pisat.errors import DimensionMismatch, NotMMatrix, UnsupportedVariant
@@ -37,6 +38,48 @@ def test_controller_factories_and_validation():
     assert not stat.is_pi and stat.n == 3
     with pytest.raises(ValueError):
         model.ControllerSpec.decentralized([1.0], [-0.5], [0.5])
+
+
+def test_canonical_matrices_per_variant():
+    p = np.array([1.0, 2.0])
+    r = np.array([0.5, 0.25])
+    s = np.array([0.5, 0.4])
+    dec = model.ControllerSpec.decentralized(p, r, s)
+    coord = model.ControllerSpec.coordinating(p, r, s, beta=0.3)
+    k = np.array([[1.0, -0.5], [0.25, 2.0]])
+    stat = model.ControllerSpec.static(k)
+    zero = np.zeros((2, 2))
+    want = {dec: (np.diag(p), np.diag(r), np.eye(2), np.diag(s)),
+            coord: (np.diag(p), np.diag(r), np.eye(2), np.full((2, 2), 0.3)),
+            stat: (k, zero, zero, zero)}
+    for ctrl, mats in want.items():
+        for got, expect in zip((ctrl.kx, ctrl.kz, ctrl.e, ctrl.s_aw), mats):
+            np.testing.assert_array_equal(got, expect)
+        assert ctrl.n == 2
+    assert stat.kx is stat.k_static
+
+
+def test_derivative_matches_branch_reference(rng):
+    plant, dec = random_instance(rng, 5)
+    coord = model.ControllerSpec.coordinating(dec.p, dec.r, dec.s)
+    stat = model.ControllerSpec.static(model.default_static_gain(plant))
+    x = rng.uniform(-5.0, 5.0, (7, 5))
+    z = rng.uniform(-5.0, 5.0, (7, 5))
+    w = rng.uniform(-10.0, 10.0, (7, 5))
+    for ctrl in (dec, coord, stat):
+        zz = z if ctrl.is_pi else np.zeros_like(x)
+        dx, dz, u = model.closed_loop_derivative(plant, ctrl, x, zz, w)
+        rx, rz, ru = oracles.closed_loop_derivative_branches(
+            plant, ctrl, x, zz if ctrl.is_pi else None, w)
+        np.testing.assert_array_equal(dx, rx)
+        np.testing.assert_array_equal(u, ru)
+        if ctrl is coord:
+            np.testing.assert_allclose(dz, rz, rtol=1e-12)
+        elif ctrl is dec:
+            np.testing.assert_array_equal(dz, rz)
+        else:
+            assert rz is None
+            np.testing.assert_array_equal(dz, 0.0)
 
 
 def test_control_input_broadcast():
@@ -88,6 +131,19 @@ def test_disturbance_signal_interp_and_hold():
     assert out.shape == (2, 2)
 
 
+def test_disturbance_on_time_grid():
+    sampled = model.DisturbanceSignal.sampled([0.0, 1.0, 3.0],
+                                              [[0.0, 10.0], [2.0, 10.0],
+                                               [2.0, 30.0]])
+    constant = model.DisturbanceSignal.constant([1.5, -2.0])
+    t = np.array([[0.0, 3.0], [1.0, 2.0]])
+    for w in (sampled, constant):
+        out = w(t)
+        assert out.shape == t.shape + (2,)
+        for idx in np.ndindex(t.shape):
+            np.testing.assert_array_equal(out[idx], w(t[idx]))
+
+
 def test_disturbance_rejects_bad_axes():
     with pytest.raises(ValueError):
         model.DisturbanceSignal.sampled([0.0, 0.0], [[1.0], [2.0]])
@@ -112,7 +168,8 @@ def test_error_coordinates_vanish_at_equilibrium(rng):
     plant, ctrl = random_instance(rng, 4)
     w = rng.uniform(-10.0, 10.0, 4)
     eq = equilibrium.solve_equilibrium(plant, ctrl, w)
-    z_t, u_t = model.transform_to_error_coords(plant, ctrl, eq, eq.x0, eq.z0)
+    z_t, u_t = oracles.transform_to_error_coords(plant, ctrl, eq, eq.x0,
+                                                 eq.z0)
     np.testing.assert_allclose(z_t, 0.0, atol=1e-9)
     np.testing.assert_allclose(u_t, 0.0, atol=1e-9)
 
@@ -129,7 +186,8 @@ def test_error_derivative_matches_pushed_forward_loop(rng):
         z = rng.uniform(-5.0, 5.0, n)
         dx, dz, u = model.closed_loop_derivative(plant, ctrl, x, z, w)
         du = -ctrl.p * dx - ctrl.r * dz
-        z_t, u_t = model.transform_to_error_coords(plant, ctrl, eq, x, z)
-        dz_t, du_t = model.error_coords_derivative(plant, ctrl, eq, z_t, u_t)
+        z_t, u_t = oracles.transform_to_error_coords(plant, ctrl, eq, x, z)
+        dz_t, du_t = oracles.error_coords_derivative(plant, ctrl, eq, z_t,
+                                                     u_t)
         np.testing.assert_allclose(dz_t, -ctrl.r * dz, atol=1e-8)
         np.testing.assert_allclose(du_t, du, atol=1e-8)

@@ -61,6 +61,45 @@ def test_blowup_aborts():
         with pytest.raises(NonFiniteState):
             simulate.integrate(plant, ctrl, [0.0], [1.0], [0.0],
                                (0.0, 40.0), 1.0)
+    with pytest.raises(NonFiniteState, match=r"\(step 1\)"):
+        simulate.integrate(plant, ctrl, [0.0], [np.nan], [0.0],
+                           (0.0, 1.0), 0.01)
+
+
+def test_trajectories_match_loop_reference(rng):
+    # sampled load, saturating inputs, and a 0.03 partial last step
+    plant, dec = random_instance(rng, 5)
+    coord = model.ControllerSpec.coordinating(dec.p, dec.r, dec.s)
+    stat = model.ControllerSpec.static(model.default_static_gain(plant))
+    wsig = model.DisturbanceSignal.sampled(np.linspace(-0.1, 1.2, 9),
+                                           rng.uniform(-10.0, 10.0, (9, 5)))
+    x0 = rng.uniform(-3.0, 3.0, 5)
+    z0 = rng.uniform(-3.0, 3.0, 5)
+    for ctrl in (dec, coord, stat):
+        z_init = z0 if ctrl.is_pi else None
+        traj = simulate.integrate(plant, ctrl, wsig, x0, z_init,
+                                  (0.0, 1.03), 0.05)
+        t, x, z, u, v = oracles.integrate_loop(plant, ctrl, wsig, x0,
+                                               z_init, (0.0, 1.03), 0.05)
+        assert traj.t.size == 22
+        assert np.any(np.abs(traj.u) > 1.0)
+        np.testing.assert_array_equal(traj.t, t)
+        if ctrl is coord:
+            for got, want in zip((traj.x, traj.z, traj.u, traj.v),
+                                 (x, z, u, v)):
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+            continue
+        np.testing.assert_array_equal(traj.x, x)
+        np.testing.assert_array_equal(traj.u, u)
+        np.testing.assert_array_equal(traj.v, v)
+        if ctrl is dec:
+            np.testing.assert_array_equal(traj.z, z)
+        else:
+            assert z is None
+            # exact +0.0: a -0.0 would print as "-0.0" in trajectory.csv
+            np.testing.assert_array_equal(traj.z, 0.0)
+            assert not np.any(np.signbit(traj.z))
+            assert np.any(traj.x < 0.0)
 
 
 def test_stability_bound_reasonable():
