@@ -11,7 +11,8 @@ from .errors import (CertificateFailure, ConditionViolated, ConfigError,
                      DimensionMismatch, DimensionTooLarge, EpsilonTooLarge,
                      GapTooLarge, InvalidSectorPair, MaxIterationsExceeded,
                      NonFiniteState, NotMMatrix, NotSymmetric, ParseError,
-                     PisatError, SolverFailure, UnsupportedVariant)
+                     PisatError, SolverFailure, StepStalled,
+                     UnsupportedVariant)
 from .heating import (HeatingScenario, TemperatureSeries, benchmark_scenario,
                       default_cost_weights, load_scenario,
                       load_temperature_csv, save_scenario,

@@ -115,7 +115,8 @@ def _pick(flag, run: dict, key: str, default):
 def _resolve_controller(scn: heating.HeatingScenario, name: str | None,
                         plant: model.PlantModel | None = None
                         ) -> heating.HeatingScenario:
-    # the static default gain needs the plant; pass it when already built
+    # the static default gain needs the plant: every command passes the
+    # one it built, except certify when it failed to build (it fails here)
     if name is None or name == scn.controller.variant:
         return scn
     if name == model.VARIANT_STATIC:
@@ -154,20 +155,22 @@ def _t_end_default(scn: heating.HeatingScenario) -> float:
 
 def cmd_certify(args) -> int:
     scn, run = load_config(args.config)
-    scn = _resolve_controller(scn, _pick(args.controller, run, "controller",
-                                         None))
+    name = _pick(args.controller, run, "controller", None)
     dt = float(_pick(args.dt, run, "dt_h", _DEF_DT))
     seed = int(_pick(args.seed, run, "seed", _DEF_SEED))
     tol = float(_pick(args.tol, run, "tol", _DEF_TOL))
-    ctrl = scn.controller
     checks: list[dict] = []
 
     try:
         plant, wsig = heating.to_standard_form(scn)
     except PisatError as exc:
+        # without a plant the static default gain fails here as before
+        scn = _resolve_controller(scn, name)
         checks.append({"name": "input_matrix_m", "status": "fail",
                        "detail": str(exc)})
         return _finish_certify(args, scn, None, checks)
+    scn = _resolve_controller(scn, name, plant)
+    ctrl = scn.controller
     checks.append({"name": "input_matrix_m", "status": "pass",
                    "m_matrix": True,
                    "dominance_scaling":
@@ -187,16 +190,16 @@ def cmd_certify(args) -> int:
 
     eq = None
     if ctrl.variant == model.VARIANT_DECENTRALIZED:
-        cmap = equilibrium.build_contraction(plant, ctrl, w_ref)
-        # one solve serves every check, the optimality certificate too
+        # one solve and its map serve every check, optimality too
         eq = equilibrium.solve_equilibrium(plant, ctrl, w_ref,
                                            tol=min(1e-10, 1e-3 * tol))
+        cmap = eq.cmap
         checks.append({"name": "equilibrium_residual",
                        "status": "pass" if eq.residual_stationary <= 1e-8
                        else "fail",
                        "residual": eq.residual_stationary,
                        "iterations": eq.iterations,
-                       "k": eq.k,
+                       "k": cmap.k,
                        "x0": eq.x0, "z0": eq.z0, "u0": eq.u0})
         rng = np.random.default_rng(seed)
         measured = equilibrium.measure_contraction(cmap, 100, rng)
@@ -205,8 +208,7 @@ def cmd_certify(args) -> int:
                        <= cmap.contraction_bound + 1e-9 else "fail",
                        "bound": cmap.contraction_bound,
                        "measured": measured})
-        spread = equilibrium.probe_uniqueness(plant, ctrl, w_ref,
-                                              restarts=20, u_tol=1e-9,
+        spread = equilibrium.probe_uniqueness(cmap, restarts=20, u_tol=1e-9,
                                               rng=np.random.default_rng(seed))
         checks.append({"name": "uniqueness_probe",
                        "status": "pass" if spread <= 1e-6 else "fail",
@@ -326,8 +328,9 @@ def _run_simulation(plant, wsig, ctrl, l_diag, dt, t_end):
 
 def cmd_simulate(args) -> int:
     scn, run = load_config(args.config)
+    plant, wsig = heating.to_standard_form(scn)
     scn = _resolve_controller(scn, _pick(args.controller, run, "controller",
-                                         None))
+                                         None), plant)
     dt = float(_pick(args.dt, run, "dt_h", _DEF_DT))
     t_end = float(_pick(args.t_end, run, "t_end_h", _t_end_default(scn)))
     out_dir = args.out
@@ -338,7 +341,6 @@ def cmd_simulate(args) -> int:
     if out_dir is None:
         raise ConfigError("simulate needs --out or run.out_dir")
     os.makedirs(out_dir, exist_ok=True)
-    plant, wsig = heating.to_standard_form(scn)
     traj, costs = _run_simulation(plant, wsig, scn.controller,
                                   heating.default_cost_weights(scn), dt, t_end)
     csv_path = os.path.join(out_dir, "trajectory.csv")
@@ -411,12 +413,12 @@ def cmd_compare(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     scn, run = load_config(args.config)
+    plant, wsig = heating.to_standard_form(scn)
     scn = _resolve_controller(scn, _pick(args.controller, run, "controller",
-                                         None))
+                                         None), plant)
     if scn.controller.variant != model.VARIANT_DECENTRALIZED:
         raise ConfigError("equilibrium solving requires the decentralized "
                           "controller")
-    plant, wsig = heating.to_standard_form(scn)
     w_ref = _reference_disturbance(wsig)
     eq = equilibrium.solve_equilibrium(plant, scn.controller, w_ref,
                                        tol=float(args.tol))
@@ -428,8 +430,8 @@ def cmd_equilibrium(args) -> int:
               "x0": eq.x0, "z0": eq.z0, "u0": eq.u0,
               "residual": eq.residual_stationary,
               "iterations": eq.iterations,
-              "contraction_bound": eq.contraction_bound,
-              "k": eq.k}
+              "contraction_bound": eq.cmap.contraction_bound,
+              "k": eq.cmap.k}
     _emit(report, args.out)
     return EXIT_PASS
 

@@ -6,10 +6,18 @@ the stationary input u0 solves
     0 = h(u0) + S^-1 A^-1 B f(u0) + S^-1 A^-1 w.
 
 After a diagonal change of variables that makes the coupling strictly
-column-dominant, this becomes a fixed point of a map that contracts in
-the 1-norm with an explicitly computable bound below one, so plain
-iteration converges from any start to the unique equilibrium, and the
-distance to it is controlled by the last step size.
+column-dominant, this becomes a fixed point of a map T that contracts
+in the 1-norm with an explicitly computable bound g below one, so the
+equilibrium is unique and, for any point zeta,
+||zeta* - T(zeta)|| <= g / (1 - g) ||T(zeta) - zeta||.
+
+Plain iteration needs about 1 / (1 - g) steps.  The solver instead takes
+safeguarded Anderson steps (Walker and Ni, SIAM J. Numer. Anal. 2011):
+the next point combines the last few images of T so as to cancel the
+residual T(zeta) - zeta in least squares, and it is kept only if it
+lowers the step; otherwise the plain step T(zeta) is taken.  The
+solver always stops on a plain step and returns it, so the estimate
+above certifies its distance to the equilibrium.
 """
 
 from __future__ import annotations
@@ -19,10 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixlab, model, sector
-from .errors import DimensionMismatch, MaxIterationsExceeded, UnsupportedVariant
+from .errors import (DimensionMismatch, MaxIterationsExceeded, StepStalled,
+                     UnsupportedVariant)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,16 +76,18 @@ class FixedPointResult:
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult:
-    """Unique closed-loop equilibrium and solver diagnostics."""
+    """Unique closed-loop equilibrium and solver diagnostics.
+
+    ``cmap`` is the contraction map the solve iterated, so callers can
+    measure its ratio and probe uniqueness without building it again.
+    """
 
     x0: np.ndarray
     z0: np.ndarray
     u0: np.ndarray
     residual_stationary: float
     iterations: int
-    contraction_bound: float
-    scaling_d: np.ndarray
-    k: float
+    cmap: ContractionMap
 
 
 def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
@@ -110,26 +122,63 @@ def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
 def iterate_fixed_point(cmap: ContractionMap, zeta0,
                         tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER) -> FixedPointResult:
-    """Iterate zeta <- T(zeta) until the step is small enough.
+    """Iterate the contraction map with safeguarded Anderson steps.
 
-    Stops once the 1-norm step is at most tol (1 - g) / g with g the
-    contraction bound; by the a-posteriori contraction estimate the
-    final iterate is then within tol of the fixed point in the 1-norm.
-    ``zeta0`` may be a single vector or a stack of start points (rows),
-    in which case the stop criterion applies to the worst row.
+    Each iteration evaluates T at the current point zeta.  Once the 1-norm
+    step ||T(zeta) - zeta|| is at most tol (1 - g) / g, with g the
+    contraction bound, it returns the plain step T(zeta): by the
+    a-posteriori contraction estimate, which holds for any zeta, that
+    point is within tol of the fixed point in the 1-norm.  Otherwise the
+    next point is the Anderson (type II) combination of the last
+    ANDERSON_DEPTH + 1 images T(zeta_j), with the coefficients that fit
+    the last residual T(zeta) - zeta by the residual differences in
+    least squares.  An accelerated point is kept only if it lowers the
+    step below that of the last kept point; else the differences are
+    dropped and the iteration takes the plain step from the last kept
+    point, which the contraction shrinks by g.  A plain step that does
+    not shrink raises StepStalled, which carries that step: the map
+    has reached its floating-point floor above the tolerance.
+
+    ``zeta0`` may be a single vector or a stack of start points (rows).
+    A stack is accelerated as one flattened vector with shared
+    coefficients, and its step is the worst row's.  ``iterations`` and
+    ``max_iter`` count evaluations of the map.
     """
     zeta = np.array(zeta0, dtype=float)
     if zeta.shape[-1:] != (cmap.n,):
         raise DimensionMismatch("start point width disagrees with the map")
     g = cmap.contraction_bound
     thresh = tol * (1.0 - g) / g
+    images: list[np.ndarray] = []      # T(zeta_j) of the kept points
+    residuals: list[np.ndarray] = []   # T(zeta_j) - zeta_j
+    kept = np.inf
     delta = np.inf
     for it in range(1, max_iter + 1):
         nxt = cmap(zeta)
-        delta = float(np.max(np.sum(np.abs(nxt - zeta), axis=-1)))
-        zeta = nxt
+        res = nxt - zeta
+        delta = float(np.max(np.sum(np.abs(res), axis=-1)))
         if delta <= thresh:
-            return FixedPointResult(zeta, it, delta)
+            return FixedPointResult(nxt, it, delta)
+        if delta >= kept:
+            if len(images) <= 1:    # zeta was the plain step
+                raise StepStalled(
+                    f"step stalled above {thresh:.3e} after {it} "
+                    f"evaluations, last step {delta:.3e}",
+                    FixedPointResult(nxt, it, delta))
+            del images[:-1], residuals[:-1]
+            zeta = images[0].reshape(zeta.shape)
+            continue
+        kept = delta
+        images.append(nxt.ravel())
+        residuals.append(res.ravel())
+        del images[:-ANDERSON_DEPTH - 1], residuals[:-ANDERSON_DEPTH - 1]
+        zeta = nxt
+        if len(images) > 1:
+            gk = np.array(images)
+            fk = np.array(residuals)
+            coef = np.linalg.lstsq((fk[1:] - fk[:-1]).T, fk[-1],
+                                   rcond=None)[0]
+            zeta = (gk[-1] - coef @ (gk[1:] - gk[:-1])).reshape(zeta.shape)
     raise MaxIterationsExceeded(
         f"no convergence in {max_iter} iterations, last step {delta:.3e}")
 
@@ -150,24 +199,41 @@ def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     """Compute the unique equilibrium of the decentralized loop.
 
     Runs the contraction iteration from zeta0 = -w_hat / k, tightens the
-    internal tolerance if needed until the reported stationary residual
-    is at most ``tol``, and back-substitutes the plant and integrator
-    states.
+    internal tolerance by 1e-2 per round, up to six rounds, until the
+    stationary residual is at most ``tol``, and back-substitutes the
+    plant and integrator states.  Once a round stalls at the map's
+    floating-point floor or no longer lowers the residual, a residual
+    of at most tol max(1, ||w / (s a)||_inf, ||u0||_inf) is accepted,
+    since the rounding of the residual itself grows with that scale.
+    The result carries the map it solved, and ``iterations`` counts its
+    evaluations over all rounds.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     cmap = build_contraction(plant, ctrl, w)
     zeta = -cmap.w_hat / cmap.k
-    budget = max_iter
+    load = float(np.max(np.abs(w / (ctrl.s * plant.a))))
     total = 0
     ztol = tol
+    last = np.inf
     for _ in range(6):
-        fp = iterate_fixed_point(cmap, zeta, ztol, budget - total)
+        try:
+            fp = iterate_fixed_point(cmap, zeta, ztol, max_iter - total)
+            stalled = False
+        except StepStalled as exc:
+            fp = exc.result
+            stalled = True
         total += fp.iterations
         zeta = fp.zeta
         u0 = zeta / cmap.scaling_d
         residual = stationary_residual(plant, ctrl, u0, w)
         if residual <= tol:
             break
+        # a round that stalls or no longer lowers the residual has hit
+        # the floating-point floor, which grows with the problem's scale
+        if (stalled or residual >= last) and residual <= tol * max(
+                1.0, load, float(np.max(np.abs(u0)))):
+            break
+        last = residual
         ztol *= 1e-2
     else:
         raise MaxIterationsExceeded(
@@ -175,8 +241,7 @@ def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     f0 = sector.eval_f(plant.pair, u0)
     x0 = (plant.b @ f0 + w) / plant.a
     z0 = (-ctrl.p * x0 - u0) / ctrl.r
-    return EquilibriumResult(x0, z0, u0, residual, total,
-                             cmap.contraction_bound, cmap.scaling_d, cmap.k)
+    return EquilibriumResult(x0, z0, u0, residual, total, cmap)
 
 
 def measure_contraction(cmap: ContractionMap, trials: int,
@@ -209,22 +274,22 @@ def measure_contraction(cmap: ContractionMap, trials: int,
     return float(np.max(out[keep] / diff[keep]))
 
 
-def probe_uniqueness(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
-                     restarts: int = 50, u_tol: float = 1e-8,
+def probe_uniqueness(cmap: ContractionMap, restarts: int = 50,
+                     u_tol: float = 1e-8,
                      rng: np.random.Generator | None = None,
                      max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Re-solve from many random starts and report the disagreement.
 
-    Returns the sum over coordinates of the spread of the recovered
-    stationary inputs, an upper bound on the pairwise 1-norm distance
-    between any two restarts.  Small values support uniqueness.
+    The starts are drawn in a box around the origin scaled to the load
+    of ``cmap`` and iterated together as one stack.  Returns the sum
+    over coordinates of the spread of the recovered stationary inputs,
+    an upper bound on the pairwise 1-norm distance between any two
+    restarts.  Small values support uniqueness.
     """
     if restarts < 2:
         raise ValueError("need at least two restarts")
     if rng is None:
         rng = np.random.default_rng(0)
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    cmap = build_contraction(plant, ctrl, w)
     radius = 10.0 * (1.0 + float(np.max(np.abs(cmap.w_hat))))
     zeta0 = rng.uniform(-radius, radius, size=(restarts, cmap.n))
     ztol = u_tol * float(np.min(cmap.scaling_d))

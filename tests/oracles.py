@@ -5,11 +5,13 @@ semismooth Newton solver instead of the contraction iteration, matrix
 exponentials instead of Runge-Kutta, scipy's LP solver and a grid
 search instead of the in-repo simplex, quadrature instead of
 closed-form integrals, and per-coordinate ``np.interp`` instead of the
-stacked sector tables.  ``simplex_loop``, ``closed_loop_derivative_branches``
-and ``integrate_loop`` are the exceptions: they are the earlier forms of
-the library's simplex and RK4 loop, kept to pin the vectorized code to
-the same arithmetic.  The error-coordinate helpers and the comparison
-CSV reader are test-only tools with no library caller.
+stacked sector tables.  ``simplex_loop``, ``closed_loop_derivative_branches``,
+``integrate_loop`` and ``iterate_plain`` are the exceptions: they are the
+earlier forms of the library's simplex, RK4 loop and fixed-point
+iteration, kept to pin the vectorized code to the same arithmetic and
+the accelerated iteration to the same fixed point.  The error-coordinate
+helpers and the comparison CSV reader are test-only tools with no
+library caller.
 """
 
 import math
@@ -20,8 +22,8 @@ import scipy.linalg
 import scipy.optimize
 
 from pisat import model, sector
-from pisat.errors import (DimensionTooLarge, ParseError, SolverFailure,
-                          UnsupportedVariant)
+from pisat.errors import (DimensionTooLarge, MaxIterationsExceeded,
+                          ParseError, SolverFailure, UnsupportedVariant)
 
 
 def is_m_matrix_eig(m) -> bool:
@@ -81,6 +83,27 @@ def equilibrium_newton(a, b, p, r, s, w, tol=1e-12, max_iter=200):
     x0 = (b @ f + w) / a
     z0 = (-p * x0 - u) / r
     return x0, z0, u
+
+
+def iterate_plain(cmap, zeta0, tol, max_iter=10 ** 6):
+    """Plain contraction iteration zeta <- T(zeta), without acceleration.
+
+    Stops once the worst row's 1-norm step is at most tol (1 - g) / g
+    and returns (zeta, iterations, last_step), zeta being that last
+    step's image, so it lies within tol of the fixed point.
+    """
+    zeta = np.array(zeta0, dtype=float)
+    g = cmap.contraction_bound
+    thresh = tol * (1.0 - g) / g
+    delta = np.inf
+    for it in range(1, max_iter + 1):
+        nxt = cmap(zeta)
+        delta = float(np.max(np.sum(np.abs(nxt - zeta), axis=-1)))
+        zeta = nxt
+        if delta <= thresh:
+            return zeta, it, delta
+    raise MaxIterationsExceeded(
+        f"no convergence in {max_iter} iterations, last step {delta:.3e}")
 
 
 def linear_loop_solution(a, b, p, r, w, x0, z0, t):

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from pisat import cli, equilibrium, heating, model, simulate
+from pisat.errors import NotMMatrix
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 TEXTBOOK = str(CONFIGS / "textbook_single.json")
@@ -85,6 +86,57 @@ def test_certify_static_marks_not_applicable(tmp_path):
                  "uniqueness_probe", "storage_decrease"):
         assert by_name[name]["status"] == "not_applicable"
     assert by_name["input_matrix_m"]["status"] == "pass"
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_certify_builds_contraction_once(monkeypatch):
+    # the solve's map serves the ratio check and the uniqueness probe
+    calls = _count_calls(monkeypatch, equilibrium, "build_contraction")
+    assert _run("certify", "--config", BENCHMARK) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("certify",), 0), (("simulate", "--t-end", "5"), 0),
+    (("equilibrium",), 64)])
+def test_static_override_builds_standard_form_once(monkeypatch, tmp_path,
+                                                   argv, code):
+    calls = _count_calls(monkeypatch, heating, "to_standard_form")
+    extra = ("--out", str(tmp_path / "sim")) if argv[0] == "simulate" else ()
+    assert _run(*argv, "--config", TEXTBOOK, "--controller", "static",
+                *extra) == code
+    assert len(calls) == 1
+
+
+def test_certify_reports_failed_standard_form(monkeypatch, tmp_path, capsys):
+    def broken(scn):
+        raise NotMMatrix("input coupling must be an M-matrix")
+
+    monkeypatch.setattr(heating, "to_standard_form", broken)
+    out = tmp_path / "report.json"
+    assert _run("certify", "--config", TEXTBOOK, "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    assert report["status"] == "fail"
+    assert [(c["name"], c["status"]) for c in report["checks"]] == \
+        [("input_matrix_m", "fail")]
+    # the static default gain needs the plant: no report, as for any
+    # other solver error
+    static_out = tmp_path / "static.json"
+    assert _run("certify", "--config", TEXTBOOK, "--controller", "static",
+                "--out", str(static_out)) == 1
+    assert not static_out.exists()
+    assert "NotMMatrix" in capsys.readouterr().err
 
 
 def test_simulate_writes_artifacts(tmp_path):
@@ -183,6 +235,18 @@ def test_equilibrium_report(tmp_path):
     np.testing.assert_allclose(report["u0"], [0.3], atol=1e-9)
     assert report["residual"] <= 1e-10
     assert 0.0 < report["contraction_bound"] < 1.0
+
+
+def test_equilibrium_iterations_bounded_and_repeatable(tmp_path):
+    counts = []
+    for k in range(2):
+        out = tmp_path / f"eq{k}.json"
+        assert _run("equilibrium", "--config", BENCHMARK,
+                    "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["residual"] <= 1e-10
+        counts.append(report["iterations"])
+    assert counts[0] == counts[1] <= 30
 
 
 def test_equilibrium_requires_pi_variant():

@@ -1,10 +1,17 @@
+import pathlib
+import time
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import random_disturbance, random_instance
-from pisat import equilibrium, model, sector
-from pisat.errors import MaxIterationsExceeded, UnsupportedVariant
+from conftest import random_disturbance, random_instance, random_pwl_pair
+from pisat import cli, equilibrium, heating, model, sector
+from pisat.errors import (MaxIterationsExceeded, StepStalled,
+                          UnsupportedVariant)
+
+BENCHMARK = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+             / "benchmark_constant.json")
 
 
 def _textbook():
@@ -100,8 +107,8 @@ def test_measured_ratio_tight_for_linear_map():
 def test_restarts_agree(rng):
     plant, ctrl = random_instance(rng, 5)
     w = random_disturbance(rng, 5)
-    spread = equilibrium.probe_uniqueness(plant, ctrl, w, restarts=50,
-                                          rng=rng)
+    cmap = equilibrium.build_contraction(plant, ctrl, w)
+    spread = equilibrium.probe_uniqueness(cmap, restarts=50, rng=rng)
     assert spread <= 1e-6
 
 
@@ -137,3 +144,121 @@ def test_residual_scales_iterate_error():
     eq_loose = equilibrium.solve_equilibrium(plant, ctrl, [-0.7], tol=1e-6)
     eq_tight = equilibrium.solve_equilibrium(plant, ctrl, [-0.7], tol=1e-13)
     assert abs(eq_loose.u0[0] - eq_tight.u0[0]) <= 1e-5
+
+
+def _benchmark():
+    scn, _ = cli.load_config(BENCHMARK)
+    plant, wsig = heating.to_standard_form(scn)
+    return plant, scn.controller, wsig.constant_value()
+
+
+@pytest.mark.parametrize("w_scale, s_scale", [(1e3, 1.0), (1e5, 1.0),
+                                              (1.0, 1e-4), (1e2, 1e-1),
+                                              (1e6, 1.0), (1e7, 1e-3)])
+def test_solve_returns_at_floating_point_floor(w_scale, s_scale):
+    # well-posed problems whose stationary residual cannot reach the
+    # absolute 1e-10: a large load, or a bound of 0.9999986 with s / 1e4;
+    # in the last three the map's step stalls above the tolerance
+    plant, ctrl, w = _benchmark()
+    ctrl = model.ControllerSpec.decentralized(ctrl.p, ctrl.r, s_scale * ctrl.s)
+    w = w_scale * w
+    start = time.perf_counter()
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert time.perf_counter() - start < 1.0
+    scale = max(1.0, float(np.max(np.abs(w / (ctrl.s * plant.a)))),
+                float(np.max(np.abs(eq.u0))))
+    assert eq.residual_stationary <= 1e-10 * scale
+    _, _, u0 = oracles.equilibrium_newton(plant.a, plant.b, ctrl.p, ctrl.r,
+                                          ctrl.s, w, tol=1e-9 * scale)
+    np.testing.assert_allclose(eq.u0, u0, rtol=0.0, atol=1e-8 * scale)
+
+
+def _random_problem(rng, pwl: bool):
+    plant, ctrl = random_instance(rng)
+    if pwl:
+        plant = model.PlantModel(plant.a, plant.b,
+                                 random_pwl_pair(rng, plant.n))
+    w = random_disturbance(rng, plant.n)
+    return plant, ctrl, w, equilibrium.build_contraction(plant, ctrl, w)
+
+
+@pytest.mark.parametrize("restarts", [None, 7])
+def test_accelerated_matches_plain_iteration(rng, restarts):
+    # the plain loop, run 1000x tighter, stands in for the fixed point
+    for trial in range(30):
+        plant, ctrl, w, cmap = _random_problem(rng, pwl=trial % 2 == 1)
+        shape = (cmap.n,) if restarts is None else (restarts, cmap.n)
+        zeta0 = rng.uniform(-50.0, 50.0, shape)
+        g = cmap.contraction_bound
+        for tol in (1e-6, 1e-9):
+            fp = equilibrium.iterate_fixed_point(cmap, zeta0, tol)
+            ref, _, _ = oracles.iterate_plain(cmap, zeta0, 1e-3 * tol)
+            assert fp.zeta.shape == shape
+            assert np.max(np.sum(np.abs(fp.zeta - ref), axis=-1)) <= tol
+            assert fp.last_step <= tol * (1.0 - g) / g
+
+
+@pytest.mark.parametrize("restarts", [None, 7])
+def test_accelerated_matches_newton_oracle(rng, restarts):
+    for _ in range(30):
+        plant, ctrl, w, cmap = _random_problem(rng, pwl=False)
+        _, _, u0 = oracles.equilibrium_newton(plant.a, plant.b, ctrl.p,
+                                              ctrl.r, ctrl.s, w)
+        shape = (cmap.n,) if restarts is None else (restarts, cmap.n)
+        zeta0 = rng.uniform(-50.0, 50.0, shape)
+        g = cmap.contraction_bound
+        for tol in (1e-6, 1e-9):
+            fp = equilibrium.iterate_fixed_point(cmap, zeta0, tol)
+            dist = np.sum(np.abs(fp.zeta - cmap.scaling_d * u0), axis=-1)
+            assert np.max(dist) <= tol
+            assert fp.last_step <= tol * (1.0 - g) / g
+
+
+def _record_map_calls(monkeypatch) -> list:
+    calls = []
+    plain = equilibrium.ContractionMap.__call__
+
+    def recorded(self, zeta):
+        out = plain(self, zeta)
+        calls.append((np.array(zeta), out))
+        return out
+
+    monkeypatch.setattr(equilibrium.ContractionMap, "__call__", recorded)
+    return calls
+
+
+def _assert_plain_step(fp, calls):
+    # the result is the image T(zeta) of the last evaluation, and every
+    # evaluation went through ContractionMap.__call__
+    assert fp.iterations == len(calls)
+    last_in, last_out = calls[-1]
+    assert fp.last_step > 0.0
+    assert fp.last_step == np.max(np.sum(np.abs(last_out - last_in), axis=-1))
+    np.testing.assert_array_equal(fp.zeta, last_out)
+
+
+@pytest.mark.parametrize("restarts", [None, 5])
+def test_fixed_point_returns_plain_step(monkeypatch, restarts):
+    plant, ctrl, w = _benchmark()
+    cmap = equilibrium.build_contraction(plant, ctrl, w)
+    calls = _record_map_calls(monkeypatch)
+    shape = (cmap.n,) if restarts is None else (restarts, cmap.n)
+    zeta0 = np.random.default_rng(3).uniform(-20.0, 20.0, shape)
+    fp = equilibrium.iterate_fixed_point(cmap, zeta0, 1e-6)
+    _assert_plain_step(fp, calls)
+
+
+def test_stalled_step_raises_with_last_plain_step(monkeypatch):
+    # on a large load the map's own rounding keeps the step above
+    # 1e-16 (1 - g) / g; the iteration says so at once, not after max_iter
+    plant, ctrl, w = _benchmark()
+    cmap = equilibrium.build_contraction(plant, ctrl, 1e6 * w)
+    g = cmap.contraction_bound
+    calls = _record_map_calls(monkeypatch)
+    with pytest.raises(StepStalled, match="last step") as info:
+        equilibrium.iterate_fixed_point(cmap, -cmap.w_hat / cmap.k, 1e-16)
+    assert isinstance(info.value, MaxIterationsExceeded)
+    fp = info.value.result
+    assert len(calls) < 100
+    assert fp.last_step > 1e-16 * (1.0 - g) / g
+    _assert_plain_step(fp, calls)
