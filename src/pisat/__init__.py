@@ -8,7 +8,7 @@ from .equilibrium import (ContractionMap, EquilibriumResult,
                           measure_contraction, probe_uniqueness,
                           solve_equilibrium, stationary_residual)
 from .errors import (CertificateFailure, ConditionViolated, ConfigError,
-                     DimensionMismatch, DimensionTooLarge, EpsilonTooLarge,
+                     DimensionMismatch, EpsilonTooLarge,
                      GapTooLarge, InvalidSectorPair, MaxIterationsExceeded,
                      NonFiniteState, NotMMatrix, NotSymmetric, ParseError,
                      PisatError, SolverFailure, StepStalled,
@@ -24,12 +24,12 @@ from .matrixlab import (column_dominance_scaling, diagonal_lyapunov_scaling,
 from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
                     VARIANT_STATIC, ControllerSpec, DisturbanceSignal,
                     PlantModel, TuningReport, check_tuning,
-                    closed_loop_derivative, control_input,
-                    default_static_gain, error_coordinate_pair)
+                    closed_loop_derivative, default_static_gain,
+                    error_coordinate_pair)
 from .optimality import (AllocationSolution, OptimalityCertificate,
                          admissible_gamma, certify_equilibrium_optimality,
                          check_gamma_condition, solve_weighted_l1_lp)
-from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f, eval_h,
+from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f,
                      identity_zero, integral_from_zero, saturation_deadzone,
                      scale_pair, sector_audit, shift_pair)
 from .simulate import (CostReport, LyapunovParameters, LyapunovTrace,

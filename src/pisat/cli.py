@@ -28,7 +28,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _RUN_KEYS = {"dt_h", "t_end_h", "seed", "controller", "tol", "out_dir"}
 _DEF_DT = 0.05
@@ -252,15 +252,16 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
         return {"name": "storage_decrease", "status": "fail",
                 "detail": str(exc)}
     horizon = 10.0 / float(np.min(plant.a))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         traj = simulate.integrate(plant, ctrl, w_ref, eq.x0 + 1.0, eq.z0,
                                   (0.0, horizon), dt)
+    stability_warning = "; ".join(str(c.message) for c in caught) or None
     try:
         trace = simulate.lyapunov_trace(plant, ctrl, eq, traj)
     except PisatError as exc:
         return {"name": "storage_decrease", "status": "fail",
-                "detail": str(exc)}
+                "detail": str(exc), "stability_warning": stability_warning}
     return {"name": "storage_decrease",
             "status": "pass" if trace.passed else "fail",
             "epsilon": params.epsilon,
@@ -270,6 +271,7 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
             "gain_norm": params.gain_norm,
             "horizon_h": horizon,
             "increase_steps": int(trace.increase_steps.size),
+            "stability_warning": stability_warning,
             "value_initial": float(trace.value[0]),
             "value_final": float(trace.value[-1])}
 
@@ -282,15 +284,19 @@ def _optimality_check(plant, ctrl, w_ref, tol, eq) -> dict:
     except (ConditionViolated, UnsupportedVariant) as exc:
         return {"name": "allocation_optimality", "status": "not_applicable",
                 "detail": str(exc), "gamma": gamma}
-    return {"name": "allocation_optimality",
-            "status": "pass" if cert.passed else "fail",
-            "gamma": gamma,
-            "equilibrium_cost": cert.equilibrium_cost,
-            "lp_cost": cert.lp_cost,
-            "cost_gap": cert.cost_gap,
-            "sign_structure_error": cert.sign_structure_error,
-            "tolerance": cert.tolerance,
-            "lp_status": cert.lp.status}
+    check = {"name": "allocation_optimality",
+             "status": "pass" if cert.passed else "fail",
+             "gamma": gamma,
+             "equilibrium_cost": cert.equilibrium_cost,
+             "dual_bound": cert.dual_bound,
+             "dual_gap": cert.dual_gap,
+             "lp_fallback": cert.lp_fallback,
+             "sign_structure_error": cert.sign_structure_error,
+             "tolerance": cert.tolerance}
+    if cert.lp_fallback:
+        check.update(lp_cost=cert.lp_cost, cost_gap=cert.cost_gap,
+                     lp_status=cert.lp.status)
+    return check
 
 
 def _certify_report(args, scn, w_ref, checks) -> dict:

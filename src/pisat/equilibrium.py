@@ -284,7 +284,9 @@ def probe_uniqueness(cmap: ContractionMap, restarts: int = 50,
     of ``cmap`` and iterated together as one stack.  Returns the sum
     over coordinates of the spread of the recovered stationary inputs,
     an upper bound on the pairwise 1-norm distance between any two
-    restarts.  Small values support uniqueness.
+    restarts.  Small values support uniqueness.  If the stack stalls at
+    the map's floating-point floor above ``u_tol``, the spread of the
+    stalled rows is reported, so the caller's threshold decides.
     """
     if restarts < 2:
         raise ValueError("need at least two restarts")
@@ -293,6 +295,9 @@ def probe_uniqueness(cmap: ContractionMap, restarts: int = 50,
     radius = 10.0 * (1.0 + float(np.max(np.abs(cmap.w_hat))))
     zeta0 = rng.uniform(-radius, radius, size=(restarts, cmap.n))
     ztol = u_tol * float(np.min(cmap.scaling_d))
-    fp = iterate_fixed_point(cmap, zeta0, ztol, max_iter)
+    try:
+        fp = iterate_fixed_point(cmap, zeta0, ztol, max_iter)
+    except StepStalled as exc:
+        fp = exc.result
     u = fp.zeta / cmap.scaling_d
     return float(np.sum(u.max(axis=0) - u.min(axis=0)))

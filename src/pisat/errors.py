@@ -54,10 +54,6 @@ class SolverFailure(PisatError):
     """The LP pivot guard tripped before reaching an optimum."""
 
 
-class DimensionTooLarge(PisatError):
-    """Brute-force enumeration is restricted to small dimensions."""
-
-
 class ConditionViolated(PisatError):
     """A certificate precondition does not hold, so the certificate is
     not applicable.  This is not a disproof of optimality."""

@@ -226,20 +226,6 @@ class DisturbanceSignal:
         return out.reshape(t.shape + (self.n,))
 
 
-def control_input(ctrl: ControllerSpec, x, z=None) -> np.ndarray:
-    """Evaluate the feedback law at the given state (broadcasts).
-
-    PI variants need the integral state z; static feedback takes none.
-    """
-    if ctrl.is_pi and z is None:
-        raise DimensionMismatch("PI variants require the integral state z")
-    if not ctrl.is_pi and z is not None:
-        raise DimensionMismatch("static feedback carries no integral state")
-    x = np.asarray(x, dtype=float)
-    z = np.zeros_like(x) if z is None else np.asarray(z, dtype=float)
-    return ctrl.feedback(x, z)
-
-
 def closed_loop_derivative(plant: PlantModel, ctrl: ControllerSpec,
                            x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-loop vector field at state (x, z) under disturbance value w.

@@ -215,12 +215,6 @@ def eval_f(pair: SectorPair, u) -> np.ndarray:
     return _table_f(pair, u)
 
 
-def eval_h(pair: SectorPair, u) -> np.ndarray:
-    """Apply the complement h(u) = u - f(u) along the last axis."""
-    u = np.asarray(u, dtype=float)
-    return u - eval_f(pair, u)
-
-
 def integral_from_zero(pair: SectorPair, b) -> np.ndarray:
     """Exact integral of f from 0 to b along the last axis of ``b``."""
     b = np.asarray(b, dtype=float)

@@ -10,8 +10,8 @@ stacked sector tables.  ``simplex_loop``, ``closed_loop_derivative_branches``,
 earlier forms of the library's simplex, RK4 loop and fixed-point
 iteration, kept to pin the vectorized code to the same arithmetic and
 the accelerated iteration to the same fixed point.  The error-coordinate
-helpers and the comparison CSV reader are test-only tools with no
-library caller.
+helpers, the comparison CSV reader, ``eval_h``, ``control_input`` and
+``DimensionTooLarge`` are test-only tools with no library caller.
 """
 
 import math
@@ -22,8 +22,33 @@ import scipy.linalg
 import scipy.optimize
 
 from pisat import model, sector
-from pisat.errors import (DimensionTooLarge, MaxIterationsExceeded,
-                          ParseError, SolverFailure, UnsupportedVariant)
+from pisat.errors import (DimensionMismatch, MaxIterationsExceeded,
+                          ParseError, PisatError, SolverFailure,
+                          UnsupportedVariant)
+
+
+class DimensionTooLarge(PisatError):
+    """Brute-force enumeration is restricted to small dimensions."""
+
+
+def eval_h(pair, u) -> np.ndarray:
+    """Apply the complement h(u) = u - f(u) along the last axis."""
+    u = np.asarray(u, dtype=float)
+    return u - sector.eval_f(pair, u)
+
+
+def control_input(ctrl, x, z=None) -> np.ndarray:
+    """Evaluate the feedback law at the given state (broadcasts).
+
+    PI variants need the integral state z; static feedback takes none.
+    """
+    if ctrl.is_pi and z is None:
+        raise DimensionMismatch("PI variants require the integral state z")
+    if not ctrl.is_pi and z is not None:
+        raise DimensionMismatch("static feedback carries no integral state")
+    x = np.asarray(x, dtype=float)
+    z = np.zeros_like(x) if z is None else np.asarray(z, dtype=float)
+    return ctrl.feedback(x, z)
 
 
 def is_m_matrix_eig(m) -> bool:

@@ -39,7 +39,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -107,6 +107,44 @@ def test_certify_builds_contraction_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_certify_large_load_probe_passes(tmp_path):
+    # load x 1e5: the probe's rows stall at the map's floating-point
+    # floor above 1e-9 min(d); their spread still decides the check
+    data = json.loads(pathlib.Path(BENCHMARK).read_text())
+    data["t_ext"] = {"constant_degc": 20.0 + 1e5 * (-35.0)}
+    cfg = tmp_path / "large_load.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert _run("certify", "--config", str(cfg), "--out", str(out)) == 2
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert by_name["uniqueness_probe"]["status"] == "pass"
+    assert by_name["uniqueness_probe"]["input_spread"] <= 1e-6
+
+
+def _textbook_plant():
+    scn, _ = cli.load_config(TEXTBOOK)
+    return heating.to_standard_form(scn)[0], scn.controller
+
+
+def test_certify_records_stability_warning(tmp_path):
+    # the storage probe's dt-stability warning lands in the report; the
+    # textbook loop's estimate is 1.46 h and RK4 stays stable at 1.5 h
+    fields = []
+    for dt in ([], ["--dt", "1.5"]):
+        out = tmp_path / f"report{len(fields)}.json"
+        assert _run("certify", "--config", TEXTBOOK, "--out", str(out),
+                    *dt) == 0
+        storage = next(c for c in json.loads(out.read_text())["checks"]
+                       if c["name"] == "storage_decrease")
+        fields.append(storage["stability_warning"])
+    bound = simulate.stability_dt_bound(*_textbook_plant())
+    assert bound < 1.5
+    assert fields[0] is None
+    assert fields[1] == (f"dt=1.5 exceeds the linear-regime stability "
+                         f"estimate {bound:.3g}; expect inaccuracy or "
+                         f"blow-up")
+
+
 @pytest.mark.parametrize("argv, code", [
     (("certify",), 0), (("simulate", "--t-end", "5"), 0),
     (("equilibrium",), 64)])
@@ -145,7 +183,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 1
+    assert costs["schema_version"] == 2
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))

@@ -1,15 +1,23 @@
+import dataclasses
+import importlib.util
+import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_disturbance, random_instance
 from pisat import cli, equilibrium, heating, model, optimality, sector
-from pisat.errors import (ConditionViolated, DimensionTooLarge, SolverFailure,
+from pisat.errors import (ConditionViolated, SolverFailure,
                           UnsupportedVariant)
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+CONSTANT_CONFIGS = ["benchmark_constant.json", "textbook_single.json"]
 
 
 def test_simplex_matches_scipy(rng):
@@ -210,7 +218,7 @@ def test_brute_force_oracle_within_resolution(rng):
 
 def test_brute_force_dimension_guard(rng):
     plant, _ = random_instance(rng, 5)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(oracles.DimensionTooLarge):
         oracles.brute_force_oracle(np.ones(5), plant.a, plant.b, np.zeros(5))
 
 
@@ -267,3 +275,123 @@ def test_certificate_guards():
     d1 = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
     with pytest.raises(UnsupportedVariant):
         optimality.certify_equilibrium_optimality([1.0], ident, d1, [0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_dual_value_never_exceeds_lp_optimum(seed, data):
+    # weak duality: every y in the box bounds the optimum from below
+    rng = np.random.default_rng(seed)
+    plant, _ = random_instance(rng)
+    w = random_disturbance(rng, plant.n)
+    box = st.floats(-1.0, 1.0)
+    y = np.array(data.draw(st.lists(box, min_size=plant.n,
+                                    max_size=plant.n)))
+    gamma = np.array(data.draw(st.lists(st.floats(0.1, 10.0),
+                                        min_size=plant.n, max_size=plant.n)))
+    gm, gw = optimality._weighted_system(gamma, plant, w)
+    _, _, ref_cost = oracles.weighted_l1_linprog(gamma, plant.a, plant.b, w)
+    assert optimality._dual_value(gm, gw, y) <= ref_cost + 1e-9
+
+
+def _assert_certified_without_lp(cert, tol):
+    assert cert.passed
+    assert not cert.lp_fallback
+    assert cert.lp is None and cert.lp_cost is None
+    assert cert.dual_gap <= tol
+    assert cert.dual_gap == cert.equilibrium_cost - cert.dual_bound
+
+
+def test_dual_certificate_on_criterion_4_instances():
+    # the seeded instances of acceptance criterion 4: the dual bound
+    # certifies every equilibrium and the LP agrees with it
+    rng = np.random.default_rng(20260814 + 4)
+    for _ in range(100):
+        plant, ctrl = random_instance(rng)
+        w = random_disturbance(rng, plant.n)
+        gamma = optimality.admissible_gamma(plant)
+        eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-11)
+        cert = optimality.certify_equilibrium_optimality(
+            gamma, plant, ctrl, w, tol=1e-7, eq=eq)
+        _assert_certified_without_lp(cert, 1e-7)
+        lp_cost = optimality.solve_weighted_l1_lp(gamma, plant, w).cost
+        assert cert.dual_bound <= lp_cost + 1e-9
+        assert lp_cost <= cert.equilibrium_cost + 1e-9
+
+
+def _bundled(config):
+    scn, _ = cli.load_config(CONFIGS / config)
+    plant, wsig = heating.to_standard_form(scn)
+    return plant, scn.controller, wsig.constant_value()
+
+
+@pytest.mark.parametrize("config", CONSTANT_CONFIGS)
+def test_dual_certificate_on_bundled_configs(config):
+    plant, ctrl, w = _bundled(config)
+    cert = optimality.certify_equilibrium_optimality(
+        optimality.admissible_gamma(plant), plant, ctrl, w, tol=1e-7)
+    _assert_certified_without_lp(cert, 1e-7)
+
+
+@pytest.mark.parametrize("config", CONSTANT_CONFIGS)
+def test_non_optimal_state_runs_fallback_and_fails(config):
+    # pull one saturated input inside the box: x0 stays feasible but is
+    # no longer optimal, so the dual gap opens and the LP confirms it
+    plant, ctrl, w = _bundled(config)
+    if config == "textbook_single.json":
+        w = np.array([-2.0])    # saturates the single input
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    sat = np.flatnonzero(np.abs(eq.u0) > 1.0)
+    assert sat.size > 0
+    u0 = eq.u0.copy()
+    u0[sat[0]] = 0.5 * np.sign(u0[sat[0]])
+    x0 = (plant.b @ np.clip(u0, -1.0, 1.0) + w) / plant.a
+    moved = dataclasses.replace(eq, u0=u0, x0=x0)
+    cert = optimality.certify_equilibrium_optimality(
+        optimality.admissible_gamma(plant), plant, ctrl, w, tol=1e-7,
+        eq=moved)
+    assert cert.dual_gap > 1e-7
+    assert cert.lp_fallback
+    assert cert.lp_cost == cert.lp.cost
+    assert cert.cost_gap == abs(cert.equilibrium_cost - cert.lp.cost)
+    assert cert.cost_gap > 1e-7
+    assert not cert.passed
+
+
+def _generated_network(tmp_path, n):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / f"net{n}.json"
+    gen.write_json(gen.random_network(np.random.default_rng(5), n, 4.0,
+                                      f"net{n}"), str(path))
+    return str(path)
+
+
+def test_certify_makes_no_simplex_call(monkeypatch, tmp_path):
+    calls = []
+    simplex = optimality._simplex
+
+    def counted(*args):
+        calls.append(1)
+        return simplex(*args)
+
+    monkeypatch.setattr(optimality, "_simplex", counted)
+    configs = [str(CONFIGS / c) for c in CONSTANT_CONFIGS]
+    configs.append(_generated_network(tmp_path, 40))
+    for k, config in enumerate(configs):
+        out = tmp_path / f"certify{k}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["certify", "--config", config,
+                             "--out", str(out)]) in (0, 2)
+        opt = next(c for c in json.loads(out.read_text())["checks"]
+                   if c["name"] == "allocation_optimality")
+        assert opt["status"] == "pass"
+        assert opt["lp_fallback"] is False
+        assert "lp_cost" not in opt and "lp_status" not in opt
+    assert calls == []
+    assert cli.main(["lp", "--config", configs[-1],
+                     "--out", str(tmp_path / "lp.json")]) == 0
+    assert calls == [1]
