@@ -22,8 +22,8 @@ from .matrixlab import (column_dominance_scaling, diagonal_lyapunov_scaling,
                         is_m_matrix, is_spd, is_strictly_column_dominant,
                         is_z_pattern)
 from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
-                    VARIANT_STATIC, ControllerSpec, DisturbanceSignal,
-                    PlantModel, TuningReport, check_tuning,
+                    VARIANT_STATIC, ControllerSpec, ControllerStack,
+                    DisturbanceSignal, PlantModel, TuningReport, check_tuning,
                     closed_loop_derivative, default_static_gain,
                     error_coordinate_pair)
 from .optimality import (AllocationSolution, OptimalityCertificate,
@@ -33,7 +33,8 @@ from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f,
                      identity_zero, integral_from_zero, saturation_deadzone,
                      scale_pair, sector_audit, shift_pair)
 from .simulate import (CostReport, LyapunovParameters, LyapunovTrace,
-                       Trajectory, evaluate_costs, integrate,
+                       Trajectory, TrajectoryStack, evaluate_costs,
+                       integrate,
                        lyapunov_parameters, lyapunov_trace,
                        read_trajectory_csv, stability_dt_bound,
                        write_trajectory_csv)

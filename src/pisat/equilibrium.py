@@ -80,6 +80,8 @@ class EquilibriumResult:
 
     ``cmap`` is the contraction map the solve iterated, so callers can
     measure its ratio and probe uniqueness without building it again.
+    ``scale`` is max(1, ||w / (s a)||_inf, ||u0||_inf), the factor by
+    which the rounding floor of the residual grows with the problem.
     """
 
     x0: np.ndarray
@@ -88,6 +90,7 @@ class EquilibriumResult:
     residual_stationary: float
     iterations: int
     cmap: ContractionMap
+    scale: float
 
 
 def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
@@ -204,7 +207,8 @@ def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     plant and integrator states.  Once a round stalls at the map's
     floating-point floor or no longer lowers the residual, a residual
     of at most tol max(1, ||w / (s a)||_inf, ||u0||_inf) is accepted,
-    since the rounding of the residual itself grows with that scale.
+    since the rounding of the residual itself grows with that scale
+    (reported as ``scale``).
     The result carries the map it solved, and ``iterations`` counts its
     evaluations over all rounds.
     """
@@ -226,12 +230,12 @@ def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
         zeta = fp.zeta
         u0 = zeta / cmap.scaling_d
         residual = stationary_residual(plant, ctrl, u0, w)
+        scale = max(1.0, load, float(np.max(np.abs(u0))))
         if residual <= tol:
             break
         # a round that stalls or no longer lowers the residual has hit
         # the floating-point floor, which grows with the problem's scale
-        if (stalled or residual >= last) and residual <= tol * max(
-                1.0, load, float(np.max(np.abs(u0)))):
+        if (stalled or residual >= last) and residual <= tol * scale:
             break
         last = residual
         ztol *= 1e-2
@@ -241,7 +245,7 @@ def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     f0 = sector.eval_f(plant.pair, u0)
     x0 = (plant.b @ f0 + w) / plant.a
     z0 = (-ctrl.p * x0 - u0) / ctrl.r
-    return EquilibriumResult(x0, z0, u0, residual, total, cmap)
+    return EquilibriumResult(x0, z0, u0, residual, total, cmap, scale)
 
 
 def measure_contraction(cmap: ContractionMap, trials: int,

@@ -17,6 +17,12 @@ the same PI loops sharing one anti-windup signal replace S_aw by
 beta 11^T; static state feedback is (K, 0, 0, 0), so its integral
 state z stays at zero.  The vector field therefore has one body for
 every variant, and it broadcasts over leading axes of the state arrays.
+
+A stack of closed loops uses that same body: ControllerStack holds C
+controllers' matrices as (C, n, n) arrays, and the state of row i is a
+(1, n) slice of a (C, 1, n) array.  The body transposes with ``.mT``
+(the last two axes), which for a single (n, n) matrix is the same view
+as ``.T``, so one controller runs exactly the products it always did.
 """
 
 from __future__ import annotations
@@ -155,7 +161,29 @@ class ControllerSpec:
 
     def feedback(self, x, z) -> np.ndarray:
         """The law u = -kx x - kz z; z is zero for static feedback."""
-        return -(x @ self.kx.T) - z @ self.kz.T
+        return -(x @ self.kx.mT) - z @ self.kz.mT
+
+
+@dataclass(frozen=True, eq=False)
+class ControllerStack:
+    """Controllers stacked row by row in the canonical linear form.
+
+    kx, kz, e and s_aw are (C, n, n), row i from the i-th controller.
+    Against states shaped (C, 1, n), the vector field and the feedback
+    law step every row at once, each row through its own matrices.
+    """
+
+    kx: np.ndarray
+    kz: np.ndarray
+    e: np.ndarray
+    s_aw: np.ndarray
+
+    @classmethod
+    def of(cls, ctrls) -> "ControllerStack":
+        return cls(*(np.stack([getattr(c, name) for c in ctrls])
+                     for name in ("kx", "kz", "e", "s_aw")))
+
+    feedback = ControllerSpec.feedback
 
 
 def default_static_gain(plant: PlantModel) -> np.ndarray:
@@ -226,13 +254,15 @@ class DisturbanceSignal:
         return out.reshape(t.shape + (self.n,))
 
 
-def closed_loop_derivative(plant: PlantModel, ctrl: ControllerSpec,
+def closed_loop_derivative(plant: PlantModel,
+                           ctrl: ControllerSpec | ControllerStack,
                            x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-loop vector field at state (x, z) under disturbance value w.
 
     Returns (dx, dz, u); for static feedback z and dz are zeros.  All
     arguments broadcast over leading axes, with agent coordinates on the
-    last axis.
+    last axis.  ``ctrl`` may be a ControllerStack, whose (C, n, n)
+    matrices meet states shaped (C, 1, n).
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -242,10 +272,10 @@ def closed_loop_derivative(plant: PlantModel, ctrl: ControllerSpec,
     u = ctrl.feedback(x, z)
     fu = sector.eval_f(plant.pair, u)
     dx = -plant.a * x + fu @ plant.b.T + w
-    # s_aw is symmetric for every variant, so this is h @ s_aw.T; on the
+    # s_aw is symmetric for every variant, so this is h @ s_aw.mT; on the
     # bundled cold snap this side rounds the coordinating costs exactly as
     # beta * sum(h) does, the transposed view does not
-    dz = x @ ctrl.e.T + (u - fu) @ ctrl.s_aw
+    dz = x @ ctrl.e.mT + (u - fu) @ ctrl.s_aw
     return dx, dz, u
 
 

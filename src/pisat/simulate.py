@@ -4,17 +4,23 @@ Lyapunov decrease monitor.
 Integration uses the classic fourth-order Runge-Kutta scheme on a fixed
 grid, stepping the stacked state [x, z]; the disturbance is sampled at
 every stage time in one call before the loop (time-varying signals are
-interpolated linearly).  Costs are
-time averages computed with trapezoidal quadrature on the recorded
-grid.  The monitor evaluates a piecewise-quadratic storage function in
-closed form along a trajectory together with its analytic derivative,
-and flags any step where the stored value increases beyond tolerance.
+interpolated linearly).  The loop steps a stack of closed loops as
+readily as one: C controllers, each with its own start, become the rows
+of a (C, 1, 2n) state against their (C, n, n) matrices, and share the
+forcing table, the step grid and the blow-up test.  The vector field
+transposes with ``.mT``, so one controller keeps its 2-D matrices and
+runs exactly the products it ran alone.  Costs are time averages
+computed with trapezoidal quadrature on the recorded grid.  The
+monitor evaluates a piecewise-quadratic storage function in closed form
+along a trajectory together with its analytic derivative, and flags
+any step where the stored value increases beyond tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +74,19 @@ def _as_signal(w, n: int) -> model.DisturbanceSignal:
         np.asarray(w, dtype=float), (n,)))
 
 
-def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
-              x_init, z_init, t_span: tuple[float, float], dt: float,
+class TrajectoryStack(tuple):
+    """One Trajectory per row of a stacked run; all rows share ``t``."""
+
+    @property
+    def t(self) -> np.ndarray:
+        return self[0].t
+
+
+def integrate(plant: model.PlantModel,
+              ctrl: model.ControllerSpec | Sequence[model.ControllerSpec],
+              w, x_init, z_init, t_span: tuple[float, float], dt: float,
               blowup_limit: float = BLOWUP_LIMIT,
-              stability_check: bool = True) -> Trajectory:
+              stability_check: bool = True) -> Trajectory | TrajectoryStack:
     """Integrate the closed loop over ``t_span`` with fixed step ``dt``.
 
     ``w`` may be a DisturbanceSignal or a constant vector.  ``z_init``
@@ -79,24 +94,47 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     at zero.  Every step is recorded.  A rough spectral pre-check warns
     when dt looks too coarse for the linear regime; a state that is not
     finite or exceeds ``blowup_limit`` raises NonFiniteState.
+
+    ``ctrl`` may instead be a sequence of C controllers, one per row of
+    a stack of closed loops: ``x_init`` is then (C, n) and ``z_init``
+    holds one entry per row (None for a static row).  The rows share
+    the forcing table, the step grid and the blow-up test, and step
+    together in one loop.  The call returns a TrajectoryStack whose
+    rows are bit for bit what integrating each controller alone gives.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0 and dt > 0.0):
         raise ValueError("need t1 > t0 and dt > 0")
     wsig = _as_signal(w, plant.n)
     n = plant.n
-    x = np.array(x_init, dtype=float).reshape(n)
-    if ctrl.is_pi and z_init is None:
-        raise DimensionMismatch("PI variants require an initial integral state")
-    if not ctrl.is_pi and z_init is not None:
-        raise DimensionMismatch("static feedback carries no integral state")
-    z = np.zeros(n) if z_init is None else np.array(z_init, dtype=float)
-    if stability_check:
-        bound = stability_dt_bound(plant, ctrl)
-        if dt > bound:
-            warnings.warn(f"dt={dt:g} exceeds the linear-regime stability "
-                          f"estimate {bound:.3g}; expect inaccuracy or blow-up",
-                          stacklevel=2)
+    single = isinstance(ctrl, model.ControllerSpec)
+    ctrls = [ctrl] if single else list(ctrl)
+    z_rows = [z_init] if single else list(z_init)
+    if not ctrls or len(z_rows) != len(ctrls):
+        raise DimensionMismatch("need one integral-state entry per "
+                                "controller")
+    for c, zi in zip(ctrls, z_rows):
+        if c.is_pi and zi is None:
+            raise DimensionMismatch("PI variants require an initial "
+                                    "integral state")
+        if not c.is_pi and zi is not None:
+            raise DimensionMismatch("static feedback carries no integral "
+                                    "state")
+        if stability_check:
+            bound = stability_dt_bound(plant, c)
+            if dt > bound:
+                warnings.warn(f"dt={dt:g} exceeds the linear-regime "
+                              f"stability estimate {bound:.3g}; expect "
+                              f"inaccuracy or blow-up", stacklevel=2)
+    rows = len(ctrls)
+    x = np.array(x_init, dtype=float).reshape(rows, n)
+    z = np.array([np.zeros(n) if zi is None
+                  else np.array(zi, dtype=float).reshape(n) for zi in z_rows])
+    # one controller keeps its (n, n) matrices and a (2n,) state; a stack
+    # steps (C, 1, 2n) rows against (C, n, n) matrices, so every row runs
+    # the same matrix-vector products as it would alone
+    form = ctrl if single else model.ControllerStack.of(ctrls)
+    shape = (2 * n,) if single else (rows, 1, 2 * n)
 
     span = t1 - t0
     full = int(math.floor(span / dt + 1e-9))
@@ -112,11 +150,12 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     forcing = wsig(np.stack([tk, tk + 0.5 * hs, tk + hs], axis=1))
 
     def deriv(y, wk):
-        dx, dz, _ = model.closed_loop_derivative(plant, ctrl, y[:n], y[n:], wk)
-        return np.concatenate((dx, dz))
+        dx, dz, _ = model.closed_loop_derivative(plant, form, y[..., :n],
+                                                 y[..., n:], wk)
+        return np.concatenate((dx, dz), axis=-1)
 
-    ys = np.empty((steps + 1, 2 * n))
-    y = ys[0] = np.concatenate((x, z.reshape(n)))
+    ys = np.empty((steps + 1,) + shape)
+    y = ys[0] = np.concatenate((x, z), axis=1).reshape(shape)
     for k, h in enumerate(hs.tolist()):
         w0, wm, w1 = forcing[k]
         k1 = deriv(y, w0)
@@ -125,14 +164,20 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
         k4 = deriv(y + h * k3, w1)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.max(np.abs(y)) <= blowup_limit:
-            raise NonFiniteState(f"state left +-{blowup_limit:g} near "
-                                 f"t={ts[k + 1]:.6g} (step {k + 1})")
+            ok = np.all(np.abs(y.reshape(rows, -1)) <= blowup_limit, axis=1)
+            where = "" if single else f"row {int(np.argmin(ok))}: "
+            raise NonFiniteState(f"{where}state left +-{blowup_limit:g} "
+                                 f"near t={ts[k + 1]:.6g} (step {k + 1})")
         ys[k + 1] = y
 
-    xs, zs = ys[:, :n], ys[:, n:]
-    us = ctrl.feedback(xs, zs)
-    vs = sector.eval_f(plant.pair, us)
-    return Trajectory(ts, xs, zs, us, vs)
+    ys = ys.reshape(steps + 1, rows, 2 * n)
+    trajs = []
+    for i, c in enumerate(ctrls):
+        xs, zs = ys[:, i, :n], ys[:, i, n:]
+        us = c.feedback(xs, zs)
+        trajs.append(Trajectory(ts, xs, zs, us,
+                                sector.eval_f(plant.pair, us)))
+    return trajs[0] if single else TrajectoryStack(trajs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -121,6 +121,37 @@ def test_certify_large_load_probe_passes(tmp_path):
     assert by_name["uniqueness_probe"]["input_spread"] <= 1e-6
 
 
+@pytest.mark.parametrize("factor", [1e6, 1e7])
+def test_certify_scales_thresholds_with_load(tmp_path, factor):
+    # load x 1e6: residual 1.5e-8 at max |u0| 1.75e7 and probe spread
+    # 3.3e-6, both at the floating-point floor of that scale; x 1e7 is
+    # ten times further out
+    data = json.loads(pathlib.Path(BENCHMARK).read_text())
+    data["t_ext"] = {"constant_degc": 20.0 + factor * (-35.0)}
+    cfg = tmp_path / "huge_load.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert _run("certify", "--config", str(cfg), "--out", str(out)) == 2
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    resid = by_name["equilibrium_residual"]
+    probe = by_name["uniqueness_probe"]
+    assert resid["status"] == "pass"
+    assert probe["status"] == "pass"
+    u0 = np.array(resid["u0"])
+    assert resid["scale"] == probe["scale"] >= float(np.max(np.abs(u0)))
+    assert resid["residual"] <= 1e-8 * resid["scale"]
+    assert probe["input_spread"] <= 1e-6 * probe["scale"]
+
+
+def test_certify_reports_unit_scale_on_bundled_load(tmp_path):
+    out = tmp_path / "report.json"
+    assert _run("certify", "--config", TEXTBOOK, "--out", str(out)) == 0
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("equilibrium_residual", "uniqueness_probe"):
+        assert by_name[name]["scale"] >= 1.0
+        assert by_name[name]["status"] == "pass"
+
+
 def _textbook_plant():
     scn, _ = cli.load_config(TEXTBOOK)
     return heating.to_standard_form(scn)[0], scn.controller
@@ -183,7 +214,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 2
+    assert costs["schema_version"] == 3
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -301,6 +332,31 @@ def test_lp_report(tmp_path):
     assert report["cost"] == pytest.approx(0.4597947668800342, abs=1e-9)
     assert len(report["v_star"]) == 10
     assert np.all(np.abs(report["v_star"]) <= 1.0 + 1e-12)
+
+
+def test_diagnostics_counters_repeat(tmp_path):
+    # deterministic counters: two runs of each command report the same
+    # ones, and the stacked compare counts each evaluation once
+    diags = {}
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert _run("simulate", "--config", BENCHMARK, "--t-end", "40",
+                    "--out", str(out / "sim")) == 0
+        assert _run("compare", "--config", BENCHMARK, "--t-end", "40",
+                    "--controllers", "decentralized", "coordinating",
+                    "static", "--out", str(out / "cmp")) == 0
+        assert _run("lp", "--config", BENCHMARK,
+                    "--out", str(out / "lp.json")) == 0
+        reports = (out / "sim" / "costs.json", out / "cmp" / "comparison.json",
+                   out / "lp.json")
+        diags[run] = [json.loads(p.read_text())["diagnostics"]
+                      for p in reports]
+        assert all(json.loads(p.read_text())["schema_version"] == 3
+                   for p in reports)
+    assert diags["a"] == diags["b"]
+    sim, cmp_, lp = diags["a"]
+    assert sim == cmp_ == {"rk4_steps": 800, "derivative_evaluations": 3200}
+    assert set(lp) == {"pivots"} and lp["pivots"] > 0
 
 
 def test_lp_rejects_bad_gamma():

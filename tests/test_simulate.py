@@ -1,11 +1,13 @@
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_disturbance, random_instance
-from pisat import equilibrium, model, sector, simulate
+from pisat import cli, equilibrium, heating, model, sector, simulate
 from pisat.errors import (CertificateFailure, DimensionMismatch,
                           EpsilonTooLarge, NonFiniteState, ParseError)
 
@@ -100,6 +102,130 @@ def test_trajectories_match_loop_reference(rng):
             np.testing.assert_array_equal(traj.z, 0.0)
             assert not np.any(np.signbit(traj.z))
             assert np.any(traj.x < 0.0)
+
+
+def _assert_stack_matches_alone(plant, ctrls, wsig, x0, z0, t_span, dt):
+    z_rows = [z0 if c.is_pi else None for c in ctrls]
+    stack = simulate.integrate(plant, ctrls, wsig,
+                               np.tile(x0, (len(ctrls), 1)), z_rows, t_span,
+                               dt)
+    assert isinstance(stack, simulate.TrajectoryStack)
+    assert len(stack) == len(ctrls)
+    for ctrl, z_init, row in zip(ctrls, z_rows, stack):
+        alone = simulate.integrate(plant, ctrl, wsig, x0, z_init, t_span, dt)
+        for name in ("t", "x", "z", "u", "v"):
+            np.testing.assert_array_equal(getattr(row, name),
+                                          getattr(alone, name))
+        t, x, z, u, v = oracles.integrate_loop(plant, ctrl, wsig, x0,
+                                               z_init, t_span, dt)
+        np.testing.assert_array_equal(row.t, t)
+        if ctrl.variant == model.VARIANT_COORDINATING:
+            # the oracle sums beta * sum(h), which may round differently
+            for got, want in zip((row.x, row.z, row.u, row.v),
+                                 (x, z, u, v)):
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+            continue
+        for got, want in zip((row.x, row.u, row.v), (x, u, v)):
+            np.testing.assert_array_equal(got, want)
+        if ctrl.is_pi:
+            np.testing.assert_array_equal(row.z, z)
+        else:
+            np.testing.assert_array_equal(row.z, 0.0)
+            assert not np.any(np.signbit(row.z))
+    return stack
+
+
+def _three_controllers(plant, dec):
+    return [dec, model.ControllerSpec.coordinating(dec.p, dec.r, dec.s),
+            model.ControllerSpec.static(model.default_static_gain(plant))]
+
+
+def test_stack_matches_single_runs_on_cold_snap():
+    # inputs first saturate near t = 81 h
+    cfg = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+           / "benchmark_cold_snap.json")
+    scn, _ = cli.load_config(cfg)
+    plant, wsig = heating.to_standard_form(scn)
+    n = plant.n
+    stack = _assert_stack_matches_alone(
+        plant, _three_controllers(plant, scn.controller), wsig, np.zeros(n),
+        np.zeros(n), (0.0, 120.0), 0.05)
+    assert all(np.any(np.abs(row.u) > 1.0) for row in stack)
+
+
+def test_stack_matches_single_runs_on_sampled_load(rng):
+    # sampled load, saturating inputs, and a 0.03 partial last step
+    plant, dec = random_instance(rng, 5)
+    wsig = model.DisturbanceSignal.sampled(np.linspace(-0.1, 1.2, 9),
+                                           rng.uniform(-10.0, 10.0, (9, 5)))
+    stack = _assert_stack_matches_alone(
+        plant, _three_controllers(plant, dec), wsig,
+        rng.uniform(-3.0, 3.0, 5), rng.uniform(-3.0, 3.0, 5), (0.0, 1.03),
+        0.05)
+    assert stack.t.size == 22
+    assert all(np.any(np.abs(row.u) > 1.0) for row in stack)
+
+
+def test_stack_of_copies_matches_single_starts(rng):
+    plant, ctrl = random_instance(rng, 4)
+    w = random_disturbance(rng, 4)
+    x0 = rng.uniform(-50.0, 50.0, (20, 4))
+    z0 = rng.uniform(-50.0, 50.0, (20, 4))
+    stack = simulate.integrate(plant, [ctrl] * 20, w, x0, z0, (0.0, 2.0),
+                               0.01)
+    for i, row in enumerate(stack):
+        alone = simulate.integrate(plant, ctrl, w, x0[i], z0[i], (0.0, 2.0),
+                                   0.01)
+        for name in ("t", "x", "z", "u", "v"):
+            np.testing.assert_array_equal(getattr(row, name),
+                                          getattr(alone, name))
+
+
+def test_stack_blowup_names_the_row():
+    plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
+    calm = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    wild = model.ControllerSpec.decentralized([50.0], [1.0], [0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NonFiniteState, match=r"^row 1: .*\(step \d+\)"):
+            simulate.integrate(plant, [calm, wild, calm], [0.0],
+                               [[1.0], [1.0], [1.0]], [[0.0], [0.0], [0.0]],
+                               (0.0, 40.0), 1.0)
+    with pytest.raises(NonFiniteState, match=r"^row 2: .*\(step 1\)"):
+        simulate.integrate(plant, [calm, calm, calm], [0.0],
+                           [[1.0], [1.0], [np.nan]], [[0.0], [0.0], [0.0]],
+                           (0.0, 1.0), 0.01)
+
+
+def test_stack_warns_once_per_coarse_controller():
+    plant, ctrl = _linear_loop()
+    stat = model.ControllerSpec.static(model.default_static_gain(plant))
+    fast = model.ControllerSpec.decentralized([9.0, 8.0], [0.4, 0.5],
+                                              [0.1, 0.1])
+    bounds = [simulate.stability_dt_bound(plant, c)
+              for c in (ctrl, stat, fast)]
+    dt = 0.5 * (bounds[2] + min(bounds[:2]))
+    assert bounds[2] < dt < min(bounds[:2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulate.integrate(plant, [ctrl, fast, stat, fast], np.zeros(2),
+                           np.zeros((4, 2)),
+                           [np.zeros(2), np.zeros(2), None, np.zeros(2)],
+                           (0.0, 1.0), dt)
+    want = (f"dt={dt:g} exceeds the linear-regime stability estimate "
+            f"{bounds[2]:.3g}; expect inaccuracy or blow-up")
+    assert [str(c.message) for c in caught] == [want, want]
+
+
+def test_stack_argument_guards():
+    # each row keeps the single-controller guards; one z entry per row
+    plant, ctrl = _linear_loop()
+    stat = model.ControllerSpec.static(np.eye(2))
+    zero = np.zeros(2)
+    for z_rows in ([None, None], [zero, zero], [zero]):
+        with pytest.raises(DimensionMismatch):
+            simulate.integrate(plant, [ctrl, stat], zero, np.zeros((2, 2)),
+                               z_rows, (0.0, 1.0), 0.1)
 
 
 def test_stability_bound_reasonable():
