@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import warnings
@@ -28,7 +29,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _RUN_KEYS = {"dt_h", "t_end_h", "seed", "controller", "tol", "out_dir"}
 _DEF_DT = 0.05
@@ -112,6 +113,19 @@ def _pick(flag, run: dict, key: str, default):
     return default
 
 
+def _positive(value, source: str) -> float:
+    # a step, horizon, tolerance or weight must be finite and positive
+    problem = ConfigError(f"{source} must be a finite positive number, "
+                          f"got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise problem from None
+    if not (math.isfinite(number) and number > 0.0):
+        raise problem
+    return number
+
+
 def _resolve_controller(scn: heating.HeatingScenario, name: str | None,
                         plant: model.PlantModel | None = None
                         ) -> heating.HeatingScenario:
@@ -156,9 +170,11 @@ def _t_end_default(scn: heating.HeatingScenario) -> float:
 def cmd_certify(args) -> int:
     scn, run = load_config(args.config)
     name = _pick(args.controller, run, "controller", None)
-    dt = float(_pick(args.dt, run, "dt_h", _DEF_DT))
+    dt = _positive(_pick(args.dt, run, "dt_h", _DEF_DT),
+                   "--dt or run.dt_h")
     seed = int(_pick(args.seed, run, "seed", _DEF_SEED))
-    tol = float(_pick(args.tol, run, "tol", _DEF_TOL))
+    tol = _positive(_pick(args.tol, run, "tol", _DEF_TOL),
+                    "--tol or run.tol")
     checks: list[dict] = []
 
     try:
@@ -346,8 +362,10 @@ def cmd_simulate(args) -> int:
     plant, wsig = heating.to_standard_form(scn)
     scn = _resolve_controller(scn, _pick(args.controller, run, "controller",
                                          None), plant)
-    dt = float(_pick(args.dt, run, "dt_h", _DEF_DT))
-    t_end = float(_pick(args.t_end, run, "t_end_h", _t_end_default(scn)))
+    dt = _positive(_pick(args.dt, run, "dt_h", _DEF_DT),
+                   "--dt or run.dt_h")
+    t_end = _positive(_pick(args.t_end, run, "t_end_h",
+                            _t_end_default(scn)), "--t-end or run.t_end_h")
     out_dir = args.out
     if out_dir is None and run.get("out_dir") is not None:
         # paths inside a config resolve against the config, not the cwd
@@ -386,8 +404,10 @@ def cmd_compare(args) -> int:
     names = list(args.controllers)
     if len(names) < 2:
         raise ConfigError("compare needs at least two controllers")
-    dt = float(_pick(args.dt, run, "dt_h", _DEF_DT))
-    t_end = float(_pick(args.t_end, run, "t_end_h", _t_end_default(scn)))
+    dt = _positive(_pick(args.dt, run, "dt_h", _DEF_DT),
+                   "--dt or run.dt_h")
+    t_end = _positive(_pick(args.t_end, run, "t_end_h",
+                            _t_end_default(scn)), "--t-end or run.t_end_h")
     # the plant and the load do not depend on the controller, so every
     # controller is one row of a single stacked integration
     plant, wsig = heating.to_standard_form(scn)
@@ -445,8 +465,9 @@ def cmd_equilibrium(args) -> int:
         raise ConfigError("equilibrium solving requires the decentralized "
                           "controller")
     w_ref = _reference_disturbance(wsig)
-    eq = equilibrium.solve_equilibrium(plant, scn.controller, w_ref,
-                                       tol=float(args.tol))
+    eq = equilibrium.solve_equilibrium(
+        plant, scn.controller, w_ref,
+        tol=_positive(args.tol, "--tol"))
     report = {"schema_version": SCHEMA_VERSION,
               "command": "equilibrium",
               "scenario": scn.name,
@@ -469,9 +490,10 @@ def cmd_lp(args) -> int:
     plant, wsig = heating.to_standard_form(scn)
     w_ref = _reference_disturbance(wsig)
     if args.gamma is not None:
-        gamma = np.array([float(v) for v in args.gamma.split(",")])
-        if gamma.size != plant.n or np.any(gamma <= 0.0):
-            raise ConfigError(f"--gamma needs {plant.n} positive values")
+        gamma = np.array([_positive(v, "each --gamma value")
+                          for v in args.gamma.split(",")])
+        if gamma.size != plant.n:
+            raise ConfigError(f"--gamma needs {plant.n} values")
     else:
         gamma = optimality.admissible_gamma(plant)
     sol = optimality.solve_weighted_l1_lp(gamma, plant, w_ref)
@@ -486,7 +508,9 @@ def cmd_lp(args) -> int:
               "x_star": sol.x_star,
               "v_star": sol.v_star,
               "cost": sol.cost,
-              "diagnostics": {"pivots": sol.pivots},
+              "diagnostics": {"pivots": sol.pivots,
+                              "bound_flips": sol.bound_flips,
+                              "bland_pivots": sol.bland_pivots},
               "lp_status": sol.status}
     _emit(report, args.out)
     return EXIT_PASS if sol.status == "optimal" else EXIT_FAIL

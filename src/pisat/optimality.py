@@ -15,13 +15,15 @@ ch. 5), and the equilibrium cost minus that bound bounds its
 suboptimality.  Only when that gap exceeds the tolerance is the LP
 solved, and the certificate records that the fallback ran.
 
-The LP is solved on the x-eliminated epigraph form by a dense
-two-phase simplex with Bland's rule, so no external solver is
-involved.  Each pivot is one vectorized rank-one update of the whole
-tableau and each entering and leaving choice is made on whole columns;
-the path and every rounding match a row-by-row elimination.  Runs are
-deterministic at a fixed BLAS thread count (the pricing row is a
-matrix-vector product).
+The LP is solved in the x-eliminated form min ||gm v + gw||_1 over the
+input box, with gm = diag(gamma) A^-1 B and gw = diag(gamma) A^-1 w, by
+one bounded-variable primal simplex on n rows, so no external solver
+is involved.  The box is kept as variable bounds, the start is
+feasible, entering columns are priced by Dantzig's rule with Bland's
+rule as the anti-cycling fallback, and each pivot is one vectorized
+rank-one update of the whole tableau.  Runs are deterministic at a
+fixed BLAS thread count (the start's reduced-cost row is a
+vector-matrix product).
 """
 
 from __future__ import annotations
@@ -41,13 +43,16 @@ _MIN_PIVOTS = 10_000
 @dataclass(frozen=True, eq=False)
 class AllocationSolution:
     """Optimal steady state x_star with the input v_star achieving it,
-    and the simplex pivots the solve took."""
+    and the simplex pivots, bound flips and Bland-priced pivots (the
+    anti-cycling fallback) the solve took."""
 
     x_star: np.ndarray
     v_star: np.ndarray
     cost: float
     status: str
     pivots: int
+    bound_flips: int
+    bland_pivots: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +125,22 @@ def admissible_gamma(plant: model.PlantModel) -> np.ndarray:
 
 
 def _pivot_budget(rows: int, cols: int) -> int:
-    """Pivot guard for the two-phase solve of a rows x cols system.
+    """Step guard for the bounded simplex on a rows x cols system.
 
-    One pivot per entry of the phase-one tableau (the system plus one
-    artificial column per row), and never fewer than 10,000.  Bland's
-    path on generated allocation LPs grows about as n^2.5 (7,852 pivots
-    at n = 200, where this guard allows 960,000, and 11,681 at n = 240),
-    so a fixed guard would cut off feasible, bounded problems that are
-    merely large.
+    One step, pivot or bound flip, per entry of the tableau and a basis
+    square (4 n^2 on the n x 3n allocation system), and never fewer
+    than 10,000.  Dantzig's path on generated ratio-4 allocation LPs
+    takes about 1.7 n steps (166 pivots at n = 100, 418 at n = 240,
+    where this guard allows 230,400), so the guard stops only a solve
+    that has lost its way, never one that is merely large.
     """
     return max(_MIN_PIVOTS, rows * (cols + rows))
+
+
+def _stall_limit(rows: int) -> int:
+    """Consecutive degenerate steps after which pricing falls back to
+    Bland's rule: one per row."""
+    return rows
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -142,127 +153,131 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab -= f[:, None] * tab[row]
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray,
-                 ncols: int, budget: int) -> int:
-    """Optimize min cost @ y on the tableau in place (Bland's rule).
+def _ratio_test(rows: np.ndarray, ratios: np.ndarray,
+                basis: np.ndarray) -> tuple[int, float]:
+    """The leaving row among ``rows`` and its ratio, or (-1, inf).
 
-    Returns the number of pivots made; raises SolverFailure when it
-    reaches ``budget``.
+    The smallest ratio wins, and within _PIVOT_EPS the lowest basis
+    index.  The scan is sequential: the tolerance ties are not
+    transitive, so the smallest ratio is not always the row the rule
+    leaves by.
     """
-    pivots = 0
+    best_ratio = np.inf
+    leave = -1
+    for i, ratio in zip(rows.tolist(), ratios.tolist()):
+        if ratio < best_ratio - _PIVOT_EPS or (
+                abs(ratio - best_ratio) <= _PIVOT_EPS
+                and (leave < 0 or basis[i] < basis[leave])):
+            best_ratio = ratio
+            leave = i
+    return leave, best_ratio
+
+
+def _bounded_simplex(gm: np.ndarray,
+                     gw: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+    """Minimize ||gm v + gw||_1 over -1 <= v <= 1.
+
+    Bounded-variable primal simplex (Dantzig's upper-bounding
+    technique; Chvatal, Linear Programming, ch. 8) on
+
+        min 1 @ (p + q)  s.t.  gm v - p + q = -gw,  p, q >= 0,
+
+    in the columns [y, p, q] with y = v + 1 in [0, 2]: n rows, 3n
+    columns.  Every y starts nonbasic at 0, and q_i or p_i is basic by
+    the sign of (gm 1 - gw)_i, so the first basis is feasible.  The
+    entering column has the largest |reduced cost| (lowest index on
+    ties); after n consecutive degenerate steps pricing turns to Bland's
+    rule until a step has positive length.  An entering y whose own
+    range is the shortest step flips between its bounds without a pivot.
+
+    Returns v and the pivots, bound flips and Bland-priced pivots made.
+    """
+    n = gw.size
+    idx = np.arange(n)
+    rhs = gm @ np.ones(n) - gw
+    sign = np.where(rhs >= 0.0, 1.0, -1.0)
+    basis = np.where(sign > 0.0, 2 * n + idx, n + idx)
+    value = np.abs(rhs)
+    # the tableau B^-1 [gm, -I, I] over its reduced-cost row
+    tab = np.zeros((n + 1, 3 * n))
+    tab[:n, :n] = sign[:, None] * gm
+    tab[idx, n + idx] = -sign
+    tab[idx, 2 * n + idx] = sign
+    tab[n] = np.concatenate([-(sign @ gm), 1.0 + sign, 1.0 - sign])
+    upper = np.concatenate([np.full(n, 2.0), np.full(2 * n, np.inf)])
+    # +1 nonbasic at the lower bound, -1 at the upper bound, 0 basic
+    side = np.ones(3 * n)
+    side[basis] = 0.0
+
+    budget = _pivot_budget(n, 3 * n)
+    stall_limit = _stall_limit(n)
+    pivots = flips = bland = stall = 0
     while True:
-        reduced = cost[:ncols] - cost[basis] @ tab[:, :ncols]
-        entering = np.flatnonzero(reduced < -_PIVOT_EPS)
-        if entering.size == 0:
-            return pivots
-        entering = int(entering[0])
-        col = tab[:, entering]
-        rows = np.flatnonzero(col > _PIVOT_EPS)
-        ratios = tab[rows, -1] / col[rows]
-        # sequential scan: the tolerance ties are not transitive, so the
-        # smallest ratio is not always the row Bland's rule leaves by
-        best_ratio = np.inf
-        leave = -1
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best_ratio - _PIVOT_EPS or (
-                    abs(ratio - best_ratio) <= _PIVOT_EPS
-                    and (leave < 0 or basis[i] < basis[leave])):
-                best_ratio = ratio
-                leave = i
-        if leave < 0:
+        gain = -side * tab[n]
+        use_bland = stall >= stall_limit
+        if use_bland:
+            entering = np.flatnonzero(gain > _PIVOT_EPS)
+            if entering.size == 0:
+                break
+            j = int(entering[0])
+        else:
+            j = int(np.argmax(gain))
+            if gain[j] <= _PIVOT_EPS:
+                break
+        # basic values fall at the rate alpha as y_j moves off its bound
+        alpha = side[j] * tab[:n, j]
+        rows = np.flatnonzero(np.abs(alpha) > _PIVOT_EPS)
+        rate = alpha[rows]
+        room = np.where(rate > 0.0, value[rows],
+                        upper[basis[rows]] - value[rows])
+        ratios = room / np.abs(rate)
+        leave, best = _ratio_test(rows, ratios, basis)
+        if best < upper[j]:
+            step = max(best, 0.0)
+        elif np.isfinite(upper[j]):
+            step = upper[j]
+            leave = -1
+        else:
             raise SolverFailure("objective unbounded on the tableau")
-        _pivot(tab, leave, entering)
-        basis[leave] = entering
-        pivots += 1
-        if pivots >= budget:
+        value -= step * alpha
+        if leave < 0:
+            side[j] = -side[j]
+            flips += 1
+        else:
+            out = basis[leave]
+            side[out] = 1.0 if alpha[leave] > 0.0 else -1.0
+            value[leave] = step if side[j] > 0.0 else upper[j] - step
+            side[j] = 0.0
+            _pivot(tab, leave, j)
+            basis[leave] = j
+            pivots += 1
+            bland += use_bland
+        stall = 0 if step > _PIVOT_EPS else stall + 1
+        if pivots + flips >= budget:
             raise SolverFailure("pivot guard exceeded")
 
-
-def _simplex(c: np.ndarray, a_eq: np.ndarray,
-             b_eq: np.ndarray) -> tuple[np.ndarray, int]:
-    """Two-phase dense simplex for min c @ y s.t. a_eq y = b_eq, y >= 0.
-
-    Returns the optimal y and the pivots made: phase one, the drive-out
-    of artificial variables and phase two.
-    """
-    a = np.array(a_eq, dtype=float)
-    b = np.array(b_eq, dtype=float)
-    m, ncols = a.shape
-    neg = b < 0.0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    tab = np.hstack([a, np.eye(m), b[:, None]])
-    basis = list(range(ncols, ncols + m))
-    phase1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    budget = _pivot_budget(m, ncols)
-    pivots = _run_simplex(tab, basis, phase1, ncols + m, budget)
-    if float(phase1[basis] @ tab[:, -1]) > 1e-7 * (1.0 + float(np.max(np.abs(b)))):
-        raise SolverFailure("phase one failed to reach feasibility")
-    budget -= pivots
-
-    # drive leftover artificial variables out of the basis
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= ncols:
-            row = tab[i, :ncols]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > _PIVOT_EPS:
-                _pivot(tab, i, j)
-                basis[i] = j
-                pivots += 1
-            else:
-                drop_rows.append(i)
-    if drop_rows:
-        keep = [i for i in range(m) if i not in drop_rows]
-        tab = tab[keep]
-        basis = [basis[i] for i in keep]
-
-    tab = np.hstack([tab[:, :ncols], tab[:, -1:]])
-    cost = np.concatenate([c, [0.0]])
-    pivots += _run_simplex(tab, basis, cost, ncols, budget)
-
-    y = np.zeros(ncols)
-    y[basis] = tab[:, -1]
-    return y, pivots
-
-
-def _allocation_lp(gm: np.ndarray, gw: np.ndarray):
-    """Standard-form epigraph LP (c, a_eq, b_eq) of min ||gm v + gw||_1
-    over -1 <= v <= 1, in the variables y = [v + 1, t, slack1, slack2,
-    slack3] >= 0."""
-    n = gw.size
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a_eq = np.block([
-        [gm, -eye, eye, zero, zero],
-        [-gm, -eye, zero, eye, zero],
-        [eye, zero, zero, zero, eye],
-    ])
-    ones = np.ones(n)
-    b_eq = np.concatenate([gm @ ones - gw, gw - gm @ ones, 2.0 * ones])
-    c = np.concatenate([np.zeros(n), np.ones(n), np.zeros(3 * n)])
-    return c, a_eq, b_eq
+    y = np.where(side < 0.0, upper, 0.0)
+    y[basis] = value
+    return y[:n] - 1.0, pivots, flips, bland
 
 
 def solve_weighted_l1_lp(gamma, plant: model.PlantModel, w) -> AllocationSolution:
     """Solve the weighted 1-norm steady-state allocation problem.
 
-    The state is eliminated through x = A^-1 (B v + w) and |x| is lifted
-    into epigraph variables t, giving a standard-form LP in (v, t) that
-    is always feasible (v = 0).  Deterministic for fixed inputs.
+    The state is eliminated through x = A^-1 (B v + w), and the weighted
+    state is split into its positive and negative parts, giving an LP in
+    v that is always feasible (v = 0).  Deterministic for fixed inputs.
     """
     g = _gamma_vector(gamma, plant.n)
     w = np.atleast_1d(np.asarray(w, dtype=float))
     gm, gw = _weighted_system(g, plant, w)
-    y, pivots = _simplex(*_allocation_lp(gm, gw))
-    v = y[:plant.n] - 1.0
+    v, pivots, flips, bland = _bounded_simplex(gm, gw)
     if np.max(np.abs(v) - 1.0) > 1e-9:
         raise SolverFailure("recovered input violates its box bound")
     v = np.clip(v, -1.0, 1.0)
     x = (plant.b @ v + w) / plant.a
     cost = float(np.sum(g * np.abs(x)))
-    return AllocationSolution(x, v, cost, "optimal", pivots)
+    return AllocationSolution(x, v, cost, "optimal", pivots, flips, bland)
 
 
 def _dual_point(gm: np.ndarray, u0: np.ndarray) -> np.ndarray:

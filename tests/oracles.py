@@ -5,11 +5,13 @@ semismooth Newton solver instead of the contraction iteration, matrix
 exponentials instead of Runge-Kutta, scipy's LP solver and a grid
 search instead of the in-repo simplex, quadrature instead of
 closed-form integrals, and per-coordinate ``np.interp`` instead of the
-stacked sector tables.  ``simplex_loop``, ``closed_loop_derivative_branches``,
-``integrate_loop`` and ``iterate_plain`` are the exceptions: they are the
-earlier forms of the library's simplex, RK4 loop and fixed-point
-iteration, kept to pin the vectorized code to the same arithmetic and
-the accelerated iteration to the same fixed point.  The error-coordinate
+stacked sector tables.  ``simplex_loop`` with ``allocation_lp``,
+``closed_loop_derivative_branches``, ``integrate_loop`` and
+``iterate_plain`` are the exceptions: they are the earlier forms of the
+library's simplex, RK4 loop and fixed-point iteration, kept to pin the
+vectorized code to the same arithmetic, the accelerated iteration to
+the same fixed point and the bounded simplex to the same optimum as the
+two-phase epigraph solve it replaced.  The error-coordinate
 helpers, the comparison CSV reader, ``eval_h``, ``control_input`` and
 ``DimensionTooLarge`` are test-only tools with no library caller.
 """
@@ -343,6 +345,34 @@ def simplex_loop(c, a_eq, b_eq):
     y = np.zeros(ncols)
     y[basis] = tab[:, -1]
     return y, pivots
+
+
+def allocation_lp(gm, gw):
+    """Standard-form epigraph LP (c, a_eq, b_eq) of min ||gm v + gw||_1
+    over -1 <= v <= 1, in the variables y = [v + 1, t, slack1, slack2,
+    slack3] >= 0: 3n rows and 5n columns, the library's form before the
+    bounded simplex."""
+    n = gw.size
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    a_eq = np.block([
+        [gm, -eye, eye, zero, zero],
+        [-gm, -eye, zero, eye, zero],
+        [eye, zero, zero, zero, eye],
+    ])
+    ones = np.ones(n)
+    b_eq = np.concatenate([gm @ ones - gw, gw - gm @ ones, 2.0 * ones])
+    c = np.concatenate([np.zeros(n), np.ones(n), np.zeros(3 * n)])
+    return c, a_eq, b_eq
+
+
+def allocation_cost_loop(gm, gw):
+    """min ||gm v + gw||_1 over the box by ``simplex_loop`` on the
+    epigraph form, evaluated at the recovered input as the library
+    evaluates its own."""
+    y, _ = simplex_loop(*allocation_lp(gm, gw))
+    v = np.clip(y[:gw.size] - 1.0, -1.0, 1.0)
+    return float(np.sum(np.abs(gm @ v + gw)))
 
 
 def closed_loop_derivative_branches(plant, ctrl, x, z, w):

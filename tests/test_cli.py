@@ -39,7 +39,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -214,7 +214,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 3
+    assert costs["schema_version"] == 4
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -351,12 +351,13 @@ def test_diagnostics_counters_repeat(tmp_path):
                    out / "lp.json")
         diags[run] = [json.loads(p.read_text())["diagnostics"]
                       for p in reports]
-        assert all(json.loads(p.read_text())["schema_version"] == 3
+        assert all(json.loads(p.read_text())["schema_version"] == 4
                    for p in reports)
     assert diags["a"] == diags["b"]
     sim, cmp_, lp = diags["a"]
     assert sim == cmp_ == {"rk4_steps": 800, "derivative_evaluations": 3200}
-    assert set(lp) == {"pivots"} and lp["pivots"] > 0
+    assert set(lp) == {"pivots", "bound_flips", "bland_pivots"}
+    assert lp["pivots"] > 0
 
 
 def test_lp_rejects_bad_gamma():
@@ -377,6 +378,57 @@ def test_usage_errors(tmp_path):
         {"scenario": "textbook_single.json", "run": {"dt": 0.1}}))
     assert _run("certify", "--config", str(unknown)) == 64
     assert _run("simulate", "--config", TEXTBOOK) == 64  # nowhere to write
+
+
+def _assert_usage_error(argv, capsys):
+    # exit 64 with a one-line message on stderr, never a traceback
+    assert cli.main(list(argv)) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("pisat: ConfigError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("gamma", ["1,,2", "x", ",".join(["1"] * 9 + ["nan"]),
+                                   ",".join(["inf"] + ["1"] * 9)])
+def test_lp_rejects_unparsable_or_non_finite_gamma(gamma, capsys):
+    _assert_usage_error(["lp", "--config", BENCHMARK, "--gamma", gamma],
+                        capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dt", "0"],
+    ["simulate", "--dt", "nan"],
+    ["simulate", "--t-end", "inf"],
+    ["compare", "--controllers", "decentralized", "static", "--t-end", "-5"],
+    ["compare", "--controllers", "decentralized", "static", "--dt", "-0.1"],
+    ["certify", "--tol", "nan"],
+    ["certify", "--tol", "0"],
+    ["certify", "--dt", "inf"],
+    ["equilibrium", "--tol", "-1"],
+])
+def test_bad_step_horizon_and_tolerance_flags(argv, tmp_path, capsys):
+    argv = argv[:1] + ["--config", TEXTBOOK] + argv[1:]
+    if argv[0] in ("simulate", "compare"):
+        argv += ["--out", str(tmp_path / "out")]
+    _assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("command,run", [
+    (["simulate"], {"dt_h": 0}),
+    (["simulate"], {"t_end_h": "long"}),
+    (["compare", "--controllers", "decentralized", "static"],
+     {"t_end_h": -5.0}),
+    (["certify"], {"tol": -1e-6}),
+    (["certify"], {"dt_h": None, "tol": "tight"}),
+])
+def test_bad_step_horizon_and_tolerance_run_keys(command, run, tmp_path,
+                                                 capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": TEXTBOOK, "run": run}))
+    argv = command[:1] + ["--config", str(cfg)] + command[1:]
+    if command[0] in ("simulate", "compare"):
+        argv += ["--out", str(tmp_path / "out")]
+    _assert_usage_error(argv, capsys)
 
 
 def test_seed_flag_only_on_certify(tmp_path):

@@ -33,29 +33,36 @@ def test_simplex_matches_scipy(rng):
         assert np.all(np.abs(mine.v_star) <= 1.0 + 1e-12)
 
 
-def _assert_same_path(c, a_eq, b_eq):
-    y, pivots = optimality._simplex(c, a_eq, b_eq)
-    y_ref, pivots_ref = oracles.simplex_loop(c, a_eq, b_eq)
-    np.testing.assert_array_equal(y, y_ref)
-    assert pivots == pivots_ref
-    return pivots
+def _assert_matches_loop_oracle(gm, gw):
+    # the bounded simplex reaches the optimum of the two-phase epigraph
+    # solve it replaced; the paths differ, so the costs agree to 1e-12
+    # relative (1e-12 absolute where the optimum is zero)
+    v, _, _, bland = optimality._bounded_simplex(gm, gw)
+    assert np.max(np.abs(v)) <= 1.0 + 1e-9
+    cost = float(np.sum(np.abs(gm @ np.clip(v, -1.0, 1.0) + gw)))
+    assert cost == pytest.approx(oracles.allocation_cost_loop(gm, gw),
+                                 rel=1e-12, abs=1e-12)
+    return bland
 
 
-def _allocation_lp(gamma, plant, w):
-    gm = (gamma / plant.a)[:, None] * plant.b
-    return optimality._allocation_lp(gm, gamma / plant.a * np.asarray(w))
+def _assert_plant_matches_loop_oracle(gamma, plant, w):
+    sol = optimality.solve_weighted_l1_lp(gamma, plant, w)
+    assert sol.status == "optimal"
+    assert np.all(np.abs(sol.v_star) <= 1.0)
+    gm, gw = optimality._weighted_system(gamma, plant, np.asarray(w))
+    assert sol.cost == pytest.approx(oracles.allocation_cost_loop(gm, gw),
+                                     rel=1e-12, abs=1e-12)
+    return sol
 
 
 def test_simplex_path_matches_loop_oracle(rng):
-    # the vectorized pivots and ratio tests take Bland's path of the
-    # row-by-row solver, bit for bit
+    # Dantzig's path reaches the loop oracle's optimum on every n
     for n in range(1, 41):
         plant, _ = random_instance(rng, n)
         w = random_disturbance(rng, n)
-        gamma = optimality.admissible_gamma(plant)
-        pivots = _assert_same_path(*_allocation_lp(gamma, plant, w))
-        assert optimality.solve_weighted_l1_lp(gamma, plant,
-                                               w).pivots == pivots
+        sol = _assert_plant_matches_loop_oracle(
+            optimality.admissible_gamma(plant), plant, w)
+        assert sol.bland_pivots == 0
 
 
 def test_simplex_path_matches_loop_oracle_degenerate(rng):
@@ -63,45 +70,90 @@ def test_simplex_path_matches_loop_oracle_degenerate(rng):
         plant, _ = random_instance(rng, n)
         gamma = optimality.admissible_gamma(plant)
         # w = 0: the optimum x = 0 is a degenerate vertex
-        _assert_same_path(*_allocation_lp(gamma, plant, np.zeros(n)))
+        _assert_plant_matches_loop_oracle(gamma, plant, np.zeros(n))
         # a huge pull puts the optimum on a corner of the input box
         corner = 100.0 * np.sign(rng.uniform(-1.0, 1.0, n))
-        _assert_same_path(*_allocation_lp(gamma, plant, corner))
+        _assert_plant_matches_loop_oracle(gamma, plant, corner)
     for n in (2, 3, 8, 20):
         # duplicate columns of B: ties in the ratio test and the pricing
         gm = rng.uniform(-1.0, 1.0, (n, n))
         gm[:, 1] = gm[:, 0]
         gm[:, -1] = gm[:, 0]
-        _assert_same_path(*optimality._allocation_lp(
-            gm, rng.uniform(-3.0, 3.0, n)))
+        _assert_matches_loop_oracle(gm, rng.uniform(-3.0, 3.0, n))
+
+
+def test_simplex_fully_degenerate_start(rng):
+    # gw = gm 1 puts the optimum x = 0 on the start vertex v = -1, where
+    # every basic value is zero, so every step is degenerate
+    for n in (1, 3, 10, 25):
+        plant, _ = random_instance(rng, n)
+        gamma = optimality.admissible_gamma(plant)
+        sol = _assert_plant_matches_loop_oracle(gamma, plant,
+                                                plant.b @ np.ones(n))
+        assert sol.cost == pytest.approx(0.0, abs=1e-12)
+    fallbacks = 0
+    for n in (4, 8, 15, 20):
+        # without the M-matrix structure, n degenerate pivots do not
+        # reach the optimum and Bland's rule takes over
+        gm = rng.uniform(-1.0, 1.0, (n, n))
+        fallbacks += _assert_matches_loop_oracle(gm, gm @ np.ones(n))
+    assert fallbacks > 0
+
+
+def test_bland_pricing_throughout_reaches_same_optimum(rng, monkeypatch):
+    cases = []
+    for n in (1, 2, 5, 12, 25, 40):
+        plant, _ = random_instance(rng, n)
+        cases.append((optimality.admissible_gamma(plant), plant,
+                      random_disturbance(rng, n)))
+    for config in CONSTANT_CONFIGS:
+        plant, _, w = _bundled(config)
+        cases.append((optimality.admissible_gamma(plant), plant, w))
+    dantzig = [optimality.solve_weighted_l1_lp(*case) for case in cases]
+    monkeypatch.setattr(optimality, "_stall_limit", lambda rows: 0)
+    for case, ref in zip(cases, dantzig):
+        sol = _assert_plant_matches_loop_oracle(*case)
+        assert sol.bland_pivots == sol.pivots
+        assert sol.cost == pytest.approx(ref.cost, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("config", ["benchmark_constant.json",
                                     "textbook_single.json"])
 def test_simplex_path_matches_loop_oracle_bundled(config):
-    scn, _ = cli.load_config(CONFIGS / config)
-    plant, wsig = heating.to_standard_form(scn)
-    w = wsig.constant_value()
-    _assert_same_path(*_allocation_lp(optimality.admissible_gamma(plant),
-                                      plant, w))
+    plant, _, w = _bundled(config)
+    _assert_plant_matches_loop_oracle(optimality.admissible_gamma(plant),
+                                      plant, w)
 
 
-def test_pivot_guard_scales_with_tableau():
-    # Bland's path grows about as n^2.5 on generated ratio-4 networks
-    # (7,852 pivots at n = 200, 9,713 at n = 230, 11,681 at n = 240), so
-    # a fixed guard of 10,000 fails feasible, bounded problems; the guard
-    # read from the n = 230 tableau's shape alone must allow more
-    _, a_eq, _ = optimality._allocation_lp(np.eye(230), np.zeros(230))
-    assert a_eq.shape == (690, 1150)
-    assert optimality._pivot_budget(*a_eq.shape) > 10_000
-    assert optimality._pivot_budget(3, 5) == 10_000
+def test_pivot_guard_scales_with_tableau(rng, monkeypatch):
+    # the guard is read from the n x 3n system: 4 n^2 steps, never fewer
+    # than 10,000; Dantzig's path stays far below it (about 1.7 n steps
+    # on generated networks, 418 at n = 240 where it allows 230,400)
+    assert optimality._pivot_budget(230, 690) == 4 * 230 ** 2
+    assert optimality._pivot_budget(3, 9) == 10_000
+    shapes = []
+    budget = optimality._pivot_budget
+
+    def recorded(rows, cols):
+        shapes.append((rows, cols))
+        return budget(rows, cols)
+
+    monkeypatch.setattr(optimality, "_pivot_budget", recorded)
+    plant, _ = random_instance(rng, 40)
+    sol = optimality.solve_weighted_l1_lp(
+        optimality.admissible_gamma(plant), plant,
+        random_disturbance(rng, 40))
+    assert shapes == [(40, 120)]
+    assert sol.pivots + sol.bound_flips < 10 * 40
 
 
 def test_pivot_guard_raises_when_exhausted(rng, monkeypatch):
     plant, _ = random_instance(rng, 6)
     w = random_disturbance(rng, 6)
     gamma = optimality.admissible_gamma(plant)
-    assert optimality.solve_weighted_l1_lp(gamma, plant, w).pivots > 3
+    # the guard counts every step, pivot or bound flip
+    sol = optimality.solve_weighted_l1_lp(gamma, plant, w)
+    assert sol.pivots + sol.bound_flips > 3
     monkeypatch.setattr(optimality, "_pivot_budget", lambda rows, cols: 3)
     with pytest.raises(SolverFailure, match="pivot guard exceeded"):
         optimality.solve_weighted_l1_lp(gamma, plant, w)
@@ -371,13 +423,13 @@ def _generated_network(tmp_path, n):
 
 def test_certify_makes_no_simplex_call(monkeypatch, tmp_path):
     calls = []
-    simplex = optimality._simplex
+    simplex = optimality._bounded_simplex
 
     def counted(*args):
         calls.append(1)
         return simplex(*args)
 
-    monkeypatch.setattr(optimality, "_simplex", counted)
+    monkeypatch.setattr(optimality, "_bounded_simplex", counted)
     configs = [str(CONFIGS / c) for c in CONSTANT_CONFIGS]
     configs.append(_generated_network(tmp_path, 40))
     for k, config in enumerate(configs):
