@@ -49,7 +49,6 @@ class AllocationSolution:
     x_star: np.ndarray
     v_star: np.ndarray
     cost: float
-    status: str
     pivots: int
     bound_flips: int
     bland_pivots: int
@@ -277,7 +276,7 @@ def solve_weighted_l1_lp(gamma, plant: model.PlantModel, w) -> AllocationSolutio
     v = np.clip(v, -1.0, 1.0)
     x = (plant.b @ v + w) / plant.a
     cost = float(np.sum(g * np.abs(x)))
-    return AllocationSolution(x, v, cost, "optimal", pivots, flips, bland)
+    return AllocationSolution(x, v, cost, pivots, flips, bland)
 
 
 def _dual_point(gm: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -344,6 +343,6 @@ def certify_equilibrium_optimality(
     passed = eq_cost - bound <= tol
     if not passed:
         lp = solve_weighted_l1_lp(g, plant, w)
-        passed = abs(eq_cost - lp.cost) <= tol and lp.status == "optimal"
+        passed = abs(eq_cost - lp.cost) <= tol
     return OptimalityCertificate(passed and sign_err <= tol, eq_cost, bound,
                                  eq_cost - bound, sign_err, tol, eq, lp)

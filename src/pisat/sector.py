@@ -137,27 +137,26 @@ def identity_zero(n: int) -> SectorPair:
     return SectorPair(KIND_IDENTITY, (comp,) * int(n))
 
 
-def custom_pwl(components: Sequence[PwlFunction], validate: bool = True) -> SectorPair:
+def custom_pwl(components: Sequence[PwlFunction]) -> SectorPair:
     """Assemble a pair from per-coordinate piecewise-linear components.
 
-    With ``validate`` (the default) every component must satisfy
-    f(0) = 0 and keep all slopes inside [0, 1]; pass ``validate=False``
-    only to build deliberately nonconforming pairs for auditing.
+    Every component must satisfy f(0) = 0 and keep all slopes inside
+    [0, 1].  A deliberately nonconforming pair, for auditing, is built
+    with ``SectorPair(KIND_CUSTOM, components)``.
     """
     pair = SectorPair(KIND_CUSTOM, components)
-    if validate:
-        slopes = np.vstack([pair.slope_left, pair.slope, pair.slope_right])
-        bad_slope = np.any((slopes < -_SLOPE_TOL) | (slopes > 1.0 + _SLOPE_TOL),
-                           axis=0)
-        scale = np.maximum(1.0, np.max(np.abs(pair.values), axis=0))
-        bad_zero = (np.abs(_table_f(pair, np.zeros(pair.n)))
-                    > _SLOPE_TOL * scale)
-        bad = np.flatnonzero(bad_slope | bad_zero)
-        if bad.size:
-            i = int(bad[0])
-            what = ("slopes must lie in [0, 1]" if bad_slope[i]
-                    else "f(0) must be 0")
-            raise InvalidSectorPair(f"component {i}: {what}")
+    slopes = np.vstack([pair.slope_left, pair.slope, pair.slope_right])
+    bad_slope = np.any((slopes < -_SLOPE_TOL) | (slopes > 1.0 + _SLOPE_TOL),
+                       axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(pair.values), axis=0))
+    bad_zero = (np.abs(_table_f(pair, np.zeros(pair.n)))
+                > _SLOPE_TOL * scale)
+    bad = np.flatnonzero(bad_slope | bad_zero)
+    if bad.size:
+        i = int(bad[0])
+        what = ("slopes must lie in [0, 1]" if bad_slope[i]
+                else "f(0) must be 0")
+        raise InvalidSectorPair(f"component {i}: {what}")
     return pair
 
 

@@ -84,16 +84,15 @@ class TrajectoryStack(tuple):
 
 def integrate(plant: model.PlantModel,
               ctrl: model.ControllerSpec | Sequence[model.ControllerSpec],
-              w, x_init, z_init, t_span: tuple[float, float], dt: float,
-              blowup_limit: float = BLOWUP_LIMIT,
-              stability_check: bool = True) -> Trajectory | TrajectoryStack:
+              w, x_init, z_init, t_span: tuple[float, float], dt: float
+              ) -> Trajectory | TrajectoryStack:
     """Integrate the closed loop over ``t_span`` with fixed step ``dt``.
 
     ``w`` may be a DisturbanceSignal or a constant vector.  ``z_init``
     must be None for static feedback, whose integral state is then held
     at zero.  Every step is recorded.  A rough spectral pre-check warns
     when dt looks too coarse for the linear regime; a state that is not
-    finite or exceeds ``blowup_limit`` raises NonFiniteState.
+    finite or exceeds ``BLOWUP_LIMIT`` raises NonFiniteState.
 
     ``ctrl`` may instead be a sequence of C controllers, one per row of
     a stack of closed loops: ``x_init`` is then (C, n) and ``z_init``
@@ -120,12 +119,11 @@ def integrate(plant: model.PlantModel,
         if not c.is_pi and zi is not None:
             raise DimensionMismatch("static feedback carries no integral "
                                     "state")
-        if stability_check:
-            bound = stability_dt_bound(plant, c)
-            if dt > bound:
-                warnings.warn(f"dt={dt:g} exceeds the linear-regime "
-                              f"stability estimate {bound:.3g}; expect "
-                              f"inaccuracy or blow-up", stacklevel=2)
+        bound = stability_dt_bound(plant, c)
+        if dt > bound:
+            warnings.warn(f"dt={dt:g} exceeds the linear-regime "
+                          f"stability estimate {bound:.3g}; expect "
+                          f"inaccuracy or blow-up", stacklevel=2)
     rows = len(ctrls)
     x = np.array(x_init, dtype=float).reshape(rows, n)
     z = np.array([np.zeros(n) if zi is None
@@ -163,10 +161,10 @@ def integrate(plant: model.PlantModel,
         k3 = deriv(y + 0.5 * h * k2, wm)
         k4 = deriv(y + h * k3, w1)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.max(np.abs(y)) <= blowup_limit:
-            ok = np.all(np.abs(y.reshape(rows, -1)) <= blowup_limit, axis=1)
+        if not np.max(np.abs(y)) <= BLOWUP_LIMIT:
+            ok = np.all(np.abs(y.reshape(rows, -1)) <= BLOWUP_LIMIT, axis=1)
             where = "" if single else f"row {int(np.argmin(ok))}: "
-            raise NonFiniteState(f"{where}state left +-{blowup_limit:g} "
+            raise NonFiniteState(f"{where}state left +-{BLOWUP_LIMIT:g} "
                                  f"near t={ts[k + 1]:.6g} (step {k + 1})")
         ys[k + 1] = y
 

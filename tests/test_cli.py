@@ -405,6 +405,7 @@ def test_lp_rejects_unparsable_or_non_finite_gamma(gamma, capsys):
     ["certify", "--tol", "0"],
     ["certify", "--dt", "inf"],
     ["equilibrium", "--tol", "-1"],
+    ["certify", "--seed", "-1"],
 ])
 def test_bad_step_horizon_and_tolerance_flags(argv, tmp_path, capsys):
     argv = argv[:1] + ["--config", TEXTBOOK] + argv[1:]
@@ -420,13 +421,21 @@ def test_bad_step_horizon_and_tolerance_flags(argv, tmp_path, capsys):
      {"t_end_h": -5.0}),
     (["certify"], {"tol": -1e-6}),
     (["certify"], {"dt_h": None, "tol": "tight"}),
+    (["certify"], {"seed": "x"}),
+    (["certify"], {"seed": -3}),
+    (["certify"], {"seed": 1.5}),
+    (["certify"], {"seed": True}),
+    (["simulate"], {"out_dir": 5}),
+    (["simulate"], {"out_dir": ["a"]}),
+    (["simulate"], {"dt_h": True}),
+    (["certify"], {"tol": True}),
 ])
 def test_bad_step_horizon_and_tolerance_run_keys(command, run, tmp_path,
                                                  capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": TEXTBOOK, "run": run}))
     argv = command[:1] + ["--config", str(cfg)] + command[1:]
-    if command[0] in ("simulate", "compare"):
+    if command[0] in ("simulate", "compare") and "out_dir" not in run:
         argv += ["--out", str(tmp_path / "out")]
     _assert_usage_error(argv, capsys)
 
@@ -438,6 +447,61 @@ def test_seed_flag_only_on_certify(tmp_path):
     assert _run("compare", "--config", TEXTBOOK, "--controllers",
                 "decentralized", "static", "--seed", "1") == 64
     assert _run("certify", "--config", TEXTBOOK, "--seed", "1") == 0
+
+
+_REQUIRED = {"compare": ["--controllers", "decentralized", "static"]}
+
+
+def _settings_taken():
+    # (command, dest) for each settings row the command's parser defines
+    parser = cli.build_parser()
+    return [(command, dest)
+            for command in ("certify", "simulate", "compare", "equilibrium",
+                            "lp")
+            for dest in cli._SETTINGS
+            if dest in vars(parser.parse_args(
+                [command, "--config", TEXTBOOK, *_REQUIRED.get(command, [])]))]
+
+
+# dest -> (flag value, run value, default on the textbook config)
+_PRECEDENCE = {"controller": ("coordinating", "static", "decentralized"),
+               "dt": (0.2, 0.1, 0.05), "t_end": (7.0, 5.0, 336.0),
+               "seed": (3, 2, 0), "tol": (1e-5, 1e-4, 1e-6),
+               "residual_tol": (1e-9, None, 1e-10)}
+
+
+class _Resolved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command,dest", _settings_taken())
+def test_flag_beats_run_key_beats_default(command, dest, tmp_path,
+                                          monkeypatch):
+    flag, key = cli._SETTINGS[dest][:2]
+    flag_value, run_value, default = _PRECEDENCE[dest]
+    context = cli._context
+
+    def stop(args):
+        ctx = context(args)
+        if dest == "controller":
+            assert ctx.scn.controller.variant == ctx.controller
+        raise _Resolved(getattr(ctx, dest))
+
+    monkeypatch.setattr(cli, "_context", stop)
+
+    def resolved(run, *argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": TEXTBOOK, "run": run}))
+        with pytest.raises(_Resolved) as caught:
+            cli.main([command, "--config", str(cfg),
+                      *_REQUIRED.get(command, []), *argv])
+        return caught.value.args[0]
+
+    # a flag without a run key ignores the run section, run.tol included
+    run = {key: run_value} if key else {"tol": 1e-4}
+    assert resolved(run, flag, str(flag_value)) == flag_value
+    assert resolved(run) == (run_value if key else default)
+    assert resolved({}) == default
 
 
 def test_config_scenario_reference_and_run_defaults(tmp_path):
