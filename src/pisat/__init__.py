@@ -25,7 +25,7 @@ from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
                     VARIANT_STATIC, ControllerSpec, ControllerStack,
                     DisturbanceSignal, PlantModel, TuningReport, check_tuning,
                     closed_loop_derivative, default_static_gain,
-                    error_coordinate_pair)
+                    error_coordinate_pair, vector_field)
 from .optimality import (AllocationSolution, OptimalityCertificate,
                          admissible_gamma, certify_equilibrium_optimality,
                          check_gamma_condition, solve_weighted_l1_lp)

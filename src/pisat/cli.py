@@ -31,7 +31,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,7 +314,8 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
         trace = simulate.lyapunov_trace(plant, ctrl, eq, traj)
     except PisatError as exc:
         return {"name": "storage_decrease", "status": "fail",
-                "detail": str(exc), "stability_warning": stability_warning}
+                "detail": str(exc), "stability_warning": stability_warning,
+                **_rk4_diagnostics(traj)}
     return {"name": "storage_decrease",
             "status": "pass" if trace.passed else "fail",
             "epsilon": params.epsilon,
@@ -326,7 +327,8 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
             "increase_steps": int(trace.increase_steps.size),
             "stability_warning": stability_warning,
             "value_initial": float(trace.value[0]),
-            "value_final": float(trace.value[-1])}
+            "value_final": float(trace.value[-1]),
+            **_rk4_diagnostics(traj)}
 
 
 def _optimality_check(plant, ctrl, w_ref, tol, eq) -> dict:
@@ -368,9 +370,14 @@ def _rk4_diagnostics(traj) -> dict:
     return {"rk4_steps": steps, "derivative_evaluations": 4 * steps}
 
 
+def _out_dir(ctx) -> str | None:
+    # --out (relative to the working directory), then run.out_dir
+    return ctx.out if ctx.out is not None else ctx.run.get("out_dir")
+
+
 def cmd_simulate(args) -> int:
     ctx = _context(args)
-    out_dir = ctx.out if ctx.out is not None else ctx.run.get("out_dir")
+    out_dir = _out_dir(ctx)
     if out_dir is None:
         raise ConfigError("simulate needs --out or run.out_dir")
     os.makedirs(out_dir, exist_ok=True)
@@ -425,9 +432,10 @@ def cmd_compare(args) -> int:
                      f"{row['jinf']:>14.6g}{row['j2']:>14.6g}")
     sys.stdout.write("\n".join(lines) + "\n")
 
-    if ctx.out:
-        os.makedirs(ctx.out, exist_ok=True)
-        with open(os.path.join(ctx.out, "comparison.csv"), "w",
+    out_dir = _out_dir(ctx)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "comparison.csv"), "w",
                   encoding="ascii") as fh:
             fh.write("controller,j1,jinf,j2,final_max_abs_x\n")
             for row in rows:
@@ -437,7 +445,7 @@ def cmd_compare(args) -> int:
                          + "\n")
         report = _report("compare", ctx.scn, dt_h=ctx.dt, t_end_h=ctx.t_end,
                          diagnostics=_rk4_diagnostics(trajs), rows=rows)
-        _emit(report, os.path.join(ctx.out, "comparison.json"))
+        _emit(report, os.path.join(out_dir, "comparison.json"))
     return EXIT_PASS
 
 

@@ -23,6 +23,12 @@ controllers' matrices as (C, n, n) arrays, and the state of row i is a
 (1, n) slice of a (C, 1, n) array.  The body transposes with ``.mT``
 (the last two axes), which for a single (n, n) matrix is the same view
 as ``.T``, so one controller runs exactly the products it always did.
+
+``vector_field`` binds that body once, with the plant, the transposed
+views and the sector's f resolved, as a function of the stacked state
+y = [x, z]; the integrator calls it at every stage.
+``closed_loop_derivative`` checks its inputs and runs the same body, so
+both give the same bits.
 """
 
 from __future__ import annotations
@@ -254,6 +260,41 @@ class DisturbanceSignal:
         return out.reshape(t.shape + (self.n,))
 
 
+def _bind(plant: PlantModel, ctrl: ControllerSpec | ControllerStack):
+    # the one body of the vector field, with its operands bound once:
+    # (x, z, w) -> (dx, dz, u), the law u as ControllerSpec.feedback has it
+    neg_a, bt, f = -plant.a, plant.b.T, sector.bind_f(plant.pair)
+    kxt, kzt, et, s_aw = ctrl.kx.mT, ctrl.kz.mT, ctrl.e.mT, ctrl.s_aw
+
+    def body(x, z, w):
+        u = -(x @ kxt) - z @ kzt
+        fu = f(u)
+        # s_aw is symmetric for every variant, so this is h @ s_aw.mT; on
+        # the bundled cold snap this side rounds the coordinating costs
+        # exactly as beta * sum(h) does, the transposed view does not
+        return neg_a * x + fu @ bt + w, x @ et + (u - fu) @ s_aw, u
+
+    return body
+
+
+def vector_field(plant: PlantModel, ctrl: ControllerSpec | ControllerStack):
+    """The closed-loop vector field on the stacked state y = [x, z].
+
+    Returns ``field(y, w) -> dy`` for float arrays y (last axis 2n) and
+    w (last axis n) that broadcast over leading axes.  The plant, the
+    controller matrices and the sector's f are bound once, and the
+    field checks none of its inputs: it is meant for loops that call it
+    many times on arrays they built, such as ``simulate.integrate``.
+    """
+    body, n = _bind(plant, ctrl), plant.n
+
+    def field(y, w):
+        dx, dz, _ = body(y[..., :n], y[..., n:], w)
+        return np.concatenate((dx, dz), axis=-1)
+
+    return field
+
+
 def closed_loop_derivative(plant: PlantModel,
                            ctrl: ControllerSpec | ControllerStack,
                            x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,14 +310,7 @@ def closed_loop_derivative(plant: PlantModel,
     w = np.asarray(w, dtype=float)
     if not x.shape[-1:] == z.shape[-1:] == w.shape[-1:] == (plant.n,):
         raise DimensionMismatch("state and disturbance must have n coordinates")
-    u = ctrl.feedback(x, z)
-    fu = sector.eval_f(plant.pair, u)
-    dx = -plant.a * x + fu @ plant.b.T + w
-    # s_aw is symmetric for every variant, so this is h @ s_aw.mT; on the
-    # bundled cold snap this side rounds the coordinating costs exactly as
-    # beta * sum(h) does, the transposed view does not
-    dz = x @ ctrl.e.mT + (u - fu) @ ctrl.s_aw
-    return dx, dz, u
+    return _bind(plant, ctrl)(x, z, w)
 
 
 @dataclass(frozen=True, eq=False)

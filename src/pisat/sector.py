@@ -10,8 +10,9 @@ description instead of resampling it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -205,13 +206,28 @@ def _table_antiderivative(pair: SectorPair, u: np.ndarray) -> np.ndarray:
     return np.where(u >= km, from_last, from_first)
 
 
+def _saturate(u: np.ndarray) -> np.ndarray:
+    # np.clip(u, -1, 1) value for value, -0.0 and NaN included, at about
+    # half its call cost
+    return np.minimum(np.maximum(u, -1.0), 1.0)
+
+
+def bind_f(pair: SectorPair) -> Callable[[np.ndarray], np.ndarray]:
+    """f of ``pair`` as a function of a float array, resolved once.
+
+    The function skips the input checks of :func:`eval_f`; callers that
+    evaluate f many times on arrays they built bind it once.
+    """
+    if pair.kind == KIND_SATURATION:
+        return _saturate
+    return partial(_table_f, pair)
+
+
 def eval_f(pair: SectorPair, u) -> np.ndarray:
     """Apply f along the last axis of ``u`` (any number of leading axes)."""
     u = np.asarray(u, dtype=float)
     _check_width(pair, u)
-    if pair.kind == KIND_SATURATION:
-        return np.clip(u, -1.0, 1.0)
-    return _table_f(pair, u)
+    return bind_f(pair)(u)
 
 
 def integral_from_zero(pair: SectorPair, b) -> np.ndarray:

@@ -8,12 +8,14 @@ interpolated linearly).  The loop steps a stack of closed loops as
 readily as one: C controllers, each with its own start, become the rows
 of a (C, 1, 2n) state against their (C, n, n) matrices, and share the
 forcing table, the step grid and the blow-up test.  The vector field
-transposes with ``.mT``, so one controller keeps its 2-D matrices and
-runs exactly the products it ran alone.  Costs are time averages
-computed with trapezoidal quadrature on the recorded grid.  The
-monitor evaluates a piecewise-quadratic storage function in closed form
-along a trajectory together with its analytic derivative, and flags
-any step where the stored value increases beyond tolerance.
+is bound once per call (``model.vector_field``), so a stage runs only
+its array operations, without input checks; it transposes with
+``.mT``, so one controller keeps its 2-D matrices and runs exactly the
+products it ran alone.  Costs are time averages computed with
+trapezoidal quadrature on the recorded grid.  The monitor evaluates a
+piecewise-quadratic storage function in closed form along a trajectory
+together with its analytic derivative, and flags any step where the
+stored value increases beyond tolerance.
 """
 
 from __future__ import annotations
@@ -147,21 +149,18 @@ def integrate(plant: model.PlantModel,
     tk = ts[:steps]
     forcing = wsig(np.stack([tk, tk + 0.5 * hs, tk + hs], axis=1))
 
-    def deriv(y, wk):
-        dx, dz, _ = model.closed_loop_derivative(plant, form, y[..., :n],
-                                                 y[..., n:], wk)
-        return np.concatenate((dx, dz), axis=-1)
-
+    # bound once: the stages skip the input checks of closed_loop_derivative
+    field = model.vector_field(plant, form)
     ys = np.empty((steps + 1,) + shape)
     y = ys[0] = np.concatenate((x, z), axis=1).reshape(shape)
     for k, h in enumerate(hs.tolist()):
         w0, wm, w1 = forcing[k]
-        k1 = deriv(y, w0)
-        k2 = deriv(y + 0.5 * h * k1, wm)
-        k3 = deriv(y + 0.5 * h * k2, wm)
-        k4 = deriv(y + h * k3, w1)
+        k1 = field(y, w0)
+        k2 = field(y + 0.5 * h * k1, wm)
+        k3 = field(y + 0.5 * h * k2, wm)
+        k4 = field(y + h * k3, w1)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.max(np.abs(y)) <= BLOWUP_LIMIT:
+        if not np.abs(y).max() <= BLOWUP_LIMIT:
             ok = np.all(np.abs(y.reshape(rows, -1)) <= BLOWUP_LIMIT, axis=1)
             where = "" if single else f"row {int(np.argmin(ok))}: "
             raise NonFiniteState(f"{where}state left +-{BLOWUP_LIMIT:g} "
@@ -339,8 +338,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     blocks = np.hstack([traj.t[:, None], traj.x, traj.z, traj.u, traj.v])
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for row in blocks:
-            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+        # row.tolist() gives Python floats, whose repr is the text that
+        # repr(float(c)) gives for each cell; one row at a time, as a list
+        # of the whole table holds every float as an object at once
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n"
+                      for row in blocks)
 
 
 def read_trajectory_csv(path) -> Trajectory:

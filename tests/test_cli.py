@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -39,7 +40,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -214,7 +215,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 4
+    assert costs["schema_version"] == 5
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -347,17 +348,30 @@ def test_diagnostics_counters_repeat(tmp_path):
                     "static", "--out", str(out / "cmp")) == 0
         assert _run("lp", "--config", BENCHMARK,
                     "--out", str(out / "lp.json")) == 0
+        # exit 2: the benchmark's tuning margins only warn
+        assert _run("certify", "--config", BENCHMARK,
+                    "--out", str(out / "certify.json")) == 2
         reports = (out / "sim" / "costs.json", out / "cmp" / "comparison.json",
                    out / "lp.json")
         diags[run] = [json.loads(p.read_text())["diagnostics"]
                       for p in reports]
-        assert all(json.loads(p.read_text())["schema_version"] == 4
-                   for p in reports)
+        storage, = (c for c in json.loads(
+            (out / "certify.json").read_text())["checks"]
+            if c["name"] == "storage_decrease")
+        diags[run].append({k: storage[k] for k in
+                           ("rk4_steps", "derivative_evaluations")})
+        assert all(json.loads(p.read_text())["schema_version"] == 5
+                   for p in reports + (out / "certify.json",))
     assert diags["a"] == diags["b"]
-    sim, cmp_, lp = diags["a"]
+    sim, cmp_, lp, probe = diags["a"]
     assert sim == cmp_ == {"rk4_steps": 800, "derivative_evaluations": 3200}
     assert set(lp) == {"pivots", "bound_flips", "bland_pivots"}
     assert lp["pivots"] > 0
+    # the storage probe runs 10 / min(a) hours at the default step
+    scn, _ = cli.load_config(BENCHMARK)
+    plant, _ = heating.to_standard_form(scn)
+    steps = math.ceil(10.0 / float(np.min(plant.a)) / 0.05 - 1e-9)
+    assert probe == {"rk4_steps": steps, "derivative_evaluations": 4 * steps}
 
 
 def test_lp_rejects_bad_gamma():
@@ -515,6 +529,38 @@ def test_config_scenario_reference_and_run_defaults(tmp_path):
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     assert traj.t[-1] == pytest.approx(5.0)
     assert traj.t[1] - traj.t[0] == pytest.approx(0.1)
+
+
+def test_compare_writes_to_run_out_dir(tmp_path, capsys):
+    # compare resolves its output directory as simulate does: --out,
+    # then run.out_dir (relative to the config)
+    scn_path = _quiet_scenario(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"scenario": pathlib.Path(scn_path).name,
+         "run": {"dt_h": 0.1, "t_end_h": 2.0, "out_dir": "cmp_out"}}))
+    argv = ("compare", "--config", str(cfg),
+            "--controllers", "decentralized", "static")
+    assert _run(*argv) == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "cmp_out"
+    rows = oracles.read_comparison_csv(out / "comparison.csv")
+    assert [r["controller"] for r in rows] == ["decentralized", "static"]
+    report = json.loads((out / "comparison.json").read_text())
+    assert report["diagnostics"]["rk4_steps"] == 20
+    flag_out = tmp_path / "flag_out"
+    assert _run(*argv, "--out", str(flag_out)) == 0
+    assert capsys.readouterr().out == table
+    assert ((flag_out / "comparison.csv").read_bytes()
+            == (out / "comparison.csv").read_bytes())
+
+
+def test_module_entry_point_help():
+    # python -m pisat runs the same command line as the pisat script
+    proc = subprocess.run([sys.executable, "-m", "pisat", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: pisat")
 
 
 def test_console_script_smoke():

@@ -59,6 +59,21 @@ def test_canonical_matrices_per_variant():
     assert stat.kx is stat.k_static
 
 
+def _assert_matches_branches(plant, ctrl, x, z, w, got):
+    dx, dz, u = got
+    rx, rz, ru = oracles.closed_loop_derivative_branches(
+        plant, ctrl, x, z if ctrl.is_pi else None, w)
+    np.testing.assert_array_equal(dx, rx)
+    np.testing.assert_array_equal(u, ru)
+    if ctrl.variant == model.VARIANT_COORDINATING:
+        np.testing.assert_allclose(dz, rz, rtol=1e-12)
+    elif ctrl.is_pi:
+        np.testing.assert_array_equal(dz, rz)
+    else:
+        assert rz is None
+        np.testing.assert_array_equal(dz, 0.0)
+
+
 def test_derivative_matches_branch_reference(rng):
     plant, dec = random_instance(rng, 5)
     coord = model.ControllerSpec.coordinating(dec.p, dec.r, dec.s)
@@ -66,20 +81,23 @@ def test_derivative_matches_branch_reference(rng):
     x = rng.uniform(-5.0, 5.0, (7, 5))
     z = rng.uniform(-5.0, 5.0, (7, 5))
     w = rng.uniform(-10.0, 10.0, (7, 5))
-    for ctrl in (dec, coord, stat):
+    ctrls = (dec, coord, stat)
+    for ctrl in ctrls:
         zz = z if ctrl.is_pi else np.zeros_like(x)
-        dx, dz, u = model.closed_loop_derivative(plant, ctrl, x, zz, w)
-        rx, rz, ru = oracles.closed_loop_derivative_branches(
-            plant, ctrl, x, zz if ctrl.is_pi else None, w)
-        np.testing.assert_array_equal(dx, rx)
-        np.testing.assert_array_equal(u, ru)
-        if ctrl is coord:
-            np.testing.assert_allclose(dz, rz, rtol=1e-12)
-        elif ctrl is dec:
-            np.testing.assert_array_equal(dz, rz)
-        else:
-            assert rz is None
-            np.testing.assert_array_equal(dz, 0.0)
+        _assert_matches_branches(
+            plant, ctrl, x, zz, w,
+            model.closed_loop_derivative(plant, ctrl, x, zz, w))
+    # a stack on (C, 1, n) states: row i is controller i at sample i
+    stack = model.ControllerStack.of(ctrls)
+    zs = np.array([z[i] if c.is_pi else np.zeros(5)
+                   for i, c in enumerate(ctrls)])
+    c = len(ctrls)
+    dx, dz, u = model.closed_loop_derivative(plant, stack, x[:c, None],
+                                             zs[:, None], w[:c, None])
+    assert dx.shape == dz.shape == u.shape == (c, 1, 5)
+    for i, ctrl in enumerate(ctrls):
+        _assert_matches_branches(plant, ctrl, x[i:i + 1], zs[i:i + 1],
+                                 w[i:i + 1], (dx[i], dz[i], u[i]))
 
 
 def test_control_input_broadcast():

@@ -32,6 +32,28 @@ def test_eval_shapes():
         sector.eval_f(pair, np.zeros(3))
 
 
+def test_saturation_matches_clip_bit_for_bit():
+    # the saturation fast path gives np.clip's values, the sign of zero
+    # and NaN included, whatever the leading axes
+    tiny = np.nextafter(0.0, 1.0)
+    edge = [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    special = np.array([0.0, -0.0, 1.0, -1.0, *edge, *(-np.array(edge)),
+                        np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310,
+                        -1e-310, 1e308, -1e308, 0.5, -0.5])
+    n = special.size
+    pair = sector.saturation_deadzone(n)
+    rng = np.random.default_rng(5)
+    for shape in ((n,), (6, n), (3, 1, n)):
+        u = np.broadcast_to(special, shape).copy()
+        for row in u.reshape(-1, n)[1:]:
+            rng.shuffle(row)
+        got, want = sector.eval_f(pair, u), np.clip(u, -1.0, 1.0)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+
+
 def test_custom_pair_validation():
     bad = sector.PwlFunction(np.array([-1.0, 1.0]), np.array([-2.0, 2.0]),
                              0.0, 0.0)  # interior slope 2

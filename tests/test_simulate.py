@@ -267,21 +267,38 @@ def test_costs_zero_without_forcing():
     assert rep.j1 == 0.0 and rep.jinf == 0.0 and rep.j2 == 0.0
 
 
+def _edge_value_trajectory():
+    # every column cycles through -0.0, the smallest subnormal, a huge
+    # value, 0.1 and whole numbers
+    vals = np.array([-0.0, 5e-324, 1e300, 0.1, 3.0, -7.0, 0.0, 1e16])
+    cols = [np.roll(vals, k) for k in range(8)]
+    return simulate.Trajectory(np.arange(vals.size, dtype=float),
+                               *(np.stack(cols[2 * i:2 * i + 2], axis=1)
+                                 for i in range(4)))
+
+
 def test_csv_round_trip_and_determinism(tmp_path):
     plant, ctrl = _linear_loop()
-    traj = simulate.integrate(plant, ctrl, [0.3, -0.2], [1.0, 2.0],
-                              [0.0, -1.0], (0.0, 1.0), 0.05)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    simulate.write_trajectory_csv(traj, p1)
-    simulate.write_trajectory_csv(traj, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    back = simulate.read_trajectory_csv(p1)
-    # repr round-trips doubles exactly
-    np.testing.assert_array_equal(back.t, traj.t)
-    np.testing.assert_array_equal(back.x, traj.x)
-    np.testing.assert_array_equal(back.z, traj.z)
-    np.testing.assert_array_equal(back.u, traj.u)
-    np.testing.assert_array_equal(back.v, traj.v)
+    integrated = simulate.integrate(plant, ctrl, [0.3, -0.2], [1.0, 2.0],
+                                    [0.0, -1.0], (0.0, 1.0), 0.05)
+    for k, traj in enumerate((integrated, _edge_value_trajectory())):
+        p1, p2 = tmp_path / f"a{k}.csv", tmp_path / f"b{k}.csv"
+        simulate.write_trajectory_csv(traj, p1)
+        simulate.write_trajectory_csv(traj, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        # the bytes of repr(float(c)) per numpy cell, one line per row
+        blocks = np.hstack([traj.t[:, None], traj.x, traj.z, traj.u,
+                            traj.v])
+        header = p1.read_text().split("\n", 1)[0]
+        assert p1.read_bytes() == "".join(
+            [header + "\n"] + [",".join(repr(float(c)) for c in row) + "\n"
+                               for row in blocks]).encode("ascii")
+        back = simulate.read_trajectory_csv(p1)
+        # repr round-trips doubles exactly, the sign of zero included
+        for name in ("t", "x", "z", "u", "v"):
+            got, want = getattr(back, name), getattr(traj, name)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_csv_static_writes_zero_z(tmp_path):
