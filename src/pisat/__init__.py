@@ -8,16 +8,14 @@ from .equilibrium import (ContractionMap, EquilibriumResult,
                           measure_contraction, probe_uniqueness,
                           solve_equilibrium, stationary_residual)
 from .errors import (CertificateFailure, ConditionViolated, ConfigError,
-                     DimensionMismatch, EpsilonTooLarge,
-                     GapTooLarge, InvalidSectorPair, MaxIterationsExceeded,
-                     NonFiniteState, NotMMatrix, NotSymmetric, ParseError,
-                     PisatError, SolverFailure, StepStalled,
-                     UnsupportedVariant)
+                     DimensionMismatch, EpsilonTooLarge, InvalidSectorPair,
+                     MaxIterationsExceeded, NonFiniteState, NotMMatrix,
+                     NotSymmetric, ParseError, PisatError, SolverFailure,
+                     StepStalled, UnsupportedVariant)
 from .heating import (HeatingScenario, TemperatureSeries, benchmark_scenario,
                       default_cost_weights, load_scenario,
-                      load_temperature_csv, save_scenario,
-                      scenario_from_json, scenario_to_json,
-                      synthetic_cold_snap, to_standard_form)
+                      scenario_from_json, synthetic_cold_snap,
+                      to_standard_form)
 from .matrixlab import (column_dominance_scaling, diagonal_lyapunov_scaling,
                         is_m_matrix, is_spd, is_strictly_column_dominant,
                         is_z_pattern)
@@ -25,13 +23,13 @@ from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
                     VARIANT_STATIC, ControllerSpec, ControllerStack,
                     DisturbanceSignal, PlantModel, TuningReport, check_tuning,
                     closed_loop_derivative, default_static_gain,
-                    error_coordinate_pair, vector_field)
+                    vector_field)
 from .optimality import (AllocationSolution, OptimalityCertificate,
                          admissible_gamma, certify_equilibrium_optimality,
                          check_gamma_condition, solve_weighted_l1_lp)
 from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f,
                      identity_zero, integral_from_zero, saturation_deadzone,
-                     scale_pair, sector_audit, shift_pair)
+                     scale_pair, shift_pair)
 from .simulate import (CostReport, LyapunovParameters, LyapunovTrace,
                        Trajectory, TrajectoryStack, evaluate_costs,
                        integrate,

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import equilibrium, heating, matrixlab, model, optimality, simulate
-from .errors import (ConditionViolated, ConfigError, GapTooLarge, ParseError,
+from .errors import (ConditionViolated, ConfigError, ParseError,
                      PisatError, UnsupportedVariant)
 
 EXIT_PASS = 0
@@ -559,7 +559,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, ParseError, GapTooLarge, FileNotFoundError,
+    except (ConfigError, ParseError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError) as exc:
         print(f"pisat: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

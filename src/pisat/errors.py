@@ -67,9 +67,5 @@ class ParseError(PisatError):
     """Malformed input data file."""
 
 
-class GapTooLarge(PisatError):
-    """Temperature series has a sampling gap wider than allowed."""
-
-
 class ConfigError(PisatError):
     """Invalid run configuration."""

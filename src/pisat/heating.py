@@ -11,21 +11,17 @@ temperature trace.
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrixlab, model
-from .errors import (ConfigError, DimensionMismatch, GapTooLarge, NotMMatrix,
-                     ParseError)
+from .errors import ConfigError, DimensionMismatch, NotMMatrix, ParseError
 
 BENCHMARK_SIZE = 10
 COMFORT_DEGC = 20.0
-MAX_GAP_HOURS = 3.0
-_GAP_FACTOR = 1.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +30,6 @@ class TemperatureSeries:
 
     time_h: np.ndarray
     temp_degc: np.ndarray
-    gap_fills: tuple[float, ...] = ()
 
     def __post_init__(self):
         t = np.asarray(self.time_h, dtype=float)
@@ -42,20 +37,16 @@ class TemperatureSeries:
         if t.ndim != 1 or t.shape != y.shape or t.size < 2:
             raise DimensionMismatch("temperature series needs matching 1-d "
                                     "axes with at least two samples")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+            raise ConfigError("temperature series samples must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ParseError("time axis must be strictly increasing")
         object.__setattr__(self, "time_h", t)
         object.__setattr__(self, "temp_degc", y)
 
-    def __call__(self, hours):
-        return np.interp(hours, self.time_h, self.temp_degc)
-
     @property
     def span_h(self) -> tuple[float, float]:
         return float(self.time_h[0]), float(self.time_h[-1])
-
-    def min_degc(self) -> float:
-        return float(np.min(self.temp_degc))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +73,13 @@ class HeatingScenario:
         n = a.size
         if c.size != n or b.shape != (n, n):
             raise DimensionMismatch("scenario arrays disagree on network size")
+        x_c, t_ext = float(self.x_c), self.t_ext
+        consts = [x_c]
+        if not isinstance(t_ext, TemperatureSeries):
+            t_ext = float(t_ext)
+            consts.append(t_ext)
+        if not np.all(np.isfinite(np.concatenate([a, c, b.ravel(), consts]))):
+            raise ConfigError("scenario values must be finite")
         if np.any(a <= 0.0) or np.any(c <= 0.0):
             raise ConfigError("loss and capacity coefficients must be positive")
         if not matrixlab.is_m_matrix(b):
@@ -89,9 +87,8 @@ class HeatingScenario:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b_heat", b)
-        object.__setattr__(self, "x_c", float(self.x_c))
-        if not isinstance(self.t_ext, TemperatureSeries):
-            object.__setattr__(self, "t_ext", float(self.t_ext))
+        object.__setattr__(self, "x_c", x_c)
+        object.__setattr__(self, "t_ext", t_ext)
 
     @property
     def n(self) -> int:
@@ -172,128 +169,11 @@ def synthetic_cold_snap(hours: int = 336, base_degc: float = 0.0,
     return TemperatureSeries(t, base_degc + daily - dip_degc * dip)
 
 
-def load_temperature_csv(path, time_column: int = 0,
-                         temp_column: int = 1) -> TemperatureSeries:
-    """Read an outdoor temperature trace from CSV.
-
-    The time column holds either ISO-8601 timestamps (converted to hours
-    from the first sample) or plain hour floats.  A header row is
-    skipped when the time cell does not parse.  Gaps wider than 1.5x the
-    median cadence are filled by linear interpolation and reported in
-    ``gap_fills``; gaps beyond 3 hours raise GapTooLarge.
-    """
-    rows: list[tuple[str, str, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            hi = max(time_column, temp_column)
-            if len(parts) <= hi:
-                raise ParseError(f"{path}:{lineno}: expected at least "
-                                 f"{hi + 1} columns")
-            rows.append((parts[time_column], parts[temp_column], lineno))
-    if rows and _parse_time_cell(rows[0][0]) is None:
-        rows = rows[1:]
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need at least two samples")
-
-    times: list[float] = []
-    temps: list[float] = []
-    iso_origin: _dt.datetime | None = None
-    for cell, tcell, lineno in rows:
-        parsed = _parse_time_cell(cell)
-        if parsed is None:
-            raise ParseError(f"{path}:{lineno}: cannot parse time {cell!r}")
-        if isinstance(parsed, _dt.datetime):
-            if iso_origin is None:
-                if times:
-                    raise ParseError(f"{path}:{lineno}: mixed time formats")
-                iso_origin = parsed
-            hours = (parsed - iso_origin).total_seconds() / 3600.0
-        else:
-            if iso_origin is not None:
-                raise ParseError(f"{path}:{lineno}: mixed time formats")
-            hours = parsed
-        try:
-            temps.append(float(tcell))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad temperature "
-                             f"{tcell!r}") from exc
-        if times and hours <= times[-1]:
-            raise ParseError(f"{path}:{lineno}: time axis not increasing")
-        times.append(hours)
-
-    t = np.array(times)
-    y = np.array(temps)
-    steps = np.diff(t)
-    cadence = float(np.median(steps))
-    fills: list[float] = []
-    wide = np.nonzero(steps > _GAP_FACTOR * cadence)[0]
-    for i in wide:
-        if steps[i] > MAX_GAP_HOURS:
-            raise GapTooLarge(f"{path}: gap of {steps[i]:.3g} h after "
-                              f"t={t[i]:.6g} h exceeds {MAX_GAP_HOURS:g} h")
-    if wide.size:
-        # insert cadence-spaced points inside each wide gap
-        t_parts = [t[:wide[0] + 1]]
-        y_parts = [y[:wide[0] + 1]]
-        for j, i in enumerate(wide):
-            extra = np.arange(t[i] + cadence, t[i + 1] - 0.25 * cadence,
-                              cadence)
-            fills.extend(float(v) for v in extra)
-            nxt = wide[j + 1] + 1 if j + 1 < wide.size else t.size
-            t_parts.extend([extra, t[i + 1:nxt]])
-            y_parts.extend([np.interp(extra, t, y), y[i + 1:nxt]])
-        t = np.concatenate(t_parts)
-        y = np.concatenate(y_parts)
-    return TemperatureSeries(t, y, tuple(fills))
-
-
-def _parse_time_cell(cell: str):
-    try:
-        return float(cell)
-    except ValueError:
-        pass
-    try:
-        return _dt.datetime.fromisoformat(cell.replace("Z", "+00:00"))
-    except ValueError:
-        return None
-
-
-def scenario_to_json(scn: HeatingScenario) -> dict:
-    """Serialize a scenario to a JSON-compatible dict with unit-named keys."""
-    ctrl = scn.controller
-    cd: dict = {"variant": ctrl.variant}
-    if ctrl.is_pi:
-        cd["p_per_degc"] = [float(v) for v in ctrl.p]
-        cd["r_per_degc_h"] = [float(v) for v in ctrl.r]
-        cd["s_degc"] = [float(v) for v in ctrl.s]
-        if ctrl.variant == model.VARIANT_COORDINATING:
-            cd["beta"] = float(ctrl.beta)
-    else:
-        cd["k_static"] = [[float(v) for v in row] for row in ctrl.k_static]
-    out = {
-        "name": scn.name,
-        "a_kw_per_degc": [float(v) for v in scn.a],
-        "c_kwh_per_degc": [float(v) for v in scn.c],
-        "b_heat_kw": [[float(v) for v in row] for row in scn.b_heat],
-        "x_c_degc": scn.x_c,
-        "controller": cd,
-    }
-    if isinstance(scn.t_ext, TemperatureSeries):
-        out["t_ext"] = {
-            "time_h": [float(v) for v in scn.t_ext.time_h],
-            "temp_degc": [float(v) for v in scn.t_ext.temp_degc],
-        }
-    else:
-        out["t_ext"] = {"constant_degc": float(scn.t_ext)}
-    return out
-
-
 def scenario_from_json(data: dict) -> HeatingScenario:
-    """Rebuild a scenario from :func:`scenario_to_json` output."""
+    """Build a scenario from its unit-named JSON form (see ``configs/``).
+
+    A missing, malformed or non-finite value raises ConfigError.
+    """
     try:
         a = np.asarray(data["a_kw_per_degc"], dtype=float)
         c = np.asarray(data["c_kwh_per_degc"], dtype=float)
@@ -302,36 +182,31 @@ def scenario_from_json(data: dict) -> HeatingScenario:
         text = data["t_ext"]
         cd = data["controller"]
         variant = cd["variant"]
+        if "constant_degc" in text:
+            t_ext: TemperatureSeries | float = float(text["constant_degc"])
+        else:
+            t_ext = TemperatureSeries(
+                np.asarray(text["time_h"], dtype=float),
+                np.asarray(text["temp_degc"], dtype=float))
+        if variant == model.VARIANT_STATIC:
+            ctrl = model.ControllerSpec.static(
+                np.asarray(cd["k_static"], dtype=float))
+        elif variant in model.PI_VARIANTS:
+            p = np.asarray(cd["p_per_degc"], dtype=float)
+            r = np.asarray(cd["r_per_degc_h"], dtype=float)
+            s = np.asarray(cd["s_degc"], dtype=float)
+            if variant == model.VARIANT_DECENTRALIZED:
+                ctrl = model.ControllerSpec.decentralized(p, r, s)
+            else:
+                ctrl = model.ControllerSpec.coordinating(p, r, s,
+                                                         cd.get("beta"))
+        else:
+            raise ConfigError(f"unknown controller variant {variant!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"scenario json missing or malformed field: {exc}") \
             from exc
-    if "constant_degc" in text:
-        t_ext: TemperatureSeries | float = float(text["constant_degc"])
-    else:
-        t_ext = TemperatureSeries(np.asarray(text["time_h"], dtype=float),
-                                  np.asarray(text["temp_degc"], dtype=float))
-    if variant == model.VARIANT_STATIC:
-        ctrl = model.ControllerSpec.static(np.asarray(cd["k_static"],
-                                                      dtype=float))
-    elif variant in model.PI_VARIANTS:
-        p = np.asarray(cd["p_per_degc"], dtype=float)
-        r = np.asarray(cd["r_per_degc_h"], dtype=float)
-        s = np.asarray(cd["s_degc"], dtype=float)
-        if variant == model.VARIANT_DECENTRALIZED:
-            ctrl = model.ControllerSpec.decentralized(p, r, s)
-        else:
-            ctrl = model.ControllerSpec.coordinating(p, r, s,
-                                                     cd.get("beta"))
-    else:
-        raise ConfigError(f"unknown controller variant {variant!r}")
     return HeatingScenario(a, c, b, x_c, t_ext, ctrl,
                            name=str(data.get("name", "custom")))
-
-
-def save_scenario(scn: HeatingScenario, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(scenario_to_json(scn), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_scenario(path) -> HeatingScenario:

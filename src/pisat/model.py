@@ -175,8 +175,8 @@ class ControllerStack:
     """Controllers stacked row by row in the canonical linear form.
 
     kx, kz, e and s_aw are (C, n, n), row i from the i-th controller.
-    Against states shaped (C, 1, n), the vector field and the feedback
-    law step every row at once, each row through its own matrices.
+    Against states shaped (C, 1, n), the vector field steps every row
+    at once, each row through its own matrices.
     """
 
     kx: np.ndarray
@@ -188,8 +188,6 @@ class ControllerStack:
     def of(cls, ctrls) -> "ControllerStack":
         return cls(*(np.stack([getattr(c, name) for c in ctrls])
                      for name in ("kx", "kz", "e", "s_aw")))
-
-    feedback = ControllerSpec.feedback
 
 
 def default_static_gain(plant: PlantModel) -> np.ndarray:
@@ -236,11 +234,6 @@ class DisturbanceSignal:
     @property
     def is_constant(self) -> bool:
         return self._times is None
-
-    def constant_value(self) -> np.ndarray:
-        if not self.is_constant:
-            raise ValueError("signal is time-varying")
-        return self._values.copy()
 
     def componentwise_min(self) -> np.ndarray:
         """Per-coordinate minimum over time (the worst sampled value)."""
@@ -336,8 +329,3 @@ def check_tuning(plant: PlantModel, ctrl: ControllerSpec) -> TuningReport:
     antiwindup = 1.0 - ctrl.p * ctrl.s
     passed = bool(np.all(integral > 0.0) and np.all(antiwindup > 0.0))
     return TuningReport(integral, antiwindup, passed)
-
-
-def error_coordinate_pair(plant: PlantModel, eq) -> sector.SectorPair:
-    """The sector pair recentered at the equilibrium input u0."""
-    return sector.shift_pair(plant.pair, eq.u0)

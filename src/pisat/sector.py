@@ -90,14 +90,12 @@ class SectorPair:
                          np.concatenate([c.values for c in comps])[take],
                          np.array([c.slope_left for c in comps]),
                          np.array([c.slope_right for c in comps]))
-        self._components = comps
 
     @classmethod
     def _from_tables(cls, kind, knots, values, slope_left,
                      slope_right) -> "SectorPair":
         pair = cls.__new__(cls)
         pair._set_tables(kind, knots, values, slope_left, slope_right)
-        pair._components = None
         return pair
 
     def _set_tables(self, kind, knots, values, slope_left, slope_right):
@@ -112,18 +110,6 @@ class SectorPair:
     @property
     def n(self) -> int:
         return self.knots.shape[1]
-
-    @property
-    def components(self) -> tuple[PwlFunction, ...]:
-        """The per-coordinate functions, padding removed."""
-        if self._components is None:
-            size = 1 + np.count_nonzero(self.hi > self.lo, axis=0)
-            self._components = tuple(
-                PwlFunction(self.knots[:m, i], self.values[:m, i],
-                            float(self.slope_left[i]),
-                            float(self.slope_right[i]))
-                for i, m in enumerate(size))
-        return self._components
 
 
 def saturation_deadzone(n: int) -> SectorPair:
@@ -142,8 +128,8 @@ def custom_pwl(components: Sequence[PwlFunction]) -> SectorPair:
     """Assemble a pair from per-coordinate piecewise-linear components.
 
     Every component must satisfy f(0) = 0 and keep all slopes inside
-    [0, 1].  A deliberately nonconforming pair, for auditing, is built
-    with ``SectorPair(KIND_CUSTOM, components)``.
+    [0, 1].  A deliberately nonconforming pair is built with
+    ``SectorPair(KIND_CUSTOM, components)``.
     """
     pair = SectorPair(KIND_CUSTOM, components)
     slopes = np.vstack([pair.slope_left, pair.slope, pair.slope_right])
@@ -264,59 +250,3 @@ def scale_pair(pair: SectorPair, d) -> SectorPair:
         raise InvalidSectorPair("scaling vector must be positive and finite")
     return SectorPair._from_tables(KIND_CUSTOM, d * pair.knots, d * pair.values,
                                    pair.slope_left, pair.slope_right)
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Sampled slope bounds for f and h plus the f(0) check."""
-
-    f_slope_min: float
-    f_slope_max: float
-    h_slope_min: float
-    h_slope_max: float
-    f_zero_error: float
-    samples: int
-    sample_range: tuple[float, float]
-    tolerance: float
-    passed: bool
-
-
-def sector_audit(pair: SectorPair, samples: int,
-                 sample_range: tuple[float, float] = (-5.0, 5.0),
-                 rng: np.random.Generator | None = None,
-                 tolerance: float = _SLOPE_TOL) -> AuditReport:
-    """Randomized conformance check of the sector class.
-
-    Draws ``samples`` point pairs per coordinate inside ``sample_range``,
-    measures incremental slopes of f and of h, and checks f(0) = 0.
-    Passes iff every observed slope lies in [-tolerance, 1 + tolerance]
-    and the f(0) error is negligible.
-    """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    lo, hi = float(sample_range[0]), float(sample_range[1])
-    if not hi > lo:
-        raise ValueError("empty sample range")
-    x = rng.uniform(lo, hi, size=(samples, pair.n))
-    y = rng.uniform(lo, hi, size=(samples, pair.n))
-    keep = np.abs(y - x) > 1e-9 * (hi - lo)
-    fx, fy = eval_f(pair, x), eval_f(pair, y)
-    du = (y - x)[keep]
-    slopes_f = (fy - fx)[keep] / du
-    slopes_h = ((y - fy) - (x - fx))[keep] / du
-
-    def _bounds(s: np.ndarray) -> tuple[float, float]:
-        if s.size == 0:
-            return 0.0, 0.0
-        return float(s.min()), float(s.max())
-
-    f_lo, f_hi = _bounds(slopes_f)
-    h_lo, h_hi = _bounds(slopes_h)
-    scale = max(1.0, float(np.max(np.abs(pair.values))))
-    f_zero = float(np.max(np.abs(eval_f(pair, np.zeros(pair.n)))))
-    ok = (min(f_lo, h_lo) >= -tolerance and max(f_hi, h_hi) <= 1.0 + tolerance
-          and f_zero <= tolerance * scale)
-    return AuditReport(f_lo, f_hi, h_lo, h_hi, f_zero, samples, (lo, hi),
-                       tolerance, ok)

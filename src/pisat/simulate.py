@@ -293,7 +293,7 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
     if np.any(coeff_z <= 0.0):
         raise CertificateFailure("storage function needs a_i p_i > r_i "
                                  "for every agent")
-    pair_t = model.error_coordinate_pair(plant, eq)
+    pair_t = sector.shift_pair(plant.pair, eq.u0)
     z_t = -ctrl.r * (traj.z - eq.z0)
     u_t = traj.u - eq.u0
 

@@ -12,18 +12,22 @@ library's simplex, RK4 loop and fixed-point iteration, kept to pin the
 vectorized code to the same arithmetic, the accelerated iteration to
 the same fixed point and the bounded simplex to the same optimum as the
 two-phase epigraph solve it replaced.  The error-coordinate
-helpers, the comparison CSV reader, ``eval_h``, ``control_input`` and
-``DimensionTooLarge`` are test-only tools with no library caller.
+helpers, the comparison CSV reader, ``eval_h``, ``control_input``,
+``pair_components``, ``sector_audit``, the scenario writer
+``save_scenario`` and ``DimensionTooLarge`` are test-only tools with no
+library caller.
 """
 
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from pisat import model, sector
+from pisat import heating, model, sector
 from pisat.errors import (DimensionMismatch, MaxIterationsExceeded,
                           ParseError, PisatError, SolverFailure,
                           UnsupportedVariant)
@@ -215,6 +219,71 @@ def pwl_eval_interp(components, u):
         y = np.where(x > k[-1], v[-1] + comp.slope_right * (x - k[-1]), y)
         out[..., i] = y
     return out
+
+
+def pair_components(pair) -> tuple[sector.PwlFunction, ...]:
+    """The per-coordinate functions of a pair, padding removed."""
+    size = 1 + np.count_nonzero(pair.hi > pair.lo, axis=0)
+    return tuple(sector.PwlFunction(pair.knots[:m, i], pair.values[:m, i],
+                                    float(pair.slope_left[i]),
+                                    float(pair.slope_right[i]))
+                 for i, m in enumerate(size))
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    """Sampled slope bounds for f and h plus the f(0) check."""
+
+    f_slope_min: float
+    f_slope_max: float
+    h_slope_min: float
+    h_slope_max: float
+    f_zero_error: float
+    samples: int
+    sample_range: tuple[float, float]
+    tolerance: float
+    passed: bool
+
+
+def sector_audit(pair, samples: int,
+                 sample_range: tuple[float, float] = (-5.0, 5.0),
+                 rng: np.random.Generator | None = None,
+                 tolerance: float = 1e-12) -> AuditReport:
+    """Randomized conformance check of the sector class.
+
+    Draws ``samples`` point pairs per coordinate inside ``sample_range``,
+    measures incremental slopes of f and of h, and checks f(0) = 0.
+    Passes iff every observed slope lies in [-tolerance, 1 + tolerance]
+    and the f(0) error is negligible.
+    """
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    lo, hi = float(sample_range[0]), float(sample_range[1])
+    if not hi > lo:
+        raise ValueError("empty sample range")
+    x = rng.uniform(lo, hi, size=(samples, pair.n))
+    y = rng.uniform(lo, hi, size=(samples, pair.n))
+    keep = np.abs(y - x) > 1e-9 * (hi - lo)
+    fx, fy = sector.eval_f(pair, x), sector.eval_f(pair, y)
+    du = (y - x)[keep]
+    slopes_f = (fy - fx)[keep] / du
+    slopes_h = ((y - fy) - (x - fx))[keep] / du
+
+    def _bounds(s: np.ndarray) -> tuple[float, float]:
+        if s.size == 0:
+            return 0.0, 0.0
+        return float(s.min()), float(s.max())
+
+    f_lo, f_hi = _bounds(slopes_f)
+    h_lo, h_hi = _bounds(slopes_h)
+    scale = max(1.0, float(np.max(np.abs(pair.values))))
+    f_zero = float(np.max(np.abs(sector.eval_f(pair, np.zeros(pair.n)))))
+    ok = (min(f_lo, h_lo) >= -tolerance and max(f_hi, h_hi) <= 1.0 + tolerance
+          and f_zero <= tolerance * scale)
+    return AuditReport(f_lo, f_hi, h_lo, h_hi, f_zero, samples, (lo, hi),
+                       tolerance, ok)
 
 
 def brute_force_oracle(gamma, a, b, w, grid: int = 41):
@@ -473,7 +542,7 @@ def error_coords_derivative(plant, ctrl, eq, z_t, u_t, pair_t=None):
     z_t = np.asarray(z_t, dtype=float)
     u_t = np.asarray(u_t, dtype=float)
     if pair_t is None:
-        pair_t = model.error_coordinate_pair(plant, eq)
+        pair_t = sector.shift_pair(plant.pair, eq.u0)
     fu = sector.eval_f(pair_t, u_t)
     hu = u_t - fu
     rp = ctrl.r / ctrl.p
@@ -503,3 +572,41 @@ def read_comparison_csv(path) -> list[dict]:
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
     return rows
+
+
+def scenario_to_json(scn) -> dict:
+    """Serialize a scenario to the unit-named JSON form that
+    ``heating.scenario_from_json`` reads."""
+    ctrl = scn.controller
+    cd: dict = {"variant": ctrl.variant}
+    if ctrl.is_pi:
+        cd["p_per_degc"] = [float(v) for v in ctrl.p]
+        cd["r_per_degc_h"] = [float(v) for v in ctrl.r]
+        cd["s_degc"] = [float(v) for v in ctrl.s]
+        if ctrl.variant == model.VARIANT_COORDINATING:
+            cd["beta"] = float(ctrl.beta)
+    else:
+        cd["k_static"] = [[float(v) for v in row] for row in ctrl.k_static]
+    out = {
+        "name": scn.name,
+        "a_kw_per_degc": [float(v) for v in scn.a],
+        "c_kwh_per_degc": [float(v) for v in scn.c],
+        "b_heat_kw": [[float(v) for v in row] for row in scn.b_heat],
+        "x_c_degc": scn.x_c,
+        "controller": cd,
+    }
+    if isinstance(scn.t_ext, heating.TemperatureSeries):
+        out["t_ext"] = {
+            "time_h": [float(v) for v in scn.t_ext.time_h],
+            "temp_degc": [float(v) for v in scn.t_ext.temp_degc],
+        }
+    else:
+        out["t_ext"] = {"constant_degc": float(scn.t_ext)}
+    return out
+
+
+def save_scenario(scn, path) -> None:
+    """Write a scenario file in the layout of the bundled configs."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(scenario_to_json(scn), fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -30,7 +30,7 @@ def _quiet_scenario(tmp_path, name="quiet"):
                                   np.array([[1.0]]), 20.0, 20.0, ctrl,
                                   name=name)
     path = tmp_path / f"{name}.json"
-    heating.save_scenario(scn, path)
+    oracles.save_scenario(scn, path)
     return str(path)
 
 
@@ -400,6 +400,29 @@ def _assert_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pisat: ConfigError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_COORDINATING = {"variant": "coordinating", "p_per_degc": [1.0],
+                 "r_per_degc_h": [0.5], "s_degc": [0.5]}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("controller", {**_COORDINATING, "p_per_degc": [-1.0]}),
+    ("controller", {**_COORDINATING, "beta": -0.5}),
+    ("a_kw_per_degc", [math.nan]),
+    ("c_kwh_per_degc", [math.inf]),
+    ("b_heat_kw", [[math.nan]]),
+    ("x_c_degc", math.nan),
+    ("t_ext", {"constant_degc": math.nan}),
+    ("t_ext", {"time_h": [0.0, 1.0]}),
+    ("t_ext", {"time_h": [0.0, 1.0], "temp_degc": [math.nan, -1.0]}),
+])
+def test_malformed_scenario_values(key, value, tmp_path, capsys):
+    data = json.loads(pathlib.Path(TEXTBOOK).read_text())
+    data[key] = value
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps(data))
+    _assert_usage_error(["certify", "--config", str(cfg)], capsys)
 
 
 @pytest.mark.parametrize("gamma", ["1,,2", "x", ",".join(["1"] * 9 + ["nan"]),

@@ -1,11 +1,15 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+import oracles
 from pisat import equilibrium, heating, matrixlab, model, simulate
-from pisat.errors import (ConfigError, DimensionMismatch, GapTooLarge,
-                          NotMMatrix, ParseError)
+from pisat.errors import (ConfigError, DimensionMismatch, NotMMatrix,
+                          ParseError)
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_benchmark_constants():
@@ -36,19 +40,19 @@ def test_standard_form_constants():
     plant, w = heating.to_standard_form(scn)
     np.testing.assert_allclose(plant.a, 0.0835)
     np.testing.assert_allclose(plant.b, scn.b_heat / 2.0)
-    np.testing.assert_allclose(w.constant_value(), 0.0835 * (0.0 - 20.0))
+    np.testing.assert_allclose(w.componentwise_min(), 0.0835 * (0.0 - 20.0))
 
 
 def test_no_forcing_at_comfort_temperature():
     scn = heating.benchmark_scenario(t_ext=20.0)
     _, w = heating.to_standard_form(scn)
-    np.testing.assert_allclose(w.constant_value(), 0.0)
+    np.testing.assert_allclose(w.componentwise_min(), 0.0)
 
 
 def test_twenty_below_comfort():
     scn = heating.benchmark_scenario(t_ext=0.0)
     _, w = heating.to_standard_form(scn)
-    np.testing.assert_allclose(w.constant_value(), -1.67)
+    np.testing.assert_allclose(w.componentwise_min(), -1.67)
 
 
 def test_benchmark_tuning_facts():
@@ -64,7 +68,7 @@ def test_benchmark_tuning_facts():
 def test_simulation_settles_to_solved_equilibrium():
     scn = heating.benchmark_scenario(t_ext=-12.0)
     plant, wsig = heating.to_standard_form(scn)
-    w = wsig.constant_value()
+    w = wsig.componentwise_min()
     eq = equilibrium.solve_equilibrium(plant, scn.controller, w)
     traj = simulate.integrate(plant, scn.controller, w, np.zeros(10),
                               np.zeros(10), (0.0, 400.0), 0.05)
@@ -83,9 +87,9 @@ def test_capacity_doubling_dilates_time():
     slow = dataclasses.replace(scn, c=scn.c * 2.0, controller=slow_ctrl)
     plant1, w1 = heating.to_standard_form(scn)
     plant2, w2 = heating.to_standard_form(slow)
-    t1 = simulate.integrate(plant1, scn.controller, w1.constant_value(),
+    t1 = simulate.integrate(plant1, scn.controller, w1.componentwise_min(),
                             np.zeros(10), np.zeros(10), (0.0, 40.0), 0.05)
-    t2 = simulate.integrate(plant2, slow_ctrl, w2.constant_value(),
+    t2 = simulate.integrate(plant2, slow_ctrl, w2.componentwise_min(),
                             np.zeros(10), np.zeros(10), (0.0, 80.0), 0.10)
     np.testing.assert_array_equal(t2.x, t1.x)
     np.testing.assert_array_equal(t2.z, 2.0 * t1.z)
@@ -96,12 +100,12 @@ def test_cold_snap_shape():
     series = heating.synthetic_cold_snap()
     assert series.time_h.size == 337
     assert series.span_h == (0.0, 336.0)
-    assert series.min_degc() == pytest.approx(-20.0, abs=1e-9)
+    assert np.min(series.temp_degc) == pytest.approx(-20.0, abs=1e-9)
     # swing-only region well before the dip
     early = series.temp_degc[:48]
     assert np.max(np.abs(early)) == pytest.approx(3.0, abs=1e-6)
     # dip bottom holds near hour 100
-    assert series(100.0) < -13.0
+    assert np.interp(100.0, series.time_h, series.temp_degc) < -13.0
 
 
 def test_temperature_series_validation():
@@ -111,66 +115,12 @@ def test_temperature_series_validation():
         heating.TemperatureSeries(np.array([0.0]), np.array([1.0]))
 
 
-def test_csv_two_rows(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("0,-10\n1,-12\n")
-    series = heating.load_temperature_csv(path)
-    np.testing.assert_allclose(series.time_h, [0.0, 1.0])
-    np.testing.assert_allclose(series.temp_degc, [-10.0, -12.0])
-    assert series.gap_fills == ()
-
-
-def test_csv_iso_timestamps_and_header(tmp_path):
-    path = tmp_path / "iso.csv"
-    path.write_text("time,temp_degc\n"
-                    "2024-01-01T00:00:00,-5.0\n"
-                    "2024-01-01T01:00:00,-6.0\n"
-                    "2024-01-01T02:30:00,-7.5\n")
-    series = heating.load_temperature_csv(path)
-    np.testing.assert_allclose(series.time_h, [0.0, 1.0, 2.5])
-    np.testing.assert_allclose(series.temp_degc, [-5.0, -6.0, -7.5])
-
-
-def test_csv_non_monotone_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0,-10\n2,-11\n1,-12\n")
-    with pytest.raises(ParseError, match="not increasing"):
-        heating.load_temperature_csv(path)
-
-
-def test_csv_gap_filled_and_flagged(tmp_path):
-    path = tmp_path / "gap.csv"
-    path.write_text("0,0\n1,1\n2,2\n3,3\n5.5,8\n6.5,9\n")
-    series = heating.load_temperature_csv(path)
-    np.testing.assert_allclose(series.time_h, [0, 1, 2, 3, 4, 5, 5.5, 6.5])
-    assert series.gap_fills == (4.0, 5.0)
-    # filled values interpolate the surrounding samples
-    assert series(4.0) == pytest.approx(3.0 + 5.0 * (1.0 / 2.5))
-
-
-def test_csv_gap_too_large(tmp_path):
-    path = tmp_path / "huge.csv"
-    path.write_text("0,0\n1,1\n2,2\n6,3\n7,4\n")
-    with pytest.raises(GapTooLarge):
-        heating.load_temperature_csv(path)
-
-
-def test_csv_bad_rows(tmp_path):
-    path = tmp_path / "ragged.csv"
-    path.write_text("0,-10\n1\n")
-    with pytest.raises(ParseError, match=":2"):
-        heating.load_temperature_csv(path)
-    path.write_text("0,-10\n1,abc\n")
-    with pytest.raises(ParseError, match="temperature"):
-        heating.load_temperature_csv(path)
-
-
 def test_scenario_json_round_trip(tmp_path):
     for variant in ("decentralized", "coordinating", "static"):
         scn = heating.benchmark_scenario(t_ext=heating.synthetic_cold_snap(),
                                          controller=variant)
         path = tmp_path / f"{variant}.json"
-        heating.save_scenario(scn, path)
+        oracles.save_scenario(scn, path)
         back = heating.load_scenario(path)
         np.testing.assert_array_equal(back.a, scn.a)
         np.testing.assert_array_equal(back.b_heat, scn.b_heat)
@@ -185,8 +135,19 @@ def test_scenario_json_round_trip(tmp_path):
                                       scn.t_ext.temp_degc)
         # a second save is byte-identical
         path2 = tmp_path / f"{variant}2.json"
-        heating.save_scenario(back, path2)
+        oracles.save_scenario(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+def test_bundled_benchmark_configs_are_the_reference_network(tmp_path):
+    # the two bundled benchmark configs are the published ten-building
+    # network, at a constant -15 degC and through the synthetic cold snap
+    for name, t_ext in (("benchmark_constant.json", -15.0),
+                        ("benchmark_cold_snap.json",
+                         heating.synthetic_cold_snap())):
+        path = tmp_path / name
+        oracles.save_scenario(heating.benchmark_scenario(t_ext=t_ext), path)
+        assert path.read_bytes() == (CONFIGS / name).read_bytes()
 
 
 def test_scenario_json_rejects_malformed():
