@@ -31,7 +31,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -364,10 +364,12 @@ def _z_rest(ctrl, n):
 
 
 def _rk4_diagnostics(traj) -> dict:
-    # RK4 evaluates the vector field four times per step; a stacked
-    # evaluation counts once, however many controllers it steps
-    steps = traj.t.size - 1
-    return {"rk4_steps": steps, "derivative_evaluations": 4 * steps}
+    # a staged step evaluates the vector field four times, an affine step
+    # not at all; a stacked step counts once, however many rows it steps
+    c = traj.counts
+    return {"rk4_steps": c.affine + c.staged, "affine_steps": c.affine,
+            "staged_steps": c.staged, "patterns": c.patterns,
+            "derivative_evaluations": 4 * c.staged}
 
 
 def _out_dir(ctx) -> str | None:

@@ -172,7 +172,8 @@ def synthetic_cold_snap(hours: int = 336, base_degc: float = 0.0,
 def scenario_from_json(data: dict) -> HeatingScenario:
     """Build a scenario from its unit-named JSON form (see ``configs/``).
 
-    A missing, malformed or non-finite value raises ConfigError.
+    A missing, malformed or non-finite value, or arrays whose sizes
+    disagree, raise ConfigError.
     """
     try:
         a = np.asarray(data["a_kw_per_degc"], dtype=float)
@@ -202,11 +203,11 @@ def scenario_from_json(data: dict) -> HeatingScenario:
                                                          cd.get("beta"))
         else:
             raise ConfigError(f"unknown controller variant {variant!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+        return HeatingScenario(a, c, b, x_c, t_ext, ctrl,
+                               name=str(data.get("name", "custom")))
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"scenario json missing or malformed field: {exc}") \
             from exc
-    return HeatingScenario(a, c, b, x_c, t_ext, ctrl,
-                           name=str(data.get("name", "custom")))
 
 
 def load_scenario(path) -> HeatingScenario:

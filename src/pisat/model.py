@@ -273,17 +273,18 @@ def _bind(plant: PlantModel, ctrl: ControllerSpec | ControllerStack):
 def vector_field(plant: PlantModel, ctrl: ControllerSpec | ControllerStack):
     """The closed-loop vector field on the stacked state y = [x, z].
 
-    Returns ``field(y, w) -> dy`` for float arrays y (last axis 2n) and
-    w (last axis n) that broadcast over leading axes.  The plant, the
-    controller matrices and the sector's f are bound once, and the
-    field checks none of its inputs: it is meant for loops that call it
-    many times on arrays they built, such as ``simulate.integrate``.
+    Returns ``field(y, w) -> (dy, u)``, the derivative and the input,
+    for float arrays y (last axis 2n) and w (last axis n) that
+    broadcast over leading axes.  The plant, the controller matrices
+    and the sector's f are bound once, and the field checks none of its
+    inputs: it is meant for loops that call it many times on arrays
+    they built, such as ``simulate.integrate``.
     """
     body, n = _bind(plant, ctrl), plant.n
 
     def field(y, w):
-        dx, dz, _ = body(y[..., :n], y[..., n:], w)
-        return np.concatenate((dx, dz), axis=-1)
+        dx, dz, u = body(y[..., :n], y[..., n:], w)
+        return np.concatenate((dx, dz), axis=-1), u
 
     return field
 

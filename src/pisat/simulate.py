@@ -4,18 +4,31 @@ Lyapunov decrease monitor.
 Integration uses the classic fourth-order Runge-Kutta scheme on a fixed
 grid, stepping the stacked state [x, z]; the disturbance is sampled at
 every stage time in one call before the loop (time-varying signals are
-interpolated linearly).  The loop steps a stack of closed loops as
-readily as one: C controllers, each with its own start, become the rows
-of a (C, 1, 2n) state against their (C, n, n) matrices, and share the
-forcing table, the step grid and the blow-up test.  The vector field
-is bound once per call (``model.vector_field``), so a stage runs only
-its array operations, without input checks; it transposes with
-``.mT``, so one controller keeps its 2-D matrices and runs exactly the
-products it ran alone.  Costs are time averages computed with
-trapezoidal quadrature on the recorded grid.  The monitor evaluates a
-piecewise-quadratic storage function in closed form along a trajectory
-together with its analytic derivative, and flags any step where the
-stored value increases beyond tolerance.
+interpolated linearly).  The sector's f is affine on each of its
+pieces, so while every input stays on one piece (a saturation pattern)
+the closed loop is the affine ODE y' = y M + g + [w, 0], and one RK4
+step is one affine map.  The loop then advances by one product with
+that pattern's map, which also yields the four stage inputs, and keeps
+the step only if they all lie on the assumed pieces; otherwise it takes
+the staged step, which evaluates the vector field four times.  A map
+is built only after its pattern has held through n consecutive staged
+steps (a build costs O(n^3), a staged step O(n^2)), and the partial
+last step is always staged.  In exact arithmetic both ways are the
+same RK4 step, kinks included; in floating point they agree to
+rounding.
+
+The loop steps a stack of closed loops as readily as one: C
+controllers, each with its own start, become the rows of a (C, 1, 2n)
+state against their (C, n, n) matrices and (C, 2n, 6n) maps, and share
+the forcing table, the step grid and the blow-up test; one controller
+is a stack of one.  Each row chooses its own way at every step, so a
+row is bit for bit its single run.  The vector field is bound once per
+call (``model.vector_field``), so a stage runs only its array
+operations, without input checks.  Costs are time averages computed
+with trapezoidal quadrature on the recorded grid.  The monitor
+evaluates a piecewise-quadratic storage function in closed form along
+a trajectory together with its analytic derivative, and flags any step
+where the stored value increases beyond tolerance.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +51,26 @@ BLOWUP_LIMIT = 1e12
 _RK4_STABILITY = 2.5
 
 
+class StepCounts(NamedTuple):
+    """How the RK4 steps of a run were taken.
+
+    ``affine`` steps advanced by one product with a saturation pattern's
+    map, ``staged`` steps evaluated the vector field four times, and
+    ``patterns`` counts the maps built.
+    """
+
+    affine: int
+    staged: int
+    patterns: int
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded closed-loop run: states, inputs, and saturated inputs.
 
     ``z`` is all zeros for static feedback.  Rows index time, columns
-    agents.
+    agents.  ``counts`` says how ``integrate`` took the steps (None for
+    a trajectory read back from CSV).
     """
 
     t: np.ndarray
@@ -50,6 +78,7 @@ class Trajectory:
     z: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    counts: StepCounts | None = None
 
     @property
     def n(self) -> int:
@@ -77,11 +106,174 @@ def _as_signal(w, n: int) -> model.DisturbanceSignal:
 
 
 class TrajectoryStack(tuple):
-    """One Trajectory per row of a stacked run; all rows share ``t``."""
+    """One Trajectory per row of a stacked run; all rows share ``t``.
+
+    ``counts`` are the stack's own: a step is staged when any row takes
+    the staged step, because the stack evaluates the vector field once
+    for all of its rows, and ``patterns`` sums the rows' builds.
+    """
+
+    def __new__(cls, rows, counts: StepCounts):
+        stack = super().__new__(cls, rows)
+        stack.counts = counts
+        return stack
 
     @property
     def t(self) -> np.ndarray:
         return self[0].t
+
+
+class _Pieces:
+    """The sector's f as an affine function on each of its pieces.
+
+    Piece j of a coordinate is u in [knots[j - 1], knots[j]] of the
+    pair's padded (K, n) knot table, with knots[-1] = -inf and
+    knots[K] = inf; on it f(u) = icpt[j] + slope[j] u.  ``of`` numbers
+    the piece of each input by the knots below it, so saturation (where
+    this is (u > -1) + (u > 1)), identity and custom pairs share one
+    code path.
+    """
+
+    def __init__(self, pair: sector.SectorPair):
+        edge = np.full((1, pair.n), np.inf)
+        self.knots = pair.knots
+        self.slope = np.vstack((pair.slope_left, pair.slope,
+                                pair.slope_right))
+        self.icpt = (np.vstack((pair.values[:1], pair.values))
+                     - self.slope * np.vstack((pair.knots[:1], pair.knots)))
+        self.lo = np.vstack((-edge, pair.knots))
+        self.hi = np.vstack((pair.knots, edge))
+
+    def of(self, u: np.ndarray) -> np.ndarray:
+        return np.sum(u[..., None, :] > self.knots, axis=-2)
+
+
+def _forcing_rows(h, r, ra, ra2, ra3, rl, ral, ra2l):
+    # what rows r of the forcing b contribute to [y_next | u1 | u2 | u3 |
+    # u4] when they enter at t_k, at t_k + h/2 and at t_k + h; ra is r A,
+    # rl is r L, ral is r A L and so on
+    zero = np.zeros_like(rl)
+    return (np.hstack((h * (r / 6.0 + ra / 6.0 + ra2 / 12.0 + ra3 / 24.0),
+                       zero, 0.5 * h * rl, 0.25 * h * ral, 0.25 * h * ra2l)),
+            np.hstack((h * (2.0 * r / 3.0 + ra / 3.0 + ra2 / 12.0), zero,
+                       zero, 0.5 * h * rl, 0.5 * h * ral + h * rl)),
+            np.hstack(((h / 6.0) * r, zero, zero, zero, zero)))
+
+
+def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
+                 pieces: _Pieces, piece: np.ndarray, h: float, w_const):
+    """One RK4 step of size h while every input stays on ``piece``.
+
+    There f(u) = c + d u, so the loop is the affine ODE
+    y' = y M + g + [w, 0] with u = y L, and the step is
+    y P + b0 Q0 + bm Qm + b1 Q1 for b = g + [w, 0] at the three stage
+    times, where A = h M and P = I + A + A^2/2 + A^3/6 + A^4/24, RK4's
+    stability function.  The stage states, and so the stage inputs
+    u_j = Y_j L, are affine in the same quantities.  Returns
+    (mat, tw, bias, lo, hi): ``y @ mat + [w0, wm, w1] @ tw + bias`` is
+    [y_next | u1 | u2 | u3 | u4], and the step is RK4's (up to rounding)
+    when lo <= u_j <= hi for all four stages.  A constant load vector
+    ``w_const`` folds into g, so ``bias`` carries it and tw is None.
+    """
+    n = plant.n
+    cols = np.arange(n)
+    d, c = pieces.slope[piece, cols], pieces.icpt[piece, cols]
+    lmap = -np.vstack((ctrl.kx.T, ctrl.kz.T))
+    m = np.zeros((2 * n, 2 * n))
+    m[cols, cols] = -plant.a
+    m[:n, n:] = ctrl.e.T
+    m[:, :n] += (lmap * d) @ plant.b.T
+    m[:, n:] += (lmap * (1.0 - d)) @ ctrl.s_aw
+    g = np.concatenate((c @ plant.b.T, -c @ ctrl.s_aw))
+    if w_const is not None:
+        g[:n] += w_const
+    eye = np.eye(2 * n)
+    a = h * m
+    a2 = a @ a
+    p = eye + a + a2 @ (0.5 * eye + a / 6.0 + a2 / 24.0)
+    al = a @ lmap
+    a2l = a @ al
+    mat = np.hstack((p, lmap, lmap + 0.5 * al, lmap + 0.5 * al + 0.25 * a2l,
+                     lmap + al + 0.5 * a2l + 0.25 * (a @ a2l)))
+    ga = g @ a
+    ga2 = ga @ a
+    bias = sum(_forcing_rows(h, g, ga, ga2, ga2 @ a, g @ lmap, ga @ lmap,
+                             ga2 @ lmap))
+    tw = None if w_const is not None else np.vstack(_forcing_rows(
+        h, eye[:n], a[:n], a2[:n], a2[:n] @ a, lmap[:n], al[:n], a2l[:n]))
+    return (mat, tw, bias, np.tile(pieces.lo[piece, cols], 4),
+            np.tile(pieces.hi[piece, cols], 4))
+
+
+# maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100
+_MAPS_PER_ROW = 3
+
+
+class _AffineRows:
+    """The saturation-pattern maps of the rows of one stacked run.
+
+    A row gets the map of pattern p once p has held (all four stage
+    inputs on p) through n consecutive staged steps: a build costs
+    O(n^3), a staged step O(n^2).  A row keeps its last few maps, so a
+    pattern it returns to needs no new build; nothing outlives the
+    call.  The active map of each row sits in the (C, ...) arrays that
+    one batched product steps; a row without one has empty bounds
+    (lo = inf, hi = -inf), so its candidate never holds.
+    """
+
+    def __init__(self, plant, ctrls, dt: float, w_const):
+        rows, n = len(ctrls), plant.n
+        self.plant, self.ctrls, self.dt = plant, ctrls, dt
+        self.w_const = w_const
+        self.pieces = _Pieces(plant.pair)
+        self.mat = np.zeros((rows, 2 * n, 6 * n))
+        self.bias = np.zeros((rows, 1, 6 * n))
+        self.tw = None if w_const is not None else np.zeros((rows, 3 * n,
+                                                             6 * n))
+        self.lo = np.full((rows, 1, 4 * n), np.inf)
+        self.hi = np.full((rows, 1, 4 * n), -np.inf)
+        self.live = {}                      # row -> pattern of its map
+        self.runs = [(None, 0)] * rows      # (pattern, staged steps held)
+        self.maps = [{} for _ in ctrls]
+        self.built = [0] * rows
+
+    def propose(self, y, w_flat):
+        """Each row's affine candidate and where its stage inputs hold."""
+        out = y @ self.mat
+        out += self.bias if self.tw is None else w_flat @ self.tw + self.bias
+        u = out[..., 2 * self.plant.n:]
+        return out, (self.lo <= u) & (u <= self.hi)
+
+    def observe(self, us, rows) -> None:
+        """Update ``rows``, which took the staged step with inputs us."""
+        pieces = self.pieces.of(us)
+        held = np.all(pieces == pieces[:, :1], axis=(1, 2))
+        for i in rows:
+            key = pieces[i, 0].tobytes() if held[i] else None
+            last, run = self.runs[i]
+            if key is None:
+                run = 0
+            else:
+                run = run + 1 if key == last else 1
+            self.runs[i] = key, run
+            maps = self.maps[i]
+            if key is not None and key not in maps and run >= self.plant.n:
+                if len(maps) == _MAPS_PER_ROW:
+                    del maps[next(iter(maps))]
+                maps[key] = _affine_step(self.plant, self.ctrls[i],
+                                         self.pieces, pieces[i, 0], self.dt,
+                                         self.w_const)
+                self.built[i] += 1
+            if key in maps:
+                if self.live.get(i) != key:
+                    mat, tw, bias, lo, hi = maps[key]
+                    self.mat[i], self.bias[i, 0] = mat, bias
+                    if tw is not None:
+                        self.tw[i] = tw
+                    self.lo[i, 0], self.hi[i, 0] = lo, hi
+                    self.live[i] = key
+            elif self.live.pop(i, None) is not None:
+                self.lo[i], self.hi[i] = np.inf, -np.inf
 
 
 def integrate(plant: model.PlantModel,
@@ -96,12 +288,25 @@ def integrate(plant: model.PlantModel,
     when dt looks too coarse for the linear regime; a state that is not
     finite or exceeds ``BLOWUP_LIMIT`` raises NonFiniteState.
 
+    Each step is classic RK4, taken one of two ways.  While every input
+    stays on one piece of the sector (its saturation pattern) the loop
+    is affine, and the step is one product with that pattern's map (see
+    ``_affine_step``), which also gives the four stage inputs; the step
+    is kept only if all of them lie on the assumed pieces.  Otherwise
+    the staged step evaluates the vector field four times.  A pattern's
+    map is built once the pattern has held through n consecutive staged
+    steps, and the partial last step (``h`` below ``dt``) is always
+    staged.  The two agree up to rounding, kinks included.  The
+    returned ``counts`` say how many steps took each way and how many
+    maps were built.
+
     ``ctrl`` may instead be a sequence of C controllers, one per row of
     a stack of closed loops: ``x_init`` is then (C, n) and ``z_init``
     holds one entry per row (None for a static row).  The rows share
     the forcing table, the step grid and the blow-up test, and step
-    together in one loop.  The call returns a TrajectoryStack whose
-    rows are bit for bit what integrating each controller alone gives.
+    together in one loop; each row picks its own way each step.  The
+    call returns a TrajectoryStack whose rows are bit for bit what
+    integrating each controller alone gives, counts included.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0 and dt > 0.0):
@@ -130,11 +335,6 @@ def integrate(plant: model.PlantModel,
     x = np.array(x_init, dtype=float).reshape(rows, n)
     z = np.array([np.zeros(n) if zi is None
                   else np.array(zi, dtype=float).reshape(n) for zi in z_rows])
-    # one controller keeps its (n, n) matrices and a (2n,) state; a stack
-    # steps (C, 1, 2n) rows against (C, n, n) matrices, so every row runs
-    # the same matrix-vector products as it would alone
-    form = ctrl if single else model.ControllerStack.of(ctrls)
-    shape = (2 * n,) if single else (rows, 1, 2 * n)
 
     span = t1 - t0
     full = int(math.floor(span / dt + 1e-9))
@@ -148,23 +348,45 @@ def integrate(plant: model.PlantModel,
     hs = np.where(np.arange(steps) < full, dt, rem)
     tk = ts[:steps]
     forcing = wsig(np.stack([tk, tk + 0.5 * hs, tk + hs], axis=1))
+    w_flat = forcing.reshape(steps, 1, 3 * n)
 
-    # bound once: the stages skip the input checks of closed_loop_derivative
-    field = model.vector_field(plant, form)
-    ys = np.empty((steps + 1,) + shape)
-    y = ys[0] = np.concatenate((x, z), axis=1).reshape(shape)
+    # every run is a stack, one controller a stack of one: row i steps a
+    # (1, 2n) state against its own (n, n) matrices and (2n, 6n) map
+    field = model.vector_field(plant, model.ControllerStack.of(ctrls))
+    aff = _AffineRows(plant, ctrls, dt,
+                      wsig(t0) if wsig.is_constant else None)
+    affine_steps = 0                    # steps every row took affine
+    taken = np.zeros(rows, dtype=int)   # further affine steps per row
+    every_row = range(rows)
+    ys = np.empty((steps + 1, rows, 1, 2 * n))
+    y = ys[0] = np.concatenate((x, z), axis=1)[:, None, :]
     for k, h in enumerate(hs.tolist()):
-        w0, wm, w1 = forcing[k]
-        k1 = field(y, w0)
-        k2 = field(y + 0.5 * h * k1, wm)
-        k3 = field(y + 0.5 * h * k2, wm)
-        k4 = field(y + h * k3, w1)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        hold = None     # True, or which rows' affine candidates hold
+        if k < full and aff.live:
+            out, good = aff.propose(y, w_flat[k])
+            hold = True if good.all() else good.all(axis=(1, 2))
+        if hold is True:
+            y = out[..., :2 * n]
+            affine_steps += 1
+        else:
+            w0, wm, w1 = forcing[k]
+            k1, u1 = field(y, w0)
+            k2, u2 = field(y + 0.5 * h * k1, wm)
+            k3, u3 = field(y + 0.5 * h * k2, wm)
+            k4, u4 = field(y + h * k3, w1)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            staged = every_row
+            if hold is not None and hold.any():
+                y = np.where(hold[:, None, None], out[..., :2 * n], y)
+                taken += hold
+                staged = np.flatnonzero(~hold)
         if not np.abs(y).max() <= BLOWUP_LIMIT:
             ok = np.all(np.abs(y.reshape(rows, -1)) <= BLOWUP_LIMIT, axis=1)
             where = "" if single else f"row {int(np.argmin(ok))}: "
             raise NonFiniteState(f"{where}state left +-{BLOWUP_LIMIT:g} "
                                  f"near t={ts[k + 1]:.6g} (step {k + 1})")
+        if hold is not True and k + 1 < full:
+            aff.observe(np.concatenate((u1, u2, u3, u4), axis=1), staged)
         ys[k + 1] = y
 
     ys = ys.reshape(steps + 1, rows, 2 * n)
@@ -172,9 +394,16 @@ def integrate(plant: model.PlantModel,
     for i, c in enumerate(ctrls):
         xs, zs = ys[:, i, :n], ys[:, i, n:]
         us = c.feedback(xs, zs)
+        row_affine = affine_steps + int(taken[i])
         trajs.append(Trajectory(ts, xs, zs, us,
-                                sector.eval_f(plant.pair, us)))
-    return trajs[0] if single else TrajectoryStack(trajs)
+                                sector.eval_f(plant.pair, us),
+                                StepCounts(row_affine, steps - row_affine,
+                                           aff.built[i])))
+    if single:
+        return trajs[0]
+    return TrajectoryStack(trajs, StepCounts(affine_steps,
+                                             steps - affine_steps,
+                                             sum(aff.built)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 5
+    assert report["schema_version"] == 6
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -215,7 +215,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 5
+    assert costs["schema_version"] == 6
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -335,6 +335,17 @@ def test_lp_report(tmp_path):
     assert np.all(np.abs(report["v_star"]) <= 1.0 + 1e-12)
 
 
+_RK4_COUNTERS = ("rk4_steps", "affine_steps", "staged_steps", "patterns",
+                 "derivative_evaluations")
+
+
+def _assert_rk4_counters(diag, steps):
+    assert set(diag) == set(_RK4_COUNTERS)
+    assert diag["rk4_steps"] == steps
+    assert diag["affine_steps"] + diag["staged_steps"] == steps
+    assert diag["derivative_evaluations"] == 4 * diag["staged_steps"]
+
+
 def test_diagnostics_counters_repeat(tmp_path):
     # deterministic counters: two runs of each command report the same
     # ones, and the stacked compare counts each evaluation once
@@ -358,20 +369,26 @@ def test_diagnostics_counters_repeat(tmp_path):
         storage, = (c for c in json.loads(
             (out / "certify.json").read_text())["checks"]
             if c["name"] == "storage_decrease")
-        diags[run].append({k: storage[k] for k in
-                           ("rk4_steps", "derivative_evaluations")})
-        assert all(json.loads(p.read_text())["schema_version"] == 5
+        diags[run].append({k: storage[k] for k in _RK4_COUNTERS})
+        assert all(json.loads(p.read_text())["schema_version"] == 6
                    for p in reports + (out / "certify.json",))
     assert diags["a"] == diags["b"]
     sim, cmp_, lp, probe = diags["a"]
-    assert sim == cmp_ == {"rk4_steps": 800, "derivative_evaluations": 3200}
+    _assert_rk4_counters(sim, 800)
+    _assert_rk4_counters(cmp_, 800)
+    # the constant load holds a pattern long enough to build its map
+    assert sim["affine_steps"] > 0 and sim["patterns"] > 0
+    # the stack stages a step whenever one of its rows does
+    assert cmp_["staged_steps"] >= sim["staged_steps"]
+    assert cmp_["patterns"] >= sim["patterns"]
     assert set(lp) == {"pivots", "bound_flips", "bland_pivots"}
     assert lp["pivots"] > 0
     # the storage probe runs 10 / min(a) hours at the default step
     scn, _ = cli.load_config(BENCHMARK)
     plant, _ = heating.to_standard_form(scn)
-    steps = math.ceil(10.0 / float(np.min(plant.a)) / 0.05 - 1e-9)
-    assert probe == {"rk4_steps": steps, "derivative_evaluations": 4 * steps}
+    _assert_rk4_counters(probe,
+                         math.ceil(10.0 / float(np.min(plant.a)) / 0.05
+                                   - 1e-9))
 
 
 def test_lp_rejects_bad_gamma():
@@ -416,6 +433,11 @@ _COORDINATING = {"variant": "coordinating", "p_per_degc": [1.0],
     ("t_ext", {"constant_degc": math.nan}),
     ("t_ext", {"time_h": [0.0, 1.0]}),
     ("t_ext", {"time_h": [0.0, 1.0], "temp_degc": [math.nan, -1.0]}),
+    # sizes that disagree
+    ("a_kw_per_degc", [1.0, 1.0]),
+    ("controller", {**_COORDINATING, "variant": "decentralized",
+                    "p_per_degc": [1.0, 1.0]}),
+    ("t_ext", {"time_h": [0.0, 1.0, 2.0], "temp_degc": [-1.0, -1.0]}),
 ])
 def test_malformed_scenario_values(key, value, tmp_path, capsys):
     data = json.loads(pathlib.Path(TEXTBOOK).read_text())
