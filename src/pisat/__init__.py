@@ -20,8 +20,8 @@ from .matrixlab import (column_dominance_scaling, diagonal_lyapunov_scaling,
                         is_m_matrix, is_spd, is_strictly_column_dominant,
                         is_z_pattern)
 from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
-                    VARIANT_STATIC, ControllerSpec, ControllerStack,
-                    DisturbanceSignal, PlantModel, TuningReport, check_tuning,
+                    VARIANT_STATIC, ControllerSpec, DisturbanceSignal,
+                    PlantModel, TuningReport, check_tuning,
                     closed_loop_derivative, default_static_gain,
                     vector_field)
 from .optimality import (AllocationSolution, OptimalityCertificate,

@@ -160,15 +160,13 @@ def _resolve_controller(scn: heating.HeatingScenario, name: str,
     base = scn.controller
     if name == base.variant:
         return scn
-    if name == model.VARIANT_STATIC:
-        ctrl = model.ControllerSpec.static(model.default_static_gain(plant))
-    elif not base.is_pi:
+    static = name == model.VARIANT_STATIC
+    if not (static or base.is_pi):
         raise ConfigError("config carries no PI gains; cannot build "
                           f"the {name} controller")
-    elif name == model.VARIANT_DECENTRALIZED:
-        ctrl = model.ControllerSpec.decentralized(base.p, base.r, base.s)
-    else:
-        ctrl = model.ControllerSpec.coordinating(base.p, base.r, base.s)
+    ctrl = model.ControllerSpec(
+        name, p=base.p, r=base.r, s=base.s,
+        k_static=model.default_static_gain(plant) if static else None)
     return dataclasses.replace(scn, controller=ctrl)
 
 

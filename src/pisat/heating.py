@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixlab, model
-from .errors import ConfigError, DimensionMismatch, NotMMatrix, ParseError
+from .errors import (ConfigError, DimensionMismatch, NotMMatrix, ParseError,
+                     UnsupportedVariant)
 
 BENCHMARK_SIZE = 10
 COMFORT_DEGC = 20.0
@@ -71,8 +72,9 @@ class HeatingScenario:
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         b = np.asarray(self.b_heat, dtype=float)
         n = a.size
-        if c.size != n or b.shape != (n, n):
-            raise DimensionMismatch("scenario arrays disagree on network size")
+        if c.size != n or b.shape != (n, n) or self.controller.n != n:
+            raise DimensionMismatch("scenario arrays or controller disagree "
+                                    "on network size")
         x_c, t_ext = float(self.x_c), self.t_ext
         consts = [x_c]
         if not isinstance(t_ext, TemperatureSeries):
@@ -109,18 +111,9 @@ def benchmark_scenario(t_ext: TemperatureSeries | float = -10.0,
     idx = np.arange(1, n + 1, dtype=float)
     b_heat = -0.15 * np.minimum(idx[:, None], idx[None, :])
     np.fill_diagonal(b_heat, 12.0)
-    p = np.full(n, 2.5)
-    r = np.full(n, 0.2)
-    s = np.full(n, 2.0)
-    if controller == model.VARIANT_DECENTRALIZED:
-        ctrl = model.ControllerSpec.decentralized(p, r, s)
-    elif controller == model.VARIANT_COORDINATING:
-        ctrl = model.ControllerSpec.coordinating(p, r, s)
-    elif controller == model.VARIANT_STATIC:
-        cap = c[:, None]
-        ctrl = model.ControllerSpec.static((b_heat / cap).T)
-    else:
-        raise ConfigError(f"unknown controller variant {controller!r}")
+    ctrl = model.ControllerSpec(controller, p=np.full(n, 2.5),
+                                r=np.full(n, 0.2), s=np.full(n, 2.0),
+                                k_static=(b_heat / c[:, None]).T)
     return HeatingScenario(a, c, b_heat, COMFORT_DEGC, t_ext, ctrl,
                            name="benchmark10")
 
@@ -182,30 +175,21 @@ def scenario_from_json(data: dict) -> HeatingScenario:
         x_c = float(data["x_c_degc"])
         text = data["t_ext"]
         cd = data["controller"]
-        variant = cd["variant"]
         if "constant_degc" in text:
             t_ext: TemperatureSeries | float = float(text["constant_degc"])
         else:
             t_ext = TemperatureSeries(
                 np.asarray(text["time_h"], dtype=float),
                 np.asarray(text["temp_degc"], dtype=float))
-        if variant == model.VARIANT_STATIC:
-            ctrl = model.ControllerSpec.static(
-                np.asarray(cd["k_static"], dtype=float))
-        elif variant in model.PI_VARIANTS:
-            p = np.asarray(cd["p_per_degc"], dtype=float)
-            r = np.asarray(cd["r_per_degc_h"], dtype=float)
-            s = np.asarray(cd["s_degc"], dtype=float)
-            if variant == model.VARIANT_DECENTRALIZED:
-                ctrl = model.ControllerSpec.decentralized(p, r, s)
-            else:
-                ctrl = model.ControllerSpec.coordinating(p, r, s,
-                                                         cd.get("beta"))
-        else:
-            raise ConfigError(f"unknown controller variant {variant!r}")
+        # the spec reads the gains its variant needs and checks them
+        ctrl = model.ControllerSpec(cd["variant"], p=cd.get("p_per_degc"),
+                                    r=cd.get("r_per_degc_h"),
+                                    s=cd.get("s_degc"), beta=cd.get("beta"),
+                                    k_static=cd.get("k_static"))
         return HeatingScenario(a, c, b, x_c, t_ext, ctrl,
                                name=str(data.get("name", "custom")))
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch,
+            UnsupportedVariant) as exc:
         raise ConfigError(f"scenario json missing or malformed field: {exc}") \
             from exc
 

@@ -15,20 +15,20 @@ h(u) = u - f(u) the excess over the sector:
 Per-agent PI with local anti-windup is (diag(p), diag(r), I, diag(s));
 the same PI loops sharing one anti-windup signal replace S_aw by
 beta 11^T; static state feedback is (K, 0, 0, 0), so its integral
-state z stays at zero.  The vector field therefore has one body for
-every variant, and it broadcasts over leading axes of the state arrays.
+state z stays at zero.  ``ControllerSpec`` builds these matrices from
+the variant and its gains, and checks both.  The vector field therefore
+has one body for every variant, and it broadcasts over leading axes of
+the state arrays.
 
-A stack of closed loops uses that same body: ControllerStack holds C
-controllers' matrices as (C, n, n) arrays, and the state of row i is a
-(1, n) slice of a (C, 1, n) array.  The body transposes with ``.mT``
-(the last two axes), which for a single (n, n) matrix is the same view
-as ``.T``, so one controller runs exactly the products it always did.
-
-``vector_field`` binds that body once, with the plant, the transposed
-views and the sector's f resolved, as a function of the stacked state
-y = [x, z]; the integrator calls it at every stage.
-``closed_loop_derivative`` checks its inputs and runs the same body, so
-both give the same bits.
+``vector_field`` binds that body once, with the plant, the sector's f
+and the matrices of a sequence of C controllers resolved, as a function
+of the stacked state y = [x, z]; the integrator calls it at every
+stage.  The matrices are stacked as (C, n, n) arrays, and the state of
+row i is a (1, n) slice of a (C, 1, n) array.  The body transposes
+with ``.mT`` (the last two axes), which for a single (n, n) matrix is
+the same view as ``.T``, so ``closed_loop_derivative``, which checks its
+inputs and runs the same body on one controller, gives the same bits
+as a stack of one.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class ControllerSpec:
             n = p.size
             if self.variant == VARIANT_COORDINATING:
                 beta = float(self.beta) if self.beta is not None else 1.0 / n
-                if not beta > 0.0:
-                    raise ValueError("beta must be positive")
+                if not (beta > 0.0 and np.isfinite(beta)):
+                    raise ValueError("beta must be positive and finite")
                 object.__setattr__(self, "beta", beta)
                 s_aw = np.full((n, n), beta)
             else:
@@ -168,26 +168,6 @@ class ControllerSpec:
     def feedback(self, x, z) -> np.ndarray:
         """The law u = -kx x - kz z; z is zero for static feedback."""
         return -(x @ self.kx.mT) - z @ self.kz.mT
-
-
-@dataclass(frozen=True, eq=False)
-class ControllerStack:
-    """Controllers stacked row by row in the canonical linear form.
-
-    kx, kz, e and s_aw are (C, n, n), row i from the i-th controller.
-    Against states shaped (C, 1, n), the vector field steps every row
-    at once, each row through its own matrices.
-    """
-
-    kx: np.ndarray
-    kz: np.ndarray
-    e: np.ndarray
-    s_aw: np.ndarray
-
-    @classmethod
-    def of(cls, ctrls) -> "ControllerStack":
-        return cls(*(np.stack([getattr(c, name) for c in ctrls])
-                     for name in ("kx", "kz", "e", "s_aw")))
 
 
 def default_static_gain(plant: PlantModel) -> np.ndarray:
@@ -253,11 +233,11 @@ class DisturbanceSignal:
         return out.reshape(t.shape + (self.n,))
 
 
-def _bind(plant: PlantModel, ctrl: ControllerSpec | ControllerStack):
+def _bind(plant: PlantModel, kx, kz, e, s_aw):
     # the one body of the vector field, with its operands bound once:
     # (x, z, w) -> (dx, dz, u), the law u as ControllerSpec.feedback has it
     neg_a, bt, f = -plant.a, plant.b.T, sector.bind_f(plant.pair)
-    kxt, kzt, et, s_aw = ctrl.kx.mT, ctrl.kz.mT, ctrl.e.mT, ctrl.s_aw
+    kxt, kzt, et = kx.mT, kz.mT, e.mT
 
     def body(x, z, w):
         u = -(x @ kxt) - z @ kzt
@@ -270,17 +250,21 @@ def _bind(plant: PlantModel, ctrl: ControllerSpec | ControllerStack):
     return body
 
 
-def vector_field(plant: PlantModel, ctrl: ControllerSpec | ControllerStack):
-    """The closed-loop vector field on the stacked state y = [x, z].
+def vector_field(plant: PlantModel, ctrls):
+    """The closed-loop vector field of C controllers, stacked.
 
     Returns ``field(y, w) -> (dy, u)``, the derivative and the input,
-    for float arrays y (last axis 2n) and w (last axis n) that
-    broadcast over leading axes.  The plant, the controller matrices
-    and the sector's f are bound once, and the field checks none of its
-    inputs: it is meant for loops that call it many times on arrays
-    they built, such as ``simulate.integrate``.
+    for float arrays y (last axis 2n, the state [x, z]) and w (last axis
+    n) that broadcast over leading axes; states shaped (C, 1, 2n) step
+    row i through controller i of the sequence ``ctrls``.  The plant,
+    the stacked (C, n, n) matrices and the sector's f are bound once,
+    and the field checks none of its inputs: it is meant for loops that
+    call it many times on arrays they built, such as
+    ``simulate.integrate``.
     """
-    body, n = _bind(plant, ctrl), plant.n
+    body = _bind(plant, *(np.stack([getattr(c, name) for c in ctrls])
+                          for name in ("kx", "kz", "e", "s_aw")))
+    n = plant.n
 
     def field(y, w):
         dx, dz, u = body(y[..., :n], y[..., n:], w)
@@ -289,22 +273,20 @@ def vector_field(plant: PlantModel, ctrl: ControllerSpec | ControllerStack):
     return field
 
 
-def closed_loop_derivative(plant: PlantModel,
-                           ctrl: ControllerSpec | ControllerStack,
+def closed_loop_derivative(plant: PlantModel, ctrl: ControllerSpec,
                            x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-loop vector field at state (x, z) under disturbance value w.
 
     Returns (dx, dz, u); for static feedback z and dz are zeros.  All
     arguments broadcast over leading axes, with agent coordinates on the
-    last axis.  ``ctrl`` may be a ControllerStack, whose (C, n, n)
-    matrices meet states shaped (C, 1, n).
+    last axis.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     if not x.shape[-1:] == z.shape[-1:] == w.shape[-1:] == (plant.n,):
         raise DimensionMismatch("state and disturbance must have n coordinates")
-    return _bind(plant, ctrl)(x, z, w)
+    return _bind(plant, ctrl.kx, ctrl.kz, ctrl.e, ctrl.s_aw)(x, z, w)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,10 @@ instance is saturation paired with the deadzone.  Shifting a pair around
 an operating point and rescaling it coordinatewise both stay inside the
 class; the transforms here act exactly on the underlying piecewise-linear
 description instead of resampling it.
+
+f, its integral, the affine pieces the integrator steps on and the
+pair's kind (saturation, identity or custom) are all read from one
+piece table, built once per pair; no caller labels a pair's kind.
 """
 
 from __future__ import annotations
@@ -57,13 +61,12 @@ class PwlFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return _table_f(SectorPair(KIND_CUSTOM, (self,)), x[..., None])[..., 0]
+        return _table_f(SectorPair((self,)), x[..., None])[..., 0]
 
     def integral_from_zero(self, b):
         """Exact integral of the function from 0 to b, vectorized in b."""
         b = np.asarray(b, dtype=float)
-        return integral_from_zero(SectorPair(KIND_CUSTOM, (self,)),
-                                  b[..., None])[..., 0]
+        return integral_from_zero(SectorPair((self,)), b[..., None])[..., 0]
 
 
 class SectorPair:
@@ -72,13 +75,17 @@ class SectorPair:
     The components are stacked once, when the pair is made, into padded
     tables with one column per coordinate: ``knots`` and ``values`` of
     shape (K, n), where a coordinate with fewer knots repeats its last
-    knot and value, and the extension slopes ``slope_left`` and
-    ``slope_right`` of shape (n,).  Segment ``j`` runs from ``lo[j]`` to
-    ``hi[j]`` with slope ``slope[j]`` (all (K - 1, n)); padded segments
-    have zero length and slope 0.
+    knot and value.  From them the pair builds its piece table, all
+    (K + 1, n): on piece j, f(u) = icpt[j] + slope[j] u.  Piece 0 is the
+    left extension, piece K the right one, and a padded piece has zero
+    length and slope 0.  A piece on the same line as the piece before
+    it continues that piece, so each run of such pieces is one affine
+    piece: its first piece spans it, from ``lo`` to ``hi`` (-inf and inf
+    at the ends), and the others span nothing (lo = hi).  ``kind`` is
+    read off the table.
     """
 
-    def __init__(self, kind: str, components: Sequence[PwlFunction]):
+    def __init__(self, components: Sequence[PwlFunction]):
         comps = tuple(components)
         if not comps:
             raise InvalidSectorPair("at least one component required")
@@ -86,42 +93,83 @@ class SectorPair:
         # row j of column i takes knot min(j, size_i - 1) of component i
         take = (np.cumsum(size) - size
                 + np.minimum(np.arange(size.max())[:, None], size - 1))
-        self._set_tables(kind, np.concatenate([c.knots for c in comps])[take],
+        self._set_tables(np.concatenate([c.knots for c in comps])[take],
                          np.concatenate([c.values for c in comps])[take],
                          np.array([c.slope_left for c in comps]),
                          np.array([c.slope_right for c in comps]))
 
     @classmethod
-    def _from_tables(cls, kind, knots, values, slope_left,
+    def _from_tables(cls, knots, values, slope_left,
                      slope_right) -> "SectorPair":
         pair = cls.__new__(cls)
-        pair._set_tables(kind, knots, values, slope_left, slope_right)
+        pair._set_tables(knots, values, slope_left, slope_right)
         return pair
 
-    def _set_tables(self, kind, knots, values, slope_left, slope_right):
-        self.kind = kind
+    def _set_tables(self, knots, values, slope_left, slope_right):
         self.knots, self.values = knots, values
-        self.slope_left, self.slope_right = slope_left, slope_right
-        self.lo, self.hi = knots[:-1], knots[1:]
-        run = self.hi - self.lo
-        self.slope = np.divide(np.diff(values, axis=0), run,
-                               out=np.zeros_like(run), where=run > 0.0)
+        run = np.diff(knots, axis=0)
+        self.slope = np.concatenate((slope_left[None], np.divide(
+            np.diff(values, axis=0), run, out=np.zeros_like(run),
+            where=run > 0.0), slope_right[None]))
+        self.icpt = (np.concatenate((values[:1], values))
+                     - self.slope * np.concatenate((knots[:1], knots)))
+        # what _table_f reads on every call, as views taken once: the
+        # interior pieces (from knot to knot) and the extension slopes
+        self._segments = (knots[:-1], knots[1:], self.slope[1:-1],
+                          self.slope[0], self.slope[-1])
+        # same[j]: piece j + 1 continues piece j; a run ends at the first
+        # knot after it where the line changes (knots never decrease),
+        # and each piece starts where the piece before it ends
+        same = ((self.slope[1:] == self.slope[:-1])
+                & (self.icpt[1:] == self.icpt[:-1]))
+        edge = np.full((1, self.n), np.inf)
+        ends = np.concatenate((np.where(same, np.inf, knots), edge))
+        self.hi = np.minimum.accumulate(ends[::-1], axis=0)[::-1]
+        self.lo = np.concatenate((-edge, self.hi[:-1]))
+        self.kind = _kind(self)
 
     @property
     def n(self) -> int:
         return self.knots.shape[1]
 
+    def piece_of(self, u: np.ndarray) -> np.ndarray:
+        """Row of the piece table spanning each input (last axis of u);
+        inputs on one affine piece of f share it."""
+        return np.sum(u[..., None, :] > self.lo[1:], axis=-2)
+
+
+# (lo, hi, slope, icpt) of each kind's pieces, the first first; pieces
+# tile the line, so a pair whose pieces are all among them is that kind
+_KINDS = ((KIND_SATURATION, np.array([[-np.inf, -1.0, 0.0, -1.0],
+                                      [-1.0, 1.0, 1.0, 0.0],
+                                      [1.0, np.inf, 0.0, 1.0]])),
+          (KIND_IDENTITY, np.array([[-np.inf, np.inf, 1.0, 0.0]])))
+
+
+def _kind(pair: SectorPair) -> str:
+    for kind, want in _KINDS:
+        # piece 0 always spans something, so its line rules out most
+        if (pair.slope[0] == want[0, 2]).all() and (
+                pair.icpt[0] == want[0, 3]).all():
+            pieces = np.stack((pair.lo, pair.hi, pair.slope, pair.icpt),
+                              axis=-1)[..., None, :]
+            if np.all((pieces == want).all(-1).any(-1)
+                      | (pair.lo == pair.hi)):
+                return kind
+    return KIND_CUSTOM
+
 
 def saturation_deadzone(n: int) -> SectorPair:
     """The clip-to-[-1, 1] pair: f = sat, h = deadzone."""
-    comp = PwlFunction(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]), 0.0, 0.0)
-    return SectorPair(KIND_SATURATION, (comp,) * int(n))
+    knots = np.repeat([[-1.0], [1.0]], int(n), axis=1)
+    zero = np.zeros(knots.shape[1])
+    return SectorPair._from_tables(knots, knots.copy(), zero, zero)
 
 
 def identity_zero(n: int) -> SectorPair:
     """The unconstrained pair: f = id, h = 0."""
-    comp = PwlFunction(np.zeros(1), np.zeros(1), 1.0, 1.0)
-    return SectorPair(KIND_IDENTITY, (comp,) * int(n))
+    zero, one = np.zeros((1, int(n))), np.ones(int(n))
+    return SectorPair._from_tables(zero, zero.copy(), one, one)
 
 
 def custom_pwl(components: Sequence[PwlFunction]) -> SectorPair:
@@ -129,12 +177,11 @@ def custom_pwl(components: Sequence[PwlFunction]) -> SectorPair:
 
     Every component must satisfy f(0) = 0 and keep all slopes inside
     [0, 1].  A deliberately nonconforming pair is built with
-    ``SectorPair(KIND_CUSTOM, components)``.
+    ``SectorPair(components)``.
     """
-    pair = SectorPair(KIND_CUSTOM, components)
-    slopes = np.vstack([pair.slope_left, pair.slope, pair.slope_right])
-    bad_slope = np.any((slopes < -_SLOPE_TOL) | (slopes > 1.0 + _SLOPE_TOL),
-                       axis=0)
+    pair = SectorPair(components)
+    bad_slope = np.any((pair.slope < -_SLOPE_TOL)
+                       | (pair.slope > 1.0 + _SLOPE_TOL), axis=0)
     scale = np.maximum(1.0, np.max(np.abs(pair.values), axis=0))
     bad_zero = (np.abs(_table_f(pair, np.zeros(pair.n)))
                 > _SLOPE_TOL * scale)
@@ -162,10 +209,11 @@ def _table_f(pair: SectorPair, u: np.ndarray) -> np.ndarray:
     with the per-coordinate evaluation bit for bit.
     """
     k0, km = pair.knots[0], pair.knots[-1]
-    c = np.minimum(np.maximum(u[..., None, :], pair.lo), pair.hi)
-    return (pair.values[0] + np.add.reduce(pair.slope * (c - pair.lo), axis=-2)
-            + pair.slope_left * np.minimum(u - k0, 0.0)
-            + pair.slope_right * np.maximum(u - km, 0.0))
+    lo, hi, slope, left, right = pair._segments
+    c = np.minimum(np.maximum(u[..., None, :], lo), hi)
+    return (pair.values[0] + np.add.reduce(slope * (c - lo), axis=-2)
+            + left * np.minimum(u - k0, 0.0)
+            + right * np.maximum(u - km, 0.0))
 
 
 def _table_antiderivative(pair: SectorPair, u: np.ndarray) -> np.ndarray:
@@ -176,19 +224,20 @@ def _table_antiderivative(pair: SectorPair, u: np.ndarray) -> np.ndarray:
     cancel the segment terms against the first value.
     """
     k0, km = pair.knots[0], pair.knots[-1]
+    lo, hi, slope, slope_left, slope_right = pair._segments
     x = u[..., None, :]
-    c = np.minimum(np.maximum(x, pair.lo), pair.hi)
-    run = c - pair.lo
-    inner = np.add.reduce(0.5 * pair.slope * run * run
-                          + pair.slope * run * (x - c), axis=-2)
+    c = np.minimum(np.maximum(x, lo), hi)
+    run = c - lo
+    inner = np.add.reduce(0.5 * slope * run * run + slope * run * (x - c),
+                          axis=-2)
     left = np.minimum(u - k0, 0.0)
     from_first = (pair.values[0] * (u - k0)
-                  + (inner + 0.5 * pair.slope_left * left * left))
+                  + (inner + 0.5 * slope_left * left * left))
     area = np.add.reduce(0.5 * (pair.values[1:] + pair.values[:-1])
-                         * (pair.hi - pair.lo), axis=0)
+                         * (hi - lo), axis=0)
     right = u - km
     from_last = (area + pair.values[-1] * right
-                 + 0.5 * pair.slope_right * right * right)
+                 + 0.5 * slope_right * right * right)
     return np.where(u >= km, from_last, from_first)
 
 
@@ -234,9 +283,9 @@ def shift_pair(pair: SectorPair, x0) -> SectorPair:
     _check_width(pair, x0)
     if not np.all(np.isfinite(x0)):
         raise InvalidSectorPair("shift must be finite")
-    return SectorPair._from_tables(KIND_CUSTOM, pair.knots - x0,
+    return SectorPair._from_tables(pair.knots - x0,
                                    pair.values - _table_f(pair, x0),
-                                   pair.slope_left, pair.slope_right)
+                                   pair.slope[0], pair.slope[-1])
 
 
 def scale_pair(pair: SectorPair, d) -> SectorPair:
@@ -248,5 +297,5 @@ def scale_pair(pair: SectorPair, d) -> SectorPair:
     _check_width(pair, d)
     if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise InvalidSectorPair("scaling vector must be positive and finite")
-    return SectorPair._from_tables(KIND_CUSTOM, d * pair.knots, d * pair.values,
-                                   pair.slope_left, pair.slope_right)
+    return SectorPair._from_tables(d * pair.knots, d * pair.values,
+                                   pair.slope[0], pair.slope[-1])

@@ -4,18 +4,19 @@ Lyapunov decrease monitor.
 Integration uses the classic fourth-order Runge-Kutta scheme on a fixed
 grid, stepping the stacked state [x, z]; the disturbance is sampled at
 every stage time in one call before the loop (time-varying signals are
-interpolated linearly).  The sector's f is affine on each of its
-pieces, so while every input stays on one piece (a saturation pattern)
-the closed loop is the affine ODE y' = y M + g + [w, 0], and one RK4
-step is one affine map.  The loop then advances by one product with
-that pattern's map, which also yields the four stage inputs, and keeps
-the step only if they all lie on the assumed pieces; otherwise it takes
-the staged step, which evaluates the vector field four times.  A map
-is built only after its pattern has held through n consecutive staged
-steps (a build costs O(n^3), a staged step O(n^2)), and the partial
-last step is always staged.  In exact arithmetic both ways are the
-same RK4 step, kinks included; in floating point they agree to
-rounding.
+interpolated linearly).  The sector's f is affine on each piece of its
+piece table (the identity is one piece), so while every input stays on
+one piece (a saturation pattern) the closed loop is the affine ODE
+y' = y M + g + [w, 0], and one RK4 step is one affine map; M at slope 1
+gives the dt warning its spectrum.  The loop then advances by one
+product with that pattern's map, which also yields the four stage
+inputs, and keeps the step only if they all lie on the assumed pieces;
+otherwise it takes the staged step, which evaluates the vector field
+four times.  A map is built only after its pattern has held through n
+consecutive staged steps (a build costs O(n^3), a staged step O(n^2)),
+and the partial last step is always staged.  In exact arithmetic both
+ways are the same RK4 step, kinks included; in floating point they
+agree to rounding.
 
 The loop steps a stack of closed loops as readily as one: C
 controllers, each with its own start, become the rows of a (C, 1, 2n)
@@ -87,12 +88,8 @@ class Trajectory:
 
 def stability_dt_bound(plant: model.PlantModel, ctrl: model.ControllerSpec) -> float:
     """Step-size bound from the linear-regime closed-loop spectrum."""
-    n = plant.n
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, :n] = -np.diag(plant.a) - plant.b @ ctrl.kx
-    j[:n, n:] = -plant.b @ ctrl.kz
-    j[n:, :n] = ctrl.e
-    rho = float(np.max(np.abs(np.linalg.eigvals(j))))
+    m, _ = _loop_matrix(plant, ctrl, np.ones(plant.n))
+    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     return _RK4_STABILITY / rho if rho > 0.0 else math.inf
 
 
@@ -123,31 +120,6 @@ class TrajectoryStack(tuple):
         return self[0].t
 
 
-class _Pieces:
-    """The sector's f as an affine function on each of its pieces.
-
-    Piece j of a coordinate is u in [knots[j - 1], knots[j]] of the
-    pair's padded (K, n) knot table, with knots[-1] = -inf and
-    knots[K] = inf; on it f(u) = icpt[j] + slope[j] u.  ``of`` numbers
-    the piece of each input by the knots below it, so saturation (where
-    this is (u > -1) + (u > 1)), identity and custom pairs share one
-    code path.
-    """
-
-    def __init__(self, pair: sector.SectorPair):
-        edge = np.full((1, pair.n), np.inf)
-        self.knots = pair.knots
-        self.slope = np.vstack((pair.slope_left, pair.slope,
-                                pair.slope_right))
-        self.icpt = (np.vstack((pair.values[:1], pair.values))
-                     - self.slope * np.vstack((pair.knots[:1], pair.knots)))
-        self.lo = np.vstack((-edge, pair.knots))
-        self.hi = np.vstack((pair.knots, edge))
-
-    def of(self, u: np.ndarray) -> np.ndarray:
-        return np.sum(u[..., None, :] > self.knots, axis=-2)
-
-
 def _forcing_rows(h, r, ra, ra2, ra3, rl, ral, ra2l):
     # what rows r of the forcing b contribute to [y_next | u1 | u2 | u3 |
     # u4] when they enter at t_k, at t_k + h/2 and at t_k + h; ra is r A,
@@ -160,11 +132,25 @@ def _forcing_rows(h, r, ra, ra2, ra3, rl, ral, ra2l):
             np.hstack(((h / 6.0) * r, zero, zero, zero, zero)))
 
 
+def _loop_matrix(plant: model.PlantModel, ctrl: model.ControllerSpec, d):
+    """M and L of the loop y' = y M + g, u = y L, while f has slopes d."""
+    n = plant.n
+    cols = np.arange(n)
+    lmap = -np.vstack((ctrl.kx.T, ctrl.kz.T))
+    m = np.zeros((2 * n, 2 * n))
+    m[cols, cols] = -plant.a
+    m[:n, n:] = ctrl.e.T
+    m[:, :n] += (lmap * d) @ plant.b.T
+    m[:, n:] += (lmap * (1.0 - d)) @ ctrl.s_aw
+    return m, lmap
+
+
 def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
-                 pieces: _Pieces, piece: np.ndarray, h: float, w_const):
+                 piece: np.ndarray, h: float, w_const):
     """One RK4 step of size h while every input stays on ``piece``.
 
-    There f(u) = c + d u, so the loop is the affine ODE
+    ``piece`` holds a row of the sector's piece table per input.  There
+    f(u) = c + d u, so the loop is the affine ODE
     y' = y M + g + [w, 0] with u = y L, and the step is
     y P + b0 Q0 + bm Qm + b1 Q1 for b = g + [w, 0] at the three stage
     times, where A = h M and P = I + A + A^2/2 + A^3/6 + A^4/24, RK4's
@@ -175,15 +161,10 @@ def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
     when lo <= u_j <= hi for all four stages.  A constant load vector
     ``w_const`` folds into g, so ``bias`` carries it and tw is None.
     """
-    n = plant.n
+    n, pair = plant.n, plant.pair
     cols = np.arange(n)
-    d, c = pieces.slope[piece, cols], pieces.icpt[piece, cols]
-    lmap = -np.vstack((ctrl.kx.T, ctrl.kz.T))
-    m = np.zeros((2 * n, 2 * n))
-    m[cols, cols] = -plant.a
-    m[:n, n:] = ctrl.e.T
-    m[:, :n] += (lmap * d) @ plant.b.T
-    m[:, n:] += (lmap * (1.0 - d)) @ ctrl.s_aw
+    d, c = pair.slope[piece, cols], pair.icpt[piece, cols]
+    m, lmap = _loop_matrix(plant, ctrl, d)
     g = np.concatenate((c @ plant.b.T, -c @ ctrl.s_aw))
     if w_const is not None:
         g[:n] += w_const
@@ -201,8 +182,8 @@ def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
                              ga2 @ lmap))
     tw = None if w_const is not None else np.vstack(_forcing_rows(
         h, eye[:n], a[:n], a2[:n], a2[:n] @ a, lmap[:n], al[:n], a2l[:n]))
-    return (mat, tw, bias, np.tile(pieces.lo[piece, cols], 4),
-            np.tile(pieces.hi[piece, cols], 4))
+    return (mat, tw, bias, np.tile(pair.lo[piece, cols], 4),
+            np.tile(pair.hi[piece, cols], 4))
 
 
 # maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100
@@ -225,7 +206,6 @@ class _AffineRows:
         rows, n = len(ctrls), plant.n
         self.plant, self.ctrls, self.dt = plant, ctrls, dt
         self.w_const = w_const
-        self.pieces = _Pieces(plant.pair)
         self.mat = np.zeros((rows, 2 * n, 6 * n))
         self.bias = np.zeros((rows, 1, 6 * n))
         self.tw = None if w_const is not None else np.zeros((rows, 3 * n,
@@ -246,7 +226,7 @@ class _AffineRows:
 
     def observe(self, us, rows) -> None:
         """Update ``rows``, which took the staged step with inputs us."""
-        pieces = self.pieces.of(us)
+        pieces = self.plant.pair.piece_of(us)
         held = np.all(pieces == pieces[:, :1], axis=(1, 2))
         for i in rows:
             key = pieces[i, 0].tobytes() if held[i] else None
@@ -261,8 +241,7 @@ class _AffineRows:
                 if len(maps) == _MAPS_PER_ROW:
                     del maps[next(iter(maps))]
                 maps[key] = _affine_step(self.plant, self.ctrls[i],
-                                         self.pieces, pieces[i, 0], self.dt,
-                                         self.w_const)
+                                         pieces[i, 0], self.dt, self.w_const)
                 self.built[i] += 1
             if key in maps:
                 if self.live.get(i) != key:
@@ -320,6 +299,8 @@ def integrate(plant: model.PlantModel,
         raise DimensionMismatch("need one integral-state entry per "
                                 "controller")
     for c, zi in zip(ctrls, z_rows):
+        if c.n != n:
+            raise DimensionMismatch("controller width disagrees with plant")
         if c.is_pi and zi is None:
             raise DimensionMismatch("PI variants require an initial "
                                     "integral state")
@@ -352,7 +333,7 @@ def integrate(plant: model.PlantModel,
 
     # every run is a stack, one controller a stack of one: row i steps a
     # (1, 2n) state against its own (n, n) matrices and (2n, 6n) map
-    field = model.vector_field(plant, model.ControllerStack.of(ctrls))
+    field = model.vector_field(plant, ctrls)
     aff = _AffineRows(plant, ctrls, dt,
                       wsig(t0) if wsig.is_constant else None)
     affine_steps = 0                    # steps every row took affine

@@ -223,10 +223,10 @@ def pwl_eval_interp(components, u):
 
 def pair_components(pair) -> tuple[sector.PwlFunction, ...]:
     """The per-coordinate functions of a pair, padding removed."""
-    size = 1 + np.count_nonzero(pair.hi > pair.lo, axis=0)
+    size = 1 + np.count_nonzero(np.diff(pair.knots, axis=0) > 0.0, axis=0)
     return tuple(sector.PwlFunction(pair.knots[:m, i], pair.values[:m, i],
-                                    float(pair.slope_left[i]),
-                                    float(pair.slope_right[i]))
+                                    float(pair.slope[0, i]),
+                                    float(pair.slope[-1, i]))
                  for i, m in enumerate(size))
 
 

@@ -438,6 +438,13 @@ _COORDINATING = {"variant": "coordinating", "p_per_degc": [1.0],
     ("controller", {**_COORDINATING, "variant": "decentralized",
                     "p_per_degc": [1.0, 1.0]}),
     ("t_ext", {"time_h": [0.0, 1.0, 2.0], "temp_degc": [-1.0, -1.0]}),
+    # a controller as wide as a network of two, on a network of one
+    ("controller", {**_COORDINATING, "p_per_degc": [1.0, 1.0],
+                    "r_per_degc_h": [0.5, 0.5], "s_degc": [0.5, 0.5]}),
+    ("controller", {"variant": "static", "k_static": [[1.0, 0.0],
+                                                      [0.0, 1.0]]}),
+    ("controller", {**_COORDINATING, "beta": math.inf}),
+    ("controller", {**_COORDINATING, "variant": "proportional"}),
 ])
 def test_malformed_scenario_values(key, value, tmp_path, capsys):
     data = json.loads(pathlib.Path(TEXTBOOK).read_text())

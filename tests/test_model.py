@@ -88,12 +88,12 @@ def test_derivative_matches_branch_reference(rng):
             plant, ctrl, x, zz, w,
             model.closed_loop_derivative(plant, ctrl, x, zz, w))
     # a stack on (C, 1, n) states: row i is controller i at sample i
-    stack = model.ControllerStack.of(ctrls)
+    field = model.vector_field(plant, ctrls)
     zs = np.array([z[i] if c.is_pi else np.zeros(5)
                    for i, c in enumerate(ctrls)])
     c = len(ctrls)
-    dx, dz, u = model.closed_loop_derivative(plant, stack, x[:c, None],
-                                             zs[:, None], w[:c, None])
+    dy, u = field(np.concatenate((x[:c], zs), axis=1)[:, None], w[:c, None])
+    dx, dz = dy[..., :5], dy[..., 5:]
     assert dx.shape == dz.shape == u.shape == (c, 1, 5)
     for i, ctrl in enumerate(ctrls):
         _assert_matches_branches(plant, ctrl, x[i:i + 1], zs[i:i + 1],

@@ -54,6 +54,31 @@ def test_saturation_matches_clip_bit_for_bit():
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
 
 
+def test_kind_is_read_off_the_pieces():
+    def comp(knots, ext):
+        return sector.PwlFunction(np.array(knots), np.array(knots), ext, ext)
+
+    # saturation, once with an extra knot: np.clip's values and zeros
+    sat = sector.custom_pwl([comp([-1.0, 1.0], 0.0),
+                             comp([-1.0, 0.25, 1.0], 0.0)])
+    assert sat.kind == sector.KIND_SATURATION
+    u = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                  np.nextafter(-1.0, 0.0), 0.1, -0.7, 1e308, -np.inf,
+                  np.nan, 5e-324]).reshape(-1, 2)
+    got, want = sector.eval_f(sat, u), np.clip(u, -1.0, 1.0)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    # a clip to [-2, 2] is custom: f(1.5) stays 1.5
+    wide = sector.SectorPair([comp([-2.0, 2.0], 0.0)])
+    assert wide.kind == sector.KIND_CUSTOM
+    assert sector.eval_f(wide, [1.5])[0] == 1.5
+    # unit slope through 0 is the identity, extra knots or not: one piece
+    ident = sector.custom_pwl([comp([-2.0, 0.0, 0.5, 3.0], 1.0)] * 2)
+    assert ident.kind == sector.KIND_IDENTITY
+    np.testing.assert_array_equal(
+        ident.piece_of(np.linspace(-9.0, 9.0, 38).reshape(-1, 2)), 0)
+
+
 def test_custom_pair_validation():
     bad = sector.PwlFunction(np.array([-1.0, 1.0]), np.array([-2.0, 2.0]),
                              0.0, 0.0)  # interior slope 2
@@ -100,7 +125,7 @@ def test_audit_catches_out_of_sector():
     # slope 1 everywhere except an interior segment of slope -0.5
     comp = sector.PwlFunction(np.array([-1.0, 0.0, 1.0]),
                               np.array([-1.0, 0.0, -0.5]), 1.0, 1.0)
-    pair = sector.SectorPair(sector.KIND_CUSTOM, (comp,))
+    pair = sector.SectorPair((comp,))
     rep = oracles.sector_audit(pair, 2000, rng=np.random.default_rng(7))
     assert not rep.passed
     assert rep.f_slope_min < -1e-6

@@ -250,6 +250,19 @@ def test_affine_steps_on_identity_and_custom_pairs(kind, rng):
         assert traj.counts.affine > 0 and traj.counts.patterns > 0
 
 
+def test_identity_pair_steps_on_one_map():
+    # the identity's knot at 0 does not split its one affine piece: the
+    # inputs from [-3, 2] cross 0, and still one map serves the run
+    plant, ctrl = _linear_loop()
+    crossings = []
+    for x0 in ([-3.0, 2.0], [3.0, 3.0]):
+        traj = _assert_loop_matches_oracle(plant, ctrl, [0.7, -0.4], x0,
+                                           [0.5, 0.0], (0.0, 3.0), 0.01)
+        assert traj.counts.patterns == 1
+        crossings.append(np.count_nonzero(np.diff(np.sign(traj.u), axis=0)))
+    assert crossings == [2, 0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
        sampled=st.booleans())
@@ -333,6 +346,13 @@ def test_state_argument_guards():
     with pytest.raises(DimensionMismatch):
         simulate.integrate(plant, stat, np.zeros(2), np.zeros(2),
                            np.zeros(2), (0.0, 1.0), 0.1)
+    # controllers three wide on a plant of two
+    for c in (model.ControllerSpec.decentralized(*np.ones((3, 3))),
+              model.ControllerSpec.static(np.eye(3))):
+        with pytest.raises(DimensionMismatch):
+            simulate.integrate(plant, c, np.zeros(2), np.zeros(2),
+                               np.zeros(3) if c.is_pi else None,
+                               (0.0, 1.0), 0.1)
 
 
 def test_costs_manufactured_trapezoid():
