@@ -8,7 +8,7 @@ from .equilibrium import (ContractionMap, EquilibriumResult,
                           measure_contraction, probe_uniqueness,
                           solve_equilibrium, stationary_residual)
 from .errors import (CertificateFailure, ConditionViolated, ConfigError,
-                     DimensionMismatch, EpsilonTooLarge, InvalidSectorPair,
+                     DimensionMismatch, InvalidSectorPair,
                      MaxIterationsExceeded, NonFiniteState, NotMMatrix,
                      NotSymmetric, ParseError, PisatError, SolverFailure,
                      StepStalled, UnsupportedVariant)
@@ -22,8 +22,7 @@ from .matrixlab import (column_dominance_scaling, diagonal_lyapunov_scaling,
 from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
                     VARIANT_STATIC, ControllerSpec, DisturbanceSignal,
                     PlantModel, TuningReport, check_tuning,
-                    closed_loop_derivative, default_static_gain,
-                    vector_field)
+                    default_static_gain, vector_field)
 from .optimality import (AllocationSolution, OptimalityCertificate,
                          admissible_gamma, certify_equilibrium_optimality,
                          check_gamma_condition, solve_weighted_l1_lp)

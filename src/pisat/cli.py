@@ -31,7 +31,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,14 +254,22 @@ def cmd_certify(args) -> int:
                        <= cmap.contraction_bound + 1e-9 else "fail",
                        "bound": cmap.contraction_bound,
                        "measured": measured})
-        spread = equilibrium.probe_uniqueness(
+        probe = equilibrium.probe_uniqueness(
             cmap, restarts=20, u_tol=1e-9,
             rng=np.random.default_rng(ctx.seed))
-        checks.append({"name": "uniqueness_probe",
-                       "status": "pass" if spread <= 1e-6 * eq.scale
-                       else "fail",
-                       "input_spread": spread, "restarts": 20,
-                       "scale": eq.scale})
+        check = {"name": "uniqueness_probe",
+                 "input_spread": probe.spread, "restarts": 20,
+                 "scale": eq.scale, "evaluations": probe.evaluations,
+                 "budget": equilibrium.PROBE_BUDGET,
+                 "predicted_evaluations": probe.predicted}
+        if probe.spread is None:
+            # the bound g < 1 still proves uniqueness; only the
+            # empirical cross-check did not finish
+            check.update(status="warn", reason="inconclusive")
+        else:
+            check["status"] = ("pass" if probe.spread <= 1e-6 * eq.scale
+                               else "fail")
+        checks.append(check)
         checks.append(_storage_check(plant, ctrl, eq, w_ref, ctx.dt))
     else:
         for name in ("equilibrium_residual", "contraction_ratio",
@@ -309,7 +317,7 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
                                   (0.0, horizon), dt)
     stability_warning = "; ".join(str(c.message) for c in caught) or None
     try:
-        trace = simulate.lyapunov_trace(plant, ctrl, eq, traj)
+        trace = simulate.lyapunov_trace(plant, ctrl, eq, traj, params)
     except PisatError as exc:
         return {"name": "storage_decrease", "status": "fail",
                 "detail": str(exc), "stability_warning": stability_warning,
@@ -333,7 +341,7 @@ def _optimality_check(plant, ctrl, w_ref, tol, eq) -> dict:
     gamma = optimality.admissible_gamma(plant)
     try:
         cert = optimality.certify_equilibrium_optimality(gamma, plant, ctrl,
-                                                         w_ref, tol=tol, eq=eq)
+                                                         w_ref, eq, tol=tol)
     except (ConditionViolated, UnsupportedVariant) as exc:
         return {"name": "allocation_optimality", "status": "not_applicable",
                 "detail": str(exc), "gamma": gamma}

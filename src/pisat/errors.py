@@ -59,10 +59,6 @@ class ConditionViolated(PisatError):
     not applicable.  This is not a disproof of optimality."""
 
 
-class EpsilonTooLarge(PisatError):
-    """Requested decrease-rate epsilon exceeds the admissible bound."""
-
-
 class ParseError(PisatError):
     """Malformed input data file."""
 

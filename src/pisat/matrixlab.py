@@ -63,16 +63,16 @@ def is_m_matrix(m) -> bool:
     return bool(np.all(d > 0.0))
 
 
-def is_strictly_column_dominant(m, slack: float = DOMINANCE_SLACK) -> bool:
+def is_strictly_column_dominant(m) -> bool:
     """Strict diagonal dominance of every column, positive diagonal
-    required; the margin is compared against ``slack`` after dividing by
-    the diagonal entry."""
+    required; the margin is compared against DOMINANCE_SLACK after
+    dividing by the diagonal entry."""
     arr = as_square_matrix(m)
     diag = np.diag(arr)
     if np.any(diag <= 0.0):
         return False
     off = np.sum(np.abs(arr), axis=0) - np.abs(diag)
-    return bool(np.all((diag - off) / diag > slack))
+    return bool(np.all((diag - off) / diag > DOMINANCE_SLACK))
 
 
 def column_dominance_scaling(m) -> np.ndarray:
@@ -113,16 +113,16 @@ def diagonal_lyapunov_scaling(m) -> np.ndarray:
     return q
 
 
-def is_spd(m, sym_tol: float = 1e-12) -> bool:
+def is_spd(m) -> bool:
     """True iff ``m`` is symmetric positive definite.
 
-    Symmetry is required up to a relative tolerance (NotSymmetric
+    Symmetry is required up to a relative 1e-12 (NotSymmetric
     otherwise); definiteness is decided by attempting a Cholesky
     factorization, i.e. all pivots must be positive.
     """
     arr = as_square_matrix(m)
     scale = max(float(np.max(np.abs(arr))), 1.0)
-    if np.max(np.abs(arr - arr.T)) > sym_tol * scale:
+    if np.max(np.abs(arr - arr.T)) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     try:
         np.linalg.cholesky(0.5 * (arr + arr.T))

@@ -20,15 +20,13 @@ the variant and its gains, and checks both.  The vector field therefore
 has one body for every variant, and it broadcasts over leading axes of
 the state arrays.
 
-``vector_field`` binds that body once, with the plant, the sector's f
-and the matrices of a sequence of C controllers resolved, as a function
-of the stacked state y = [x, z]; the integrator calls it at every
-stage.  The matrices are stacked as (C, n, n) arrays, and the state of
-row i is a (1, n) slice of a (C, 1, n) array.  The body transposes
-with ``.mT`` (the last two axes), which for a single (n, n) matrix is
-the same view as ``.T``, so ``closed_loop_derivative``, which checks its
-inputs and runs the same body on one controller, gives the same bits
-as a stack of one.
+``vector_field`` is that body, bound once with the plant, the sector's
+f and the matrices of a sequence of C controllers resolved, as a
+function of the stacked state y = [x, z]; the integrator calls it at
+every stage.  The matrices are stacked as (C, n, n) arrays, and the
+state of row i is a (1, n) slice of a (C, 1, n) array.  The body
+transposes with ``.mT`` (the last two axes), so one controller is
+simply a stack of one.
 """
 
 from __future__ import annotations
@@ -144,19 +142,6 @@ class ControllerSpec:
         for name, m in zip(("kx", "kz", "e", "s_aw"), canonical):
             object.__setattr__(self, name, m)
 
-    @classmethod
-    def decentralized(cls, p, r, s) -> "ControllerSpec":
-        return cls(VARIANT_DECENTRALIZED, p=p, r=r, s=s)
-
-    @classmethod
-    def coordinating(cls, p, r, s, beta: float | None = None) -> "ControllerSpec":
-        """Shared anti-windup variant; beta defaults to 1/n."""
-        return cls(VARIANT_COORDINATING, p=p, r=r, s=s, beta=beta)
-
-    @classmethod
-    def static(cls, k) -> "ControllerSpec":
-        return cls(VARIANT_STATIC, k_static=k)
-
     @property
     def is_pi(self) -> bool:
         return self.variant in PI_VARIANTS
@@ -233,23 +218,6 @@ class DisturbanceSignal:
         return out.reshape(t.shape + (self.n,))
 
 
-def _bind(plant: PlantModel, kx, kz, e, s_aw):
-    # the one body of the vector field, with its operands bound once:
-    # (x, z, w) -> (dx, dz, u), the law u as ControllerSpec.feedback has it
-    neg_a, bt, f = -plant.a, plant.b.T, sector.bind_f(plant.pair)
-    kxt, kzt, et = kx.mT, kz.mT, e.mT
-
-    def body(x, z, w):
-        u = -(x @ kxt) - z @ kzt
-        fu = f(u)
-        # s_aw is symmetric for every variant, so this is h @ s_aw.mT; on
-        # the bundled cold snap this side rounds the coordinating costs
-        # exactly as beta * sum(h) does, the transposed view does not
-        return neg_a * x + fu @ bt + w, x @ et + (u - fu) @ s_aw, u
-
-    return body
-
-
 def vector_field(plant: PlantModel, ctrls):
     """The closed-loop vector field of C controllers, stacked.
 
@@ -262,31 +230,24 @@ def vector_field(plant: PlantModel, ctrls):
     call it many times on arrays they built, such as
     ``simulate.integrate``.
     """
-    body = _bind(plant, *(np.stack([getattr(c, name) for c in ctrls])
-                          for name in ("kx", "kz", "e", "s_aw")))
+    kx, kz, e, s_aw = (np.stack([getattr(c, name) for c in ctrls])
+                       for name in ("kx", "kz", "e", "s_aw"))
+    neg_a, bt, f = -plant.a, plant.b.T, sector.bind_f(plant.pair)
+    kxt, kzt, et = kx.mT, kz.mT, e.mT
     n = plant.n
 
     def field(y, w):
-        dx, dz, u = body(y[..., :n], y[..., n:], w)
-        return np.concatenate((dx, dz), axis=-1), u
+        x, z = y[..., :n], y[..., n:]
+        # the law u as ControllerSpec.feedback has it
+        u = -(x @ kxt) - z @ kzt
+        fu = f(u)
+        # s_aw is symmetric for every variant, so this is h @ s_aw.mT; on
+        # the bundled cold snap this side rounds the coordinating costs
+        # exactly as beta * sum(h) does, the transposed view does not
+        dx = neg_a * x + fu @ bt + w
+        return np.concatenate((dx, x @ et + (u - fu) @ s_aw), axis=-1), u
 
     return field
-
-
-def closed_loop_derivative(plant: PlantModel, ctrl: ControllerSpec,
-                           x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-loop vector field at state (x, z) under disturbance value w.
-
-    Returns (dx, dz, u); for static feedback z and dz are zeros.  All
-    arguments broadcast over leading axes, with agent coordinates on the
-    last axis.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if not x.shape[-1:] == z.shape[-1:] == w.shape[-1:] == (plant.n,):
-        raise DimensionMismatch("state and disturbance must have n coordinates")
-    return _bind(plant, ctrl.kx, ctrl.kz, ctrl.e, ctrl.s_aw)(x, z, w)
 
 
 @dataclass(frozen=True, eq=False)

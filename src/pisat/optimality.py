@@ -69,7 +69,6 @@ class OptimalityCertificate:
     dual_gap: float
     sign_structure_error: float
     tolerance: float
-    eq: equilibrium.EquilibriumResult
     lp: AllocationSolution | None
 
     @property
@@ -305,9 +304,8 @@ def _dual_value(gm: np.ndarray, gw: np.ndarray, y: np.ndarray) -> float:
 
 def certify_equilibrium_optimality(
         gamma, plant: model.PlantModel, ctrl: model.ControllerSpec, w,
-        tol: float = 1e-7,
-        eq: equilibrium.EquilibriumResult | None = None,
-) -> OptimalityCertificate:
+        eq: equilibrium.EquilibriumResult,
+        tol: float = 1e-7) -> OptimalityCertificate:
     """Check that the closed-loop equilibrium solves the allocation LP.
 
     Requires the saturation pair, the decentralized variant, and the
@@ -318,9 +316,7 @@ def certify_equilibrium_optimality(
     the sign structure x0_i = -s_i dz(u0_i) holds to ``tol``.  A larger
     gap runs the simplex, and the equilibrium cost must then match the
     LP optimum to ``tol``.  ``eq`` is the equilibrium of this plant,
-    controller and w, if the caller has solved it already (to a
-    residual well below ``tol``); otherwise it is solved here, to
-    min(1e-3 tol, 1e-10).
+    controller and w, solved to a residual well below ``tol``.
     """
     if plant.pair.kind != sector.KIND_SATURATION:
         raise UnsupportedVariant("certificate requires the saturation pair")
@@ -332,9 +328,6 @@ def certify_equilibrium_optimality(
             "diag(gamma) A^-1 B is not a strictly column-dominant M-matrix")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     gm, gw = _weighted_system(g, plant, w)
-    if eq is None:
-        eq = equilibrium.solve_equilibrium(plant, ctrl, w,
-                                           tol=min(1e-3 * tol, 1e-10))
     eq_cost = float(np.sum(g * np.abs(eq.x0)))
     bound = _dual_value(gm, gw, _dual_point(gm, eq.u0))
     deadzone = eq.u0 - np.clip(eq.u0, -1.0, 1.0)
@@ -345,4 +338,4 @@ def certify_equilibrium_optimality(
         lp = solve_weighted_l1_lp(g, plant, w)
         passed = abs(eq_cost - lp.cost) <= tol
     return OptimalityCertificate(passed and sign_err <= tol, eq_cost, bound,
-                                 eq_cost - bound, sign_err, tol, eq, lp)
+                                 eq_cost - bound, sign_err, tol, lp)

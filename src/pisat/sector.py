@@ -59,15 +59,6 @@ class PwlFunction:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _table_f(SectorPair((self,)), x[..., None])[..., 0]
-
-    def integral_from_zero(self, b):
-        """Exact integral of the function from 0 to b, vectorized in b."""
-        b = np.asarray(b, dtype=float)
-        return integral_from_zero(SectorPair((self,)), b[..., None])[..., 0]
-
 
 class SectorPair:
     """A componentwise sector nonlinearity f with its complement h = id - f.
@@ -78,11 +69,11 @@ class SectorPair:
     knot and value.  From them the pair builds its piece table, all
     (K + 1, n): on piece j, f(u) = icpt[j] + slope[j] u.  Piece 0 is the
     left extension, piece K the right one, and a padded piece has zero
-    length and slope 0.  A piece on the same line as the piece before
-    it continues that piece, so each run of such pieces is one affine
-    piece: its first piece spans it, from ``lo`` to ``hi`` (-inf and inf
-    at the ends), and the others span nothing (lo = hi).  ``kind`` is
-    read off the table.
+    length and the line of the piece before it.  A piece on the same
+    line as the piece before it continues that piece, so each run of
+    such pieces is one affine piece: its first piece spans it, from
+    ``lo`` to ``hi`` (-inf and inf at the ends), and the others span
+    nothing (lo = hi).  ``kind`` is read off the table.
     """
 
     def __init__(self, components: Sequence[PwlFunction]):
@@ -108,11 +99,19 @@ class SectorPair:
     def _set_tables(self, knots, values, slope_left, slope_right):
         self.knots, self.values = knots, values
         run = np.diff(knots, axis=0)
-        self.slope = np.concatenate((slope_left[None], np.divide(
+        pad = run == 0.0
+        slope = np.concatenate((slope_left[None], np.divide(
             np.diff(values, axis=0), run, out=np.zeros_like(run),
-            where=run > 0.0), slope_right[None]))
-        self.icpt = (np.concatenate((values[:1], values))
-                     - self.slope * np.concatenate((knots[:1], knots)))
+            where=~pad), slope_right[None]))
+        icpt = (np.concatenate((values[:1], values))
+                - slope * np.concatenate((knots[:1], knots)))
+        if np.count_nonzero(pad):
+            # a padded piece takes the line of the piece before it, so
+            # the padding never splits an affine piece
+            for j in np.flatnonzero(pad.any(axis=1)):
+                p = pad[j]
+                slope[j + 1, p], icpt[j + 1, p] = slope[j, p], icpt[j, p]
+        self.slope, self.icpt = slope, icpt
         # what _table_f reads on every call, as views taken once: the
         # interior pieces (from knot to knot) and the extension slopes
         self._segments = (knots[:-1], knots[1:], self.slope[1:-1],
@@ -138,24 +137,34 @@ class SectorPair:
         return np.sum(u[..., None, :] > self.lo[1:], axis=-2)
 
 
-# (lo, hi, slope, icpt) of each kind's pieces, the first first; pieces
-# tile the line, so a pair whose pieces are all among them is that kind
-_KINDS = ((KIND_SATURATION, np.array([[-np.inf, -1.0, 0.0, -1.0],
-                                      [-1.0, 1.0, 1.0, 0.0],
-                                      [1.0, np.inf, 0.0, 1.0]])),
-          (KIND_IDENTITY, np.array([[-np.inf, np.inf, 1.0, 0.0]])))
+# (hi, slope, icpt) of each kind's pieces, left to right; pieces tile
+# the line, and a spanning piece starts where the one before it ends, so
+# a pair whose spanning pieces are these in every coordinate is that kind
+_KINDS = ((KIND_SATURATION, np.array([[-1.0, 0.0, -1.0],
+                                      [1.0, 1.0, 0.0],
+                                      [np.inf, 0.0, 1.0]])),
+          (KIND_IDENTITY, np.array([[np.inf, 1.0, 0.0]])))
 
 
 def _kind(pair: SectorPair) -> str:
+    span = pair.lo != pair.hi
+    spans = np.count_nonzero(span)
+    n = pair.n
     for kind, want in _KINDS:
         # piece 0 always spans something, so its line rules out most
-        if (pair.slope[0] == want[0, 2]).all() and (
-                pair.icpt[0] == want[0, 3]).all():
-            pieces = np.stack((pair.lo, pair.hi, pair.slope, pair.icpt),
-                              axis=-1)[..., None, :]
-            if np.all((pieces == want).all(-1).any(-1)
-                      | (pair.lo == pair.hi)):
-                return kind
+        if (spans != len(want) * n
+                or np.count_nonzero(pair.slope[0] != want[0, 1])
+                or np.count_nonzero(pair.icpt[0] != want[0, 2])):
+            continue
+        tables = (pair.hi, pair.slope, pair.icpt)
+        if spans < span.size:
+            # each coordinate's spanning pieces as one column; only the
+            # last piece of a coordinate ends at inf, so a coordinate with
+            # the wrong count of them misaligns the columns and fails
+            tables = [t.T[span.T].reshape(n, -1).T for t in tables]
+        if not any(np.count_nonzero(t != col)
+                   for t, col in zip(tables, want.T[:, :, None])):
+            return kind
     return KIND_CUSTOM
 
 

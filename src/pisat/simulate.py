@@ -43,10 +43,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrixlab, model, sector
-from .errors import (CertificateFailure, DimensionMismatch, EpsilonTooLarge,
-                     NonFiniteState, ParseError, UnsupportedVariant)
+from .errors import (CertificateFailure, DimensionMismatch, NonFiniteState,
+                     ParseError, UnsupportedVariant)
 
 BLOWUP_LIMIT = 1e12
+# the storage monitor flags V(t_{k+1}) > V(t_k) + INCREASE_TOL max(1, V(t_k))
+INCREASE_TOL = 1e-9
 # classic RK4 keeps the whole negative real axis stable up to ~2.785/|eig|;
 # warn a little earlier
 _RK4_STABILITY = 2.5
@@ -440,13 +442,12 @@ class LyapunovParameters:
     epsilon: float
 
 
-def lyapunov_parameters(plant: model.PlantModel, ctrl: model.ControllerSpec,
-                        epsilon: float | None = None) -> LyapunovParameters:
+def lyapunov_parameters(plant: model.PlantModel,
+                        ctrl: model.ControllerSpec) -> LyapunovParameters:
     """Derive the storage-function weights for the decentralized loop.
 
     The admissible range for epsilon keeps a 2x2 comparison form negative
-    definite; the default picks half the bound (or 1 when unbounded).
-    EpsilonTooLarge reports the bound when the request exceeds it.
+    definite; epsilon is half the bound (or 1 when unbounded).
     """
     if ctrl.variant != model.VARIANT_DECENTRALIZED:
         raise UnsupportedVariant("storage function covers the decentralized "
@@ -459,15 +460,7 @@ def lyapunov_parameters(plant: model.PlantModel, ctrl: model.ControllerSpec,
     gain_norm = float(np.linalg.norm(qpb, 2))
     quad = gain_norm ** 2 - 4.0 * alpha * beta_min
     bound = math.inf if quad <= 0.0 else 4.0 * alpha * beta_min / quad
-    if epsilon is None:
-        epsilon = 0.5 * bound if math.isfinite(bound) else 1.0
-    else:
-        epsilon = float(epsilon)
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if epsilon >= bound:
-            raise EpsilonTooLarge(f"epsilon {epsilon:g} is not below the "
-                                  f"admissible bound {bound:g}")
+    epsilon = 0.5 * bound if math.isfinite(bound) else 1.0
     return LyapunovParameters(q, alpha, beta_min, gain_norm, bound, epsilon)
 
 
@@ -479,24 +472,23 @@ class LyapunovTrace:
     value: np.ndarray
     vdot_analytic: np.ndarray
     vdot_fd: np.ndarray
-    params: LyapunovParameters
-    increase_tol: float
     increase_steps: np.ndarray
     passed: bool
 
 
 def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
-                   traj: Trajectory, epsilon: float | None = None,
-                   increase_tol: float = 1e-9) -> LyapunovTrace:
+                   traj: Trajectory,
+                   params: LyapunovParameters) -> LyapunovTrace:
     """Evaluate the storage function along a recorded trajectory.
 
     Valid for the decentralized variant under the constant disturbance
-    used to compute ``eq``.  The value is integrated segmentwise in
-    closed form; the analytic derivative is cross-checkable against the
-    finite-difference column.  Steps with
-    V(t_{k+1}) > V(t_k) + tol max(1, V(t_k)) are flagged.
+    used to compute ``eq``, with the weights ``params`` that
+    :func:`lyapunov_parameters` derived for this plant and controller.
+    The value is integrated segmentwise in closed form; the analytic
+    derivative is cross-checkable against the finite-difference column.
+    Steps with V(t_{k+1}) > V(t_k) + INCREASE_TOL max(1, V(t_k)) are
+    flagged.
     """
-    params = lyapunov_parameters(plant, ctrl, epsilon)
     eps = params.epsilon
     q = params.q
     coeff_z = q * (plant.a * ctrl.p / ctrl.r - 1.0)
@@ -527,10 +519,9 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
              + np.sum(gu * (q * ctrl.p) * (fu @ plant.b.T), axis=1))
     vdot_fd = np.gradient(value, traj.t, edge_order=2)
 
-    slack = increase_tol * np.maximum(1.0, value[:-1])
+    slack = INCREASE_TOL * np.maximum(1.0, value[:-1])
     bad = np.nonzero(value[1:] > value[:-1] + slack)[0]
-    return LyapunovTrace(traj.t, value, vdot, vdot_fd, params, increase_tol,
-                         bad, bad.size == 0)
+    return LyapunovTrace(traj.t, value, vdot, vdot_fd, bad, bad.size == 0)
 
 
 _CSV_PREFIXES = ("x", "z", "u", "v")

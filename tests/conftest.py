@@ -58,7 +58,7 @@ def random_instance(rng: np.random.Generator, n: int | None = None):
                      / np.maximum(row, 1e-30), 0.0)
     b = np.diag(diag) - off * scale[:, None]
     plant = model.PlantModel(a, b, sector.saturation_deadzone(n))
-    ctrl = model.ControllerSpec.decentralized(p, r, s)
+    ctrl = model.ControllerSpec("decentralized", p, r, s)
     return plant, ctrl
 
 

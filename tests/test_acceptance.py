@@ -44,7 +44,7 @@ def _ensure_solved(batch):
         for plant, ctrl, w in batch:
             eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-11)
             spread = equilibrium.probe_uniqueness(eq.cmap, restarts=50,
-                                                  u_tol=1e-9, rng=rng)
+                                                  u_tol=1e-9, rng=rng).spread
             results.append((eq, spread))
         _solved["results"] = results
         _solved["seconds"] = time.monotonic() - start
@@ -83,8 +83,10 @@ def test_criterion_3_global_stability(batch):
     start = time.monotonic()
     worst_final = 0.0
     monitor_ok = True
+    assert simulate.INCREASE_TOL == 1e-9
     for (plant, ctrl, w), (eq, _) in list(zip(batch, results))[:20]:
         n = plant.n
+        params = simulate.lyapunov_parameters(plant, ctrl)
         horizon = 50.0 / float(np.min(plant.a))
         dt = min(0.05, 0.4 * simulate.stability_dt_bound(plant, ctrl))
         inits = []
@@ -100,8 +102,7 @@ def test_criterion_3_global_stability(batch):
             err = max(float(np.max(np.abs(traj.x[-1] - eq.x0))),
                       float(np.max(np.abs(traj.z[-1] - eq.z0))))
             worst_final = max(worst_final, err)
-            trace = simulate.lyapunov_trace(plant, ctrl, eq, traj,
-                                            increase_tol=1e-9)
+            trace = simulate.lyapunov_trace(plant, ctrl, eq, traj, params)
             monitor_ok = monitor_ok and trace.passed
     seconds = time.monotonic() - start
     ok = worst_final <= 1e-4 and monitor_ok and seconds < 300.0
@@ -156,7 +157,7 @@ def test_criterion_5_analytic_regression():
     #   z0=(-u0-x0)/r
     plant = model.PlantModel(np.array([1.0]), np.array([[1.0]]),
                              sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
     expected = {-0.3: (0.0, -0.6, 0.3), -2.0: (-1.0, -4.0, 3.0)}
     worst = 0.0
     for w, (x0, z0, u0) in expected.items():
@@ -199,10 +200,10 @@ def test_criterion_7_benchmark_qualitative():
 
     controllers = {
         "decentralized": base,
-        "coordinating": model.ControllerSpec.coordinating(base.p, base.r,
-                                                          base.s),
-        "static": model.ControllerSpec.static(
-            model.default_static_gain(plant)),
+        "coordinating": model.ControllerSpec("coordinating", base.p, base.r,
+                                             base.s),
+        "static": model.ControllerSpec(
+            "static", k_static=model.default_static_gain(plant)),
     }
     costs = {}
     for name, ctrl in controllers.items():

@@ -3,6 +3,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ def _run(*argv):
 
 def _quiet_scenario(tmp_path, name="quiet"):
     # exterior pinned to the comfort setpoint, so the forcing is zero
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
     scn = heating.HeatingScenario(np.array([1.0]), np.array([1.0]),
                                   np.array([[1.0]]), 20.0, 20.0, ctrl,
                                   name=name)
@@ -40,7 +41,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 6
+    assert report["schema_version"] == 7
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -144,6 +145,29 @@ def test_certify_scales_thresholds_with_load(tmp_path, factor):
     assert probe["input_spread"] <= 1e-6 * probe["scale"]
 
 
+def test_certify_near_one_bound_probe_is_inconclusive(tmp_path):
+    # s / 1e4: bound 0.9999986, so plain steps would need about 3.8e7
+    # evaluations to reach the probe's threshold; the probe says so
+    # instead of iterating, and the rest of certify still reports
+    data = json.loads(pathlib.Path(BENCHMARK).read_text())
+    data["controller"]["s_degc"] = [1e-4 * s
+                                    for s in data["controller"]["s_degc"]]
+    cfg = tmp_path / "near_one.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert _run("certify", "--config", str(cfg), "--out", str(out)) == 2
+    assert time.perf_counter() - start < 5.0
+    checks = json.loads(out.read_text())["checks"]
+    probe = next(c for c in checks if c["name"] == "uniqueness_probe")
+    assert probe["status"] == "warn"
+    assert probe["reason"] == "inconclusive"
+    assert probe["predicted_evaluations"] > probe["budget"]
+    assert probe["budget"] == equilibrium.PROBE_BUDGET
+    assert probe["evaluations"] == 0
+    assert {c["status"] for c in checks if c is not probe} == {"pass"}
+
+
 def test_certify_reports_unit_scale_on_bundled_load(tmp_path):
     out = tmp_path / "report.json"
     assert _run("certify", "--config", TEXTBOOK, "--out", str(out)) == 0
@@ -215,7 +239,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 6
+    assert costs["schema_version"] == 7
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -370,7 +394,7 @@ def test_diagnostics_counters_repeat(tmp_path):
             (out / "certify.json").read_text())["checks"]
             if c["name"] == "storage_decrease")
         diags[run].append({k: storage[k] for k in _RK4_COUNTERS})
-        assert all(json.loads(p.read_text())["schema_version"] == 6
+        assert all(json.loads(p.read_text())["schema_version"] == 7
                    for p in reports + (out / "certify.json",))
     assert diags["a"] == diags["b"]
     sim, cmp_, lp, probe = diags["a"]

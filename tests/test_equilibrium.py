@@ -16,7 +16,7 @@ BENCHMARK = (pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 def _textbook():
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
     return plant, ctrl
 
 
@@ -42,7 +42,7 @@ def test_analytic_saturated():
 def test_contraction_constants_identity_case():
     # s = a = b = 1: b_hat = 1, k = 3, lambda = 2/3, mu = 2/3
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [1.0])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [1.0])
     cmap = equilibrium.build_contraction(plant, ctrl, [0.5])
     assert cmap.k == pytest.approx(3.0)
     assert cmap.lam == pytest.approx(2.0 / 3.0)
@@ -98,7 +98,7 @@ def test_measured_ratio_tight_for_linear_map():
     # identity pair makes T affine with diagonal slope, so the measured
     # ratio equals the exact operator norm max(lam, mu)
     plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [1.0])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [1.0])
     cmap = equilibrium.build_contraction(plant, ctrl, [0.2])
     measured = equilibrium.measure_contraction(cmap, 100)
     assert measured == pytest.approx(cmap.contraction_bound, rel=1e-12)
@@ -108,8 +108,27 @@ def test_restarts_agree(rng):
     plant, ctrl = random_instance(rng, 5)
     w = random_disturbance(rng, 5)
     cmap = equilibrium.build_contraction(plant, ctrl, w)
-    spread = equilibrium.probe_uniqueness(cmap, restarts=50, rng=rng)
+    spread = equilibrium.probe_uniqueness(cmap, restarts=50, rng=rng).spread
     assert spread <= 1e-6
+
+
+def test_probe_reports_evaluations_and_prediction(rng, monkeypatch):
+    plant, ctrl = random_instance(rng, 5)
+    cmap = equilibrium.build_contraction(plant, ctrl,
+                                         random_disturbance(rng, 5))
+    probe = equilibrium.probe_uniqueness(cmap, restarts=20, u_tol=1e-9)
+    assert probe.spread <= 1e-6
+    assert 0 < probe.evaluations <= probe.predicted <= equilibrium.PROBE_BUDGET
+    # an iteration that runs through the budget is inconclusive, not an
+    # error
+    def exhausted(*args):
+        raise MaxIterationsExceeded("budget spent")
+
+    monkeypatch.setattr(equilibrium, "iterate_fixed_point", exhausted)
+    spent = equilibrium.probe_uniqueness(cmap, restarts=20, u_tol=1e-9)
+    assert spent.spread is None
+    assert spent.evaluations == equilibrium.PROBE_BUDGET
+    assert spent.predicted == probe.predicted
 
 
 def test_iteration_budget_enforced():
@@ -132,7 +151,7 @@ def test_fixed_point_reports_last_step():
 
 def test_requires_decentralized_variant():
     plant, _ = _textbook()
-    coord = model.ControllerSpec.coordinating([1.0], [0.5], [0.5])
+    coord = model.ControllerSpec("coordinating", [1.0], [0.5], [0.5])
     with pytest.raises(UnsupportedVariant):
         equilibrium.build_contraction(plant, coord, [0.0])
 
@@ -160,7 +179,8 @@ def test_solve_returns_at_floating_point_floor(w_scale, s_scale):
     # absolute 1e-10: a large load, or a bound of 0.9999986 with s / 1e4;
     # in the last three the map's step stalls above the tolerance
     plant, ctrl, w = _benchmark()
-    ctrl = model.ControllerSpec.decentralized(ctrl.p, ctrl.r, s_scale * ctrl.s)
+    ctrl = model.ControllerSpec("decentralized", ctrl.p, ctrl.r,
+                                s_scale * ctrl.s)
     w = w_scale * w
     start = time.perf_counter()
     eq = equilibrium.solve_equilibrium(plant, ctrl, w)

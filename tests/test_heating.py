@@ -27,8 +27,8 @@ def test_benchmark_constants():
 
 
 def test_scenario_rejects_non_m_heat_matrix():
-    ctrl = model.ControllerSpec.decentralized([1.0, 1.0], [0.1, 0.1],
-                                              [1.0, 1.0])
+    ctrl = model.ControllerSpec("decentralized", [1.0, 1.0], [0.1, 0.1],
+                                [1.0, 1.0])
     with pytest.raises(NotMMatrix):
         heating.HeatingScenario(np.ones(2), np.ones(2),
                                 np.array([[1.0, 2.0], [0.0, 1.0]]),
@@ -82,8 +82,8 @@ def test_capacity_doubling_dilates_time():
     # runs twice as slow (x matches, z doubles), exactly in floats
     scn = heating.benchmark_scenario(t_ext=-18.0)
     ctrl = scn.controller
-    slow_ctrl = model.ControllerSpec.decentralized(ctrl.p, ctrl.r / 2.0,
-                                                   ctrl.s)
+    slow_ctrl = model.ControllerSpec("decentralized", ctrl.p, ctrl.r / 2.0,
+                                     ctrl.s)
     slow = dataclasses.replace(scn, c=scn.c * 2.0, controller=slow_ctrl)
     plant1, w1 = heating.to_standard_form(scn)
     plant2, w2 = heating.to_standard_form(slow)

@@ -28,26 +28,26 @@ def test_plant_rejects_pair_width_mismatch():
 
 
 def test_controller_factories_and_validation():
-    ctrl = model.ControllerSpec.decentralized([1.0, 2.0], [0.5, 0.5],
-                                              [0.5, 0.25])
+    ctrl = model.ControllerSpec("decentralized", [1.0, 2.0], [0.5, 0.5],
+                                [0.5, 0.25])
     assert ctrl.variant == model.VARIANT_DECENTRALIZED and ctrl.n == 2
-    coord = model.ControllerSpec.coordinating([1.0, 2.0], [0.5, 0.5],
-                                              [0.5, 0.25])
+    coord = model.ControllerSpec("coordinating", [1.0, 2.0], [0.5, 0.5],
+                                 [0.5, 0.25])
     assert coord.beta == pytest.approx(0.5)  # defaults to 1/n
-    stat = model.ControllerSpec.static(np.eye(3))
+    stat = model.ControllerSpec("static", k_static=np.eye(3))
     assert not stat.is_pi and stat.n == 3
     with pytest.raises(ValueError):
-        model.ControllerSpec.decentralized([1.0], [-0.5], [0.5])
+        model.ControllerSpec("decentralized", [1.0], [-0.5], [0.5])
 
 
 def test_canonical_matrices_per_variant():
     p = np.array([1.0, 2.0])
     r = np.array([0.5, 0.25])
     s = np.array([0.5, 0.4])
-    dec = model.ControllerSpec.decentralized(p, r, s)
-    coord = model.ControllerSpec.coordinating(p, r, s, beta=0.3)
+    dec = model.ControllerSpec("decentralized", p, r, s)
+    coord = model.ControllerSpec("coordinating", p, r, s, beta=0.3)
     k = np.array([[1.0, -0.5], [0.25, 2.0]])
-    stat = model.ControllerSpec.static(k)
+    stat = model.ControllerSpec("static", k_static=k)
     zero = np.zeros((2, 2))
     want = {dec: (np.diag(p), np.diag(r), np.eye(2), np.diag(s)),
             coord: (np.diag(p), np.diag(r), np.eye(2), np.full((2, 2), 0.3)),
@@ -57,6 +57,17 @@ def test_canonical_matrices_per_variant():
             np.testing.assert_array_equal(got, expect)
         assert ctrl.n == 2
     assert stat.kx is stat.k_static
+
+
+def _derivative(plant, ctrl, x, z, w):
+    # (dx, dz, u) of one controller, shaped as x: the stacked field on a
+    # stack of one
+    shape = np.shape(x)
+    x, z, w = (np.atleast_2d(np.asarray(v, float)) for v in (x, z, w))
+    dy, u = model.vector_field(plant, [ctrl])(
+        np.concatenate((x, z), axis=-1)[None], w)
+    n = plant.n
+    return tuple(a.reshape(shape) for a in (dy[..., :n], dy[..., n:], u))
 
 
 def _assert_matches_branches(plant, ctrl, x, z, w, got):
@@ -76,8 +87,9 @@ def _assert_matches_branches(plant, ctrl, x, z, w, got):
 
 def test_derivative_matches_branch_reference(rng):
     plant, dec = random_instance(rng, 5)
-    coord = model.ControllerSpec.coordinating(dec.p, dec.r, dec.s)
-    stat = model.ControllerSpec.static(model.default_static_gain(plant))
+    coord = model.ControllerSpec("coordinating", dec.p, dec.r, dec.s)
+    stat = model.ControllerSpec(
+        "static", k_static=model.default_static_gain(plant))
     x = rng.uniform(-5.0, 5.0, (7, 5))
     z = rng.uniform(-5.0, 5.0, (7, 5))
     w = rng.uniform(-10.0, 10.0, (7, 5))
@@ -86,7 +98,7 @@ def test_derivative_matches_branch_reference(rng):
         zz = z if ctrl.is_pi else np.zeros_like(x)
         _assert_matches_branches(
             plant, ctrl, x, zz, w,
-            model.closed_loop_derivative(plant, ctrl, x, zz, w))
+            _derivative(plant, ctrl, x, zz, w))
     # a stack on (C, 1, n) states: row i is controller i at sample i
     field = model.vector_field(plant, ctrls)
     zs = np.array([z[i] if c.is_pi else np.zeros(5)
@@ -101,12 +113,12 @@ def test_derivative_matches_branch_reference(rng):
 
 
 def test_control_input_broadcast():
-    ctrl = model.ControllerSpec.decentralized([2.0], [1.0], [1.0])
+    ctrl = model.ControllerSpec("decentralized", [2.0], [1.0], [1.0])
     x = np.array([[1.0], [2.0]])
     z = np.array([[0.5], [0.0]])
     np.testing.assert_allclose(oracles.control_input(ctrl, x, z),
                                [[-2.5], [-4.0]])
-    stat = model.ControllerSpec.static([[3.0]])
+    stat = model.ControllerSpec("static", k_static=[[3.0]])
     np.testing.assert_allclose(oracles.control_input(stat, x),
                                [[-3.0], [-6.0]])
     with pytest.raises(DimensionMismatch):
@@ -117,9 +129,9 @@ def test_control_input_broadcast():
 
 def test_closed_loop_derivative_decentralized():
     plant = _plant1()
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
     # x=1, z=2 -> u=-2, f=-1, h=-1
-    dx, dz, u = model.closed_loop_derivative(plant, ctrl, [1.0], [2.0], [0.3])
+    dx, dz, u = _derivative(plant, ctrl, [1.0], [2.0], [0.3])
     assert u == pytest.approx(-2.0)
     assert dx == pytest.approx(-1.0 - 1.0 + 0.3)
     assert dz == pytest.approx(1.0 + 0.5 * -1.0)
@@ -128,11 +140,11 @@ def test_closed_loop_derivative_decentralized():
 def test_closed_loop_derivative_coordinating_sums_excess():
     plant = model.PlantModel([1.0, 1.0], np.eye(2),
                              sector.saturation_deadzone(2))
-    ctrl = model.ControllerSpec.coordinating([1.0, 1.0], [0.5, 0.5],
-                                             [0.5, 0.5], beta=0.25)
+    ctrl = model.ControllerSpec("coordinating", [1.0, 1.0], [0.5, 0.5],
+                                [0.5, 0.5], beta=0.25)
     x = np.array([3.0, -3.0])
     z = np.zeros(2)
-    dx, dz, u = model.closed_loop_derivative(plant, ctrl, x, z, np.zeros(2))
+    dx, dz, u = _derivative(plant, ctrl, x, z, np.zeros(2))
     # u = (-3, 3), h = (-2, 2), sum h = 0
     np.testing.assert_allclose(dz, x)
 
@@ -172,15 +184,16 @@ def test_disturbance_rejects_bad_axes():
 
 def test_tuning_margins_and_variant_guard():
     plant = _plant1()
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
     rep = model.check_tuning(plant, ctrl)
     assert rep.passed
     assert rep.integral_margin[0] == pytest.approx(0.5)
     assert rep.antiwindup_margin[0] == pytest.approx(0.5)
-    bad = model.ControllerSpec.decentralized([1.0], [0.5], [3.0])
+    bad = model.ControllerSpec("decentralized", [1.0], [0.5], [3.0])
     assert not model.check_tuning(plant, bad).passed
     with pytest.raises(UnsupportedVariant):
-        model.check_tuning(plant, model.ControllerSpec.static([[1.0]]))
+        model.check_tuning(plant,
+                           model.ControllerSpec("static", k_static=[[1.0]]))
 
 
 def test_error_coordinates_vanish_at_equilibrium(rng):
@@ -203,7 +216,7 @@ def test_error_derivative_matches_pushed_forward_loop(rng):
         eq = equilibrium.solve_equilibrium(plant, ctrl, w)
         x = rng.uniform(-5.0, 5.0, n)
         z = rng.uniform(-5.0, 5.0, n)
-        dx, dz, u = model.closed_loop_derivative(plant, ctrl, x, z, w)
+        dx, dz, u = _derivative(plant, ctrl, x, z, w)
         du = -ctrl.p * dx - ctrl.r * dz
         z_t, u_t = oracles.transform_to_error_coords(plant, ctrl, eq, x, z)
         dz_t, du_t = oracles.error_coords_derivative(plant, ctrl, eq, z_t,

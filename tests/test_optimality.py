@@ -272,11 +272,18 @@ def test_brute_force_dimension_guard(rng):
         oracles.brute_force_oracle(np.ones(5), plant.a, plant.b, np.zeros(5))
 
 
+def _certify(gamma, plant, ctrl, w):
+    # the certificate on the equilibrium solved as certify solves it at
+    # tol 1e-7: to a residual of 1e-10
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-10)
+    return optimality.certify_equilibrium_optimality(gamma, plant, ctrl, w,
+                                                     eq, tol=1e-7)
+
+
 def test_certificate_on_textbook_saturated():
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
-    cert = optimality.certify_equilibrium_optimality([1.0], plant, ctrl,
-                                                     [-2.0], tol=1e-7)
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
+    cert = _certify([1.0], plant, ctrl, [-2.0])
     assert cert.passed
     assert cert.equilibrium_cost == pytest.approx(1.0, abs=1e-9)
     assert cert.cost_gap <= 1e-7
@@ -288,8 +295,7 @@ def test_certificate_random_instances(rng):
         plant, ctrl = random_instance(rng)
         w = random_disturbance(rng, plant.n)
         gamma = optimality.admissible_gamma(plant)
-        cert = optimality.certify_equilibrium_optimality(gamma, plant, ctrl,
-                                                         w, tol=1e-7)
+        cert = _certify(gamma, plant, ctrl, w)
         assert cert.passed, (cert.cost_gap, cert.sign_structure_error)
 
 
@@ -297,8 +303,6 @@ def test_certificate_uses_given_equilibrium(rng, monkeypatch):
     plant, ctrl = random_instance(rng, 5)
     w = random_disturbance(rng, 5)
     gamma = optimality.admissible_gamma(plant)
-    own = optimality.certify_equilibrium_optimality(gamma, plant, ctrl, w,
-                                                    tol=1e-7)
     eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-10)
 
     def no_solve(*args, **kwargs):
@@ -306,25 +310,21 @@ def test_certificate_uses_given_equilibrium(rng, monkeypatch):
 
     monkeypatch.setattr(equilibrium, "solve_equilibrium", no_solve)
     given = optimality.certify_equilibrium_optimality(gamma, plant, ctrl, w,
-                                                      tol=1e-7, eq=eq)
-    assert given.eq is eq
+                                                      eq, tol=1e-7)
     assert given.passed
-    assert given.equilibrium_cost == own.equilibrium_cost
-    assert given.lp_cost == own.lp_cost
 
 
 def test_certificate_guards():
     plant = model.PlantModel([1.0, 1.0], [[1.0, -0.8], [-0.8, 1.0]],
                              sector.saturation_deadzone(2))
-    ctrl = model.ControllerSpec.decentralized([1.0, 1.0], [0.5, 0.5],
-                                              [0.5, 0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0, 1.0], [0.5, 0.5],
+                                [0.5, 0.5])
     with pytest.raises(ConditionViolated):
-        optimality.certify_equilibrium_optimality([1.0, 0.05], plant, ctrl,
-                                                  np.zeros(2))
+        _certify([1.0, 0.05], plant, ctrl, np.zeros(2))
     ident = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
-    d1 = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    d1 = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
     with pytest.raises(UnsupportedVariant):
-        optimality.certify_equilibrium_optimality([1.0], ident, d1, [0.0])
+        _certify([1.0], ident, d1, [0.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,7 +362,7 @@ def test_dual_certificate_on_criterion_4_instances():
         gamma = optimality.admissible_gamma(plant)
         eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-11)
         cert = optimality.certify_equilibrium_optimality(
-            gamma, plant, ctrl, w, tol=1e-7, eq=eq)
+            gamma, plant, ctrl, w, eq, tol=1e-7)
         _assert_certified_without_lp(cert, 1e-7)
         lp_cost = optimality.solve_weighted_l1_lp(gamma, plant, w).cost
         assert cert.dual_bound <= lp_cost + 1e-9
@@ -378,8 +378,7 @@ def _bundled(config):
 @pytest.mark.parametrize("config", CONSTANT_CONFIGS)
 def test_dual_certificate_on_bundled_configs(config):
     plant, ctrl, w = _bundled(config)
-    cert = optimality.certify_equilibrium_optimality(
-        optimality.admissible_gamma(plant), plant, ctrl, w, tol=1e-7)
+    cert = _certify(optimality.admissible_gamma(plant), plant, ctrl, w)
     _assert_certified_without_lp(cert, 1e-7)
 
 
@@ -398,8 +397,7 @@ def test_non_optimal_state_runs_fallback_and_fails(config):
     x0 = (plant.b @ np.clip(u0, -1.0, 1.0) + w) / plant.a
     moved = dataclasses.replace(eq, u0=u0, x0=x0)
     cert = optimality.certify_equilibrium_optimality(
-        optimality.admissible_gamma(plant), plant, ctrl, w, tol=1e-7,
-        eq=moved)
+        optimality.admissible_gamma(plant), plant, ctrl, w, moved, tol=1e-7)
     assert cert.dual_gap > 1e-7
     assert cert.lp_fallback
     assert cert.lp_cost == cert.lp.cost

@@ -79,6 +79,19 @@ def test_kind_is_read_off_the_pieces():
         ident.piece_of(np.linspace(-9.0, 9.0, 38).reshape(-1, 2)), 0)
 
 
+def test_padded_pieces_continue_the_line_before_them():
+    # a one-knot identity is padded to the three knots of its neighbour;
+    # the padding must not split its one piece
+    one = sector.PwlFunction([0.0], [0.0], 1.0, 1.0)
+    three = sector.PwlFunction([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 1.0, 1.0)
+    pair = sector.custom_pwl([one, three])
+    assert pair.kind == sector.KIND_IDENTITY
+    np.testing.assert_array_equal(pair.hi[0], np.inf)
+    u = np.linspace(-9.0, 9.0, 38).reshape(-1, 2)
+    np.testing.assert_array_equal(pair.piece_of(u), 0)
+    np.testing.assert_array_equal(sector.eval_f(pair, u), u)
+
+
 def test_custom_pair_validation():
     bad = sector.PwlFunction(np.array([-1.0, 1.0]), np.array([-2.0, 2.0]),
                              0.0, 0.0)  # interior slope 2
@@ -140,11 +153,12 @@ def test_integral_from_zero_matches_quadrature(rng):
         for i, comp in enumerate(oracles.pair_components(p)):
             def f(x, comp=comp):
                 return float(oracles.pwl_eval_interp((comp,), [x])[0])
+            single = sector.SectorPair([comp])
             for b, g in zip(upper[:, i], got[:, i]):
                 want = oracles.pwl_integral_quad(f, b, breakpoints=comp.knots)
                 assert g == pytest.approx(want, abs=1e-10)
-                assert comp.integral_from_zero(b) == pytest.approx(want,
-                                                                   abs=1e-10)
+                assert sector.integral_from_zero(single, [b])[0] == \
+                    pytest.approx(want, abs=1e-10)
 
 
 def test_stacked_eval_equals_interp_on_saturation_transforms(rng):
@@ -185,7 +199,9 @@ def test_stacked_eval_matches_interp_on_custom_pairs(rng):
 
 def test_integral_vectorized_and_signed():
     comp = oracles.pair_components(sector.saturation_deadzone(1))[0]
-    vals = comp.integral_from_zero(np.array([-3.0, -1.0, 0.0, 1.0, 3.0]))
+    vals = sector.integral_from_zero(
+        sector.SectorPair([comp]),
+        np.array([-3.0, -1.0, 0.0, 1.0, 3.0])[:, None])[:, 0]
     # sat integral: |b| <= 1 gives b^2/2, beyond that |b| - 1/2
     np.testing.assert_allclose(vals, [2.5, 0.5, 0.0, 0.5, 2.5], atol=1e-14)
 
@@ -195,9 +211,10 @@ def test_integral_vectorized_and_signed():
 def test_pwl_slopes_stay_in_sector(seed, u):
     rng = np.random.default_rng(seed)
     pair = random_pwl_pair(rng, 1)
-    comp = oracles.pair_components(pair)[0]
+    single = sector.SectorPair([oracles.pair_components(pair)[0]])
     v = u + 0.25
-    df = (float(comp(v)) - float(comp(u))) / 0.25
+    df = (float(sector.eval_f(single, [v])[0])
+          - float(sector.eval_f(single, [u])[0])) / 0.25
     assert -1e-9 <= df <= 1.0 + 1e-9
 
 

@@ -11,14 +11,14 @@ import oracles
 from conftest import random_disturbance, random_instance, random_pwl_pair
 from pisat import cli, equilibrium, heating, model, sector, simulate
 from pisat.errors import (CertificateFailure, DimensionMismatch,
-                          EpsilonTooLarge, NonFiniteState, ParseError)
+                          NonFiniteState, ParseError)
 
 
 def _linear_loop():
     plant = model.PlantModel([1.0, 1.5], [[2.0, -0.3], [-0.4, 1.8]],
                              sector.identity_zero(2))
-    ctrl = model.ControllerSpec.decentralized([1.0, 0.8], [0.4, 0.5],
-                                              [0.5, 0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0, 0.8], [0.4, 0.5],
+                                [0.5, 0.5])
     return plant, ctrl
 
 
@@ -60,7 +60,7 @@ def test_partial_final_step_lands_on_t_end():
 
 def test_blowup_aborts():
     plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
-    ctrl = model.ControllerSpec.decentralized([50.0], [1.0], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [50.0], [1.0], [0.5])
     with pytest.warns(UserWarning, match="stability"):
         with pytest.raises(NonFiniteState):
             simulate.integrate(plant, ctrl, [0.0], [1.0], [0.0],
@@ -79,8 +79,9 @@ def _assert_near_oracle(got, want):
 def test_trajectories_match_loop_reference(rng):
     # sampled load, saturating inputs, and a 0.03 partial last step
     plant, dec = random_instance(rng, 5)
-    coord = model.ControllerSpec.coordinating(dec.p, dec.r, dec.s)
-    stat = model.ControllerSpec.static(model.default_static_gain(plant))
+    coord = model.ControllerSpec("coordinating", dec.p, dec.r, dec.s)
+    stat = model.ControllerSpec(
+        "static", k_static=model.default_static_gain(plant))
     wsig = model.DisturbanceSignal.sampled(np.linspace(-0.1, 1.2, 9),
                                            rng.uniform(-10.0, 10.0, (9, 5)))
     x0 = rng.uniform(-3.0, 3.0, 5)
@@ -131,8 +132,9 @@ def _assert_stack_matches_alone(plant, ctrls, wsig, x0, z0, t_span, dt):
 
 
 def _three_controllers(plant, dec):
-    return [dec, model.ControllerSpec.coordinating(dec.p, dec.r, dec.s),
-            model.ControllerSpec.static(model.default_static_gain(plant))]
+    return [dec, model.ControllerSpec("coordinating", dec.p, dec.r, dec.s),
+            model.ControllerSpec("static",
+                                 k_static=model.default_static_gain(plant))]
 
 
 def test_stack_matches_single_runs_on_cold_snap():
@@ -194,7 +196,7 @@ def test_partial_last_step_is_staged():
     # the h = dt map is live when the 0.03 remainder comes; stepping the
     # remainder with it would move the end state far beyond 1e-12
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
     args = (plant, ctrl, [-3.0], [3.0], [0.0])
     whole = _assert_loop_matches_oracle(*args, (0.0, 4.0), 0.05)
     partial = _assert_loop_matches_oracle(*args, (0.0, 4.03), 0.05)
@@ -208,7 +210,7 @@ def test_chattering_run_stays_staged():
     # the load swings so that the input crosses its saturation kink
     # inside every step: no pattern holds, so no map is built
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.static([[1.0]])
+    ctrl = model.ControllerSpec("static", k_static=[[1.0]])
     k = np.arange(42)
     wsig = model.DisturbanceSignal.sampled((k - 0.5) * 0.1,
                                            -2.0 + 20.0 * (-1.0) ** k)
@@ -263,6 +265,20 @@ def test_identity_pair_steps_on_one_map():
     assert crossings == [2, 0]
 
 
+def test_padded_identity_pair_steps_on_one_map():
+    # an identity component padded to its neighbour's three knots keeps
+    # one affine piece, so the run builds one map as the identity does
+    plant, ctrl = _linear_loop()
+    pair = sector.custom_pwl([
+        sector.PwlFunction([0.0], [0.0], 1.0, 1.0),
+        sector.PwlFunction([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 1.0, 1.0)])
+    padded = model.PlantModel(plant.a, plant.b, pair)
+    traj = _assert_loop_matches_oracle(padded, ctrl, [0.7, -0.4],
+                                       [-3.0, 2.0], [0.5, 0.0], (0.0, 3.0),
+                                       0.01)
+    assert traj.counts.patterns == 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
        sampled=st.booleans())
@@ -284,8 +300,8 @@ def test_affine_steps_match_staged_reference(n, seed, sampled):
 
 def test_stack_blowup_names_the_row():
     plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
-    calm = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
-    wild = model.ControllerSpec.decentralized([50.0], [1.0], [0.5])
+    calm = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
+    wild = model.ControllerSpec("decentralized", [50.0], [1.0], [0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(NonFiniteState, match=r"^row 1: .*\(step \d+\)"):
@@ -300,9 +316,10 @@ def test_stack_blowup_names_the_row():
 
 def test_stack_warns_once_per_coarse_controller():
     plant, ctrl = _linear_loop()
-    stat = model.ControllerSpec.static(model.default_static_gain(plant))
-    fast = model.ControllerSpec.decentralized([9.0, 8.0], [0.4, 0.5],
-                                              [0.1, 0.1])
+    stat = model.ControllerSpec(
+        "static", k_static=model.default_static_gain(plant))
+    fast = model.ControllerSpec("decentralized", [9.0, 8.0], [0.4, 0.5],
+                                [0.1, 0.1])
     bounds = [simulate.stability_dt_bound(plant, c)
               for c in (ctrl, stat, fast)]
     dt = 0.5 * (bounds[2] + min(bounds[:2]))
@@ -321,7 +338,7 @@ def test_stack_warns_once_per_coarse_controller():
 def test_stack_argument_guards():
     # each row keeps the single-controller guards; one z entry per row
     plant, ctrl = _linear_loop()
-    stat = model.ControllerSpec.static(np.eye(2))
+    stat = model.ControllerSpec("static", k_static=np.eye(2))
     zero = np.zeros(2)
     for z_rows in ([None, None], [zero, zero], [zero]):
         with pytest.raises(DimensionMismatch):
@@ -333,13 +350,14 @@ def test_stability_bound_reasonable():
     plant, ctrl = _linear_loop()
     bound = simulate.stability_dt_bound(plant, ctrl)
     assert 0.0 < bound < 10.0
-    stat = model.ControllerSpec.static(model.default_static_gain(plant))
+    stat = model.ControllerSpec(
+        "static", k_static=model.default_static_gain(plant))
     assert simulate.stability_dt_bound(plant, stat) > 0.0
 
 
 def test_state_argument_guards():
     plant, ctrl = _linear_loop()
-    stat = model.ControllerSpec.static(np.eye(2))
+    stat = model.ControllerSpec("static", k_static=np.eye(2))
     with pytest.raises(DimensionMismatch):
         simulate.integrate(plant, ctrl, np.zeros(2), np.zeros(2), None,
                            (0.0, 1.0), 0.1)
@@ -347,8 +365,8 @@ def test_state_argument_guards():
         simulate.integrate(plant, stat, np.zeros(2), np.zeros(2),
                            np.zeros(2), (0.0, 1.0), 0.1)
     # controllers three wide on a plant of two
-    for c in (model.ControllerSpec.decentralized(*np.ones((3, 3))),
-              model.ControllerSpec.static(np.eye(3))):
+    for c in (model.ControllerSpec("decentralized", *np.ones((3, 3))),
+              model.ControllerSpec("static", k_static=np.eye(3))):
         with pytest.raises(DimensionMismatch):
             simulate.integrate(plant, c, np.zeros(2), np.zeros(2),
                                np.zeros(3) if c.is_pi else None,
@@ -411,7 +429,8 @@ def test_csv_round_trip_and_determinism(tmp_path):
 
 def test_csv_static_writes_zero_z(tmp_path):
     plant, _ = _linear_loop()
-    stat = model.ControllerSpec.static(model.default_static_gain(plant))
+    stat = model.ControllerSpec(
+        "static", k_static=model.default_static_gain(plant))
     traj = simulate.integrate(plant, stat, np.zeros(2), np.ones(2), None,
                               (0.0, 0.5), 0.1)
     path = tmp_path / "s.csv"
@@ -427,9 +446,14 @@ def test_csv_rejects_mangled_header(tmp_path):
         simulate.read_trajectory_csv(path)
 
 
+def _trace(plant, ctrl, eq, traj):
+    return simulate.lyapunov_trace(plant, ctrl, eq, traj,
+                                   simulate.lyapunov_parameters(plant, ctrl))
+
+
 def test_lyapunov_parameters_textbook():
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.5], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
     params = simulate.lyapunov_parameters(plant, ctrl)
     assert params.q[0] == pytest.approx(1.0)
     assert params.alpha == pytest.approx(1.0)
@@ -442,11 +466,9 @@ def test_lyapunov_parameters_textbook():
 
 def test_lyapunov_epsilon_guard():
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [0.1], [0.1])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.1], [0.1])
     params = simulate.lyapunov_parameters(plant, ctrl)
     assert params.epsilon_bound == pytest.approx(0.04 / 0.96)
-    with pytest.raises(EpsilonTooLarge):
-        simulate.lyapunov_parameters(plant, ctrl, epsilon=0.1)
 
 
 def test_lyapunov_trace_decreases_and_matches_fd(rng):
@@ -457,7 +479,7 @@ def test_lyapunov_trace_decreases_and_matches_fd(rng):
         x0 = eq.x0 + rng.uniform(-3.0, 3.0, plant.n)
         z0 = eq.z0 + rng.uniform(-3.0, 3.0, plant.n)
         traj = simulate.integrate(plant, ctrl, w, x0, z0, (0.0, 6.0), 0.002)
-        trace = simulate.lyapunov_trace(plant, ctrl, eq, traj)
+        trace = _trace(plant, ctrl, eq, traj)
         assert trace.passed
         assert trace.value[0] >= 0.0 and trace.value[-1] <= trace.value[0]
         # pointwise agreement is limited by finite-difference truncation
@@ -475,7 +497,7 @@ def test_lyapunov_zero_at_equilibrium(rng):
     w = random_disturbance(rng, 3)
     eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-12)
     traj = simulate.integrate(plant, ctrl, w, eq.x0, eq.z0, (0.0, 1.0), 0.01)
-    trace = simulate.lyapunov_trace(plant, ctrl, eq, traj)
+    trace = _trace(plant, ctrl, eq, traj)
     np.testing.assert_allclose(trace.value, 0.0, atol=1e-12)
 
 
@@ -487,16 +509,16 @@ def test_lyapunov_flags_increases(rng):
                               (0.0, 4.0), 0.01)
     rev = simulate.Trajectory(traj.t, traj.x[::-1], traj.z[::-1],
                               traj.u[::-1], traj.v[::-1])
-    trace = simulate.lyapunov_trace(plant, ctrl, eq, rev)
+    trace = _trace(plant, ctrl, eq, rev)
     assert not trace.passed
     assert trace.increase_steps.size > 0
 
 
 def test_lyapunov_requires_integral_margin():
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
-    ctrl = model.ControllerSpec.decentralized([1.0], [1.5], [0.5])
+    ctrl = model.ControllerSpec("decentralized", [1.0], [1.5], [0.5])
     eq = equilibrium.solve_equilibrium(plant, ctrl, [-0.2])
     traj = simulate.integrate(plant, ctrl, [-0.2], [1.0], [0.0],
                               (0.0, 1.0), 0.01)
     with pytest.raises(CertificateFailure):
-        simulate.lyapunov_trace(plant, ctrl, eq, traj)
+        _trace(plant, ctrl, eq, traj)
