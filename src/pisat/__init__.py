@@ -11,7 +11,7 @@ from .errors import (CertificateFailure, ConditionViolated, ConfigError,
                      DimensionMismatch, InvalidSectorPair,
                      MaxIterationsExceeded, NonFiniteState, NotMMatrix,
                      NotSymmetric, ParseError, PisatError, SolverFailure,
-                     StepStalled, UnsupportedVariant)
+                     UnsupportedVariant)
 from .heating import (HeatingScenario, TemperatureSeries, benchmark_scenario,
                       default_cost_weights, load_scenario,
                       scenario_from_json, synthetic_cold_snap,

@@ -31,7 +31,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,6 +245,7 @@ def cmd_certify(args) -> int:
                        "residual": eq.residual_stationary,
                        "scale": eq.scale,
                        "iterations": eq.iterations,
+                       "pattern_solve": eq.pattern_solved,
                        "k": cmap.k,
                        "x0": eq.x0, "z0": eq.z0, "u0": eq.u0})
         measured = equilibrium.measure_contraction(
@@ -472,6 +473,7 @@ def cmd_equilibrium(args) -> int:
                   x0=eq.x0, z0=eq.z0, u0=eq.u0,
                   residual=eq.residual_stationary,
                   iterations=eq.iterations,
+                  pattern_solve=eq.pattern_solved,
                   contraction_bound=eq.cmap.contraction_bound,
                   k=eq.cmap.k), ctx.out)
     return EXIT_PASS

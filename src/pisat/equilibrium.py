@@ -15,9 +15,11 @@ Plain iteration needs about 1 / (1 - g) steps.  The solver instead takes
 safeguarded Anderson steps (Walker and Ni, SIAM J. Numer. Anal. 2011):
 the next point combines the last few images of T so as to cancel the
 residual T(zeta) - zeta in least squares, and it is kept only if it
-lowers the step; otherwise the plain step T(zeta) is taken.  The
-solver always stops on a plain step and returns it, so the estimate
-above certifies its distance to the equilibrium.
+lowers the step; otherwise the plain step T(zeta) is taken.  On each
+saturation pattern the stationary equation is linear, so one n x n
+solve on the pattern the iteration settled polishes its result: one
+step of a primal-dual active-set method (Hintermueller, Ito and
+Kunisch, SIAM J. Optim. 13, 2002).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixlab, model, sector
-from .errors import (DimensionMismatch, MaxIterationsExceeded, StepStalled,
+from .errors import (DimensionMismatch, MaxIterationsExceeded,
                      UnsupportedVariant)
 
 DEFAULT_TOL = 1e-10
@@ -86,6 +88,8 @@ class EquilibriumResult:
     measure its ratio and probe uniqueness without building it again.
     ``scale`` is max(1, ||w / (s a)||_inf, ||u0||_inf), the factor by
     which the rounding floor of the residual grows with the problem.
+    ``pattern_solved`` says whether u0 came from the solve on the
+    saturation pattern rather than from the iteration itself.
     """
 
     x0: np.ndarray
@@ -95,6 +99,7 @@ class EquilibriumResult:
     iterations: int
     cmap: ContractionMap
     scale: float
+    pattern_solved: bool
 
 
 def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
@@ -143,8 +148,10 @@ def iterate_fixed_point(cmap: ContractionMap, zeta0,
     step below that of the last kept point; else the differences are
     dropped and the iteration takes the plain step from the last kept
     point, which the contraction shrinks by g.  A plain step that does
-    not shrink raises StepStalled, which carries that step: the map
-    has reached its floating-point floor above the tolerance.
+    not shrink is returned as it is: the map has reached its
+    floating-point floor, and a ``last_step`` above the threshold tells
+    the caller so.  The result is always a plain step, so the estimate
+    of the module docstring bounds its distance to the fixed point.
 
     ``zeta0`` may be a single vector or a stack of start points (rows).
     A stack is accelerated as one flattened vector with shared
@@ -167,11 +174,8 @@ def iterate_fixed_point(cmap: ContractionMap, zeta0,
         if delta <= thresh:
             return FixedPointResult(nxt, it, delta)
         if delta >= kept:
-            if len(images) <= 1:    # zeta was the plain step
-                raise StepStalled(
-                    f"step stalled above {thresh:.3e} after {it} "
-                    f"evaluations, last step {delta:.3e}",
-                    FixedPointResult(nxt, it, delta))
+            if len(images) <= 1:    # zeta was the plain step: stalled
+                return FixedPointResult(nxt, it, delta)
             del images[:-1], residuals[:-1]
             zeta = images[0].reshape(zeta.shape)
             continue
@@ -200,56 +204,60 @@ def stationary_residual(plant: model.PlantModel, ctrl: model.ControllerSpec,
     return float(np.max(np.abs((u - f) + (f @ plant.b.T) / sa + w / sa)))
 
 
+def _solve_on_pattern(plant: model.PlantModel, ctrl: model.ControllerSpec,
+                      u, w) -> np.ndarray:
+    """Solve the stationary equation on the saturation pattern of u.
+
+    On the pieces holding u, f(v) = c + d v, and s a (v - f) + B f + w = 0
+    reads (diag(s a (1 - d)) + B diag(d)) v = s a c - B c - w.  The matrix
+    is nonsingular for every d in [0, 1]: with its rows divided by s a and
+    the map's dominance scaling, each column is strictly dominant (d_j > 0)
+    or a unit column (d_j = 0).
+    """
+    pair = plant.pair
+    cols = np.arange(pair.n)
+    piece = pair.piece_of(u)
+    d, c = pair.slope[piece, cols], pair.icpt[piece, cols]
+    sa = ctrl.s * plant.a
+    return np.linalg.solve(np.diag(sa * (1.0 - d)) + plant.b * d,
+                           sa * c - plant.b @ c - w)
+
+
 def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
                       tol: float = DEFAULT_TOL) -> EquilibriumResult:
     """Compute the unique equilibrium of the decentralized loop.
 
-    Runs the contraction iteration from zeta0 = -w_hat / k, tightens the
-    internal tolerance by 1e-2 per round, up to six rounds, until the
-    stationary residual is at most ``tol``, and back-substitutes the
-    plant and integrator states.  Once a round stalls at the map's
-    floating-point floor or no longer lowers the residual, a residual
-    of at most tol max(1, ||w / (s a)||_inf, ||u0||_inf) is accepted,
-    since the rounding of the residual itself grows with that scale
-    (reported as ``scale``).
-    The result carries the map it solved, and ``iterations`` counts its
-    evaluations over all rounds, at most DEFAULT_MAX_ITER.
+    Runs one contraction iteration from zeta0 = -w_hat / k to ``tol``,
+    then solves the stationary equation on the saturation pattern it
+    settled, and keeps that candidate unless its stationary residual is
+    the larger one.  The residual must be at most tol max(1,
+    ||w / (s a)||_inf, ||u0||_inf), since its rounding grows with that
+    scale (reported as ``scale``); otherwise MaxIterationsExceeded names
+    it.  The plant and integrator states are back-substituted.  The
+    result carries the map it solved, and ``iterations`` counts its
+    evaluations, at most DEFAULT_MAX_ITER.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     cmap = build_contraction(plant, ctrl, w)
-    zeta = -cmap.w_hat / cmap.k
+    fp = iterate_fixed_point(cmap, -cmap.w_hat / cmap.k, tol)
+    u0 = fp.zeta / cmap.scaling_d
+    residual = stationary_residual(plant, ctrl, u0, w)
+    cand = _solve_on_pattern(plant, ctrl, u0, w)
+    cand_residual = stationary_residual(plant, ctrl, cand, w)
+    pattern_solved = cand_residual <= residual
+    if pattern_solved:
+        u0, residual = cand, cand_residual
     load = float(np.max(np.abs(w / (ctrl.s * plant.a))))
-    total = 0
-    ztol = tol
-    last = np.inf
-    for _ in range(6):
-        try:
-            fp = iterate_fixed_point(cmap, zeta, ztol,
-                                     DEFAULT_MAX_ITER - total)
-            stalled = False
-        except StepStalled as exc:
-            fp = exc.result
-            stalled = True
-        total += fp.iterations
-        zeta = fp.zeta
-        u0 = zeta / cmap.scaling_d
-        residual = stationary_residual(plant, ctrl, u0, w)
-        scale = max(1.0, load, float(np.max(np.abs(u0))))
-        if residual <= tol:
-            break
-        # a round that stalls or no longer lowers the residual has hit
-        # the floating-point floor, which grows with the problem's scale
-        if (stalled or residual >= last) and residual <= tol * scale:
-            break
-        last = residual
-        ztol *= 1e-2
-    else:
+    scale = max(1.0, load, float(np.max(np.abs(u0))))
+    if not residual <= tol * scale:
         raise MaxIterationsExceeded(
-            f"stationary residual {residual:.3e} stuck above tol {tol:.3e}")
+            f"stationary residual {residual:.3e} above tol * scale "
+            f"{tol * scale:.3e}")
     f0 = sector.eval_f(plant.pair, u0)
     x0 = (plant.b @ f0 + w) / plant.a
     z0 = (-ctrl.p * x0 - u0) / ctrl.r
-    return EquilibriumResult(x0, z0, u0, residual, total, cmap, scale)
+    return EquilibriumResult(x0, z0, u0, residual, fp.iterations, cmap,
+                             scale, pattern_solved)
 
 
 def measure_contraction(cmap: ContractionMap, trials: int,
@@ -329,8 +337,6 @@ def probe_uniqueness(cmap: ContractionMap, restarts: int = 50,
         return UniquenessProbe(None, 0, predicted)
     try:
         fp = iterate_fixed_point(cmap, zeta0, ztol, PROBE_BUDGET)
-    except StepStalled as exc:
-        fp = exc.result
     except MaxIterationsExceeded:
         return UniquenessProbe(None, PROBE_BUDGET, predicted)
     u = fp.zeta / cmap.scaling_d

@@ -33,19 +33,6 @@ class MaxIterationsExceeded(PisatError):
     """Iteration cap reached before the convergence criterion."""
 
 
-class StepStalled(MaxIterationsExceeded):
-    """A fixed-point step stopped shrinking above the requested tolerance.
-
-    The contraction rules this out in exact arithmetic, so the iteration
-    has reached the floating-point floor of its map.  ``result`` holds
-    the last plain step.
-    """
-
-    def __init__(self, message: str, result):
-        super().__init__(message)
-        self.result = result
-
-
 class NonFiniteState(PisatError):
     """Simulation state blew up or became non-finite."""
 

@@ -267,7 +267,8 @@ def integrate(plant: model.PlantModel,
     must be None for static feedback, whose integral state is then held
     at zero.  Every step is recorded.  A rough spectral pre-check warns
     when dt looks too coarse for the linear regime; a state that is not
-    finite or exceeds ``BLOWUP_LIMIT`` raises NonFiniteState.
+    finite or exceeds ``BLOWUP_LIMIT`` times max(1, largest initial
+    |state|) raises NonFiniteState: the test measures growth, not size.
 
     Each step is classic RK4, taken one of two ways.  While every input
     stays on one piece of the sector (its saturation pattern) the loop
@@ -343,6 +344,7 @@ def integrate(plant: model.PlantModel,
     every_row = range(rows)
     ys = np.empty((steps + 1, rows, 1, 2 * n))
     y = ys[0] = np.concatenate((x, z), axis=1)[:, None, :]
+    limit = BLOWUP_LIMIT * max(1.0, float(np.abs(y).max()))
     for k, h in enumerate(hs.tolist()):
         hold = None     # True, or which rows' affine candidates hold
         if k < full and aff.live:
@@ -363,10 +365,10 @@ def integrate(plant: model.PlantModel,
                 y = np.where(hold[:, None, None], out[..., :2 * n], y)
                 taken += hold
                 staged = np.flatnonzero(~hold)
-        if not np.abs(y).max() <= BLOWUP_LIMIT:
-            ok = np.all(np.abs(y.reshape(rows, -1)) <= BLOWUP_LIMIT, axis=1)
+        if not np.abs(y).max() <= limit:
+            ok = np.all(np.abs(y.reshape(rows, -1)) <= limit, axis=1)
             where = "" if single else f"row {int(np.argmin(ok))}: "
-            raise NonFiniteState(f"{where}state left +-{BLOWUP_LIMIT:g} "
+            raise NonFiniteState(f"{where}state left +-{limit:g} "
                                  f"near t={ts[k + 1]:.6g} (step {k + 1})")
         if hold is not True and k + 1 < full:
             aff.observe(np.concatenate((u1, u2, u3, u4), axis=1), staged)

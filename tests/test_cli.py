@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,7 +14,9 @@ import oracles
 from pisat import cli, equilibrium, heating, model, simulate
 from pisat.errors import NotMMatrix
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+SRC = ROOT / "src"
 TEXTBOOK = str(CONFIGS / "textbook_single.json")
 BENCHMARK = str(CONFIGS / "benchmark_constant.json")
 
@@ -41,13 +44,16 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 7
+    assert report["schema_version"] == 8
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
             "contraction_ratio", "uniqueness_probe", "storage_decrease",
             "allocation_optimality"} <= names
     assert all(c["status"] == "pass" for c in report["checks"])
+    resid, = (c for c in report["checks"]
+              if c["name"] == "equilibrium_residual")
+    assert resid["pattern_solve"] is True
 
 
 def test_certify_solves_equilibrium_once(monkeypatch):
@@ -145,12 +151,14 @@ def test_certify_scales_thresholds_with_load(tmp_path, factor):
     assert probe["input_spread"] <= 1e-6 * probe["scale"]
 
 
-def test_certify_near_one_bound_probe_is_inconclusive(tmp_path):
+@pytest.mark.parametrize("s_scale", [1e-4, 1e-7, 1e-8])
+def test_certify_near_one_bound_probe_is_inconclusive(tmp_path, s_scale):
     # s / 1e4: bound 0.9999986, so plain steps would need about 3.8e7
     # evaluations to reach the probe's threshold; the probe says so
-    # instead of iterating, and the rest of certify still reports
+    # instead of iterating, and the rest of certify still reports.
+    # Nearer the bound the equilibrium comes from its saturation pattern
     data = json.loads(pathlib.Path(BENCHMARK).read_text())
-    data["controller"]["s_degc"] = [1e-4 * s
+    data["controller"]["s_degc"] = [s_scale * s
                                     for s in data["controller"]["s_degc"]]
     cfg = tmp_path / "near_one.json"
     cfg.write_text(json.dumps(data))
@@ -166,6 +174,22 @@ def test_certify_near_one_bound_probe_is_inconclusive(tmp_path):
     assert probe["budget"] == equilibrium.PROBE_BUDGET
     assert probe["evaluations"] == 0
     assert {c["status"] for c in checks if c is not probe} == {"pass"}
+
+
+def test_certify_storage_probe_starts_far_from_zero(tmp_path):
+    # outdoor deviation x 1e3 and s / 1e8 put z0 near 1e13, beyond the
+    # integrator's blow-up limit; the probe measures growth from there
+    data = json.loads(pathlib.Path(BENCHMARK).read_text())
+    data["t_ext"] = {"constant_degc": 20.0 + 1e3 * (-35.0)}
+    data["controller"]["s_degc"] = [1e-8 * s
+                                    for s in data["controller"]["s_degc"]]
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert _run("certify", "--config", str(cfg), "--out", str(out)) == 2
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert np.max(np.abs(by_name["equilibrium_residual"]["z0"])) > 1e12
+    assert by_name["storage_decrease"]["status"] == "pass"
 
 
 def test_certify_reports_unit_scale_on_bundled_load(tmp_path):
@@ -239,7 +263,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 7
+    assert costs["schema_version"] == 8
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -328,7 +352,18 @@ def test_equilibrium_report(tmp_path):
     np.testing.assert_allclose(report["z0"], [-0.6], atol=1e-9)
     np.testing.assert_allclose(report["u0"], [0.3], atol=1e-9)
     assert report["residual"] <= 1e-10
+    assert report["pattern_solve"] is True
     assert 0.0 < report["contraction_bound"] < 1.0
+
+
+def test_equilibrium_on_pattern_reaches_rounding_floor(tmp_path):
+    # the solve on the saturation pattern lands far below the iteration's
+    # own residual (7.5e-11 on the bundled network)
+    out = tmp_path / "eq.json"
+    assert _run("equilibrium", "--config", BENCHMARK, "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["pattern_solve"] is True
+    assert report["residual"] <= 1e-13
 
 
 def test_equilibrium_iterations_bounded_and_repeatable(tmp_path):
@@ -394,7 +429,7 @@ def test_diagnostics_counters_repeat(tmp_path):
             (out / "certify.json").read_text())["checks"]
             if c["name"] == "storage_decrease")
         diags[run].append({k: storage[k] for k in _RK4_COUNTERS})
-        assert all(json.loads(p.read_text())["schema_version"] == 7
+        assert all(json.loads(p.read_text())["schema_version"] == 8
                    for p in reports + (out / "certify.json",))
     assert diags["a"] == diags["b"]
     sim, cmp_, lp, probe = diags["a"]
@@ -631,10 +666,18 @@ def test_compare_writes_to_run_out_dir(tmp_path, capsys):
             == (out / "comparison.csv").read_bytes())
 
 
+def _src_env():
+    # a subprocess finds the package in src/ without an installed copy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_module_entry_point_help():
     # python -m pisat runs the same command line as the pisat script
     proc = subprocess.run([sys.executable, "-m", "pisat", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: pisat")
 
@@ -643,5 +686,5 @@ def test_console_script_smoke():
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from pisat.cli import main; "
                            "sys.exit(main(['frobnicate']))"],
-                          capture_output=True)
+                          capture_output=True, env=_src_env())
     assert proc.returncode == 64

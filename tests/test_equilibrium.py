@@ -7,8 +7,7 @@ import pytest
 import oracles
 from conftest import random_disturbance, random_instance, random_pwl_pair
 from pisat import cli, equilibrium, heating, model, sector
-from pisat.errors import (MaxIterationsExceeded, StepStalled,
-                          UnsupportedVariant)
+from pisat.errors import MaxIterationsExceeded, UnsupportedVariant
 
 BENCHMARK = (pathlib.Path(__file__).resolve().parent.parent / "configs"
              / "benchmark_constant.json")
@@ -171,13 +170,9 @@ def _benchmark():
     return plant, scn.controller, wsig.componentwise_min()
 
 
-@pytest.mark.parametrize("w_scale, s_scale", [(1e3, 1.0), (1e5, 1.0),
-                                              (1.0, 1e-4), (1e2, 1e-1),
-                                              (1e6, 1.0), (1e7, 1e-3)])
-def test_solve_returns_at_floating_point_floor(w_scale, s_scale):
-    # well-posed problems whose stationary residual cannot reach the
-    # absolute 1e-10: a large load, or a bound of 0.9999986 with s / 1e4;
-    # in the last three the map's step stalls above the tolerance
+def _solve_scaled(w_scale, s_scale):
+    # the bundled network with its load and its s scaled, solved within
+    # 1 s to a residual of at most 1e-10 scale
     plant, ctrl, w = _benchmark()
     ctrl = model.ControllerSpec("decentralized", ctrl.p, ctrl.r,
                                 s_scale * ctrl.s)
@@ -187,10 +182,60 @@ def test_solve_returns_at_floating_point_floor(w_scale, s_scale):
     assert time.perf_counter() - start < 1.0
     scale = max(1.0, float(np.max(np.abs(w / (ctrl.s * plant.a)))),
                 float(np.max(np.abs(eq.u0))))
+    assert eq.scale == scale
     assert eq.residual_stationary <= 1e-10 * scale
+    return plant, ctrl, w, eq
+
+
+@pytest.mark.parametrize("w_scale, s_scale", [(1e3, 1.0), (1e5, 1.0),
+                                              (1.0, 1e-4), (1e2, 1e-1),
+                                              (1e6, 1.0), (1e7, 1e-3)])
+def test_solve_returns_at_floating_point_floor(w_scale, s_scale):
+    # well-posed problems whose stationary residual cannot reach the
+    # absolute 1e-10: a large load, or a bound of 0.9999986 with s / 1e4
+    plant, ctrl, w, eq = _solve_scaled(w_scale, s_scale)
     _, _, u0 = oracles.equilibrium_newton(plant.a, plant.b, ctrl.p, ctrl.r,
-                                          ctrl.s, w, tol=1e-9 * scale)
-    np.testing.assert_allclose(eq.u0, u0, rtol=0.0, atol=1e-8 * scale)
+                                          ctrl.s, w, tol=1e-9 * eq.scale)
+    np.testing.assert_allclose(eq.u0, u0, rtol=0.0, atol=1e-8 * eq.scale)
+
+
+@pytest.mark.parametrize("s_scale", [1e-7, 1e-8])
+def test_solve_near_one_bound(s_scale):
+    # the map's step stalls far above the tolerance here, and the Newton
+    # oracle stalls too; the solve on the saturation pattern still lands
+    # on the rounding floor
+    _, _, _, eq = _solve_scaled(1.0, s_scale)
+    assert eq.pattern_solved
+
+
+def test_solve_names_residual_above_tolerance():
+    # no point rounds to a residual of 1e-30 scale: the pass stalls, the
+    # pattern solve stops on the rounding floor, and the solve says so
+    plant, ctrl, w = _benchmark()
+    with pytest.raises(MaxIterationsExceeded,
+                       match=r"stationary residual .* above tol \* scale"):
+        equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-30)
+
+
+def test_pattern_solve_is_kept_unless_its_residual_is_larger():
+    # seed 3 draws instances, all with custom pairs, whose iteration
+    # already lands on a smaller residual than the pattern solve
+    rng = np.random.default_rng(3)
+    kept = []
+    for trial in range(120):
+        plant, ctrl, w, cmap = _random_problem(rng, pwl=trial % 2 == 1)
+        eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+        fp = equilibrium.iterate_fixed_point(cmap, -cmap.w_hat / cmap.k,
+                                             equilibrium.DEFAULT_TOL)
+        own = fp.zeta / cmap.scaling_d
+        residual = equilibrium.stationary_residual(plant, ctrl, own, w)
+        if eq.pattern_solved:
+            assert eq.residual_stationary <= residual
+        else:
+            np.testing.assert_array_equal(eq.u0, own)
+            assert eq.residual_stationary == residual
+        kept.append(eq.pattern_solved)
+    assert 0 < kept.count(False) < kept.count(True)
 
 
 def _random_problem(rng, pwl: bool):
@@ -268,17 +313,15 @@ def test_fixed_point_returns_plain_step(monkeypatch, restarts):
     _assert_plain_step(fp, calls)
 
 
-def test_stalled_step_raises_with_last_plain_step(monkeypatch):
+def test_stalled_step_returns_last_plain_step(monkeypatch):
     # on a large load the map's own rounding keeps the step above
-    # 1e-16 (1 - g) / g; the iteration says so at once, not after max_iter
+    # 1e-16 (1 - g) / g; the iteration returns at once, not after
+    # max_iter, and its last step says that it stalled
     plant, ctrl, w = _benchmark()
     cmap = equilibrium.build_contraction(plant, ctrl, 1e6 * w)
     g = cmap.contraction_bound
     calls = _record_map_calls(monkeypatch)
-    with pytest.raises(StepStalled, match="last step") as info:
-        equilibrium.iterate_fixed_point(cmap, -cmap.w_hat / cmap.k, 1e-16)
-    assert isinstance(info.value, MaxIterationsExceeded)
-    fp = info.value.result
+    fp = equilibrium.iterate_fixed_point(cmap, -cmap.w_hat / cmap.k, 1e-16)
     assert len(calls) < 100
     assert fp.last_step > 1e-16 * (1.0 - g) / g
     _assert_plain_step(fp, calls)

@@ -70,6 +70,16 @@ def test_blowup_aborts():
                            (0.0, 1.0), 0.01)
 
 
+def test_blowup_limit_grows_with_the_start():
+    # a stable loop started beyond BLOWUP_LIMIT decays; only growth
+    # past the limit times the largest initial |state| aborts
+    plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
+    traj = simulate.integrate(plant, ctrl, [0.0], [5e12], [0.0],
+                              (0.0, 1.0), 0.01)
+    assert np.all(np.isfinite(traj.x)) and np.max(np.abs(traj.x)) <= 5e12
+
+
 def _assert_near_oracle(got, want):
     # normwise to 1e-12: an affine step rounds unlike the staged one
     for g, w in zip(got, want):
