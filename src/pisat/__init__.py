@@ -4,9 +4,9 @@ and a district heating benchmark.
 """
 
 from .equilibrium import (ContractionMap, EquilibriumResult,
-                          build_contraction, iterate_fixed_point,
-                          measure_contraction, probe_uniqueness,
-                          solve_equilibrium, stationary_residual)
+                          build_contraction, measure_contraction,
+                          probe_uniqueness, solve_equilibrium,
+                          stationary_residual)
 from .errors import (CertificateFailure, ConditionViolated, ConfigError,
                      DimensionMismatch, InvalidSectorPair,
                      MaxIterationsExceeded, NonFiniteState, NotMMatrix,

@@ -1,30 +1,39 @@
-"""Closed-loop equilibrium computation by contraction iteration.
+"""Closed-loop equilibrium computation on the pieces of the sector.
 
 For the decentralized PI anti-windup loop under a constant disturbance,
 the stationary input u0 solves
 
-    0 = h(u0) + S^-1 A^-1 B f(u0) + S^-1 A^-1 w.
+    s a (u0 - f(u0)) + B f(u0) + w = 0.
+
+On a pattern, one affine piece of f per coordinate, f(u) = c + d u and
+the equation is linear in u.  Row i of it, with v = f(u), reads
+
+    s_i a_i (t - f_i(t)) + b_ii f_i(t) = -(sum_{j != i} b_ij v_j + w_i)
+
+in t = u_i, and its left side is strictly increasing (slope
+s_i a_i (1 - d) + b_ii d > 0), so given the other coordinates' v it has
+one solution, whose piece its values at the piece boundaries order.
+The solver is an active-set loop over patterns: each round solves the
+equation on the current pattern and takes as the next one, for every
+coordinate, the piece of that row's solution, with v = c + d u read off
+the assumed pieces.  A pattern that predicts itself is exact: its solve
+lies on its own pieces.  A pattern that comes back ends the loop with
+MaxIterationsExceeded.  For saturation the stationary equation is a box
+LCP in v = sat(u0) with the M-matrix B, which has exactly one solution
+whatever s is (Cottle, Pang and Stone, The Linear Complementarity
+Problem, 1992), and the loop is the primal-dual active-set method of
+Hintermueller, Ito and Kunisch (SIAM J. Optim. 13, 2002) with
+c = 1 / diag(B); it settles in a few rounds at every s.
 
 After a diagonal change of variables that makes the coupling strictly
-column-dominant, this becomes a fixed point of a map T that contracts
-in the 1-norm with an explicitly computable bound g below one, so the
-equilibrium is unique and, for any point zeta,
-||zeta* - T(zeta)|| <= g / (1 - g) ||T(zeta) - zeta||.
-
-Plain iteration needs about 1 / (1 - g) steps.  The solver instead takes
-safeguarded Anderson steps (Walker and Ni, SIAM J. Numer. Anal. 2011):
-the next point combines the last few images of T so as to cancel the
-residual T(zeta) - zeta in least squares, and it is kept only if it
-lowers the step; otherwise the plain step T(zeta) is taken.  On each
-saturation pattern the stationary equation is linear, so one n x n
-solve on the pattern the iteration settled polishes its result: one
-step of a primal-dual active-set method (Hintermueller, Ito and
-Kunisch, SIAM J. Optim. 13, 2002).
+column-dominant, the equation is also a fixed point of a map T that
+contracts in the 1-norm with an explicitly computable bound g below one,
+which proves the equilibrium unique.  The solver returns that map, so
+callers report g and measure its ratio.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +43,6 @@ from .errors import (DimensionMismatch, MaxIterationsExceeded,
                      UnsupportedVariant)
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10 ** 6
-ANDERSON_DEPTH = 5
-# map evaluations a uniqueness probe may spend; the bundled and generated
-# networks predict 117 to 2,660 plain steps
-PROBE_BUDGET = 10 ** 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,22 +78,14 @@ class ContractionMap:
 
 
 @dataclass(frozen=True, eq=False)
-class FixedPointResult:
-    zeta: np.ndarray
-    iterations: int
-    last_step: float
-
-
-@dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """Unique closed-loop equilibrium and solver diagnostics.
 
-    ``cmap`` is the contraction map the solve iterated, so callers can
-    measure its ratio and probe uniqueness without building it again.
+    ``cmap`` is the contraction map of the problem, so callers can
+    report its bound and measure its ratio without building it again.
     ``scale`` is max(1, ||w / (s a)||_inf, ||u0||_inf), the factor by
     which the rounding floor of the residual grows with the problem.
-    ``pattern_solved`` says whether u0 came from the solve on the
-    saturation pattern rather than from the iteration itself.
+    ``iterations`` counts the rounds of the pattern loop.
     """
 
     x0: np.ndarray
@@ -99,7 +95,17 @@ class EquilibriumResult:
     iterations: int
     cmap: ContractionMap
     scale: float
-    pattern_solved: bool
+
+
+def _load(plant: model.PlantModel, ctrl: model.ControllerSpec,
+          w) -> np.ndarray:
+    if ctrl.variant != model.VARIANT_DECENTRALIZED:
+        raise UnsupportedVariant("equilibrium solving covers the decentralized "
+                                 "variant only")
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    if w.size != plant.n:
+        raise DimensionMismatch("disturbance width disagrees with plant")
+    return w
 
 
 def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
@@ -111,12 +117,7 @@ def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
     which makes every per-coordinate Lipschitz factor strictly less
     than one.
     """
-    if ctrl.variant != model.VARIANT_DECENTRALIZED:
-        raise UnsupportedVariant("equilibrium solving covers the decentralized "
-                                 "variant only")
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.size != plant.n:
-        raise DimensionMismatch("disturbance width disagrees with plant")
+    w = _load(plant, ctrl, w)
     sa = ctrl.s * plant.a
     m = plant.b / sa[:, None]
     d = matrixlab.column_dominance_scaling(m)
@@ -131,69 +132,6 @@ def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
     return ContractionMap(b_hat, w_hat, k, lam, mu, bound, d, scaled)
 
 
-def iterate_fixed_point(cmap: ContractionMap, zeta0,
-                        tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> FixedPointResult:
-    """Iterate the contraction map with safeguarded Anderson steps.
-
-    Each iteration evaluates T at the current point zeta.  Once the 1-norm
-    step ||T(zeta) - zeta|| is at most tol (1 - g) / g, with g the
-    contraction bound, it returns the plain step T(zeta): by the
-    a-posteriori contraction estimate, which holds for any zeta, that
-    point is within tol of the fixed point in the 1-norm.  Otherwise the
-    next point is the Anderson (type II) combination of the last
-    ANDERSON_DEPTH + 1 images T(zeta_j), with the coefficients that fit
-    the last residual T(zeta) - zeta by the residual differences in
-    least squares.  An accelerated point is kept only if it lowers the
-    step below that of the last kept point; else the differences are
-    dropped and the iteration takes the plain step from the last kept
-    point, which the contraction shrinks by g.  A plain step that does
-    not shrink is returned as it is: the map has reached its
-    floating-point floor, and a ``last_step`` above the threshold tells
-    the caller so.  The result is always a plain step, so the estimate
-    of the module docstring bounds its distance to the fixed point.
-
-    ``zeta0`` may be a single vector or a stack of start points (rows).
-    A stack is accelerated as one flattened vector with shared
-    coefficients, and its step is the worst row's.  ``iterations`` and
-    ``max_iter`` count evaluations of the map.
-    """
-    zeta = np.array(zeta0, dtype=float)
-    if zeta.shape[-1:] != (cmap.n,):
-        raise DimensionMismatch("start point width disagrees with the map")
-    g = cmap.contraction_bound
-    thresh = tol * (1.0 - g) / g
-    images: list[np.ndarray] = []      # T(zeta_j) of the kept points
-    residuals: list[np.ndarray] = []   # T(zeta_j) - zeta_j
-    kept = np.inf
-    delta = np.inf
-    for it in range(1, max_iter + 1):
-        nxt = cmap(zeta)
-        res = nxt - zeta
-        delta = float(np.max(np.sum(np.abs(res), axis=-1)))
-        if delta <= thresh:
-            return FixedPointResult(nxt, it, delta)
-        if delta >= kept:
-            if len(images) <= 1:    # zeta was the plain step: stalled
-                return FixedPointResult(nxt, it, delta)
-            del images[:-1], residuals[:-1]
-            zeta = images[0].reshape(zeta.shape)
-            continue
-        kept = delta
-        images.append(nxt.ravel())
-        residuals.append(res.ravel())
-        del images[:-ANDERSON_DEPTH - 1], residuals[:-ANDERSON_DEPTH - 1]
-        zeta = nxt
-        if len(images) > 1:
-            gk = np.array(images)
-            fk = np.array(residuals)
-            coef = np.linalg.lstsq((fk[1:] - fk[:-1]).T, fk[-1],
-                                   rcond=None)[0]
-            zeta = (gk[-1] - coef @ (gk[1:] - gk[:-1])).reshape(zeta.shape)
-    raise MaxIterationsExceeded(
-        f"no convergence in {max_iter} iterations, last step {delta:.3e}")
-
-
 def stationary_residual(plant: model.PlantModel, ctrl: model.ControllerSpec,
                         u, w) -> float:
     """Max-norm residual of the stationary input equation at u."""
@@ -204,49 +142,90 @@ def stationary_residual(plant: model.PlantModel, ctrl: model.ControllerSpec,
     return float(np.max(np.abs((u - f) + (f @ plant.b.T) / sa + w / sa)))
 
 
-def _solve_on_pattern(plant: model.PlantModel, ctrl: model.ControllerSpec,
-                      u, w) -> np.ndarray:
-    """Solve the stationary equation on the saturation pattern of u.
+def _next_pieces(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Piece of each row's solution: the count of piece boundaries at
+    which the row's left side, ``phi`` (K, n), lies below ``rhs``."""
+    return np.sum(rhs[..., None, :] > phi, axis=-2)
 
-    On the pieces holding u, f(v) = c + d v, and s a (v - f) + B f + w = 0
-    reads (diag(s a (1 - d)) + B diag(d)) v = s a c - B c - w.  The matrix
-    is nonsingular for every d in [0, 1]: with its rows divided by s a and
-    the map's dominance scaling, each column is strictly dominant (d_j > 0)
-    or a unit column (d_j = 0).
+
+def _pattern_loop(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
+                  start: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Run the active-set loop from each row of ``start`` (k, n) pieces.
+
+    On the pieces of a pattern, f(u) = c + d u, and s a (u - f) + B f + w
+    = 0 reads (diag(s a (1 - d)) + B diag(d)) u = s a c - B c - w.  The
+    matrix is nonsingular for every d in [0, 1]: with its rows divided by
+    s a and the map's dominance scaling, each column is strictly dominant
+    (d_j > 0) or a unit column (d_j = 0).  Each round solves the patterns
+    no row has met yet in one stacked ``np.linalg.solve``, which rounds
+    each system as a solve of its own, so rows that meet share a solve
+    and every row's result is the one it would reach alone.  Returns the
+    rows' inputs, the rounds until the last row settled and the
+    patterns solved.
     """
-    pair = plant.pair
-    cols = np.arange(pair.n)
-    piece = pair.piece_of(u)
-    d, c = pair.slope[piece, cols], pair.icpt[piece, cols]
+    pair, b = plant.pair, plant.b
     sa = ctrl.s * plant.a
-    return np.linalg.solve(np.diag(sa * (1.0 - d)) + plant.b * d,
-                           sa * c - plant.b @ c - w)
+    cols = np.arange(pair.n)
+    off = b - np.diag(np.diag(b))
+    # the row's left side at the lower end of each piece past the first
+    lo = pair.lo[1:]
+    edge = np.isinf(lo)
+    at = np.where(edge, 0.0, lo)
+    phi = np.where(edge, np.inf,
+                   sa * at + (np.diag(b) - sa)
+                   * (pair.icpt[1:] + pair.slope[1:] * at))
+    solved = {}     # pattern bytes -> (u, predicted pattern)
+    paths = [[pieces] for pieces in start]
+    u = np.empty(start.shape)
+    live = range(len(start))
+    rounds = 0
+    while live:
+        rounds += 1
+        new = {paths[row][-1].tobytes(): paths[row][-1] for row in live}
+        new = {key: p for key, p in new.items() if key not in solved}
+        if new:
+            pieces = np.array(list(new.values()))
+            d, c = pair.slope[pieces, cols], pair.icpt[pieces, cols]
+            mats = b * d[:, None, :]
+            mats[:, cols, cols] += sa * (1.0 - d)
+            rhs = sa * c - (b @ c[..., None])[..., 0] - w
+            x = np.linalg.solve(mats, rhs[..., None])[..., 0]
+            v = c + d * x
+            nxt = _next_pieces(phi, -((off @ v[..., None])[..., 0] + w))
+            solved.update(zip(new, zip(x, nxt)))
+        moved = []
+        for row in live:
+            pieces = paths[row][-1]
+            u[row], nxt = solved[pieces.tobytes()]
+            if np.array_equal(nxt, pieces):
+                continue
+            if any(np.array_equal(nxt, p) for p in paths[row]):
+                raise MaxIterationsExceeded(
+                    f"row {row} returned to an earlier pattern in round "
+                    f"{rounds}")
+            paths[row].append(nxt)
+            moved.append(row)
+        live = moved
+    return u, rounds, len(solved)
 
 
 def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
                       tol: float = DEFAULT_TOL) -> EquilibriumResult:
     """Compute the unique equilibrium of the decentralized loop.
 
-    Runs one contraction iteration from zeta0 = -w_hat / k to ``tol``,
-    then solves the stationary equation on the saturation pattern it
-    settled, and keeps that candidate unless its stationary residual is
-    the larger one.  The residual must be at most tol max(1,
-    ||w / (s a)||_inf, ||u0||_inf), since its rounding grows with that
-    scale (reported as ``scale``); otherwise MaxIterationsExceeded names
-    it.  The plant and integrator states are back-substituted.  The
-    result carries the map it solved, and ``iterations`` counts its
-    evaluations, at most DEFAULT_MAX_ITER.
+    Runs the pattern loop from the pattern of u = 0.  The stationary
+    residual of its result must be at most tol max(1, ||w / (s a)||_inf,
+    ||u0||_inf), since its rounding grows with that scale (reported as
+    ``scale``); otherwise MaxIterationsExceeded names it.  The plant and
+    integrator states are back-substituted.  The result carries the
+    contraction map of the problem, and ``iterations`` counts the
+    loop's rounds.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
+    w = _load(plant, ctrl, w)
     cmap = build_contraction(plant, ctrl, w)
-    fp = iterate_fixed_point(cmap, -cmap.w_hat / cmap.k, tol)
-    u0 = fp.zeta / cmap.scaling_d
+    start = plant.pair.piece_of(np.zeros((1, plant.n)))
+    (u0,), rounds, _ = _pattern_loop(plant, ctrl, w, start)
     residual = stationary_residual(plant, ctrl, u0, w)
-    cand = _solve_on_pattern(plant, ctrl, u0, w)
-    cand_residual = stationary_residual(plant, ctrl, cand, w)
-    pattern_solved = cand_residual <= residual
-    if pattern_solved:
-        u0, residual = cand, cand_residual
     load = float(np.max(np.abs(w / (ctrl.s * plant.a))))
     scale = max(1.0, load, float(np.max(np.abs(u0))))
     if not residual <= tol * scale:
@@ -256,8 +235,7 @@ def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     f0 = sector.eval_f(plant.pair, u0)
     x0 = (plant.b @ f0 + w) / plant.a
     z0 = (-ctrl.p * x0 - u0) / ctrl.r
-    return EquilibriumResult(x0, z0, u0, residual, fp.iterations, cmap,
-                             scale, pattern_solved)
+    return EquilibriumResult(x0, z0, u0, residual, rounds, cmap, scale)
 
 
 def measure_contraction(cmap: ContractionMap, trials: int,
@@ -292,53 +270,34 @@ def measure_contraction(cmap: ContractionMap, trials: int,
 
 @dataclass(frozen=True, eq=False)
 class UniquenessProbe:
-    """The restarts' spread, or None when the probe is inconclusive; the
-    map evaluations it ran and the plain steps it predicted."""
+    """The restarts' spread and the distinct patterns their loop solved."""
 
-    spread: float | None
-    evaluations: int
-    predicted: int | float
+    spread: float
+    solves: int
 
 
-def probe_uniqueness(cmap: ContractionMap, restarts: int = 50,
-                     u_tol: float = 1e-8,
+def probe_uniqueness(plant: model.PlantModel, ctrl: model.ControllerSpec,
+                     w, restarts: int = 50,
                      rng: np.random.Generator | None = None
                      ) -> UniquenessProbe:
     """Re-solve from many random starts and report the disagreement.
 
-    The starts are drawn in a box around the origin scaled to the load
-    of ``cmap`` and iterated together as one stack.  The spread is the
-    sum over coordinates of the spread of the recovered stationary
+    The starts are drawn uniformly in a box reaching twice as far out as
+    the farthest knot (at least [-2, 2]), so every piece can start a
+    row, and the pattern loop runs their patterns as one stack.  The spread is
+    the sum over coordinates of the spread of the rows' stationary
     inputs, an upper bound on the pairwise 1-norm distance between any
-    two restarts.  Small values support uniqueness.  If the stack stalls
-    at the map's floating-point floor above ``u_tol``, the spread of the
-    stalled rows is reported, so the caller's threshold decides.
-
-    g < 1 already proves uniqueness; the probe only cross-checks it.  It
-    first predicts the plain steps that shrink a start 2 radius n away
-    (1-norm) below the stopping threshold at rate g, and is inconclusive
-    without iterating when they exceed PROBE_BUDGET (g near one), or
-    when the iteration runs through the budget.
+    two restarts.  Small values support uniqueness; g < 1 already
+    proves it, and the probe only cross-checks it.
     """
     if restarts < 2:
         raise ValueError("need at least two restarts")
     if rng is None:
         rng = np.random.default_rng(0)
-    radius = 10.0 * (1.0 + float(np.max(np.abs(cmap.w_hat))))
-    zeta0 = rng.uniform(-radius, radius, size=(restarts, cmap.n))
-    ztol = u_tol * float(np.min(cmap.scaling_d))
-    g = cmap.contraction_bound
-    thresh = ztol * (1.0 - g) / g
-    # a bound that rounds to one never reaches the threshold
-    predicted = (max(1, math.ceil(math.log(thresh / (2.0 * radius * cmap.n))
-                                  / math.log(g)))
-                 if thresh > 0.0 else math.inf)
-    if predicted > PROBE_BUDGET:
-        return UniquenessProbe(None, 0, predicted)
-    try:
-        fp = iterate_fixed_point(cmap, zeta0, ztol, PROBE_BUDGET)
-    except MaxIterationsExceeded:
-        return UniquenessProbe(None, PROBE_BUDGET, predicted)
-    u = fp.zeta / cmap.scaling_d
+    w = _load(plant, ctrl, w)
+    radius = 2.0 * max(1.0, float(np.max(np.abs(plant.pair.knots))))
+    start = plant.pair.piece_of(rng.uniform(-radius, radius,
+                                            size=(restarts, plant.n)))
+    u, _, solves = _pattern_loop(plant, ctrl, w, start)
     return UniquenessProbe(float(np.sum(u.max(axis=0) - u.min(axis=0))),
-                           fp.iterations, predicted)
+                           solves)

@@ -43,8 +43,9 @@ def _ensure_solved(batch):
         results = []
         for plant, ctrl, w in batch:
             eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-11)
-            spread = equilibrium.probe_uniqueness(eq.cmap, restarts=50,
-                                                  u_tol=1e-9, rng=rng).spread
+            spread = equilibrium.probe_uniqueness(plant, ctrl, w,
+                                                  restarts=50,
+                                                  rng=rng).spread
             results.append((eq, spread))
         _solved["results"] = results
         _solved["seconds"] = time.monotonic() - start

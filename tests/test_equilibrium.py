@@ -106,46 +106,24 @@ def test_measured_ratio_tight_for_linear_map():
 def test_restarts_agree(rng):
     plant, ctrl = random_instance(rng, 5)
     w = random_disturbance(rng, 5)
-    cmap = equilibrium.build_contraction(plant, ctrl, w)
-    spread = equilibrium.probe_uniqueness(cmap, restarts=50, rng=rng).spread
+    spread = equilibrium.probe_uniqueness(plant, ctrl, w, restarts=50,
+                                          rng=rng).spread
     assert spread <= 1e-6
 
 
-def test_probe_reports_evaluations_and_prediction(rng, monkeypatch):
+def test_probe_reports_solves(rng):
+    # each distinct pattern is solved once, and the count repeats
     plant, ctrl = random_instance(rng, 5)
-    cmap = equilibrium.build_contraction(plant, ctrl,
-                                         random_disturbance(rng, 5))
-    probe = equilibrium.probe_uniqueness(cmap, restarts=20, u_tol=1e-9)
-    assert probe.spread <= 1e-6
-    assert 0 < probe.evaluations <= probe.predicted <= equilibrium.PROBE_BUDGET
-    # an iteration that runs through the budget is inconclusive, not an
-    # error
-    def exhausted(*args):
-        raise MaxIterationsExceeded("budget spent")
-
-    monkeypatch.setattr(equilibrium, "iterate_fixed_point", exhausted)
-    spent = equilibrium.probe_uniqueness(cmap, restarts=20, u_tol=1e-9)
-    assert spent.spread is None
-    assert spent.evaluations == equilibrium.PROBE_BUDGET
-    assert spent.predicted == probe.predicted
-
-
-def test_iteration_budget_enforced():
-    plant, ctrl = _textbook()
-    cmap = equilibrium.build_contraction(plant, ctrl, [-2.0])
-    with pytest.raises(MaxIterationsExceeded):
-        equilibrium.iterate_fixed_point(cmap, np.array([50.0]), 1e-14, 3)
-
-
-def test_fixed_point_reports_last_step():
-    plant, ctrl = _textbook()
-    cmap = equilibrium.build_contraction(plant, ctrl, [-2.0])
-    g = cmap.contraction_bound
-    fp = equilibrium.iterate_fixed_point(cmap, np.array([50.0]), 1e-12)
-    assert 0.0 <= fp.last_step <= 1e-12 * (1.0 - g) / g
-    assert not hasattr(fp, "deltas")
-    with pytest.raises(MaxIterationsExceeded, match="last step"):
-        equilibrium.iterate_fixed_point(cmap, np.array([50.0]), 1e-14, 3)
+    w = random_disturbance(rng, 5)
+    probes = [equilibrium.probe_uniqueness(plant, ctrl, w, restarts=20,
+                                           rng=np.random.default_rng(9))
+              for _ in range(2)]
+    assert probes[0].spread == probes[1].spread == 0.0
+    assert 0 < probes[0].solves == probes[1].solves <= 4 * 20
+    with pytest.raises(UnsupportedVariant):
+        equilibrium.probe_uniqueness(
+            plant, model.ControllerSpec("coordinating", ctrl.p, ctrl.r,
+                                        ctrl.s), w)
 
 
 def test_requires_decentralized_variant():
@@ -156,12 +134,12 @@ def test_requires_decentralized_variant():
 
 
 def test_residual_scales_iterate_error():
-    # stopping rule: the returned point is within tol of the fixed point
-    # in the scaled 1-norm, so re-solving at tighter tol moves it little
+    # tol only accepts the residual: the pattern loop ends on an exact
+    # solve, so a tighter tol returns the same point
     plant, ctrl = _textbook()
     eq_loose = equilibrium.solve_equilibrium(plant, ctrl, [-0.7], tol=1e-6)
     eq_tight = equilibrium.solve_equilibrium(plant, ctrl, [-0.7], tol=1e-13)
-    assert abs(eq_loose.u0[0] - eq_tight.u0[0]) <= 1e-5
+    np.testing.assert_array_equal(eq_loose.u0, eq_tight.u0)
 
 
 def _benchmark():
@@ -201,41 +179,20 @@ def test_solve_returns_at_floating_point_floor(w_scale, s_scale):
 
 @pytest.mark.parametrize("s_scale", [1e-7, 1e-8])
 def test_solve_near_one_bound(s_scale):
-    # the map's step stalls far above the tolerance here, and the Newton
-    # oracle stalls too; the solve on the saturation pattern still lands
-    # on the rounding floor
+    # the contraction map's step stalls far above the tolerance here, and
+    # the Newton oracle stalls too; the pattern loop settles in as many
+    # rounds as at s x 1 and lands on the rounding floor
     _, _, _, eq = _solve_scaled(1.0, s_scale)
-    assert eq.pattern_solved
+    assert eq.iterations == _solve_scaled(1.0, 1.0)[3].iterations
 
 
 def test_solve_names_residual_above_tolerance():
-    # no point rounds to a residual of 1e-30 scale: the pass stalls, the
-    # pattern solve stops on the rounding floor, and the solve says so
+    # no point rounds to a residual of 1e-30 scale: the pattern loop
+    # stops on the rounding floor, and the solve says so
     plant, ctrl, w = _benchmark()
     with pytest.raises(MaxIterationsExceeded,
                        match=r"stationary residual .* above tol \* scale"):
         equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-30)
-
-
-def test_pattern_solve_is_kept_unless_its_residual_is_larger():
-    # seed 3 draws instances, all with custom pairs, whose iteration
-    # already lands on a smaller residual than the pattern solve
-    rng = np.random.default_rng(3)
-    kept = []
-    for trial in range(120):
-        plant, ctrl, w, cmap = _random_problem(rng, pwl=trial % 2 == 1)
-        eq = equilibrium.solve_equilibrium(plant, ctrl, w)
-        fp = equilibrium.iterate_fixed_point(cmap, -cmap.w_hat / cmap.k,
-                                             equilibrium.DEFAULT_TOL)
-        own = fp.zeta / cmap.scaling_d
-        residual = equilibrium.stationary_residual(plant, ctrl, own, w)
-        if eq.pattern_solved:
-            assert eq.residual_stationary <= residual
-        else:
-            np.testing.assert_array_equal(eq.u0, own)
-            assert eq.residual_stationary == residual
-        kept.append(eq.pattern_solved)
-    assert 0 < kept.count(False) < kept.count(True)
 
 
 def _random_problem(rng, pwl: bool):
@@ -247,81 +204,97 @@ def _random_problem(rng, pwl: bool):
     return plant, ctrl, w, equilibrium.build_contraction(plant, ctrl, w)
 
 
+def _loop_rows(plant, ctrl, w, restarts, rng):
+    # the solve, or a stack of random starts whose every row is bit for
+    # bit its own run
+    if restarts is None:
+        return equilibrium.solve_equilibrium(plant, ctrl, w).u0
+    start = plant.pair.piece_of(rng.uniform(-8.0, 8.0, (restarts, plant.n)))
+    u, rounds, solves = equilibrium._pattern_loop(plant, ctrl, w, start)
+    assert 1 <= rounds <= 4 and solves <= restarts * rounds
+    for row in range(restarts):
+        single, _, _ = equilibrium._pattern_loop(plant, ctrl, w,
+                                                 start[row:row + 1])
+        np.testing.assert_array_equal(u[row], single[0])
+    return u
+
+
 @pytest.mark.parametrize("restarts", [None, 7])
 def test_accelerated_matches_plain_iteration(rng, restarts):
-    # the plain loop, run 1000x tighter, stands in for the fixed point
+    # the pattern loop reaches in a few solves the fixed point that the
+    # plain contraction loop crawls to; that loop, run 1000x tighter,
+    # stands in for it
     for trial in range(30):
         plant, ctrl, w, cmap = _random_problem(rng, pwl=trial % 2 == 1)
-        shape = (cmap.n,) if restarts is None else (restarts, cmap.n)
-        zeta0 = rng.uniform(-50.0, 50.0, shape)
-        g = cmap.contraction_bound
+        u = _loop_rows(plant, ctrl, w, restarts, rng)
         for tol in (1e-6, 1e-9):
-            fp = equilibrium.iterate_fixed_point(cmap, zeta0, tol)
-            ref, _, _ = oracles.iterate_plain(cmap, zeta0, 1e-3 * tol)
-            assert fp.zeta.shape == shape
-            assert np.max(np.sum(np.abs(fp.zeta - ref), axis=-1)) <= tol
-            assert fp.last_step <= tol * (1.0 - g) / g
+            ref, _, _ = oracles.iterate_plain(cmap, -cmap.w_hat / cmap.k,
+                                              1e-3 * tol)
+            assert np.max(np.sum(np.abs(cmap.scaling_d * u - ref),
+                                 axis=-1)) <= tol
 
 
 @pytest.mark.parametrize("restarts", [None, 7])
 def test_accelerated_matches_newton_oracle(rng, restarts):
+    # the pattern loop's rows land on the solve, and both on Newton's root
     for _ in range(30):
-        plant, ctrl, w, cmap = _random_problem(rng, pwl=False)
+        plant, ctrl, w, _ = _random_problem(rng, pwl=False)
+        eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+        u = _loop_rows(plant, ctrl, w, restarts, rng)
+        np.testing.assert_allclose(u, np.broadcast_to(eq.u0, u.shape),
+                                   rtol=0.0, atol=1e-12 * eq.scale)
         _, _, u0 = oracles.equilibrium_newton(plant.a, plant.b, ctrl.p,
                                               ctrl.r, ctrl.s, w)
-        shape = (cmap.n,) if restarts is None else (restarts, cmap.n)
-        zeta0 = rng.uniform(-50.0, 50.0, shape)
-        g = cmap.contraction_bound
-        for tol in (1e-6, 1e-9):
-            fp = equilibrium.iterate_fixed_point(cmap, zeta0, tol)
-            dist = np.sum(np.abs(fp.zeta - cmap.scaling_d * u0), axis=-1)
-            assert np.max(dist) <= tol
-            assert fp.last_step <= tol * (1.0 - g) / g
+        np.testing.assert_allclose(u, np.broadcast_to(u0, u.shape),
+                                   atol=1e-8)
 
 
-def _record_map_calls(monkeypatch) -> list:
+def test_returning_pattern_raises(monkeypatch):
+    # a predictor that alternates between two patterns is a cycle, and
+    # the loop names the row and the round instead of spinning
+    plant, ctrl, w = _benchmark()
     calls = []
-    plain = equilibrium.ContractionMap.__call__
 
-    def recorded(self, zeta):
-        out = plain(self, zeta)
-        calls.append((np.array(zeta), out))
-        return out
+    def alternating(phi, rhs):
+        calls.append(rhs)
+        return np.full(rhs.shape, 1 + len(calls) % 2)
 
-    monkeypatch.setattr(equilibrium.ContractionMap, "__call__", recorded)
-    return calls
-
-
-def _assert_plain_step(fp, calls):
-    # the result is the image T(zeta) of the last evaluation, and every
-    # evaluation went through ContractionMap.__call__
-    assert fp.iterations == len(calls)
-    last_in, last_out = calls[-1]
-    assert fp.last_step > 0.0
-    assert fp.last_step == np.max(np.sum(np.abs(last_out - last_in), axis=-1))
-    np.testing.assert_array_equal(fp.zeta, last_out)
+    monkeypatch.setattr(equilibrium, "_next_pieces", alternating)
+    with pytest.raises(MaxIterationsExceeded,
+                       match="row 0 returned to an earlier pattern in "
+                             "round 2"):
+        equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert len(calls) == 2
 
 
-@pytest.mark.parametrize("restarts", [None, 5])
-def test_fixed_point_returns_plain_step(monkeypatch, restarts):
-    plant, ctrl, w = _benchmark()
-    cmap = equilibrium.build_contraction(plant, ctrl, w)
-    calls = _record_map_calls(monkeypatch)
-    shape = (cmap.n,) if restarts is None else (restarts, cmap.n)
-    zeta0 = np.random.default_rng(3).uniform(-20.0, 20.0, shape)
-    fp = equilibrium.iterate_fixed_point(cmap, zeta0, 1e-6)
-    _assert_plain_step(fp, calls)
+def _roadmap_cases():
+    # the first 400 seed-3 draws, every second with a custom pair
+    rng = np.random.default_rng(3)
+    return [_random_problem(rng, pwl=trial % 2 == 1)[:3]
+            for trial in range(400)]
 
 
-def test_stalled_step_returns_last_plain_step(monkeypatch):
-    # on a large load the map's own rounding keeps the step above
-    # 1e-16 (1 - g) / g; the iteration returns at once, not after
-    # max_iter, and its last step says that it stalled
-    plant, ctrl, w = _benchmark()
-    cmap = equilibrium.build_contraction(plant, ctrl, 1e6 * w)
-    g = cmap.contraction_bound
-    calls = _record_map_calls(monkeypatch)
-    fp = equilibrium.iterate_fixed_point(cmap, -cmap.w_hat / cmap.k, 1e-16)
-    assert len(calls) < 100
-    assert fp.last_step > 1e-16 * (1.0 - g) / g
-    _assert_plain_step(fp, calls)
+def test_roadmap_cases_settle_in_four_rounds():
+    # at every s the patterns, not the contraction bound, set the rounds
+    worst = 0
+    for plant, ctrl, w in _roadmap_cases():
+        for s_scale in (1.0, 1e-2, 1e-4):
+            scaled = model.ControllerSpec("decentralized", ctrl.p, ctrl.r,
+                                          s_scale * ctrl.s)
+            eq = equilibrium.solve_equilibrium(plant, scaled, w)
+            worst = max(worst, eq.iterations)
+    assert worst <= 4
+
+
+def test_saturated_instance_near_one_bound_solves_fast():
+    # instance 102 (n = 3, saturation) at s / 1e4 has bound 0.999992; the
+    # contraction iteration took 441,223 map evaluations on it
+    plant, ctrl, w = _roadmap_cases()[102]
+    assert plant.n == 3 and plant.pair.kind == sector.KIND_SATURATION
+    ctrl = model.ControllerSpec("decentralized", ctrl.p, ctrl.r,
+                                1e-4 * ctrl.s)
+    start = time.perf_counter()
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert time.perf_counter() - start < 1.0
+    assert eq.cmap.contraction_bound > 0.99999
+    assert eq.residual_stationary <= 1e-10 * eq.scale
