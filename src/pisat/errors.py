@@ -30,7 +30,8 @@ class UnsupportedVariant(PisatError):
 
 
 class MaxIterationsExceeded(PisatError):
-    """Iteration cap reached before the convergence criterion."""
+    """An iteration returned to a state it had already left: a row of
+    the equilibrium's pattern loop met an earlier pattern again."""
 
 
 class NonFiniteState(PisatError):

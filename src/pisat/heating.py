@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrixlab, model
+from . import matrixlab, model, sector
 from .errors import (ConfigError, DimensionMismatch, NotMMatrix, ParseError,
                      UnsupportedVariant)
 
@@ -123,20 +123,24 @@ def to_standard_form(scn: HeatingScenario) -> tuple[model.PlantModel,
     """Convert a scenario to the normalized saturated-loop form.
 
     Temperature deviations x = T - x_c evolve with decay a/c, input
-    matrix b_heat/c, and disturbance (a/c)(t_ext - x_c).
+    matrix b_heat/c, and disturbance (a/c)(t_ext - x_c).  Finite
+    scenario values whose form leaves the floating-point range raise
+    ConfigError naming the quantity; a coupling that is no M-matrix
+    raises NotMMatrix.
     """
-    from . import sector
-
     decay = scn.a / scn.c
-    b_std = scn.b_heat / scn.c[:, None]
-    plant = model.PlantModel(decay, b_std,
-                             sector.saturation_deadzone(scn.n))
-    if isinstance(scn.t_ext, TemperatureSeries):
-        temps = scn.t_ext.temp_degc[:, None] - scn.x_c
-        w = model.DisturbanceSignal.sampled(scn.t_ext.time_h,
-                                            temps * decay[None, :])
-    else:
-        w = model.DisturbanceSignal.constant(decay * (scn.t_ext - scn.x_c))
+    try:
+        plant = model.PlantModel(decay, scn.b_heat / scn.c[:, None],
+                                 sector.saturation_deadzone(scn.n))
+        if isinstance(scn.t_ext, TemperatureSeries):
+            temps = scn.t_ext.temp_degc[:, None] - scn.x_c
+            w = model.DisturbanceSignal.sampled(scn.t_ext.time_h,
+                                                temps * decay[None, :])
+        else:
+            w = model.DisturbanceSignal.constant(decay * (scn.t_ext - scn.x_c))
+    except (ValueError, DimensionMismatch) as exc:
+        raise ConfigError(f"standard form out of floating-point range: "
+                          f"{exc}") from exc
     return plant, w
 
 

@@ -323,7 +323,8 @@ def integrate(plant: model.PlantModel,
     span = t1 - t0
     full = int(math.floor(span / dt + 1e-9))
     rem = span - full * dt
-    has_partial = rem > 1e-12 * max(dt, 1.0)
+    # a span below one step is that step, however short
+    has_partial = rem > 1e-12 * max(dt, 1.0) or full == 0
     steps = full + (1 if has_partial else 0)
 
     ts = t0 + np.arange(steps + 1) * dt
@@ -519,7 +520,8 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
              + np.sum(gz * (d_t * ctrl.p * ctrl.s) * hu, axis=1)
              + np.sum(gu * (q * ctrl.r * ctrl.s) * hu, axis=1)
              + np.sum(gu * (q * ctrl.p) * (fu @ plant.b.T), axis=1))
-    vdot_fd = np.gradient(value, traj.t, edge_order=2)
+    # a probe of one step has two samples, which take first-order edges
+    vdot_fd = np.gradient(value, traj.t, edge_order=min(2, traj.t.size - 1))
 
     slack = INCREASE_TOL * np.maximum(1.0, value[:-1])
     bad = np.nonzero(value[1:] > value[:-1] + slack)[0]

@@ -42,7 +42,8 @@ def _ensure_solved(batch):
         start = time.monotonic()
         results = []
         for plant, ctrl, w in batch:
-            eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-11)
+            eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+            assert eq.residual_stationary <= 1e-11 * eq.scale
             spread = equilibrium.probe_uniqueness(plant, ctrl, w,
                                                   restarts=50,
                                                   rng=rng).spread
@@ -125,7 +126,8 @@ def test_criterion_4_equilibrium_optimality():
         plant, ctrl = random_instance(rng)
         w = random_disturbance(rng, plant.n)
         gamma = optimality.admissible_gamma(plant)
-        eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-11)
+        eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+        assert eq.residual_stationary <= 1e-11 * eq.scale
         sol = optimality.solve_weighted_l1_lp(gamma, plant, w)
         gap = abs(float(np.sum(gamma * np.abs(eq.x0))) - sol.cost)
         worst_gap = max(worst_gap, gap)
@@ -162,8 +164,8 @@ def test_criterion_5_analytic_regression():
     expected = {-0.3: (0.0, -0.6, 0.3), -2.0: (-1.0, -4.0, 3.0)}
     worst = 0.0
     for w, (x0, z0, u0) in expected.items():
-        eq = equilibrium.solve_equilibrium(plant, ctrl, np.array([w]),
-                                           tol=1e-12)
+        eq = equilibrium.solve_equilibrium(plant, ctrl, np.array([w]))
+        assert eq.residual_stationary <= 1e-12 * eq.scale
         worst = max(worst, abs(eq.x0[0] - x0), abs(eq.z0[0] - z0),
                     abs(eq.u0[0] - u0))
     ok = worst <= 1e-9

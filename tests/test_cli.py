@@ -61,19 +61,25 @@ def test_certify_textbook_passes(tmp_path, capsys):
 
 
 def test_certify_solves_equilibrium_once(monkeypatch):
-    calls = []
-    solve = equilibrium.solve_equilibrium
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("tol"))
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(equilibrium, "solve_equilibrium", counted)
+    calls = _count_calls(monkeypatch, equilibrium, "solve_equilibrium")
     assert _run("certify", "--config", TEXTBOOK) == 0
-    assert calls == [1e-10]
+    assert len(calls) == 1
     calls.clear()
     assert _run("certify", "--config", TEXTBOOK, "--tol", "1e-9") == 0
-    assert calls == [pytest.approx(1e-12)]
+    assert len(calls) == 1
+
+
+def test_certify_judges_residual_below_rounding_as_fail(tmp_path, capsys):
+    # no point rounds to a residual of 1e-303 scale: the report says so
+    out = tmp_path / "report.json"
+    assert _run("certify", "--config", BENCHMARK, "--tol", "1e-300",
+                "--out", str(out)) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["status"] == "fail"
+    check = {c["name"]: c for c in report["checks"]}["equilibrium_residual"]
+    assert check["status"] == "fail"
+    assert 0.0 < check["residual"] <= cli.RESIDUAL_TOL * check["scale"]
 
 
 def test_certify_benchmark_warns(tmp_path, capsys):
@@ -255,24 +261,43 @@ def test_static_override_builds_standard_form_once(monkeypatch, tmp_path,
     assert len(calls) == 1
 
 
-def test_certify_reports_failed_standard_form(monkeypatch, tmp_path, capsys):
+def test_static_override_fails_without_standard_form(monkeypatch, tmp_path,
+                                                     capsys):
+    # the static default gain needs the plant: no report, as for any
+    # other solver error
     def broken(scn):
         raise NotMMatrix("input coupling must be an M-matrix")
 
     monkeypatch.setattr(heating, "to_standard_form", broken)
-    out = tmp_path / "report.json"
-    assert _run("certify", "--config", TEXTBOOK, "--out", str(out)) == 1
-    report = json.loads(out.read_text())
-    assert report["status"] == "fail"
-    assert [(c["name"], c["status"]) for c in report["checks"]] == \
-        [("input_matrix_m", "fail")]
-    # the static default gain needs the plant: no report, as for any
-    # other solver error
     static_out = tmp_path / "static.json"
     assert _run("certify", "--config", TEXTBOOK, "--controller", "static",
                 "--out", str(static_out)) == 1
     assert not static_out.exists()
     assert "NotMMatrix" in capsys.readouterr().err
+
+
+def _textbook_with(tmp_path, **fields):
+    data = json.loads(pathlib.Path(TEXTBOOK).read_text())
+    data.update(fields)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("fields,quantity", [
+    ({"a_kw_per_degc": [1e300], "c_kwh_per_degc": [1e-10]}, "a must be"),
+    ({"b_heat_kw": [[1e300]], "c_kwh_per_degc": [1e-10]}, "matrix entries"),
+    ({"a_kw_per_degc": [10.0], "t_ext": {"constant_degc": -1e308}},
+     "constant disturbance"),
+])
+@pytest.mark.parametrize("command", ["certify", "equilibrium", "lp"])
+def test_overflowing_standard_form_is_config_error(fields, quantity, command,
+                                                   tmp_path, capsys):
+    # finite scenario values whose standard form (a / c, b / c or the
+    # load) leaves the floating-point range
+    err = _assert_usage_error([command, "--config",
+                               _textbook_with(tmp_path, **fields)], capsys)
+    assert quantity in err
 
 
 def test_simulate_writes_artifacts(tmp_path):
@@ -317,6 +342,28 @@ def test_simulate_static_override_zero_z_columns(tmp_path):
                 "--out", str(out), "--t-end", "10") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     assert traj.z is None or not np.any(traj.z)
+
+
+def test_simulate_horizon_below_one_step(tmp_path, capsys):
+    out = tmp_path / "short"
+    assert _run("simulate", "--config", TEXTBOOK, "--out", str(out),
+                "--t-end", "1e-14") == 0
+    assert "Traceback" not in capsys.readouterr().err
+    traj = simulate.read_trajectory_csv(out / "trajectory.csv")
+    assert traj.t.tolist() == [0.0, 1e-14]
+
+
+def test_certify_fast_decay_probe_of_one_step(tmp_path):
+    # decay 200 / h: the storage probe's horizon 10 / 200 h is one step,
+    # too coarse for that decay, and the report says so
+    out = tmp_path / "report.json"
+    assert _run("certify", "--config",
+                _textbook_with(tmp_path, a_kw_per_degc=[200.0]),
+                "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    check = {c["name"]: c for c in report["checks"]}["storage_decrease"]
+    assert check["rk4_steps"] == 1 and check["status"] == "fail"
+    assert "stability estimate" in check["stability_warning"]
 
 
 def test_simulate_blowup_fails(tmp_path, capsys):
@@ -382,6 +429,22 @@ def test_equilibrium_on_pattern_reaches_rounding_floor(tmp_path):
     assert _run("equilibrium", "--config", BENCHMARK, "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert report["residual"] <= 1e-13
+
+
+def test_equilibrium_reports_then_fails_above_residual_tol(monkeypatch,
+                                                           tmp_path, capsys):
+    # the bundled network rounds to a residual of about 1e-14 scale
+    monkeypatch.setattr(cli, "RESIDUAL_TOL", 1e-30)
+    out = tmp_path / "eq.json"
+    assert _run("equilibrium", "--config", BENCHMARK, "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    assert report["residual"] > 1e-30
+    err = capsys.readouterr().err
+    assert "residual" in err and "Traceback" not in err
+
+
+def test_equilibrium_takes_no_tol():
+    assert _run("equilibrium", "--config", TEXTBOOK, "--tol", "1") == 64
 
 
 def test_equilibrium_iterations_bounded_and_repeatable(tmp_path):
@@ -494,6 +557,7 @@ def _assert_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pisat: ConfigError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 _COORDINATING = {"variant": "coordinating", "p_per_degc": [1.0],
@@ -547,7 +611,7 @@ def test_lp_rejects_unparsable_or_non_finite_gamma(gamma, capsys):
     ["certify", "--tol", "nan"],
     ["certify", "--tol", "0"],
     ["certify", "--dt", "inf"],
-    ["equilibrium", "--tol", "-1"],
+    ["certify", "--tol", "inf"],
     ["certify", "--seed", "-1"],
 ])
 def test_bad_step_horizon_and_tolerance_flags(argv, tmp_path, capsys):
@@ -609,8 +673,22 @@ def _settings_taken():
 # dest -> (flag value, run value, default on the textbook config)
 _PRECEDENCE = {"controller": ("coordinating", "static", "decentralized"),
                "dt": (0.2, 0.1, 0.05), "t_end": (7.0, 5.0, 336.0),
-               "seed": (3, 2, 0), "tol": (1e-5, 1e-4, 1e-6),
-               "residual_tol": (1e-9, None, 1e-10)}
+               "seed": (3, 2, 0), "tol": (1e-5, 1e-4, 1e-6)}
+
+
+def test_readme_settings_table_matches_settings():
+    # every (flag, run key) row of the README's settings table is a
+    # setting, and every setting has its row
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| setting | flag | `run` key | default | commands |")
+    rows = set()
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        flag, key = (cell.strip().strip("`")
+                     for cell in line.split("|")[2:4])
+        rows.add((flag, None if key == "none" else key))
+    assert rows == {(flag, key) for flag, key, _, _ in cli._SETTINGS.values()}
 
 
 class _Resolved(Exception):
@@ -640,10 +718,9 @@ def test_flag_beats_run_key_beats_default(command, dest, tmp_path,
                       *_REQUIRED.get(command, []), *argv])
         return caught.value.args[0]
 
-    # a flag without a run key ignores the run section, run.tol included
-    run = {key: run_value} if key else {"tol": 1e-4}
+    run = {key: run_value}
     assert resolved(run, flag, str(flag_value)) == flag_value
-    assert resolved(run) == (run_value if key else default)
+    assert resolved(run) == run_value
     assert resolved({}) == default
 
 

@@ -43,6 +43,17 @@ def test_standard_form_constants():
     np.testing.assert_allclose(w.componentwise_min(), 0.0835 * (0.0 - 20.0))
 
 
+@pytest.mark.parametrize("a,c,t_ext", [
+    (1e-300, 1e300, -5.0),                   # a / c underflows to 0
+    (10.0, 1.0, heating.TemperatureSeries([0.0, 1.0], [0.0, -1e308])),
+])
+def test_standard_form_out_of_range_is_config_error(a, c, t_ext):
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
+    scn = heating.HeatingScenario([a], [c], [[1.0]], 0.0, t_ext, ctrl)
+    with pytest.raises(ConfigError, match="standard form"):
+        heating.to_standard_form(scn)
+
+
 def test_no_forcing_at_comfort_temperature():
     scn = heating.benchmark_scenario(t_ext=20.0)
     _, w = heating.to_standard_form(scn)
@@ -70,6 +81,7 @@ def test_simulation_settles_to_solved_equilibrium():
     plant, wsig = heating.to_standard_form(scn)
     w = wsig.componentwise_min()
     eq = equilibrium.solve_equilibrium(plant, scn.controller, w)
+    assert eq.residual_stationary <= 1e-10 * eq.scale
     traj = simulate.integrate(plant, scn.controller, w, np.zeros(10),
                               np.zeros(10), (0.0, 400.0), 0.05)
     np.testing.assert_allclose(traj.x[-1], eq.x0, atol=1e-5)

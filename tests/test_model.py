@@ -200,6 +200,7 @@ def test_error_coordinates_vanish_at_equilibrium(rng):
     plant, ctrl = random_instance(rng, 4)
     w = rng.uniform(-10.0, 10.0, 4)
     eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert eq.residual_stationary <= 1e-10 * eq.scale
     z_t, u_t = oracles.transform_to_error_coords(plant, ctrl, eq, eq.x0,
                                                  eq.z0)
     np.testing.assert_allclose(z_t, 0.0, atol=1e-9)
@@ -214,6 +215,7 @@ def test_error_derivative_matches_pushed_forward_loop(rng):
         n = plant.n
         w = rng.uniform(-10.0, 10.0, n)
         eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+        assert eq.residual_stationary <= 1e-10 * eq.scale
         x = rng.uniform(-5.0, 5.0, n)
         z = rng.uniform(-5.0, 5.0, n)
         dx, dz, u = _derivative(plant, ctrl, x, z, w)

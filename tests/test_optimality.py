@@ -275,7 +275,8 @@ def test_brute_force_dimension_guard(rng):
 def _certify(gamma, plant, ctrl, w):
     # the certificate on the equilibrium solved as certify solves it at
     # tol 1e-7: to a residual of 1e-10
-    eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-10)
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert eq.residual_stationary <= 1e-10 * eq.scale
     return optimality.certify_equilibrium_optimality(gamma, plant, ctrl, w,
                                                      eq, tol=1e-7)
 
@@ -303,7 +304,8 @@ def test_certificate_uses_given_equilibrium(rng, monkeypatch):
     plant, ctrl = random_instance(rng, 5)
     w = random_disturbance(rng, 5)
     gamma = optimality.admissible_gamma(plant)
-    eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-10)
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert eq.residual_stationary <= 1e-10 * eq.scale
 
     def no_solve(*args, **kwargs):
         raise AssertionError("equilibrium solved again")
@@ -360,7 +362,8 @@ def test_dual_certificate_on_criterion_4_instances():
         plant, ctrl = random_instance(rng)
         w = random_disturbance(rng, plant.n)
         gamma = optimality.admissible_gamma(plant)
-        eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-11)
+        eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+        assert eq.residual_stationary <= 1e-11 * eq.scale
         cert = optimality.certify_equilibrium_optimality(
             gamma, plant, ctrl, w, eq, tol=1e-7)
         _assert_certified_without_lp(cert, 1e-7)
@@ -390,6 +393,7 @@ def test_non_optimal_state_runs_fallback_and_fails(config):
     if config == "textbook_single.json":
         w = np.array([-2.0])    # saturates the single input
     eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert eq.residual_stationary <= 1e-10 * eq.scale
     sat = np.flatnonzero(np.abs(eq.u0) > 1.0)
     assert sat.size > 0
     u0 = eq.u0.copy()

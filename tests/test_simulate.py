@@ -58,6 +58,15 @@ def test_partial_final_step_lands_on_t_end():
     np.testing.assert_allclose(np.diff(traj.t)[:-1], 0.25)
 
 
+def test_span_far_below_one_step_is_one_step():
+    # the whole span, however short, is the one (partial) step
+    plant, ctrl = _linear_loop()
+    traj = simulate.integrate(plant, ctrl, np.zeros(2), np.ones(2),
+                              np.zeros(2), (0.0, 1e-14), 0.25)
+    assert traj.t.tolist() == [0.0, 1e-14]
+    assert traj.counts == simulate.StepCounts(0, 1, 0)
+
+
 def test_blowup_aborts():
     plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
     ctrl = model.ControllerSpec("decentralized", [50.0], [1.0], [0.5])
@@ -486,6 +495,7 @@ def test_lyapunov_trace_decreases_and_matches_fd(rng):
         plant, ctrl = random_instance(rng)
         w = random_disturbance(rng, plant.n)
         eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+        assert eq.residual_stationary <= 1e-10 * eq.scale
         x0 = eq.x0 + rng.uniform(-3.0, 3.0, plant.n)
         z0 = eq.z0 + rng.uniform(-3.0, 3.0, plant.n)
         traj = simulate.integrate(plant, ctrl, w, x0, z0, (0.0, 6.0), 0.002)
@@ -505,7 +515,8 @@ def test_lyapunov_trace_decreases_and_matches_fd(rng):
 def test_lyapunov_zero_at_equilibrium(rng):
     plant, ctrl = random_instance(rng, 3)
     w = random_disturbance(rng, 3)
-    eq = equilibrium.solve_equilibrium(plant, ctrl, w, tol=1e-12)
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert eq.residual_stationary <= 1e-12 * eq.scale
     traj = simulate.integrate(plant, ctrl, w, eq.x0, eq.z0, (0.0, 1.0), 0.01)
     trace = _trace(plant, ctrl, eq, traj)
     np.testing.assert_allclose(trace.value, 0.0, atol=1e-12)
@@ -515,6 +526,7 @@ def test_lyapunov_flags_increases(rng):
     plant, ctrl = random_instance(rng, 2)
     w = random_disturbance(rng, 2)
     eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    assert eq.residual_stationary <= 1e-10 * eq.scale
     traj = simulate.integrate(plant, ctrl, w, eq.x0 + 2.0, eq.z0,
                               (0.0, 4.0), 0.01)
     rev = simulate.Trajectory(traj.t, traj.x[::-1], traj.z[::-1],
@@ -528,7 +540,22 @@ def test_lyapunov_requires_integral_margin():
     plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
     ctrl = model.ControllerSpec("decentralized", [1.0], [1.5], [0.5])
     eq = equilibrium.solve_equilibrium(plant, ctrl, [-0.2])
+    assert eq.residual_stationary <= 1e-10 * eq.scale
     traj = simulate.integrate(plant, ctrl, [-0.2], [1.0], [0.0],
                               (0.0, 1.0), 0.01)
     with pytest.raises(CertificateFailure):
         _trace(plant, ctrl, eq, traj)
+
+
+def test_lyapunov_trace_on_one_step():
+    # a probe of one step has two samples, whose finite difference is the
+    # slope between them
+    plant = model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1))
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
+    eq = equilibrium.solve_equilibrium(plant, ctrl, [-0.2])
+    traj = simulate.integrate(plant, ctrl, [-0.2], eq.x0 + 1.0, eq.z0,
+                              (0.0, 0.05), 0.05)
+    trace = _trace(plant, ctrl, eq, traj)
+    slope = (trace.value[1] - trace.value[0]) / 0.05
+    np.testing.assert_allclose(trace.vdot_fd, [slope, slope])
+    assert trace.passed
