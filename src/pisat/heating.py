@@ -118,6 +118,17 @@ def benchmark_scenario(t_ext: TemperatureSeries | float = -10.0,
                            name="benchmark10")
 
 
+def _formed(quantity: str, compute):
+    # numpy raises on overflow here, so the overflow lands in the error
+    # message instead of a RuntimeWarning printed before it
+    try:
+        with np.errstate(over="raise"):
+            return compute()
+    except FloatingPointError as exc:
+        raise ConfigError(f"standard form out of floating-point range: "
+                          f"{quantity} must be finite ({exc})") from None
+
+
 def to_standard_form(scn: HeatingScenario) -> tuple[model.PlantModel,
                                                     model.DisturbanceSignal]:
     """Convert a scenario to the normalized saturated-loop form.
@@ -128,16 +139,20 @@ def to_standard_form(scn: HeatingScenario) -> tuple[model.PlantModel,
     ConfigError naming the quantity; a coupling that is no M-matrix
     raises NotMMatrix.
     """
-    decay = scn.a / scn.c
+    decay = _formed("a", lambda: scn.a / scn.c)
+    gain = _formed("matrix entries", lambda: scn.b_heat / scn.c[:, None])
+    series = isinstance(scn.t_ext, TemperatureSeries)
+    if series:
+        load = _formed("sampled disturbance", lambda: (
+            scn.t_ext.temp_degc[:, None] - scn.x_c) * decay[None, :])
+    else:
+        load = _formed("constant disturbance",
+                       lambda: decay * (scn.t_ext - scn.x_c))
     try:
-        plant = model.PlantModel(decay, scn.b_heat / scn.c[:, None],
+        plant = model.PlantModel(decay, gain,
                                  sector.saturation_deadzone(scn.n))
-        if isinstance(scn.t_ext, TemperatureSeries):
-            temps = scn.t_ext.temp_degc[:, None] - scn.x_c
-            w = model.DisturbanceSignal.sampled(scn.t_ext.time_h,
-                                                temps * decay[None, :])
-        else:
-            w = model.DisturbanceSignal.constant(decay * (scn.t_ext - scn.x_c))
+        w = (model.DisturbanceSignal.sampled(scn.t_ext.time_h, load)
+             if series else model.DisturbanceSignal.constant(load))
     except (ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"standard form out of floating-point range: "
                           f"{exc}") from exc

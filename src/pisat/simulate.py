@@ -14,22 +14,32 @@ inputs, and keeps the step only if they all lie on the assumed pieces;
 otherwise it takes the staged step, which evaluates the vector field
 four times.  A map is built only after its pattern has held through n
 consecutive staged steps (a build costs O(n^3), a staged step O(n^2)),
-and the partial last step is always staged.  In exact arithmetic both
-ways are the same RK4 step, kinks included; in floating point they
-agree to rounding.
+and the partial last step is always staged.  Under a constant load a
+map also comes as a block map of m steps, y_{k+j} = y_k P^j +
+b (I + .. + P^{j-1}), so one product gives the next m states and all
+their stage inputs; a block starts only at a grid index k = 0 mod m
+and is kept only if every stage input stays on its piece and every
+state passes the blow-up test.  m is the most steps whose block map
+fits one fixed budget of 432 KiB, up to 32; a block saves only the
+loop's per-step overhead and costs an O(m n^3) build, so below 4 steps
+(from n = 34) there are no blocks.  A sampled load would also need a
+(3nm) x (6nm) forcing map, and steps one step at a time.
+In exact arithmetic all ways are the same RK4 step, kinks included; in
+floating point they agree to rounding.
 
 The loop steps a stack of closed loops as readily as one: C
 controllers, each with its own start, become the rows of a (C, 1, 2n)
 state against their (C, n, n) matrices and (C, 2n, 6n) maps, and share
 the forcing table, the step grid and the blow-up test; one controller
-is a stack of one.  Each row chooses its own way at every step, so a
-row is bit for bit its single run.  The vector field is bound once per
-call (``model.vector_field``), so a stage runs only its array
-operations, without input checks.  Costs are time averages computed
-with trapezoidal quadrature on the recorded grid.  The monitor
-evaluates a piecewise-quadratic storage function in closed form along
-a trajectory together with its analytic derivative, and flags any step
-where the stored value increases beyond tolerance.
+is a stack of one.  Each row chooses its own way at every step and its
+own blocks at the fixed grid indices, so a row is bit for bit its
+single run.  The vector field is bound once per call
+(``model.vector_field``), so a stage runs only its array operations,
+without input checks.  Costs are time averages computed with
+trapezoidal quadrature on the recorded grid.  The monitor evaluates a
+piecewise-quadratic storage function in closed form along a trajectory
+together with its analytic derivative, and flags any step where the
+stored value increases beyond tolerance.
 """
 
 from __future__ import annotations
@@ -58,13 +68,15 @@ class StepCounts(NamedTuple):
     """How the RK4 steps of a run were taken.
 
     ``affine`` steps advanced by one product with a saturation pattern's
-    map, ``staged`` steps evaluated the vector field four times, and
-    ``patterns`` counts the maps built.
+    map, ``staged`` steps evaluated the vector field four times,
+    ``patterns`` counts the maps built, and ``blocks`` the block maps
+    committed, each m affine steps in one product.
     """
 
     affine: int
     staged: int
     patterns: int
+    blocks: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +107,21 @@ def stability_dt_bound(plant: model.PlantModel, ctrl: model.ControllerSpec) -> f
     return _RK4_STABILITY / rho if rho > 0.0 else math.inf
 
 
+def stable_dt(plant: model.PlantModel, ctrl: model.ControllerSpec,
+              dt: float) -> float:
+    """``dt``, cut to ``stability_dt_bound`` where it exceeds the bound.
+
+    The 1- and inf-norms of the loop matrix bound its spectral radius,
+    so a dt within their bound is returned without the eigenvalues,
+    which cost O(n^3) (11 ms at n = 100).
+    """
+    m, _ = _loop_matrix(plant, ctrl, np.ones(plant.n))
+    norm = min(np.abs(m).sum(axis=0).max(), np.abs(m).sum(axis=1).max())
+    if dt * norm <= _RK4_STABILITY:
+        return dt
+    return min(dt, stability_dt_bound(plant, ctrl))
+
+
 def _as_signal(w, n: int) -> model.DisturbanceSignal:
     if isinstance(w, model.DisturbanceSignal):
         if w.n != n:
@@ -109,7 +136,8 @@ class TrajectoryStack(tuple):
 
     ``counts`` are the stack's own: a step is staged when any row takes
     the staged step, because the stack evaluates the vector field once
-    for all of its rows, and ``patterns`` sums the rows' builds.
+    for all of its rows, ``patterns`` sums the rows' builds, and
+    ``blocks`` counts the blocks that every row committed at once.
     """
 
     def __new__(cls, rows, counts: StepCounts):
@@ -190,6 +218,43 @@ def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
 
 # maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100
 _MAPS_PER_ROW = 3
+# a block map of m steps is 2n x 6nm doubles; m is the most steps that fit
+# _BLOCK_BYTES (32 steps at n = 12), up to _BLOCK_STEPS.  Its build costs
+# O(m n^3) and it saves only the loop's per-step overhead, so blocks of
+# fewer than _BLOCK_MIN steps measured no faster than single steps
+_BLOCK_BYTES = 8 * 2 * 12 * 6 * 12 * 32
+_BLOCK_STEPS = 32
+_BLOCK_MIN = 4
+
+
+def _block_steps(n: int) -> int:
+    """Steps per block map at width n (1: no block)."""
+    m = min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * 2 * n * 6 * n))
+    return m if m >= _BLOCK_MIN else 1
+
+
+def _block_map(mat: np.ndarray, bias: np.ndarray, m: int):
+    """m steps of one pattern's map under a constant load in one product.
+
+    Step j of the pattern is y_{j+1} = y_j P + b, so
+    y_j = y_0 P^j + b (I + P + .. + P^{j-1}), and
+    ``y_0 @ gmat + gbias`` is the outputs [y_{j+1} | u1 | .. | u4] of
+    the steps j = 0 .. m-1 side by side.
+    """
+    n2 = mat.shape[0]
+    pw = np.empty((m, n2, n2))          # P^0 .. P^{m-1} by doubling
+    pw[0] = np.eye(n2)
+    pj, j = mat[:, :n2], 1              # pj = P^j
+    while j < m:
+        c = min(j, m - j)
+        pw[j:j + c] = pw[:c] @ pj
+        pj, j = pj @ pj, 2 * j
+    gmat = pw @ mat
+    gmat[0] = mat
+    sums = np.zeros((m, n2))            # b (I + .. + P^{j-1})
+    np.cumsum(bias[:n2] @ pw[:-1], axis=0, out=sums[1:])
+    gbias = sums @ mat + bias
+    return gmat.transpose(1, 0, 2).reshape(n2, -1), gbias.reshape(-1)
 
 
 class _AffineRows:
@@ -201,17 +266,23 @@ class _AffineRows:
     pattern it returns to needs no new build; nothing outlives the
     call.  The active map of each row sits in the (C, ...) arrays that
     one batched product steps; a row without one has empty bounds
-    (lo = inf, hi = -inf), so its candidate never holds.
+    (lo = inf, hi = -inf), so its candidate never holds.  Under a
+    constant load each map also carries its block map of ``m`` steps
+    (``_block_map``), unless n is so wide that m is 1.
     """
 
     def __init__(self, plant, ctrls, dt: float, w_const):
         rows, n = len(ctrls), plant.n
         self.plant, self.ctrls, self.dt = plant, ctrls, dt
         self.w_const = w_const
+        self.m = 1 if w_const is None else _block_steps(n)
         self.mat = np.zeros((rows, 2 * n, 6 * n))
         self.bias = np.zeros((rows, 1, 6 * n))
         self.tw = None if w_const is not None else np.zeros((rows, 3 * n,
                                                              6 * n))
+        if self.m > 1:
+            self.gmat = np.zeros((rows, 2 * n, 6 * n * self.m))
+            self.gbias = np.zeros((rows, 1, 6 * n * self.m))
         self.lo = np.full((rows, 1, 4 * n), np.inf)
         self.hi = np.full((rows, 1, 4 * n), -np.inf)
         self.live = {}                      # row -> pattern of its map
@@ -225,6 +296,22 @@ class _AffineRows:
         out += self.bias if self.tw is None else w_flat @ self.tw + self.bias
         u = out[..., 2 * self.plant.n:]
         return out, (self.lo <= u) & (u <= self.hi)
+
+    def propose_block(self, y, limit: float):
+        """Each row's next m states, and whether its block holds.
+
+        A row's block holds when every stage input of its m steps lies
+        on the assumed pieces and every state passes the blow-up test.
+        Returns the states as (m, C, 1, 2n), as the trajectory stores
+        them.
+        """
+        n = self.plant.n
+        out = (y @ self.gmat + self.gbias).reshape(len(self.ctrls), self.m,
+                                                   6 * n)
+        states, u = out[..., :2 * n], out[..., 2 * n:]
+        held = (np.all((self.lo <= u) & (u <= self.hi), axis=(1, 2))
+                & np.all(np.abs(states) <= limit, axis=(1, 2)))
+        return states.transpose(1, 0, 2)[:, :, None, :], held
 
     def observe(self, us, rows) -> None:
         """Update ``rows``, which took the staged step with inputs us."""
@@ -242,15 +329,20 @@ class _AffineRows:
             if key is not None and key not in maps and run >= self.plant.n:
                 if len(maps) == _MAPS_PER_ROW:
                     del maps[next(iter(maps))]
-                maps[key] = _affine_step(self.plant, self.ctrls[i],
-                                         pieces[i, 0], self.dt, self.w_const)
+                step = _affine_step(self.plant, self.ctrls[i], pieces[i, 0],
+                                    self.dt, self.w_const)
+                block = (_block_map(step[0], step[2], self.m)
+                         if self.m > 1 else None)
+                maps[key] = step, block
                 self.built[i] += 1
             if key in maps:
                 if self.live.get(i) != key:
-                    mat, tw, bias, lo, hi = maps[key]
+                    (mat, tw, bias, lo, hi), block = maps[key]
                     self.mat[i], self.bias[i, 0] = mat, bias
                     if tw is not None:
                         self.tw[i] = tw
+                    if block is not None:
+                        self.gmat[i], self.gbias[i, 0] = block
                     self.lo[i, 0], self.hi[i, 0] = lo, hi
                     self.live[i] = key
             elif self.live.pop(i, None) is not None:
@@ -278,17 +370,31 @@ def integrate(plant: model.PlantModel,
     the staged step evaluates the vector field four times.  A pattern's
     map is built once the pattern has held through n consecutive staged
     steps, and the partial last step (``h`` below ``dt``) is always
-    staged.  The two agree up to rounding, kinks included.  The
-    returned ``counts`` say how many steps took each way and how many
-    maps were built.
+    staged.  The two agree up to rounding, kinks included.
+
+    Under a constant load a map also steps m at a time: at every grid
+    index k with k = 0 mod m and k + m within the full steps, a row
+    with a live map tries one product with its block map (see
+    ``_block_map``), which gives the next m states and all 4m stage
+    inputs.  The row commits the block only if every stage input lies
+    on its piece and every state passes the blow-up test; otherwise it
+    steps that span one step at a time as above, so a blow-up raises
+    at the step where it happens.  m is the most steps whose block map
+    fits 432 KiB (32 steps at n = 12), up to 32, and blocks shorter
+    than 4 steps are not taken: m is 32 for n <= 12, 8 at n = 24, 4 at
+    n = 33, and from n = 34 there are no blocks.  A sampled load steps
+    one step at a time.  Block steps count as
+    affine steps.  The returned ``counts`` say how many steps took each
+    way, how many maps were built and how many blocks were committed.
 
     ``ctrl`` may instead be a sequence of C controllers, one per row of
     a stack of closed loops: ``x_init`` is then (C, n) and ``z_init``
     holds one entry per row (None for a static row).  The rows share
     the forcing table, the step grid and the blow-up test, and step
-    together in one loop; each row picks its own way each step.  The
-    call returns a TrajectoryStack whose rows are bit for bit what
-    integrating each controller alone gives, counts included.
+    together in one loop; each row picks its own way each step, and
+    its own blocks.  The call returns a TrajectoryStack whose rows are
+    bit for bit what integrating each controller alone gives, counts
+    included.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0 and dt > 0.0):
@@ -310,8 +416,8 @@ def integrate(plant: model.PlantModel,
         if not c.is_pi and zi is not None:
             raise DimensionMismatch("static feedback carries no integral "
                                     "state")
-        bound = stability_dt_bound(plant, c)
-        if dt > bound:
+        bound = stable_dt(plant, c, dt)
+        if bound < dt:
             warnings.warn(f"dt={dt:g} exceeds the linear-regime "
                           f"stability estimate {bound:.3g}; expect "
                           f"inaccuracy or blow-up", stacklevel=2)
@@ -340,17 +446,44 @@ def integrate(plant: model.PlantModel,
     field = model.vector_field(plant, ctrls)
     aff = _AffineRows(plant, ctrls, dt,
                       wsig(t0) if wsig.is_constant else None)
+    m = aff.m
     affine_steps = 0                    # steps every row took affine
     taken = np.zeros(rows, dtype=int)   # further affine steps per row
+    blocks = 0                          # blocks every row committed
+    row_blocks = np.zeros(rows, dtype=int)
+    next_block = 0 if m > 1 else steps  # grid index of the next block
+    done = 0                            # where a whole-stack block ended
+    lent = None     # rows whose block holds while the others step its span
     every_row = range(rows)
     ys = np.empty((steps + 1, rows, 1, 2 * n))
     y = ys[0] = np.concatenate((x, z), axis=1)[:, None, :]
     limit = BLOWUP_LIMIT * max(1.0, float(np.abs(y).max()))
     for k, h in enumerate(hs.tolist()):
+        if k < done:
+            continue
+        if k == next_block:
+            next_block += m
+            lent = None
+            if next_block <= full and aff.live:
+                block, held = aff.propose_block(y, limit)
+                row_blocks += held
+                if held.all():
+                    ys[k + 1:next_block + 1] = block
+                    y = ys[next_block]
+                    affine_steps += m
+                    blocks += 1
+                    done = next_block
+                    continue
+                # the other rows step this span one step at a time
+                lent = held if held.any() else None
         hold = None     # True, or which rows' affine candidates hold
         if k < full and aff.live:
             out, good = aff.propose(y, w_flat[k])
-            hold = True if good.all() else good.all(axis=(1, 2))
+            if lent is None:
+                hold = True if good.all() else good.all(axis=(1, 2))
+            else:
+                hold = good.all(axis=(1, 2)) | lent
+                hold = True if hold.all() else hold
         if hold is True:
             y = out[..., :2 * n]
             affine_steps += 1
@@ -366,6 +499,8 @@ def integrate(plant: model.PlantModel,
                 y = np.where(hold[:, None, None], out[..., :2 * n], y)
                 taken += hold
                 staged = np.flatnonzero(~hold)
+        if lent is not None:
+            y = np.where(lent[:, None, None], block[k % m], y)
         if not np.abs(y).max() <= limit:
             ok = np.all(np.abs(y.reshape(rows, -1)) <= limit, axis=1)
             where = "" if single else f"row {int(np.argmin(ok))}: "
@@ -384,12 +519,13 @@ def integrate(plant: model.PlantModel,
         trajs.append(Trajectory(ts, xs, zs, us,
                                 sector.eval_f(plant.pair, us),
                                 StepCounts(row_affine, steps - row_affine,
-                                           aff.built[i])))
+                                           aff.built[i],
+                                           int(row_blocks[i]))))
     if single:
         return trajs[0]
     return TrajectoryStack(trajs, StepCounts(affine_steps,
                                              steps - affine_steps,
-                                             sum(aff.built)))
+                                             sum(aff.built), blocks))
 
 
 @dataclass(frozen=True, eq=False)

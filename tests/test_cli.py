@@ -45,7 +45,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 9
+    assert report["schema_version"] == 10
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -230,23 +230,23 @@ def _textbook_plant():
     return heating.to_standard_form(scn)[0], scn.controller
 
 
-def test_certify_records_stability_warning(tmp_path):
-    # the storage probe's dt-stability warning lands in the report; the
-    # textbook loop's estimate is 1.46 h and RK4 stays stable at 1.5 h
-    fields = []
-    for dt in ([], ["--dt", "1.5"]):
-        out = tmp_path / f"report{len(fields)}.json"
+def test_certify_probe_step_is_cut_to_stability_bound(tmp_path):
+    # the storage probe steps with the run's dt, cut to the integrator's
+    # RK4 stability estimate (1.46 h on the textbook loop), and reports
+    # the step it took
+    bound = simulate.stability_dt_bound(*_textbook_plant())
+    assert 0.05 < bound < 1.5
+    steps = []
+    for dt, want in (([], 0.05), (["--dt", "1.5"], bound)):
+        out = tmp_path / f"report{len(steps)}.json"
         assert _run("certify", "--config", TEXTBOOK, "--out", str(out),
                     *dt) == 0
         storage = next(c for c in json.loads(out.read_text())["checks"]
                        if c["name"] == "storage_decrease")
-        fields.append(storage["stability_warning"])
-    bound = simulate.stability_dt_bound(*_textbook_plant())
-    assert bound < 1.5
-    assert fields[0] is None
-    assert fields[1] == (f"dt=1.5 exceeds the linear-regime stability "
-                         f"estimate {bound:.3g}; expect inaccuracy or "
-                         f"blow-up")
+        assert storage["dt_h"] == want
+        assert "stability_warning" not in storage
+        steps.append(storage["rk4_steps"])
+    assert steps == [200, math.ceil(10.0 / bound)]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -300,13 +300,27 @@ def test_overflowing_standard_form_is_config_error(fields, quantity, command,
     assert quantity in err
 
 
+def test_overflowing_standard_form_prints_one_line(tmp_path):
+    # the overflow is part of the error message, not a numpy warning
+    # printed before it
+    cfg = _textbook_with(tmp_path, a_kw_per_degc=[1e300],
+                         c_kwh_per_degc=[1e-10])
+    proc = subprocess.run([sys.executable, "-m", "pisat", "lp", "--config",
+                           cfg], capture_output=True, text=True,
+                          env=_src_env())
+    assert proc.returncode == 64
+    assert proc.stderr.splitlines() == [
+        "pisat: ConfigError: standard form out of floating-point range: "
+        "a must be finite (overflow encountered in divide)"]
+
+
 def test_simulate_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     assert _run("simulate", "--config", TEXTBOOK, "--out", str(out),
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 9
+    assert costs["schema_version"] == 10
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -353,17 +367,23 @@ def test_simulate_horizon_below_one_step(tmp_path, capsys):
     assert traj.t.tolist() == [0.0, 1e-14]
 
 
-def test_certify_fast_decay_probe_of_one_step(tmp_path):
-    # decay 200 / h: the storage probe's horizon 10 / 200 h is one step,
-    # too coarse for that decay, and the report says so
+def test_certify_fast_decay_probe_steps_at_stability_bound(tmp_path):
+    # decay 200 / h: the run's dt 0.05 h is four times the RK4 stability
+    # estimate, where one probe step took V from 0.584 to 43,089; the
+    # probe steps at the estimate instead, and its storage decreases
+    cfg = _textbook_with(tmp_path, a_kw_per_degc=[200.0])
+    scn, _ = cli.load_config(cfg)
+    bound = simulate.stability_dt_bound(heating.to_standard_form(scn)[0],
+                                        scn.controller)
+    assert bound < 0.05 / 4.0
     out = tmp_path / "report.json"
-    assert _run("certify", "--config",
-                _textbook_with(tmp_path, a_kw_per_degc=[200.0]),
-                "--out", str(out)) == 1
+    assert _run("certify", "--config", cfg, "--out", str(out)) == 0
     report = json.loads(out.read_text())
     check = {c["name"]: c for c in report["checks"]}["storage_decrease"]
-    assert check["rk4_steps"] == 1 and check["status"] == "fail"
-    assert "stability estimate" in check["stability_warning"]
+    assert check["status"] == "pass" and check["increase_steps"] == 0
+    assert check["dt_h"] == bound
+    assert check["rk4_steps"] == math.ceil(check["horizon_h"] / bound)
+    assert check["value_final"] < check["value_initial"]
 
 
 def test_simulate_blowup_fails(tmp_path, capsys):
@@ -476,7 +496,7 @@ def test_lp_report(tmp_path):
 
 
 _RK4_COUNTERS = ("rk4_steps", "affine_steps", "staged_steps", "patterns",
-                 "derivative_evaluations")
+                 "blocks", "derivative_evaluations")
 
 
 def _assert_rk4_counters(diag, steps):
@@ -510,14 +530,16 @@ def test_diagnostics_counters_repeat(tmp_path):
             (out / "certify.json").read_text())["checks"]
             if c["name"] == "storage_decrease")
         diags[run].append({k: storage[k] for k in _RK4_COUNTERS})
-        assert all(json.loads(p.read_text())["schema_version"] == 9
+        assert all(json.loads(p.read_text())["schema_version"] == 10
                    for p in reports + (out / "certify.json",))
     assert diags["a"] == diags["b"]
     sim, cmp_, lp, probe = diags["a"]
     _assert_rk4_counters(sim, 800)
     _assert_rk4_counters(cmp_, 800)
-    # the constant load holds a pattern long enough to build its map
+    # the constant load holds a pattern long enough to build its map,
+    # and then long enough to step it in blocks
     assert sim["affine_steps"] > 0 and sim["patterns"] > 0
+    assert 0 < sim["blocks"] and 32 * sim["blocks"] <= sim["affine_steps"]
     # the stack stages a step whenever one of its rows does
     assert cmp_["staged_steps"] >= sim["staged_steps"]
     assert cmp_["patterns"] >= sim["patterns"]

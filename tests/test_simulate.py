@@ -64,7 +64,7 @@ def test_span_far_below_one_step_is_one_step():
     traj = simulate.integrate(plant, ctrl, np.zeros(2), np.ones(2),
                               np.zeros(2), (0.0, 1e-14), 0.25)
     assert traj.t.tolist() == [0.0, 1e-14]
-    assert traj.counts == simulate.StepCounts(0, 1, 0)
+    assert traj.counts == simulate.StepCounts(0, 1, 0, 0)
 
 
 def test_blowup_aborts():
@@ -222,7 +222,114 @@ def test_partial_last_step_is_staged():
     assert whole.counts.affine > 0
     assert np.any(np.abs(partial.u) > 1.0)
     assert partial.counts == simulate.StepCounts(
-        whole.counts.affine, whole.counts.staged + 1, whole.counts.patterns)
+        whole.counts.affine, whole.counts.staged + 1, whole.counts.patterns,
+        whole.counts.blocks)
+
+
+def _probe_run(plant, ctrl, w):
+    # certify's storage probe: from one above the equilibrium state for
+    # 10 / min(a) hours
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    return _assert_loop_matches_oracle(plant, ctrl, w, eq.x0 + 1.0, eq.z0,
+                                       (0.0, 10.0 / float(np.min(plant.a))),
+                                       0.05)
+
+
+def test_block_steps_match_loop_reference_on_bundled_network():
+    scn, _ = cli.load_config(pathlib.Path(__file__).resolve().parent.parent
+                             / "configs" / "benchmark_constant.json")
+    plant, wsig = heating.to_standard_form(scn)
+    traj = _probe_run(plant, scn.controller, wsig(0.0))
+    # n = 10 steps 32 at a time; nearly every full span is one block
+    assert traj.counts.blocks >= 0.9 * traj.counts.affine / 32
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_block_steps_match_loop_reference(n):
+    rng = np.random.default_rng(n)
+    plant, ctrl = random_instance(rng, n)
+    traj = _probe_run(plant, ctrl, random_disturbance(rng, n))
+    assert traj.counts.blocks > 0
+
+
+def _saturating_loop():
+    return (model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1)),
+            model.ControllerSpec("decentralized", [1.0], [0.5], [0.5]))
+
+
+def test_block_across_a_kink_falls_back():
+    # the input leaves saturation at step 41, inside the block span
+    # 32..63: that span steps one step at a time, the spans after it on
+    # the new pattern are blocks again, and the span 0..31 has no map
+    plant, ctrl = _saturating_loop()
+    traj = _assert_loop_matches_oracle(plant, ctrl, [0.0], [6.0], [0.0],
+                                       (0.0, 8.0), 0.05)
+    sat = np.abs(traj.u[:, 0]) > 1.0
+    assert np.flatnonzero(~sat)[0] == 41 and not np.any(sat[41:])
+    assert traj.counts == simulate.StepCounts(157, 3, 2, 3)
+
+
+def test_blowup_inside_a_block_names_its_step():
+    # the identity keeps one piece, so its map is live from step 1 and
+    # the span 32..63 is tried as one block; RK4 grows 1.8-fold a step
+    # at this dt, and the state leaves the limit at step 45 of that span
+    plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
+    ctrl = model.ControllerSpec("decentralized", [50.0], [1.0], [0.5])
+    args = ([1.0], [0.0], (0.0, 20.0), 0.063)
+    _, x, z, _, _ = oracles.integrate_loop(
+        plant, ctrl, model.DisturbanceSignal.constant([0.0]), *args)
+    first = int(np.argmax(np.maximum(np.abs(x), np.abs(z))[:, 0] > 1e12))
+    assert 32 < first < 64
+    messages = []
+    # a sampled load steps one step at a time
+    for w in ([0.0], model.DisturbanceSignal.sampled([0.0, 30.0],
+                                                     [[0.0], [0.0]])):
+        with pytest.warns(UserWarning, match="stability"):
+            with pytest.raises(NonFiniteState) as caught:
+                simulate.integrate(plant, ctrl, w, *args)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(f"(step {first})")
+
+
+@pytest.mark.parametrize("full", [63, 64])
+def test_partial_last_step_after_blocks_is_staged(full):
+    # 64 full steps end with the block 32..63; after 63 full steps the
+    # 0.03 remainder is step 64, the last of that span, so the span is
+    # no block; either way the remainder is one staged step of h = 0.03
+    plant, ctrl = _saturating_loop()
+    args = (plant, ctrl, [-3.0], [3.0], [0.0])
+    whole = _assert_loop_matches_oracle(*args, (0.0, 0.05 * full), 0.05)
+    partial = _assert_loop_matches_oracle(*args, (0.0, 0.05 * full + 0.03),
+                                          0.05)
+    assert whole.t.size == full + 1
+    assert whole.counts.blocks == (full == 64)
+    assert partial.counts == simulate.StepCounts(
+        whole.counts.affine, whole.counts.staged + 1, whole.counts.patterns,
+        whole.counts.blocks)
+
+
+def test_stack_rows_commit_blocks_at_their_own_indices(rng):
+    # copies of one controller from six starts: each row builds its maps
+    # and commits its blocks when its own pattern holds, so the rows
+    # commit different numbers of blocks, and some spans are blocks for
+    # some rows while the others step them one at a time
+    plant, ctrl = random_instance(rng, 3)
+    w = random_disturbance(rng, 3)
+    x0 = rng.uniform(-20.0, 20.0, (6, 3))
+    z0 = rng.uniform(-20.0, 20.0, (6, 3))
+    stack = simulate.integrate(plant, [ctrl] * 6, w, x0, z0, (0.0, 4.0),
+                               0.01)
+    for i, row in enumerate(stack):
+        alone = simulate.integrate(plant, ctrl, w, x0[i], z0[i], (0.0, 4.0),
+                                   0.01)
+        for name in ("t", "x", "z", "u", "v"):
+            np.testing.assert_array_equal(getattr(row, name),
+                                          getattr(alone, name))
+        assert row.counts == alone.counts
+    blocks = [row.counts.blocks for row in stack]
+    assert len(set(blocks)) > 1
+    assert stack.counts.blocks < min(blocks)
 
 
 def test_chattering_run_stays_staged():
@@ -236,7 +343,7 @@ def test_chattering_run_stays_staged():
     traj = _assert_loop_matches_oracle(plant, ctrl, wsig, [-1.0], None,
                                        (0.0, 4.0), 0.1)
     assert np.all((traj.u[1:-1:2, 0] > 1.0) & (traj.u[2::2, 0] < 1.0))
-    assert traj.counts == simulate.StepCounts(0, 40, 0)
+    assert traj.counts == simulate.StepCounts(0, 40, 0, 0)
 
 
 def test_stack_rows_on_different_patterns(rng):
@@ -372,6 +479,18 @@ def test_stability_bound_reasonable():
     stat = model.ControllerSpec(
         "static", k_static=model.default_static_gain(plant))
     assert simulate.stability_dt_bound(plant, stat) > 0.0
+
+
+def test_stable_dt_cuts_dt_to_the_bound(rng):
+    # dt below the norm bound returns without the eigenvalues; either way
+    # the result is min(dt, stability_dt_bound) exactly
+    for _ in range(5):
+        plant, dec = random_instance(rng)
+        for ctrl in _three_controllers(plant, dec):
+            bound = simulate.stability_dt_bound(plant, ctrl)
+            for dt in (1e-3 * bound, 0.3 * bound, bound, 1.0001 * bound,
+                       10.0 * bound):
+                assert simulate.stable_dt(plant, ctrl, dt) == min(dt, bound)
 
 
 def test_state_argument_guards():
