@@ -14,17 +14,16 @@ inputs, and keeps the step only if they all lie on the assumed pieces;
 otherwise it takes the staged step, which evaluates the vector field
 four times.  A map is built only after its pattern has held through n
 consecutive staged steps (a build costs O(n^3), a staged step O(n^2)),
-and the partial last step is always staged.  Under a constant load a
-map also comes as a block map of m steps, y_{k+j} = y_k P^j +
-b (I + .. + P^{j-1}), so one product gives the next m states and all
-their stage inputs; a block starts only at a grid index k = 0 mod m
-and is kept only if every stage input stays on its piece and every
-state passes the blow-up test.  m is the most steps whose block map
-fits one fixed budget of 432 KiB, up to 32; a block saves only the
-loop's per-step overhead and costs an O(m n^3) build, so below 4 steps
-(from n = 34) there are no blocks.  A sampled load would also need a
-(3nm) x (6nm) forcing map, and steps one step at a time.
-In exact arithmetic all ways are the same RK4 step, kinks included; in
+and the partial last step is always staged.  While a map is live the
+loop also steps m at a time: a block starts only at a grid index
+k = 0 mod m, one product gives the forcing of its m steps, a prefix
+scan with the powers P, P^2, P^4, .. of the state map gives their
+states, y_{k+j+1} = y_{k+j} P + f_j, and one more product all their
+stage inputs; the block is kept only if every stage input stays on its
+piece and every state passes the blow-up test.  The scan's log2(m)
+products of the m states grow as n^2 while the loop overhead they save
+does not, so m falls with n, and from n = 34 there are no blocks.  In
+exact arithmetic all ways are the same RK4 step, kinks included; in
 floating point they agree to rounding.
 
 The loop steps a stack of closed loops as readily as one: C
@@ -69,8 +68,8 @@ class StepCounts(NamedTuple):
 
     ``affine`` steps advanced by one product with a saturation pattern's
     map, ``staged`` steps evaluated the vector field four times,
-    ``patterns`` counts the maps built, and ``blocks`` the block maps
-    committed, each m affine steps in one product.
+    ``patterns`` counts the maps built, and ``blocks`` the blocks
+    committed, each m affine steps in one scan.
     """
 
     affine: int
@@ -218,43 +217,20 @@ def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
 
 # maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100
 _MAPS_PER_ROW = 3
-# a block map of m steps is 2n x 6nm doubles; m is the most steps that fit
-# _BLOCK_BYTES (32 steps at n = 12), up to _BLOCK_STEPS.  Its build costs
-# O(m n^3) and it saves only the loop's per-step overhead, so blocks of
-# fewer than _BLOCK_MIN steps measured no faster than single steps
-_BLOCK_BYTES = 8 * 2 * 12 * 6 * 12 * 32
+# a block of m steps trades m turns of the loop for log2(m) scan products
+# of its m states, O(m n^2 log m) flops; m n^2 stays within 4,608 (32
+# steps up to n = 12), and blocks of fewer than _BLOCK_MIN steps
+# measured no faster than single steps (none from n = 34; 32 steps
+# measured mixed at n = 40 and slower at n = 100)
+_BLOCK_WORK = 32 * 12 * 12
 _BLOCK_STEPS = 32
 _BLOCK_MIN = 4
 
 
 def _block_steps(n: int) -> int:
-    """Steps per block map at width n (1: no block)."""
-    m = min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * 2 * n * 6 * n))
+    """Steps per block at width n (1: no block)."""
+    m = min(_BLOCK_STEPS, _BLOCK_WORK // (n * n))
     return m if m >= _BLOCK_MIN else 1
-
-
-def _block_map(mat: np.ndarray, bias: np.ndarray, m: int):
-    """m steps of one pattern's map under a constant load in one product.
-
-    Step j of the pattern is y_{j+1} = y_j P + b, so
-    y_j = y_0 P^j + b (I + P + .. + P^{j-1}), and
-    ``y_0 @ gmat + gbias`` is the outputs [y_{j+1} | u1 | .. | u4] of
-    the steps j = 0 .. m-1 side by side.
-    """
-    n2 = mat.shape[0]
-    pw = np.empty((m, n2, n2))          # P^0 .. P^{m-1} by doubling
-    pw[0] = np.eye(n2)
-    pj, j = mat[:, :n2], 1              # pj = P^j
-    while j < m:
-        c = min(j, m - j)
-        pw[j:j + c] = pw[:c] @ pj
-        pj, j = pj @ pj, 2 * j
-    gmat = pw @ mat
-    gmat[0] = mat
-    sums = np.zeros((m, n2))            # b (I + .. + P^{j-1})
-    np.cumsum(bias[:n2] @ pw[:-1], axis=0, out=sums[1:])
-    gbias = sums @ mat + bias
-    return gmat.transpose(1, 0, 2).reshape(n2, -1), gbias.reshape(-1)
 
 
 class _AffineRows:
@@ -266,23 +242,22 @@ class _AffineRows:
     pattern it returns to needs no new build; nothing outlives the
     call.  The active map of each row sits in the (C, ...) arrays that
     one batched product steps; a row without one has empty bounds
-    (lo = inf, hi = -inf), so its candidate never holds.  Under a
-    constant load each map also carries its block map of ``m`` steps
-    (``_block_map``), unless n is so wide that m is 1.
+    (lo = inf, hi = -inf), so its candidate never holds.  Each map also
+    carries the powers P^1, P^2, P^4, .. below ``m`` of its state map P,
+    built by squaring, with which ``scan`` steps m at a time, unless n
+    is so wide that m is 1.
     """
 
     def __init__(self, plant, ctrls, dt: float, w_const):
         rows, n = len(ctrls), plant.n
         self.plant, self.ctrls, self.dt = plant, ctrls, dt
         self.w_const = w_const
-        self.m = 1 if w_const is None else _block_steps(n)
+        self.m = _block_steps(n)
         self.mat = np.zeros((rows, 2 * n, 6 * n))
         self.bias = np.zeros((rows, 1, 6 * n))
         self.tw = None if w_const is not None else np.zeros((rows, 3 * n,
                                                              6 * n))
-        if self.m > 1:
-            self.gmat = np.zeros((rows, 2 * n, 6 * n * self.m))
-            self.gbias = np.zeros((rows, 1, 6 * n * self.m))
+        self.pows = np.zeros((rows, (self.m - 1).bit_length(), 2 * n, 2 * n))
         self.lo = np.full((rows, 1, 4 * n), np.inf)
         self.hi = np.full((rows, 1, 4 * n), -np.inf)
         self.live = {}                      # row -> pattern of its map
@@ -297,21 +272,31 @@ class _AffineRows:
         u = out[..., 2 * self.plant.n:]
         return out, (self.lo <= u) & (u <= self.hi)
 
-    def propose_block(self, y, limit: float):
+    def scan(self, y, w_block, limit: float):
         """Each row's next m states, and whether its block holds.
 
-        A row's block holds when every stage input of its m steps lies
-        on the assumed pieces and every state passes the blow-up test.
-        Returns the states as (m, C, 1, 2n), as the trajectory stores
-        them.
+        ``w_block`` is the (m, 3n) load of the m steps.  Step j of the
+        pattern is y_{j+1} = y_j P + f_j, with f_j the state part of its
+        forcing outputs f = w_j tw + bias, so a prefix scan gives the m
+        states in log2(m) products with the powers of P, and one more
+        product gives all 4m stage inputs.  A row's block holds when
+        every stage input lies on the assumed pieces and every state
+        passes the blow-up test.  Returns the states as (m, C, 1, 2n),
+        as the trajectory stores them.
         """
-        n = self.plant.n
-        out = (y @ self.gmat + self.gbias).reshape(len(self.ctrls), self.m,
-                                                   6 * n)
-        states, u = out[..., :2 * n], out[..., 2 * n:]
+        rows, m, n2 = len(self.ctrls), self.m, 2 * self.plant.n
+        f = self.bias if self.tw is None else w_block @ self.tw + self.bias
+        a = np.empty((rows, m, n2))
+        a[:] = f[..., :n2]
+        a[:, :1] += y @ self.pows[:, 0]
+        for i in range(self.pows.shape[1]):
+            d = 1 << i
+            a[:, d:] += a[:, :-d] @ self.pows[:, i]
+        u = np.concatenate((y, a[:, :-1]), axis=1) @ self.mat[..., n2:]
+        u += f[..., n2:]
         held = (np.all((self.lo <= u) & (u <= self.hi), axis=(1, 2))
-                & np.all(np.abs(states) <= limit, axis=(1, 2)))
-        return states.transpose(1, 0, 2)[:, :, None, :], held
+                & np.all(np.abs(a) <= limit, axis=(1, 2)))
+        return a.transpose(1, 0, 2)[:, :, None, :], held
 
     def observe(self, us, rows) -> None:
         """Update ``rows``, which took the staged step with inputs us."""
@@ -331,18 +316,19 @@ class _AffineRows:
                     del maps[next(iter(maps))]
                 step = _affine_step(self.plant, self.ctrls[i], pieces[i, 0],
                                     self.dt, self.w_const)
-                block = (_block_map(step[0], step[2], self.m)
-                         if self.m > 1 else None)
-                maps[key] = step, block
+                pows = np.empty(self.pows.shape[1:])    # P^(2^j)
+                for j in range(len(pows)):
+                    pows[j] = (pows[j - 1] @ pows[j - 1] if j
+                               else step[0][:, :2 * self.plant.n])
+                maps[key] = step, pows
                 self.built[i] += 1
             if key in maps:
                 if self.live.get(i) != key:
-                    (mat, tw, bias, lo, hi), block = maps[key]
+                    (mat, tw, bias, lo, hi), pows = maps[key]
                     self.mat[i], self.bias[i, 0] = mat, bias
                     if tw is not None:
                         self.tw[i] = tw
-                    if block is not None:
-                        self.gmat[i], self.gbias[i, 0] = block
+                    self.pows[i] = pows
                     self.lo[i, 0], self.hi[i, 0] = lo, hi
                     self.live[i] = key
             elif self.live.pop(i, None) is not None:
@@ -372,20 +358,20 @@ def integrate(plant: model.PlantModel,
     steps, and the partial last step (``h`` below ``dt``) is always
     staged.  The two agree up to rounding, kinks included.
 
-    Under a constant load a map also steps m at a time: at every grid
-    index k with k = 0 mod m and k + m within the full steps, a row
-    with a live map tries one product with its block map (see
-    ``_block_map``), which gives the next m states and all 4m stage
-    inputs.  The row commits the block only if every stage input lies
-    on its piece and every state passes the blow-up test; otherwise it
-    steps that span one step at a time as above, so a blow-up raises
-    at the step where it happens.  m is the most steps whose block map
-    fits 432 KiB (32 steps at n = 12), up to 32, and blocks shorter
-    than 4 steps are not taken: m is 32 for n <= 12, 8 at n = 24, 4 at
-    n = 33, and from n = 34 there are no blocks.  A sampled load steps
-    one step at a time.  Block steps count as
-    affine steps.  The returned ``counts`` say how many steps took each
-    way, how many maps were built and how many blocks were committed.
+    A live map also steps m at a time: at every grid index k with
+    k = 0 mod m and k + m within the full steps, a row with a live map
+    tries a block (see ``_AffineRows.scan``): one product gives the
+    forcing of the m steps, a prefix scan with the powers of the map's
+    P gives their m states in log2(m) products, and one more product
+    gives all 4m stage inputs.  The row commits the block only if every
+    stage input lies on its piece and every state passes the blow-up
+    test; otherwise it steps that span one step at a time as above, so
+    a blow-up raises at the step where it happens.  m is 32 for
+    n <= 12 and falls as 4,608 / n^2 (8 at n = 24, 4 at n = 33); from
+    n = 34 there are no blocks.  The load may be constant or sampled.
+    Block steps count as affine steps.  The returned ``counts`` say how
+    many steps took each way, how many maps were built and how many
+    blocks were committed.
 
     ``ctrl`` may instead be a sequence of C controllers, one per row of
     a stack of closed loops: ``x_init`` is then (C, n) and ``z_init``
@@ -465,7 +451,7 @@ def integrate(plant: model.PlantModel,
             next_block += m
             lent = None
             if next_block <= full and aff.live:
-                block, held = aff.propose_block(y, limit)
+                block, held = aff.scan(y, w_flat[k:next_block, 0], limit)
                 row_blocks += held
                 if held.all():
                     ys[k + 1:next_block + 1] = block

@@ -553,6 +553,24 @@ def test_diagnostics_counters_repeat(tmp_path):
                                    - 1e-9))
 
 
+def test_cold_snap_simulate_counts_sampled_blocks(tmp_path):
+    # the cold snap's sampled load steps in blocks while a pattern holds;
+    # its counters repeat across runs
+    diags = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert _run("simulate", "--config",
+                    str(CONFIGS / "benchmark_cold_snap.json"),
+                    "--out", str(out)) == 0
+        report = json.loads((out / "costs.json").read_text())
+        assert report["schema_version"] == 10
+        diags.append(report["diagnostics"])
+    assert diags[0] == diags[1]
+    diag = diags[0]
+    _assert_rk4_counters(diag, diag["rk4_steps"])
+    assert 0 < diag["blocks"] and 32 * diag["blocks"] <= diag["affine_steps"]
+
+
 def test_lp_rejects_bad_gamma():
     assert _run("lp", "--config", BENCHMARK, "--gamma", "1,2") == 64
     assert _run("lp", "--config", BENCHMARK,

@@ -125,7 +125,8 @@ def test_trajectories_match_loop_reference(rng):
             assert np.any(traj.x < 0.0)
 
 
-def _assert_stack_matches_alone(plant, ctrls, wsig, x0, z0, t_span, dt):
+def _stack_of_single_runs(plant, ctrls, wsig, x0, z0, t_span, dt):
+    # the stack from one start, each row bit for bit its single run
     z_rows = [z0 if c.is_pi else None for c in ctrls]
     stack = simulate.integrate(plant, ctrls, wsig,
                                np.tile(x0, (len(ctrls), 1)), z_rows, t_span,
@@ -138,6 +139,13 @@ def _assert_stack_matches_alone(plant, ctrls, wsig, x0, z0, t_span, dt):
             np.testing.assert_array_equal(getattr(row, name),
                                           getattr(alone, name))
         assert row.counts == alone.counts
+    return stack
+
+
+def _assert_stack_matches_alone(plant, ctrls, wsig, x0, z0, t_span, dt):
+    stack = _stack_of_single_runs(plant, ctrls, wsig, x0, z0, t_span, dt)
+    for ctrl, row in zip(ctrls, stack):
+        z_init = z0 if ctrl.is_pi else None
         t, x, z, u, v = oracles.integrate_loop(plant, ctrl, wsig, x0,
                                                z_init, t_span, dt)
         np.testing.assert_array_equal(row.t, t)
@@ -156,17 +164,46 @@ def _three_controllers(plant, dec):
                                  k_static=model.default_static_gain(plant))]
 
 
-def test_stack_matches_single_runs_on_cold_snap():
-    # inputs first saturate near t = 81 h
+def _cold_snap():
     cfg = (pathlib.Path(__file__).resolve().parent.parent / "configs"
            / "benchmark_cold_snap.json")
     scn, _ = cli.load_config(cfg)
     plant, wsig = heating.to_standard_form(scn)
+    return plant, _three_controllers(plant, scn.controller), wsig
+
+
+def test_stack_matches_single_runs_on_cold_snap():
+    # inputs first saturate near t = 81 h; the sampled load steps in
+    # blocks while a row's pattern holds
+    plant, ctrls, wsig = _cold_snap()
     n = plant.n
-    stack = _assert_stack_matches_alone(
-        plant, _three_controllers(plant, scn.controller), wsig, np.zeros(n),
-        np.zeros(n), (0.0, 120.0), 0.05)
+    stack = _assert_stack_matches_alone(plant, ctrls, wsig, np.zeros(n),
+                                        np.zeros(n), (0.0, 120.0), 0.05)
     assert all(np.any(np.abs(row.u) > 1.0) for row in stack)
+    assert all(row.counts.blocks > 0 for row in stack)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_stack_matches_single_runs_on_whole_cold_snap(flip, monkeypatch):
+    # the 336 h stack has spans that are blocks for some rows while the
+    # others step them one at a time: a block row must count those steps
+    # as affine and must not be observed, or its counts and maps part
+    # from its single run.  That matters when a block row's own one-step
+    # candidate fails, as rounding at a kink may make it; with ``flip``
+    # every one-step candidate fails, so only blocks and staged steps
+    # remain
+    if flip:
+        propose = simulate._AffineRows.propose
+
+        def failing(self, y, w_flat):
+            out, good = propose(self, y, w_flat)
+            return out, np.zeros_like(good)
+        monkeypatch.setattr(simulate._AffineRows, "propose", failing)
+    plant, ctrls, wsig = _cold_snap()
+    n = plant.n
+    stack = _stack_of_single_runs(plant, ctrls, wsig, np.zeros(n),
+                                  np.zeros(n), (0.0, 336.0), 0.05)
+    assert stack.counts.blocks < min(row.counts.blocks for row in stack)
 
 
 def test_stack_matches_single_runs_on_sampled_load(rng):
@@ -252,27 +289,55 @@ def test_block_steps_match_loop_reference(n):
     assert traj.counts.blocks > 0
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sampled_block_steps_match_loop_reference(n):
+    # the probe's run under a load that drifts by up to +-1 between five
+    # samples: each block takes its forcing from one product
+    rng = np.random.default_rng(n)
+    plant, ctrl = random_instance(rng, n)
+    w = random_disturbance(rng, n)
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    t1 = 10.0 / float(np.min(plant.a))
+    wsig = model.DisturbanceSignal.sampled(
+        np.linspace(0.0, t1, 5), w + rng.uniform(-1.0, 1.0, (5, n)))
+    traj = _assert_loop_matches_oracle(plant, ctrl, wsig, eq.x0 + 1.0,
+                                       eq.z0, (0.0, t1), 0.05)
+    assert traj.counts.blocks > 0
+
+
 def _saturating_loop():
     return (model.PlantModel([1.0], [[1.0]], sector.saturation_deadzone(1)),
             model.ControllerSpec("decentralized", [1.0], [0.5], [0.5]))
 
 
-def test_block_across_a_kink_falls_back():
-    # the input leaves saturation at step 41, inside the block span
+def _assert_kink_falls_back(w, kink):
+    # the input leaves saturation at step ``kink``, inside the block span
     # 32..63: that span steps one step at a time, the spans after it on
     # the new pattern are blocks again, and the span 0..31 has no map
     plant, ctrl = _saturating_loop()
-    traj = _assert_loop_matches_oracle(plant, ctrl, [0.0], [6.0], [0.0],
+    traj = _assert_loop_matches_oracle(plant, ctrl, w, [6.0], [0.0],
                                        (0.0, 8.0), 0.05)
     sat = np.abs(traj.u[:, 0]) > 1.0
-    assert np.flatnonzero(~sat)[0] == 41 and not np.any(sat[41:])
+    assert np.flatnonzero(~sat)[0] == kink and not np.any(sat[kink:])
     assert traj.counts == simulate.StepCounts(157, 3, 2, 3)
+
+
+def test_block_across_a_kink_falls_back():
+    _assert_kink_falls_back([0.0], 41)
+
+
+def test_sampled_block_across_a_kink_falls_back():
+    # a load ramping from 0 to 0.4 moves the kink to step 43
+    _assert_kink_falls_back(
+        model.DisturbanceSignal.sampled([0.0, 8.0], [[0.0], [0.4]]), 43)
 
 
 def test_blowup_inside_a_block_names_its_step():
     # the identity keeps one piece, so its map is live from step 1 and
-    # the span 32..63 is tried as one block; RK4 grows 1.8-fold a step
-    # at this dt, and the state leaves the limit at step 45 of that span
+    # the span 32..63 is tried as one block, under the constant load and
+    # under the sampled one alike; RK4 grows 1.8-fold a step at this dt,
+    # and the state leaves the limit at step 45 of that span, so the
+    # block fails its blow-up test and the span steps one at a time
     plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
     ctrl = model.ControllerSpec("decentralized", [50.0], [1.0], [0.5])
     args = ([1.0], [0.0], (0.0, 20.0), 0.063)
@@ -281,7 +346,6 @@ def test_blowup_inside_a_block_names_its_step():
     first = int(np.argmax(np.maximum(np.abs(x), np.abs(z))[:, 0] > 1e12))
     assert 32 < first < 64
     messages = []
-    # a sampled load steps one step at a time
     for w in ([0.0], model.DisturbanceSignal.sampled([0.0, 30.0],
                                                      [[0.0], [0.0]])):
         with pytest.warns(UserWarning, match="stability"):
