@@ -10,7 +10,8 @@ equilibrium's stationary residual is judged against ``RESIDUAL_TOL``
 times its scale.
 
 Exit codes: 0 all checks passed, 1 a certificate or solver check
-failed, 2 warnings only, 64 usage or config problem.
+failed, 2 warnings only, 64 usage or config problem.  Errors and
+Python warnings print one line each on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -531,6 +533,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    # one stderr line per warning, as for errors; the filters still
+    # decide which warnings show
+    print(f"pisat: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -541,7 +550,9 @@ def main(argv=None) -> int:
             return EXIT_PASS
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (ConfigError, ParseError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError) as exc:
         print(f"pisat: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,17 +12,17 @@ gives the dt warning its spectrum.  The loop then advances by one
 product with that pattern's map, which also yields the four stage
 inputs, and keeps the step only if they all lie on the assumed pieces;
 otherwise it takes the staged step, which evaluates the vector field
-four times.  A map is built only after its pattern has held through n
-consecutive staged steps (a build costs O(n^3), a staged step O(n^2)),
-and the partial last step is always staged.  While a map is live the
-loop also steps m at a time: a block starts only at a grid index
-k = 0 mod m, one product gives the forcing of its m steps, a prefix
-scan with the powers P, P^2, P^4, .. of the state map gives their
-states, y_{k+j+1} = y_{k+j} P + f_j, and one more product all their
-stage inputs; the block is kept only if every stage input stays on its
-piece and every state passes the blow-up test.  The scan's log2(m)
+four times.  A map is built only after its pattern has held through
+max(1, n // 5) consecutive staged steps (a build costs O(n^3), a staged
+step O(n^2)), and the partial last step is always staged.  While a map
+is live the loop also steps m at a time: a block starts only at a grid
+index k = 0 mod m, one product gives the forcing of its m steps, a
+prefix scan with the powers P, P^2, P^4, .. of the state map gives
+their states, y_{k+j+1} = y_{k+j} P + f_j, and one more product all
+their stage inputs; the block is kept only if every stage input stays
+on its piece and every state passes the blow-up test.  The scan's log2(m)
 products of the m states grow as n^2 while the loop overhead they save
-does not, so m falls with n, and from n = 34 there are no blocks.  In
+does not, so m falls with n, and from n = 81 there are no blocks.  In
 exact arithmetic all ways are the same RK4 step, kinks included; in
 floating point they agree to rounding.
 
@@ -43,6 +43,7 @@ stored value increases beyond tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Sequence
@@ -102,6 +103,15 @@ class Trajectory:
 def stability_dt_bound(plant: model.PlantModel, ctrl: model.ControllerSpec) -> float:
     """Step-size bound from the linear-regime closed-loop spectrum."""
     m, _ = _loop_matrix(plant, ctrl, np.ones(plant.n))
+    return _spectral_dt(m.tobytes(), m.shape[0])
+
+
+@functools.lru_cache(maxsize=1)
+def _spectral_dt(m: bytes, size: int) -> float:
+    # keyed on the loop matrix itself: certify's storage probe cuts its dt
+    # to this bound, and integrate's warning then checks that dt against
+    # the same matrix, which the norm test of stable_dt cannot clear
+    m = np.frombuffer(m).reshape(size, size)
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     return _RK4_STABILITY / rho if rho > 0.0 else math.inf
 
@@ -118,7 +128,7 @@ def stable_dt(plant: model.PlantModel, ctrl: model.ControllerSpec,
     norm = min(np.abs(m).sum(axis=0).max(), np.abs(m).sum(axis=1).max())
     if dt * norm <= _RK4_STABILITY:
         return dt
-    return min(dt, stability_dt_bound(plant, ctrl))
+    return min(dt, _spectral_dt(m.tobytes(), m.shape[0]))
 
 
 def _as_signal(w, n: int) -> model.DisturbanceSignal:
@@ -218,13 +228,13 @@ def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
 # maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100
 _MAPS_PER_ROW = 3
 # a block of m steps trades m turns of the loop for log2(m) scan products
-# of its m states, O(m n^2 log m) flops; m n^2 stays within 4,608 (32
-# steps up to n = 12), and blocks of fewer than _BLOCK_MIN steps
-# measured no faster than single steps (none from n = 34; 32 steps
-# measured mixed at n = 40 and slower at n = 100)
-_BLOCK_WORK = 32 * 12 * 12
+# of its m states, O(m n^2 log m) flops; m n^2 stays within 51,200 (32
+# steps up to n = 40, 16 at n = 56, 8 at n = 80), and blocks of fewer
+# than _BLOCK_MIN steps measured no faster than single steps (none from
+# n = 81; 5 steps measured 6% slower at n = 100)
+_BLOCK_WORK = 32 * 40 * 40
 _BLOCK_STEPS = 32
-_BLOCK_MIN = 4
+_BLOCK_MIN = 8
 
 
 def _block_steps(n: int) -> int:
@@ -237,9 +247,10 @@ class _AffineRows:
     """The saturation-pattern maps of the rows of one stacked run.
 
     A row gets the map of pattern p once p has held (all four stage
-    inputs on p) through n consecutive staged steps: a build costs
-    O(n^3), a staged step O(n^2).  A row keeps its last few maps, so a
-    pattern it returns to needs no new build; nothing outlives the
+    inputs on p) through max(1, n // 5) consecutive staged steps: a
+    build costs O(n^3), a staged step O(n^2), and at n = 40 a build
+    takes about three staged steps.  A row keeps its last few maps, so
+    a pattern it returns to needs no new build; nothing outlives the
     call.  The active map of each row sits in the (C, ...) arrays that
     one batched product steps; a row without one has empty bounds
     (lo = inf, hi = -inf), so its candidate never holds.  Each map also
@@ -253,6 +264,7 @@ class _AffineRows:
         self.plant, self.ctrls, self.dt = plant, ctrls, dt
         self.w_const = w_const
         self.m = _block_steps(n)
+        self.hold = max(1, n // 5)          # staged steps held before a build
         self.mat = np.zeros((rows, 2 * n, 6 * n))
         self.bias = np.zeros((rows, 1, 6 * n))
         self.tw = None if w_const is not None else np.zeros((rows, 3 * n,
@@ -311,7 +323,7 @@ class _AffineRows:
                 run = run + 1 if key == last else 1
             self.runs[i] = key, run
             maps = self.maps[i]
-            if key is not None and key not in maps and run >= self.plant.n:
+            if key is not None and key not in maps and run >= self.hold:
                 if len(maps) == _MAPS_PER_ROW:
                     del maps[next(iter(maps))]
                 step = _affine_step(self.plant, self.ctrls[i], pieces[i, 0],
@@ -354,9 +366,9 @@ def integrate(plant: model.PlantModel,
     ``_affine_step``), which also gives the four stage inputs; the step
     is kept only if all of them lie on the assumed pieces.  Otherwise
     the staged step evaluates the vector field four times.  A pattern's
-    map is built once the pattern has held through n consecutive staged
-    steps, and the partial last step (``h`` below ``dt``) is always
-    staged.  The two agree up to rounding, kinks included.
+    map is built once the pattern has held through max(1, n // 5)
+    consecutive staged steps, and the partial last step (``h`` below
+    ``dt``) is always staged.  The two agree up to rounding, kinks included.
 
     A live map also steps m at a time: at every grid index k with
     k = 0 mod m and k + m within the full steps, a row with a live map
@@ -367,8 +379,8 @@ def integrate(plant: model.PlantModel,
     stage input lies on its piece and every state passes the blow-up
     test; otherwise it steps that span one step at a time as above, so
     a blow-up raises at the step where it happens.  m is 32 for
-    n <= 12 and falls as 4,608 / n^2 (8 at n = 24, 4 at n = 33); from
-    n = 34 there are no blocks.  The load may be constant or sampled.
+    n <= 40 and falls as 51,200 / n^2 (16 at n = 56, 8 at n = 80); from
+    n = 81 there are no blocks.  The load may be constant or sampled.
     Block steps count as affine steps.  The returned ``counts`` say how
     many steps took each way, how many maps were built and how many
     blocks were committed.

@@ -314,6 +314,28 @@ def test_overflowing_standard_form_prints_one_line(tmp_path):
         "a must be finite (overflow encountered in divide)"]
 
 
+@pytest.mark.parametrize("name, argv, code, error", [
+    ("textbook_single", ["--dt", "1.5", "--t-end", "3"], 0, None),
+    ("benchmark_cold_snap", ["--dt", "100"], 1,
+     "pisat: NonFiniteState: state left +-1e+12 near t=300 (step 3)")])
+def test_warning_prints_one_line(name, argv, code, error, tmp_path):
+    # a warning is one stderr line, as an error is, not Python's two-line
+    # format with the source line
+    config = str(CONFIGS / f"{name}.json")
+    proc = subprocess.run([sys.executable, "-m", "pisat", "simulate",
+                           "--config", config, "--out", str(tmp_path),
+                           *argv], capture_output=True, text=True,
+                          env=_src_env())
+    scn, _ = cli.load_config(config)
+    bound = simulate.stability_dt_bound(heating.to_standard_form(scn)[0],
+                                        scn.controller)
+    warning = (f"pisat: warning: dt={argv[1]} exceeds the linear-regime "
+               f"stability estimate {bound:.3g}; expect inaccuracy or "
+               f"blow-up")
+    assert proc.returncode == code
+    assert proc.stderr.splitlines() == [warning] + ([error] if error else [])
+
+
 def test_simulate_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     assert _run("simulate", "--config", TEXTBOOK, "--out", str(out),
@@ -384,6 +406,17 @@ def test_certify_fast_decay_probe_steps_at_stability_bound(tmp_path):
     assert check["dt_h"] == bound
     assert check["rk4_steps"] == math.ceil(check["horizon_h"] / bound)
     assert check["value_final"] < check["value_initial"]
+
+
+def test_certify_cut_probe_step_takes_the_eigenvalues_once(tmp_path,
+                                                          monkeypatch):
+    # the probe's cut dt is the stability bound itself, which the norm
+    # test cannot clear; integrate's warning check reuses the spectrum
+    simulate._spectral_dt.cache_clear()
+    calls = _count_calls(monkeypatch, np.linalg, "eigvals")
+    cfg = _textbook_with(tmp_path, a_kw_per_degc=[200.0])
+    assert _run("certify", "--config", cfg) == 0
+    assert calls == ["eigvals"]
 
 
 def test_simulate_blowup_fails(tmp_path, capsys):
@@ -569,6 +602,27 @@ def test_cold_snap_simulate_counts_sampled_blocks(tmp_path):
     diag = diags[0]
     _assert_rk4_counters(diag, diag["rk4_steps"])
     assert 0 < diag["blocks"] and 32 * diag["blocks"] <= diag["affine_steps"]
+    # pinned under the build and block rules
+    assert diag == dict(zip(_RK4_COUNTERS, (6720, 6675, 45, 12, 191, 180)))
+
+
+def test_rk4_counters_are_pinned(tmp_path):
+    # the counters of the cold snap's stacked compare and of the bundled
+    # network's storage probe, under the build and block rules
+    cold = str(CONFIGS / "benchmark_cold_snap.json")
+    assert _run("compare", "--config", cold, "--controllers",
+                "decentralized", "coordinating", "static",
+                "--out", str(tmp_path)) == 0
+    assert _run("certify", "--config", BENCHMARK,
+                "--out", str(tmp_path / "certify.json")) == 2
+    cmp_ = json.loads((tmp_path / "comparison.json").read_text())
+    storage, = (c for c in json.loads(
+        (tmp_path / "certify.json").read_text())["checks"]
+        if c["name"] == "storage_decrease")
+    assert cmp_["diagnostics"] == dict(zip(_RK4_COUNTERS,
+                                           (6720, 6637, 83, 22, 188, 332)))
+    assert ({k: storage[k] for k in _RK4_COUNTERS}
+            == dict(zip(_RK4_COUNTERS, (2396, 2389, 7, 2, 73, 28))))
 
 
 def test_lp_rejects_bad_gamma():

@@ -234,6 +234,21 @@ def test_stack_of_copies_matches_single_starts(rng):
                                           getattr(alone, name))
 
 
+@pytest.mark.parametrize("n, hold", [(10, 2), (40, 8)])
+def test_map_is_built_once_its_pattern_holds_n_over_5_steps(n, hold, rng):
+    # a pattern held through one staged step fewer than max(1, n // 5)
+    # gets no map, one held through exactly that many gets one; a step on
+    # another pattern starts the count again
+    plant, ctrl = random_instance(rng, n)
+    aff = simulate._AffineRows(plant, [ctrl], 0.05, np.zeros(n))
+    linear, saturated = np.zeros((1, 4, n)), np.full((1, 4, n), 5.0)
+    for us in [linear] * (hold - 1) + [saturated] + [linear] * (hold - 1):
+        aff.observe(us, [0])
+    assert aff.built == [0] and not aff.live
+    aff.observe(linear, [0])
+    assert aff.built == [1] and list(aff.live) == [0]
+
+
 def _assert_loop_matches_oracle(plant, ctrl, w, x0, z0, t_span, dt):
     traj = simulate.integrate(plant, ctrl, w, x0, z0, t_span, dt)
     wsig = (w if isinstance(w, model.DisturbanceSignal)
