@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 RESIDUAL_TOL = 1e-10
 
 
@@ -344,8 +345,8 @@ def _z_rest(ctrl, n):
 
 def _rk4_diagnostics(traj) -> dict:
     # a staged step evaluates the vector field four times, an affine step
-    # not at all; a stacked step counts once, however many rows it steps;
-    # a block is m affine steps in one product
+    # not at all; a stack counts the steps of each of its rows; a block
+    # is one scan's committed affine steps
     c = traj.counts
     return {"rk4_steps": c.affine + c.staged, "affine_steps": c.affine,
             "staged_steps": c.staged, "patterns": c.patterns,
@@ -485,7 +486,10 @@ def cmd_lp(args) -> int:
 # ------------------------------------------------------------------ wiring
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built once per process: each command looks up its helpers, such as
+    # _context, when it runs, so the parser binds only the commands
     parser = _Parser(prog="pisat",
                      description="Certify and simulate saturated networks "
                                  "under decentralized PI control.")

@@ -286,13 +286,20 @@ def shift_pair(pair: SectorPair, x0) -> SectorPair:
     """Recenter the pair at the operating point x0 (componentwise).
 
     The result represents f~(x) = f(x + x0) - f(x0), which stays in the
-    sector class with f~(0) = 0; the complement shifts consistently.
+    sector class with f~(0) = 0; the complement shifts consistently.  A
+    shift so large that two distinct knots of a coordinate round to one
+    value raises InvalidSectorPair: the pieces between them would vanish.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_width(pair, x0)
     if not np.all(np.isfinite(x0)):
         raise InvalidSectorPair("shift must be finite")
-    return SectorPair._from_tables(pair.knots - x0,
+    knots = pair.knots - x0
+    if np.any((np.diff(pair.knots, axis=0) > 0.0)
+              & (np.diff(knots, axis=0) <= 0.0)):
+        raise InvalidSectorPair("shift merges two distinct knots of a "
+                                "coordinate in rounding")
+    return SectorPair._from_tables(knots,
                                    pair.values - _table_f(pair, x0),
                                    pair.slope[0], pair.slope[-1])
 

@@ -7,38 +7,32 @@ every stage time in one call before the loop (time-varying signals are
 interpolated linearly).  The sector's f is affine on each piece of its
 piece table (the identity is one piece), so while every input stays on
 one piece (a saturation pattern) the closed loop is the affine ODE
-y' = y M + g + [w, 0], and one RK4 step is one affine map; M at slope 1
-gives the dt warning its spectrum.  The loop then advances by one
-product with that pattern's map, which also yields the four stage
-inputs, and keeps the step only if they all lie on the assumed pieces;
-otherwise it takes the staged step, which evaluates the vector field
-four times.  A map is built only after its pattern has held through
+y' = y M + g + [w, 0], and one RK4 step is the affine recurrence
+y_{k+1} = y_k P + f_k; M at slope 1 gives the dt warning its spectrum.
+A pattern's map is built only after the pattern has held through
 max(1, n // 5) consecutive staged steps (a build costs O(n^3), a staged
-step O(n^2)), and the partial last step is always staged.  While a map
-is live the loop also steps m at a time: a block starts only at a grid
-index k = 0 mod m, one product gives the forcing of its m steps, a
-prefix scan with the powers P, P^2, P^4, .. of the state map gives
-their states, y_{k+j+1} = y_{k+j} P + f_j, and one more product all
-their stage inputs; the block is kept only if every stage input stays
-on its piece and every state passes the blow-up test.  The scan's log2(m)
-products of the m states grow as n^2 while the loop overhead they save
-does not, so m falls with n, and from n = 81 there are no blocks.  In
-exact arithmetic all ways are the same RK4 step, kinks included; in
-floating point they agree to rounding.
+step O(n^2)).  While it is live the loop scans ahead: one product gives
+the forcing of the next L steps, a prefix scan with the powers P, P^2,
+P^4, .. gives their states (Blelloch, "Prefix sums and their
+applications", 1990), and one more product all their stage inputs.  The
+loop commits the steps before the first whose stage input leaves its
+piece or whose state fails the blow-up test, and takes that step staged,
+evaluating the vector field four times.  L doubles while the pattern
+holds and starts short again after a kink, up to a cap that falls with
+n, since the scan's log2(L) products grow as n^2 while the loop overhead
+they save does not.  The partial last step is always staged.  In exact
+arithmetic all ways are the same RK4 step, kinks included; in floating
+point they agree to rounding.
 
-The loop steps a stack of closed loops as readily as one: C
-controllers, each with its own start, become the rows of a (C, 1, 2n)
-state against their (C, n, n) matrices and (C, 2n, 6n) maps, and share
-the forcing table, the step grid and the blow-up test; one controller
-is a stack of one.  Each row chooses its own way at every step and its
-own blocks at the fixed grid indices, so a row is bit for bit its
-single run.  The vector field is bound once per call
-(``model.vector_field``), so a stage runs only its array operations,
-without input checks.  Costs are time averages computed with
-trapezoidal quadrature on the recorded grid.  The monitor evaluates a
-piecewise-quadratic storage function in closed form along a trajectory
-together with its analytic derivative, and flags any step where the
-stored value increases beyond tolerance.
+A stack of closed loops (C controllers, each with its own start) shares
+the forcing table, the step grid and the blow-up test, and its rows run
+one after another, so a row is its single run by construction.  The
+vector field is bound once per row (``model.vector_field``), so a stage
+runs only its array operations, without input checks.  Costs are time
+averages computed with trapezoidal quadrature on the recorded grid.  The
+monitor evaluates a piecewise-quadratic storage function in closed form
+along a trajectory together with its analytic derivative, and flags any
+step where the stored value increases beyond tolerance.
 """
 
 from __future__ import annotations
@@ -67,10 +61,9 @@ _RK4_STABILITY = 2.5
 class StepCounts(NamedTuple):
     """How the RK4 steps of a run were taken.
 
-    ``affine`` steps advanced by one product with a saturation pattern's
-    map, ``staged`` steps evaluated the vector field four times,
-    ``patterns`` counts the maps built, and ``blocks`` the blocks
-    committed, each m affine steps in one scan.
+    ``affine`` steps advanced by a saturation pattern's map, ``staged``
+    steps evaluated the vector field four times, ``patterns`` counts the
+    maps built, and ``blocks`` the scans that committed affine steps.
     """
 
     affine: int
@@ -143,20 +136,17 @@ def _as_signal(w, n: int) -> model.DisturbanceSignal:
 class TrajectoryStack(tuple):
     """One Trajectory per row of a stacked run; all rows share ``t``.
 
-    ``counts`` are the stack's own: a step is staged when any row takes
-    the staged step, because the stack evaluates the vector field once
-    for all of its rows, ``patterns`` sums the rows' builds, and
-    ``blocks`` counts the blocks that every row committed at once.
+    ``counts`` are the sums of the rows' counts: a stack of C rows over
+    k steps takes C k RK4 steps.
     """
-
-    def __new__(cls, rows, counts: StepCounts):
-        stack = super().__new__(cls, rows)
-        stack.counts = counts
-        return stack
 
     @property
     def t(self) -> np.ndarray:
         return self[0].t
+
+    @property
+    def counts(self) -> StepCounts:
+        return StepCounts(*map(sum, zip(*(row.counts for row in self))))
 
 
 def _forcing_rows(h, r, ra, ra2, ra3, rl, ral, ra2l):
@@ -225,126 +215,157 @@ def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
             np.tile(pair.hi[piece, cols], 4))
 
 
-# maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100
+# maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100, and
+# the powers of P its scans needed (P^2 alone at n = 100)
 _MAPS_PER_ROW = 3
-# a block of m steps trades m turns of the loop for log2(m) scan products
-# of its m states, O(m n^2 log m) flops; m n^2 stays within 51,200 (32
-# steps up to n = 40, 16 at n = 56, 8 at n = 80), and blocks of fewer
-# than _BLOCK_MIN steps measured no faster than single steps (none from
-# n = 81; 5 steps measured 6% slower at n = 100)
-_BLOCK_WORK = 32 * 40 * 40
-_BLOCK_STEPS = 32
-_BLOCK_MIN = 8
+# a row's first scan on a pattern takes _SCAN_FIRST steps, and each scan
+# that holds throughout doubles the next, up to _scan_cap(n); a scan of L
+# steps trades L turns of the loop for log2(L) products of its L states,
+# O(L n^2 log L) flops, so L n^2 stays within 51,200 (256 steps up to
+# n = 14, 32 at n = 40, 4 at n = 100), which also bounds its (L, 6n)
+# arrays and its powers of P.  In process, first lengths of 8 and 16 ran
+# alike and faster than 4, caps of 128 to 1024 alike at n <= 12, 16 to
+# 32 fastest at n = 40, and 4 to 8 at n = 100, where scans of one step
+# ran 20% slower than scans of 4
+_SCAN_FIRST = 8
+_SCAN_WORK = 32 * 40 * 40
+_SCAN_STEPS = 256
 
 
-def _block_steps(n: int) -> int:
-    """Steps per block at width n (1: no block)."""
-    m = min(_BLOCK_STEPS, _BLOCK_WORK // (n * n))
-    return m if m >= _BLOCK_MIN else 1
+def _scan_cap(n: int) -> int:
+    """Longest scan at width n, a power of two (1: a step per scan)."""
+    cap = min(_SCAN_STEPS, _SCAN_WORK // (n * n))
+    return 1 << max(0, cap.bit_length() - 1)
 
 
-class _AffineRows:
-    """The saturation-pattern maps of the rows of one stacked run.
+class _PatternMaps:
+    """The saturation-pattern maps of one row.
 
-    A row gets the map of pattern p once p has held (all four stage
+    The row gets the map of pattern p once p has held (all four stage
     inputs on p) through max(1, n // 5) consecutive staged steps: a
     build costs O(n^3), a staged step O(n^2), and at n = 40 a build
-    takes about three staged steps.  A row keeps its last few maps, so
+    takes about three staged steps.  The row keeps its last few maps, so
     a pattern it returns to needs no new build; nothing outlives the
-    call.  The active map of each row sits in the (C, ...) arrays that
-    one batched product steps; a row without one has empty bounds
-    (lo = inf, hi = -inf), so its candidate never holds.  Each map also
-    carries the powers P^1, P^2, P^4, .. below ``m`` of its state map P,
-    built by squaring, with which ``scan`` steps m at a time, unless n
-    is so wide that m is 1.
+    call.  ``live`` is the map of the row's current pattern, or None.
+    Each map carries the powers P, P^2, P^4, .. of its state map P that
+    its scans have needed so far, built by squaring.
     """
 
-    def __init__(self, plant, ctrls, dt: float, w_const):
-        rows, n = len(ctrls), plant.n
-        self.plant, self.ctrls, self.dt = plant, ctrls, dt
+    def __init__(self, plant, ctrl, dt: float, w_const):
+        self.plant, self.ctrl, self.dt = plant, ctrl, dt
         self.w_const = w_const
-        self.m = _block_steps(n)
-        self.hold = max(1, n // 5)          # staged steps held before a build
-        self.mat = np.zeros((rows, 2 * n, 6 * n))
-        self.bias = np.zeros((rows, 1, 6 * n))
-        self.tw = None if w_const is not None else np.zeros((rows, 3 * n,
-                                                             6 * n))
-        self.pows = np.zeros((rows, (self.m - 1).bit_length(), 2 * n, 2 * n))
-        self.lo = np.full((rows, 1, 4 * n), np.inf)
-        self.hi = np.full((rows, 1, 4 * n), -np.inf)
-        self.live = {}                      # row -> pattern of its map
-        self.runs = [(None, 0)] * rows      # (pattern, staged steps held)
-        self.maps = [{} for _ in ctrls]
-        self.built = [0] * rows
+        self.hold = max(1, plant.n // 5)    # staged steps held before a build
+        self.run = None, 0                  # (pattern, staged steps held)
+        self.maps = {}
+        self.live = None
+        self.built = 0
 
-    def propose(self, y, w_flat):
-        """Each row's affine candidate and where its stage inputs hold."""
-        out = y @ self.mat
-        out += self.bias if self.tw is None else w_flat @ self.tw + self.bias
-        u = out[..., 2 * self.plant.n:]
-        return out, (self.lo <= u) & (u <= self.hi)
+    def scan(self, y, w, limit: float):
+        """The states of the next len(w) steps from y, and how many hold.
 
-    def scan(self, y, w_block, limit: float):
-        """Each row's next m states, and whether its block holds.
-
-        ``w_block`` is the (m, 3n) load of the m steps.  Step j of the
+        ``w`` is the (L, 3n) load of the L steps; a constant load is
+        carried by the bias, and only len(w) counts.  Step j of the live
         pattern is y_{j+1} = y_j P + f_j, with f_j the state part of its
-        forcing outputs f = w_j tw + bias, so a prefix scan gives the m
-        states in log2(m) products with the powers of P, and one more
-        product gives all 4m stage inputs.  A row's block holds when
-        every stage input lies on the assumed pieces and every state
-        passes the blow-up test.  Returns the states as (m, C, 1, 2n),
-        as the trajectory stores them.
+        forcing outputs f = w_j tw + bias, so a prefix scan gives the L
+        states in log2(L) products with the powers of P, and one more
+        product gives all 4L stage inputs.  Step j holds when its stage
+        inputs lie on the assumed pieces and its state passes the
+        blow-up test; the count returned is that of the steps before
+        the first that does not.
         """
-        rows, m, n2 = len(self.ctrls), self.m, 2 * self.plant.n
-        f = self.bias if self.tw is None else w_block @ self.tw + self.bias
-        a = np.empty((rows, m, n2))
-        a[:] = f[..., :n2]
-        a[:, :1] += y @ self.pows[:, 0]
-        for i in range(self.pows.shape[1]):
-            d = 1 << i
-            a[:, d:] += a[:, :-d] @ self.pows[:, i]
-        u = np.concatenate((y, a[:, :-1]), axis=1) @ self.mat[..., n2:]
-        u += f[..., n2:]
-        held = (np.all((self.lo <= u) & (u <= self.hi), axis=(1, 2))
-                & np.all(np.abs(a) <= limit, axis=(1, 2)))
-        return a.transpose(1, 0, 2)[:, :, None, :], held
+        mat, tw, bias, lo, hi, pows = self.live
+        span, n2 = len(w), 2 * self.plant.n
+        f = bias if tw is None else w @ tw + bias
+        a = np.empty((span, n2))
+        a[:] = f[:, :n2]
+        a[:1] += y @ pows[0]
+        d = 1
+        for i in range((span - 1).bit_length()):
+            if i == len(pows):
+                pows.append(pows[-1] @ pows[-1])
+            a[d:] += a[:-d] @ pows[i]
+            d <<= 1
+        u = np.concatenate((y, a[:-1])) @ mat[:, n2:]
+        u += f[:, n2:]
+        ok = (np.all((lo <= u) & (u <= hi), axis=1)
+              & np.all(np.abs(a) <= limit, axis=1))
+        return a, span if ok.all() else int(np.argmin(ok))
 
-    def observe(self, us, rows) -> None:
-        """Update ``rows``, which took the staged step with inputs us."""
+    def observe(self, us) -> None:
+        """Update after a staged step whose stage inputs were ``us``."""
         pieces = self.plant.pair.piece_of(us)
-        held = np.all(pieces == pieces[:, :1], axis=(1, 2))
-        for i in rows:
-            key = pieces[i, 0].tobytes() if held[i] else None
-            last, run = self.runs[i]
-            if key is None:
-                run = 0
+        key = (pieces[0].tobytes() if np.all(pieces == pieces[0])
+               else None)
+        last, run = self.run
+        run = 0 if key is None else run + 1 if key == last else 1
+        self.run = key, run
+        maps = self.maps
+        if key is not None and key not in maps and run >= self.hold:
+            if len(maps) == _MAPS_PER_ROW:
+                del maps[next(iter(maps))]
+            mat, tw, bias, lo, hi = _affine_step(
+                self.plant, self.ctrl, pieces[0], self.dt, self.w_const)
+            maps[key] = (mat, tw, bias[None], lo, hi,
+                         [mat[:, :2 * self.plant.n]])
+            self.built += 1
+        self.live = maps.get(key)
+
+
+def _step_row(plant, ctrl, ys, grid, dt: float, limit: float, w_const,
+              where: str) -> StepCounts:
+    """Step one row over ``grid`` into ``ys``; see ``integrate``.
+
+    ``where`` prefixes the message of a blow-up.
+    """
+    n = plant.n
+    field = model.vector_field(plant, [ctrl])
+    maps = _PatternMaps(plant, ctrl, dt, w_const)
+    ts, hs, forcing, full = grid
+    steps = len(hs)
+    w_flat = forcing.reshape(steps, 3 * n)
+    cap = _scan_cap(n)
+    first = length = min(_SCAN_FIRST, cap)
+    affine = scans = idle = backoff = 0
+    k = 0
+    y = ys[0]
+    while k < steps:
+        if idle:
+            idle -= 1
+        elif maps.live is not None and k < full:
+            span = min(length, full - k)
+            states, held = maps.scan(y, w_flat[k:k + span], limit)
+            if held:
+                ys[k + 1:k + 1 + held, 0] = states[:held]
+                k += held
+                y = ys[k]
+                affine += held
+                scans += 1
+                backoff = 0
+                if held == span:
+                    length = min(2 * length, cap)
+                    continue
+                length = first
             else:
-                run = run + 1 if key == last else 1
-            self.runs[i] = key, run
-            maps = self.maps[i]
-            if key is not None and key not in maps and run >= self.hold:
-                if len(maps) == _MAPS_PER_ROW:
-                    del maps[next(iter(maps))]
-                step = _affine_step(self.plant, self.ctrls[i], pieces[i, 0],
-                                    self.dt, self.w_const)
-                pows = np.empty(self.pows.shape[1:])    # P^(2^j)
-                for j in range(len(pows)):
-                    pows[j] = (pows[j - 1] @ pows[j - 1] if j
-                               else step[0][:, :2 * self.plant.n])
-                maps[key] = step, pows
-                self.built[i] += 1
-            if key in maps:
-                if self.live.get(i) != key:
-                    (mat, tw, bias, lo, hi), pows = maps[key]
-                    self.mat[i], self.bias[i, 0] = mat, bias
-                    if tw is not None:
-                        self.tw[i] = tw
-                    self.pows[i] = pows
-                    self.lo[i, 0], self.hi[i, 0] = lo, hi
-                    self.live[i] = key
-            elif self.live.pop(i, None) is not None:
-                self.lo[i], self.hi[i] = np.inf, -np.inf
+                # the pattern fails at once: wait 1, 2, 4, .. staged steps
+                backoff = 2 * backoff or 1
+                idle = backoff - 1
+        # the staged step, at a kink or without a live map
+        h = float(hs[k])
+        w0, wm, w1 = forcing[k]
+        yy = y[None]
+        k1, u1 = field(yy, w0)
+        k2, u2 = field(yy + 0.5 * h * k1, wm)
+        k3, u3 = field(yy + 0.5 * h * k2, wm)
+        k4, u4 = field(yy + h * k3, w1)
+        y = (yy + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[0]
+        if not np.abs(y).max() <= limit:
+            raise NonFiniteState(f"{where}state left +-{limit:g} near "
+                                 f"t={ts[k + 1]:.6g} (step {k + 1})")
+        if k + 1 < full:
+            maps.observe(np.concatenate((u1, u2, u3, u4), axis=1)[0])
+        k += 1
+        ys[k] = y
+    return StepCounts(affine, steps - affine, maps.built, scans)
 
 
 def integrate(plant: model.PlantModel,
@@ -362,37 +383,33 @@ def integrate(plant: model.PlantModel,
 
     Each step is classic RK4, taken one of two ways.  While every input
     stays on one piece of the sector (its saturation pattern) the loop
-    is affine, and the step is one product with that pattern's map (see
-    ``_affine_step``), which also gives the four stage inputs; the step
-    is kept only if all of them lie on the assumed pieces.  Otherwise
-    the staged step evaluates the vector field four times.  A pattern's
-    map is built once the pattern has held through max(1, n // 5)
-    consecutive staged steps, and the partial last step (``h`` below
-    ``dt``) is always staged.  The two agree up to rounding, kinks included.
-
-    A live map also steps m at a time: at every grid index k with
-    k = 0 mod m and k + m within the full steps, a row with a live map
-    tries a block (see ``_AffineRows.scan``): one product gives the
-    forcing of the m steps, a prefix scan with the powers of the map's
-    P gives their m states in log2(m) products, and one more product
-    gives all 4m stage inputs.  The row commits the block only if every
-    stage input lies on its piece and every state passes the blow-up
-    test; otherwise it steps that span one step at a time as above, so
-    a blow-up raises at the step where it happens.  m is 32 for
-    n <= 40 and falls as 51,200 / n^2 (16 at n = 56, 8 at n = 80); from
-    n = 81 there are no blocks.  The load may be constant or sampled.
-    Block steps count as affine steps.  The returned ``counts`` say how
-    many steps took each way, how many maps were built and how many
-    blocks were committed.
+    is affine, and a step is one affine map (see ``_affine_step``).  A
+    pattern's map is built once the pattern has held through
+    max(1, n // 5) consecutive staged steps.  While it is live the row
+    scans ahead (see ``_PatternMaps.scan``): one product gives the
+    forcing of the next L steps, a prefix scan with the powers of the
+    map's P gives their L states in log2(L) products, and one more
+    product gives all 4L stage inputs.  The row commits the steps before
+    the first that fails, one whose stage input leaves its piece or
+    whose state fails the blow-up test, and takes that step staged: it
+    evaluates the vector field four times, so a kink is stepped as RK4
+    steps it and a blow-up raises at the step where it happens.  L
+    starts at 8 on a pattern, doubles after every scan that holds
+    throughout, up to a cap that falls with n (256 up to n = 14, 32 at
+    n = 40, 4 at n = 100), and starts at 8 again after a kink; a scan
+    that fails at its first step makes the row stage 1, 2, 4, .. steps
+    before it scans again.  The partial last step (``h`` below ``dt``)
+    is always staged.  The two ways agree up to rounding, kinks
+    included.  The load may be constant or sampled.  The returned
+    ``counts`` say how many steps took each way, how many maps were
+    built and how many scans committed steps.
 
     ``ctrl`` may instead be a sequence of C controllers, one per row of
     a stack of closed loops: ``x_init`` is then (C, n) and ``z_init``
     holds one entry per row (None for a static row).  The rows share
-    the forcing table, the step grid and the blow-up test, and step
-    together in one loop; each row picks its own way each step, and
-    its own blocks.  The call returns a TrajectoryStack whose rows are
-    bit for bit what integrating each controller alone gives, counts
-    included.
+    the forcing table, the step grid and the blow-up test, and run one
+    after another, so each row is its single run by construction.  The
+    call returns a TrajectoryStack whose counts sum the rows' counts.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0 and dt > 0.0):
@@ -437,93 +454,20 @@ def integrate(plant: model.PlantModel,
     hs = np.where(np.arange(steps) < full, dt, rem)
     tk = ts[:steps]
     forcing = wsig(np.stack([tk, tk + 0.5 * hs, tk + hs], axis=1))
-    w_flat = forcing.reshape(steps, 1, 3 * n)
+    w_const = wsig(t0) if wsig.is_constant else None
 
-    # every run is a stack, one controller a stack of one: row i steps a
-    # (1, 2n) state against its own (n, n) matrices and (2n, 6n) map
-    field = model.vector_field(plant, ctrls)
-    aff = _AffineRows(plant, ctrls, dt,
-                      wsig(t0) if wsig.is_constant else None)
-    m = aff.m
-    affine_steps = 0                    # steps every row took affine
-    taken = np.zeros(rows, dtype=int)   # further affine steps per row
-    blocks = 0                          # blocks every row committed
-    row_blocks = np.zeros(rows, dtype=int)
-    next_block = 0 if m > 1 else steps  # grid index of the next block
-    done = 0                            # where a whole-stack block ended
-    lent = None     # rows whose block holds while the others step its span
-    every_row = range(rows)
-    ys = np.empty((steps + 1, rows, 1, 2 * n))
-    y = ys[0] = np.concatenate((x, z), axis=1)[:, None, :]
-    limit = BLOWUP_LIMIT * max(1.0, float(np.abs(y).max()))
-    for k, h in enumerate(hs.tolist()):
-        if k < done:
-            continue
-        if k == next_block:
-            next_block += m
-            lent = None
-            if next_block <= full and aff.live:
-                block, held = aff.scan(y, w_flat[k:next_block, 0], limit)
-                row_blocks += held
-                if held.all():
-                    ys[k + 1:next_block + 1] = block
-                    y = ys[next_block]
-                    affine_steps += m
-                    blocks += 1
-                    done = next_block
-                    continue
-                # the other rows step this span one step at a time
-                lent = held if held.any() else None
-        hold = None     # True, or which rows' affine candidates hold
-        if k < full and aff.live:
-            out, good = aff.propose(y, w_flat[k])
-            if lent is None:
-                hold = True if good.all() else good.all(axis=(1, 2))
-            else:
-                hold = good.all(axis=(1, 2)) | lent
-                hold = True if hold.all() else hold
-        if hold is True:
-            y = out[..., :2 * n]
-            affine_steps += 1
-        else:
-            w0, wm, w1 = forcing[k]
-            k1, u1 = field(y, w0)
-            k2, u2 = field(y + 0.5 * h * k1, wm)
-            k3, u3 = field(y + 0.5 * h * k2, wm)
-            k4, u4 = field(y + h * k3, w1)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            staged = every_row
-            if hold is not None and hold.any():
-                y = np.where(hold[:, None, None], out[..., :2 * n], y)
-                taken += hold
-                staged = np.flatnonzero(~hold)
-        if lent is not None:
-            y = np.where(lent[:, None, None], block[k % m], y)
-        if not np.abs(y).max() <= limit:
-            ok = np.all(np.abs(y.reshape(rows, -1)) <= limit, axis=1)
-            where = "" if single else f"row {int(np.argmin(ok))}: "
-            raise NonFiniteState(f"{where}state left +-{limit:g} "
-                                 f"near t={ts[k + 1]:.6g} (step {k + 1})")
-        if hold is not True and k + 1 < full:
-            aff.observe(np.concatenate((u1, u2, u3, u4), axis=1), staged)
-        ys[k + 1] = y
-
-    ys = ys.reshape(steps + 1, rows, 2 * n)
+    ys = np.empty((rows, steps + 1, 1, 2 * n))
+    ys[:, 0, 0] = np.concatenate((x, z), axis=1)
+    limit = BLOWUP_LIMIT * max(1.0, float(np.abs(ys[:, 0]).max()))
     trajs = []
     for i, c in enumerate(ctrls):
-        xs, zs = ys[:, i, :n], ys[:, i, n:]
+        counts = _step_row(plant, c, ys[i], (ts, hs, forcing, full), dt,
+                           limit, w_const, "" if single else f"row {i}: ")
+        xs, zs = ys[i, :, 0, :n], ys[i, :, 0, n:]
         us = c.feedback(xs, zs)
-        row_affine = affine_steps + int(taken[i])
         trajs.append(Trajectory(ts, xs, zs, us,
-                                sector.eval_f(plant.pair, us),
-                                StepCounts(row_affine, steps - row_affine,
-                                           aff.built[i],
-                                           int(row_blocks[i]))))
-    if single:
-        return trajs[0]
-    return TrajectoryStack(trajs, StepCounts(affine_steps,
-                                             steps - affine_steps,
-                                             sum(aff.built), blocks))
+                                sector.eval_f(plant.pair, us), counts))
+    return trajs[0] if single else TrajectoryStack(trajs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,11 +528,17 @@ def lyapunov_parameters(plant: model.PlantModel,
     """Derive the storage-function weights for the decentralized loop.
 
     The admissible range for epsilon keeps a 2x2 comparison form negative
-    definite; epsilon is half the bound (or 1 when unbounded).
+    definite; epsilon is half the bound (or 1 when unbounded).  The
+    storage function needs a_i p_i > r_i for every agent, so a loop
+    without that margin raises CertificateFailure here, before any
+    trajectory is integrated for it.
     """
     if ctrl.variant != model.VARIANT_DECENTRALIZED:
         raise UnsupportedVariant("storage function covers the decentralized "
                                  "variant only")
+    if np.any(plant.a * ctrl.p / ctrl.r - 1.0 <= 0.0):
+        raise CertificateFailure("storage function needs a_i p_i > r_i "
+                                 "for every agent")
     pb = ctrl.p[:, None] * plant.b
     q = matrixlab.diagonal_lyapunov_scaling(pb)
     qpb = q[:, None] * pb
@@ -629,9 +579,6 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
     eps = params.epsilon
     q = params.q
     coeff_z = q * (plant.a * ctrl.p / ctrl.r - 1.0)
-    if np.any(coeff_z <= 0.0):
-        raise CertificateFailure("storage function needs a_i p_i > r_i "
-                                 "for every agent")
     pair_t = sector.shift_pair(plant.pair, eq.u0)
     z_t = -ctrl.r * (traj.z - eq.z0)
     u_t = traj.u - eq.u0

@@ -45,7 +45,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 10
+    assert report["schema_version"] == 11
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -187,10 +187,7 @@ def test_certify_near_one_bound_passes(tmp_path, s_scale):
 def test_certify_generated_network_near_one_bound_passes(tmp_path):
     # the third perfbench network drawn from seed 11, with s / 1e4
     # (bound 0.9999975): the Anderson pass spun 39 s on it and raised
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = _gen()
     rng = np.random.default_rng(11)
     for n, ratio in ((1, 4.0), (3, 36.0), (12, 20.0)):
         data = gen.random_network(rng, n, ratio, "seed11")
@@ -214,6 +211,86 @@ def test_certify_storage_probe_starts_far_from_zero(tmp_path):
     by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert np.max(np.abs(by_name["equilibrium_residual"]["z0"])) > 1e12
     assert by_name["storage_decrease"]["status"] == "pass"
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _scaled(data, load=1.0, s=1.0, a=1.0):
+    # outdoor deviation from the setpoint x load, anti-windup s x s and
+    # heat loss a x a
+    data = json.loads(json.dumps(data))
+    x_c = data["x_c_degc"]
+    data["t_ext"] = {"constant_degc": x_c + load * (
+        data["t_ext"]["constant_degc"] - x_c)}
+    data["controller"]["s_degc"] = [s * v
+                                    for v in data["controller"]["s_degc"]]
+    data["a_kw_per_degc"] = [a * v for v in data["a_kw_per_degc"]]
+    return data
+
+
+def _certify_checks(tmp_path, data):
+    cfg = tmp_path / "scaled.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    code = _run("certify", "--config", str(cfg), "--out", str(out))
+    return code, {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+
+
+def _n40_from_seed_11():
+    # the n = 40 network drawn after the n = 12 one from seed 11
+    gen = _gen()
+    rng = np.random.default_rng(11)
+    gen.random_network(rng, 12, 20.0, "seed11")
+    return gen.random_network(rng, 40, 4.0, "seed11")
+
+
+@pytest.mark.parametrize("base, s", [("textbook", 1.0), ("textbook", 1e-2),
+                                     ("n40", 1.0)])
+def test_certify_contraction_ratio_holds_at_large_load(tmp_path, base, s):
+    # load x 1e7 and a x 1e2 (|u0| = 6e6 on the textbook network): the
+    # load cancels in T(a) - T(b), but its rounding measured a ratio of
+    # 0.990000002668 against the bound 0.99, beyond the 1e-9 allowance
+    data = (json.loads(pathlib.Path(TEXTBOOK).read_text())
+            if base == "textbook" else _n40_from_seed_11())
+    code, by_name = _certify_checks(tmp_path,
+                                    _scaled(data, load=1e7, s=s, a=1e2))
+    ratio = by_name["contraction_ratio"]
+    assert ratio["status"] == "pass"
+    assert ratio["measured"] <= ratio["bound"] + 1e-9
+    assert code == 0
+    assert np.max(np.abs(by_name["equilibrium_residual"]["u0"])) > 1e6
+
+
+def test_certify_fails_storage_margin_before_the_probe(tmp_path,
+                                                       monkeypatch):
+    # a x 1e-2 breaks a_i p_i > r_i on the bundled network: the storage
+    # check fails on it without the probe's 239,521 RK4 steps
+    calls = _count_calls(monkeypatch, simulate, "integrate")
+    data = _scaled(json.loads(pathlib.Path(BENCHMARK).read_text()), a=1e-2)
+    code, by_name = _certify_checks(tmp_path, data)
+    storage = by_name["storage_decrease"]
+    assert code == 1 and storage["status"] == "fail"
+    assert "a_i p_i > r_i" in storage["detail"]
+    assert calls == []
+
+
+def test_certify_storage_names_merged_knots(tmp_path):
+    # s x 1e-8 and load x 1e7 put |u0| near 1.7e16, where shifting a
+    # coordinate's knots -1 and 1 by -u0 rounds both to one value; the
+    # shifted pair would read f~ = -2 where it is 0 and V start negative
+    data = _scaled(json.loads(pathlib.Path(BENCHMARK).read_text()),
+                   load=1e7, s=1e-8)
+    code, by_name = _certify_checks(tmp_path, data)
+    storage = by_name["storage_decrease"]
+    assert code == 1 and storage["status"] == "fail"
+    assert "merges" in storage["detail"]
+    assert "value_initial" not in storage
 
 
 def test_certify_reports_unit_scale_on_bundled_load(tmp_path):
@@ -342,7 +419,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 10
+    assert costs["schema_version"] == 11
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -541,7 +618,7 @@ def _assert_rk4_counters(diag, steps):
 
 def test_diagnostics_counters_repeat(tmp_path):
     # deterministic counters: two runs of each command report the same
-    # ones, and the stacked compare counts each evaluation once
+    # ones, and the stacked compare sums its rows' counts
     diags = {}
     for run in ("a", "b"):
         out = tmp_path / run
@@ -563,19 +640,18 @@ def test_diagnostics_counters_repeat(tmp_path):
             (out / "certify.json").read_text())["checks"]
             if c["name"] == "storage_decrease")
         diags[run].append({k: storage[k] for k in _RK4_COUNTERS})
-        assert all(json.loads(p.read_text())["schema_version"] == 10
+        assert all(json.loads(p.read_text())["schema_version"] == 11
                    for p in reports + (out / "certify.json",))
     assert diags["a"] == diags["b"]
     sim, cmp_, lp, probe = diags["a"]
     _assert_rk4_counters(sim, 800)
-    _assert_rk4_counters(cmp_, 800)
+    _assert_rk4_counters(cmp_, 3 * 800)
     # the constant load holds a pattern long enough to build its map,
-    # and then long enough to step it in blocks
+    # and then long enough that its scans double past their first 8 steps
     assert sim["affine_steps"] > 0 and sim["patterns"] > 0
-    assert 0 < sim["blocks"] and 32 * sim["blocks"] <= sim["affine_steps"]
-    # the stack stages a step whenever one of its rows does
-    assert cmp_["staged_steps"] >= sim["staged_steps"]
-    assert cmp_["patterns"] >= sim["patterns"]
+    assert 0 < sim["blocks"] and 8 * sim["blocks"] < sim["affine_steps"]
+    # the decentralized row of the stack is the simulate run
+    assert all(cmp_[k] >= sim[k] for k in _RK4_COUNTERS)
     assert set(lp) == {"pivots", "bound_flips", "bland_pivots"}
     assert lp["pivots"] > 0
     # the storage probe runs 10 / min(a) hours at the default step
@@ -587,7 +663,7 @@ def test_diagnostics_counters_repeat(tmp_path):
 
 
 def test_cold_snap_simulate_counts_sampled_blocks(tmp_path):
-    # the cold snap's sampled load steps in blocks while a pattern holds;
+    # the cold snap's sampled load steps in scans while a pattern holds;
     # its counters repeat across runs
     diags = []
     for run in ("a", "b"):
@@ -596,19 +672,20 @@ def test_cold_snap_simulate_counts_sampled_blocks(tmp_path):
                     str(CONFIGS / "benchmark_cold_snap.json"),
                     "--out", str(out)) == 0
         report = json.loads((out / "costs.json").read_text())
-        assert report["schema_version"] == 10
+        assert report["schema_version"] == 11
         diags.append(report["diagnostics"])
     assert diags[0] == diags[1]
     diag = diags[0]
     _assert_rk4_counters(diag, diag["rk4_steps"])
-    assert 0 < diag["blocks"] and 32 * diag["blocks"] <= diag["affine_steps"]
-    # pinned under the build and block rules
-    assert diag == dict(zip(_RK4_COUNTERS, (6720, 6675, 45, 12, 191, 180)))
+    assert 0 < diag["blocks"] and 8 * diag["blocks"] < diag["affine_steps"]
+    # pinned under the build and scan rules
+    assert diag == dict(zip(_RK4_COUNTERS, (6720, 6675, 45, 12, 80, 180)))
 
 
 def test_rk4_counters_are_pinned(tmp_path):
-    # the counters of the cold snap's stacked compare and of the bundled
-    # network's storage probe, under the build and block rules
+    # the counters of the cold snap's stacked compare (the sums of its
+    # three rows) and of the bundled network's storage probe, under the
+    # build and scan rules
     cold = str(CONFIGS / "benchmark_cold_snap.json")
     assert _run("compare", "--config", cold, "--controllers",
                 "decentralized", "coordinating", "static",
@@ -620,9 +697,27 @@ def test_rk4_counters_are_pinned(tmp_path):
         (tmp_path / "certify.json").read_text())["checks"]
         if c["name"] == "storage_decrease")
     assert cmp_["diagnostics"] == dict(zip(_RK4_COUNTERS,
-                                           (6720, 6637, 83, 22, 188, 332)))
+                                           (20160, 20067, 93, 22, 206, 372)))
     assert ({k: storage[k] for k in _RK4_COUNTERS}
-            == dict(zip(_RK4_COUNTERS, (2396, 2389, 7, 2, 73, 28))))
+            == dict(zip(_RK4_COUNTERS, (2396, 2389, 7, 2, 16, 28))))
+
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    # every in-process main shares one parser, and the commands still
+    # look up the module's _context when they run
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    context = cli._context
+
+    def spy(args):
+        seen.append(args.command)
+        return context(args)
+    monkeypatch.setattr(cli, "_context", spy)
+    assert _run("equilibrium", "--config", TEXTBOOK,
+                "--out", str(tmp_path / "eq.json")) == 0
+    assert _run("lp", "--config", TEXTBOOK,
+                "--out", str(tmp_path / "lp.json")) == 0
+    assert seen == ["equilibrium", "lp"]
 
 
 def test_lp_rejects_bad_gamma():
@@ -847,7 +942,8 @@ def test_compare_writes_to_run_out_dir(tmp_path, capsys):
     rows = oracles.read_comparison_csv(out / "comparison.csv")
     assert [r["controller"] for r in rows] == ["decentralized", "static"]
     report = json.loads((out / "comparison.json").read_text())
-    assert report["diagnostics"]["rk4_steps"] == 20
+    # two rows of 20 steps
+    assert report["diagnostics"]["rk4_steps"] == 40
     flag_out = tmp_path / "flag_out"
     assert _run(*argv, "--out", str(flag_out)) == 0
     assert capsys.readouterr().out == table

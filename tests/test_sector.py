@@ -116,6 +116,19 @@ def test_shift_matches_definition(rng):
     np.testing.assert_allclose(sector.eval_f(shifted, u), want, atol=1e-12)
 
 
+def test_shift_that_merges_knots_raises():
+    # at |x0| = 1.7e16 the knots -1 and 1 of saturation both round to
+    # -x0; a padded coordinate repeats its knot, which merges nothing
+    pair = sector.saturation_deadzone(2)
+    assert sector.shift_pair(pair, [1e15, -1e15]).knots.shape == (2, 2)
+    with pytest.raises(InvalidSectorPair, match="merges"):
+        sector.shift_pair(pair, [0.0, -1.7e16])
+    padded = sector.custom_pwl([
+        sector.PwlFunction([0.0], [0.0], 1.0, 1.0),
+        sector.PwlFunction([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 1.0, 1.0)])
+    assert sector.shift_pair(padded, [1e17, 0.0]).n == 2
+
+
 def test_scale_matches_definition(rng):
     pair = random_pwl_pair(rng, 2)
     d = rng.uniform(0.2, 5.0, 2)

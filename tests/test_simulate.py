@@ -174,7 +174,7 @@ def _cold_snap():
 
 def test_stack_matches_single_runs_on_cold_snap():
     # inputs first saturate near t = 81 h; the sampled load steps in
-    # blocks while a row's pattern holds
+    # scans while a row's pattern holds
     plant, ctrls, wsig = _cold_snap()
     n = plant.n
     stack = _assert_stack_matches_alone(plant, ctrls, wsig, np.zeros(n),
@@ -185,25 +185,27 @@ def test_stack_matches_single_runs_on_cold_snap():
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_stack_matches_single_runs_on_whole_cold_snap(flip, monkeypatch):
-    # the 336 h stack has spans that are blocks for some rows while the
-    # others step them one at a time: a block row must count those steps
-    # as affine and must not be observed, or its counts and maps part
-    # from its single run.  That matters when a block row's own one-step
-    # candidate fails, as rounding at a kink may make it; with ``flip``
-    # every one-step candidate fails, so only blocks and staged steps
-    # remain
+    # the rows of the 336 h stack run one after another over one forcing
+    # table, so each is its single run, counts included, and the stack
+    # counts their sums; with ``flip`` every scan fails at its last step,
+    # as rounding at a kink may make it, so each committed scan ends in a
+    # staged step
     if flip:
-        propose = simulate._AffineRows.propose
+        scan = simulate._PatternMaps.scan
 
-        def failing(self, y, w_flat):
-            out, good = propose(self, y, w_flat)
-            return out, np.zeros_like(good)
-        monkeypatch.setattr(simulate._AffineRows, "propose", failing)
+        def failing(self, y, w, limit):
+            states, held = scan(self, y, w, limit)
+            return states, min(held, len(w) - 1)
+        monkeypatch.setattr(simulate._PatternMaps, "scan", failing)
     plant, ctrls, wsig = _cold_snap()
     n = plant.n
     stack = _stack_of_single_runs(plant, ctrls, wsig, np.zeros(n),
                                   np.zeros(n), (0.0, 336.0), 0.05)
-    assert stack.counts.blocks < min(row.counts.blocks for row in stack)
+    assert stack.counts == simulate.StepCounts(
+        *map(sum, zip(*(row.counts for row in stack))))
+    assert stack.counts.affine + stack.counts.staged == 3 * 6720
+    if flip:
+        assert all(row.counts.staged >= row.counts.blocks for row in stack)
 
 
 def test_stack_matches_single_runs_on_sampled_load(rng):
@@ -240,13 +242,13 @@ def test_map_is_built_once_its_pattern_holds_n_over_5_steps(n, hold, rng):
     # gets no map, one held through exactly that many gets one; a step on
     # another pattern starts the count again
     plant, ctrl = random_instance(rng, n)
-    aff = simulate._AffineRows(plant, [ctrl], 0.05, np.zeros(n))
-    linear, saturated = np.zeros((1, 4, n)), np.full((1, 4, n), 5.0)
+    maps = simulate._PatternMaps(plant, ctrl, 0.05, np.zeros(n))
+    linear, saturated = np.zeros((4, n)), np.full((4, n), 5.0)
     for us in [linear] * (hold - 1) + [saturated] + [linear] * (hold - 1):
-        aff.observe(us, [0])
-    assert aff.built == [0] and not aff.live
-    aff.observe(linear, [0])
-    assert aff.built == [1] and list(aff.live) == [0]
+        maps.observe(us)
+    assert maps.built == 0 and maps.live is None
+    maps.observe(linear)
+    assert maps.built == 1 and maps.live is not None
 
 
 def _assert_loop_matches_oracle(plant, ctrl, w, x0, z0, t_span, dt):
@@ -292,8 +294,9 @@ def test_block_steps_match_loop_reference_on_bundled_network():
                              / "configs" / "benchmark_constant.json")
     plant, wsig = heating.to_standard_form(scn)
     traj = _probe_run(plant, scn.controller, wsig(0.0))
-    # n = 10 steps 32 at a time; nearly every full span is one block
-    assert traj.counts.blocks >= 0.9 * traj.counts.affine / 32
+    # at n = 10 scans double from 8 to 256 steps (six scans) on each of
+    # the two patterns, and then take 256 steps each
+    assert traj.counts.blocks <= 12 + traj.counts.affine / 256
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -325,41 +328,61 @@ def _saturating_loop():
             model.ControllerSpec("decentralized", [1.0], [0.5], [0.5]))
 
 
-def _assert_kink_falls_back(w, kink):
-    # the input leaves saturation at step ``kink``, inside the block span
-    # 32..63: that span steps one step at a time, the spans after it on
-    # the new pattern are blocks again, and the span 0..31 has no map
+def _scan_log(monkeypatch):
+    # (steps asked, steps held) of every scan, in order
+    log, scan = [], simulate._PatternMaps.scan
+
+    def logged(self, y, w, limit):
+        states, held = scan(self, y, w, limit)
+        log.append((len(w), held))
+        return states, held
+    monkeypatch.setattr(simulate._PatternMaps, "scan", logged)
+    return log
+
+
+def _assert_kink_falls_back(monkeypatch, w, kink):
+    # step 0 is staged and builds the saturated map; scans of 8 and 16
+    # steps hold, and the scan of 32 from step 25 holds up to the kink:
+    # the input leaves saturation at step ``kink``, so step kink - 1 is
+    # staged, and so is step kink, the first on the new pattern, which
+    # builds its map; the scans then start again at 8 and double, the
+    # last cut to the 160 full steps
+    log = _scan_log(monkeypatch)
     plant, ctrl = _saturating_loop()
     traj = _assert_loop_matches_oracle(plant, ctrl, w, [6.0], [0.0],
                                        (0.0, 8.0), 0.05)
     sat = np.abs(traj.u[:, 0]) > 1.0
     assert np.flatnonzero(~sat)[0] == kink and not np.any(sat[kink:])
-    assert traj.counts == simulate.StepCounts(157, 3, 2, 3)
+    assert log == [(8, 8), (16, 16), (32, kink - 26), (8, 8), (16, 16),
+                   (32, 32), (103 - kink, 103 - kink)]
+    assert traj.counts == simulate.StepCounts(157, 3, 2, 7)
 
 
-def test_block_across_a_kink_falls_back():
-    _assert_kink_falls_back([0.0], 41)
+def test_block_across_a_kink_falls_back(monkeypatch):
+    _assert_kink_falls_back(monkeypatch, [0.0], 41)
 
 
-def test_sampled_block_across_a_kink_falls_back():
+def test_sampled_block_across_a_kink_falls_back(monkeypatch):
     # a load ramping from 0 to 0.4 moves the kink to step 43
     _assert_kink_falls_back(
+        monkeypatch,
         model.DisturbanceSignal.sampled([0.0, 8.0], [[0.0], [0.4]]), 43)
 
 
-def test_blowup_inside_a_block_names_its_step():
+def test_blowup_inside_a_block_names_its_step(monkeypatch):
     # the identity keeps one piece, so its map is live from step 1 and
-    # the span 32..63 is tried as one block, under the constant load and
-    # under the sampled one alike; RK4 grows 1.8-fold a step at this dt,
-    # and the state leaves the limit at step 45 of that span, so the
-    # block fails its blow-up test and the span steps one at a time
+    # the scans take 8, 16 and then 32 steps from step 25, under the
+    # constant load and under the sampled one alike; RK4 grows 1.8-fold a
+    # step at this dt, and the state leaves the limit at step 45, so that
+    # scan holds its first 19 steps and the staged step 44 raises
+    log = _scan_log(monkeypatch)
     plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
     ctrl = model.ControllerSpec("decentralized", [50.0], [1.0], [0.5])
     args = ([1.0], [0.0], (0.0, 20.0), 0.063)
     _, x, z, _, _ = oracles.integrate_loop(
         plant, ctrl, model.DisturbanceSignal.constant([0.0]), *args)
     first = int(np.argmax(np.maximum(np.abs(x), np.abs(z))[:, 0] > 1e12))
-    assert 32 < first < 64
+    assert first == 45
     messages = []
     for w in ([0.0], model.DisturbanceSignal.sampled([0.0, 30.0],
                                                      [[0.0], [0.0]])):
@@ -369,20 +392,23 @@ def test_blowup_inside_a_block_names_its_step():
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
     assert messages[0].endswith(f"(step {first})")
+    assert log == [(8, 8), (16, 16), (32, 19)] * 2
 
 
 @pytest.mark.parametrize("full", [63, 64])
-def test_partial_last_step_after_blocks_is_staged(full):
-    # 64 full steps end with the block 32..63; after 63 full steps the
-    # 0.03 remainder is step 64, the last of that span, so the span is
-    # no block; either way the remainder is one staged step of h = 0.03
+def test_partial_last_step_after_blocks_is_staged(full, monkeypatch):
+    # the last scan, which the doubling asks to take 32 steps from step
+    # 49, is cut to end at the last full step, 63 or 64, and the 0.03
+    # remainder after it is one staged step of h = 0.03
+    log = _scan_log(monkeypatch)
     plant, ctrl = _saturating_loop()
     args = (plant, ctrl, [-3.0], [3.0], [0.0])
     whole = _assert_loop_matches_oracle(*args, (0.0, 0.05 * full), 0.05)
     partial = _assert_loop_matches_oracle(*args, (0.0, 0.05 * full + 0.03),
                                           0.05)
     assert whole.t.size == full + 1
-    assert whole.counts.blocks == (full == 64)
+    last = (full - 49, full - 49)
+    assert log == [(8, 6), (8, 8), (16, 6), (8, 8), (16, 16), last] * 2
     assert partial.counts == simulate.StepCounts(
         whole.counts.affine, whole.counts.staged + 1, whole.counts.patterns,
         whole.counts.blocks)
@@ -390,9 +416,8 @@ def test_partial_last_step_after_blocks_is_staged(full):
 
 def test_stack_rows_commit_blocks_at_their_own_indices(rng):
     # copies of one controller from six starts: each row builds its maps
-    # and commits its blocks when its own pattern holds, so the rows
-    # commit different numbers of blocks, and some spans are blocks for
-    # some rows while the others step them one at a time
+    # and commits its scans when its own pattern holds, so the rows
+    # commit different numbers of scans, and the stack counts their sum
     plant, ctrl = random_instance(rng, 3)
     w = random_disturbance(rng, 3)
     x0 = rng.uniform(-20.0, 20.0, (6, 3))
@@ -408,7 +433,36 @@ def test_stack_rows_commit_blocks_at_their_own_indices(rng):
         assert row.counts == alone.counts
     blocks = [row.counts.blocks for row in stack]
     assert len(set(blocks)) > 1
-    assert stack.counts.blocks < min(blocks)
+    assert stack.counts.blocks == sum(blocks)
+
+
+def test_held_pattern_takes_logarithmically_many_scans():
+    # the identity is one pattern: step 0 is staged and builds its map,
+    # and the scans double from 8 steps, so 8 (2^s - 1) steps take s
+    # scans, up to the 256-step cap at n = 2
+    plant, ctrl = _linear_loop()
+    for scans in (1, 3, 6):
+        steps = 1 + 8 * (2 ** scans - 1)
+        traj = _assert_loop_matches_oracle(plant, ctrl, [0.7, -0.4],
+                                           [1.0, -2.0], [0.5, 0.0],
+                                           (0.0, 0.01 * steps), 0.01)
+        assert traj.counts == simulate.StepCounts(steps - 1, 1, 1, scans)
+
+
+def test_scan_failing_at_its_first_step_backs_off(monkeypatch):
+    # a live map whose every scan fails at its first step is tried at
+    # steps 1, 2, 4, 8, .., not at every step, and the run stays staged
+    log = _scan_log(monkeypatch)
+    scan = simulate._PatternMaps.scan
+    monkeypatch.setattr(simulate._PatternMaps, "scan",
+                        lambda self, y, w, limit: (scan(self, y, w, limit)[0],
+                                                   0))
+    plant, ctrl = _linear_loop()
+    traj = _assert_loop_matches_oracle(plant, ctrl, [0.7, -0.4],
+                                       [1.0, -2.0], [0.5, 0.0], (0.0, 3.0),
+                                       0.01)
+    assert len(log) == 9    # steps 1, 2, 4, .., 256 of the 300
+    assert traj.counts == simulate.StepCounts(0, 300, 1, 0)
 
 
 def test_chattering_run_stays_staged():
@@ -437,8 +491,8 @@ def test_stack_rows_on_different_patterns(rng):
             for row in stack}
     assert len(ends) > 1
     assert all(row.counts.affine > 0 for row in stack)
-    assert stack.counts.patterns == sum(row.counts.patterns for row in stack)
-    assert stack.counts.staged >= max(row.counts.staged for row in stack)
+    assert stack.counts == simulate.StepCounts(
+        *map(sum, zip(*(row.counts for row in stack))))
 
 
 @pytest.mark.parametrize("kind", ["identity", "custom"])
