@@ -35,7 +35,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 RESIDUAL_TOL = 1e-10
 
 
@@ -53,7 +53,8 @@ def _plain(value):
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_plain,
+                      allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -299,7 +300,8 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
     return {"name": "storage_decrease",
             "status": "pass" if trace.passed else "fail",
             "epsilon": params.epsilon,
-            "epsilon_bound": params.epsilon_bound,
+            "epsilon_bound": (params.epsilon_bound if math.isfinite(
+                params.epsilon_bound) else None),     # null: unbounded
             "alpha": params.alpha,
             "beta_min": params.beta_min,
             "gain_norm": params.gain_norm,
@@ -308,6 +310,7 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
             "increase_steps": int(trace.increase_steps.size),
             "value_initial": float(trace.value[0]),
             "value_final": float(trace.value[-1]),
+            "vdot_max": float(trace.vdot_analytic.max()),
             **_rk4_diagnostics(traj)}
 
 

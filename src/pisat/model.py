@@ -22,11 +22,11 @@ the state arrays.
 
 ``vector_field`` is that body, bound once with the plant, the sector's
 f and the matrices of a sequence of C controllers resolved, as a
-function of the stacked state y = [x, z]; the integrator calls it at
-every stage.  The matrices are stacked as (C, n, n) arrays, and the
-state of row i is a (1, n) slice of a (C, 1, n) array.  The body
-transposes with ``.mT`` (the last two axes), so one controller is
-simply a stack of one.
+function of the stacked state y = [x, z]: the reference that the
+integrator's stages (``simulate._stage_kernel``) are tested against.
+The matrices are stacked as (C, n, n) arrays, and the state of row i
+is a (1, n) slice of a (C, 1, n) array.  The body transposes with
+``.mT`` (the last two axes), so one controller is a stack of one.
 """
 
 from __future__ import annotations
@@ -227,8 +227,7 @@ def vector_field(plant: PlantModel, ctrls):
     row i through controller i of the sequence ``ctrls``.  The plant,
     the stacked (C, n, n) matrices and the sector's f are bound once,
     and the field checks none of its inputs: it is meant for loops that
-    call it many times on arrays they built, such as
-    ``simulate.integrate``.
+    call it many times on arrays they built.
     """
     kx, kz, e, s_aw = (np.stack([getattr(c, name) for c in ctrls])
                        for name in ("kx", "kz", "e", "s_aw"))

@@ -24,15 +24,17 @@ they save does not.  The partial last step is always staged.  In exact
 arithmetic all ways are the same RK4 step, kinks included; in floating
 point they agree to rounding.
 
-A stack of closed loops (C controllers, each with its own start) shares
-the forcing table, the step grid and the blow-up test, and its rows run
-one after another, so a row is its single run by construction.  The
-vector field is bound once per row (``model.vector_field``), so a stage
-runs only its array operations, without input checks.  Costs are time
-averages computed with trapezoidal quadrature on the recorded grid.  The
-monitor evaluates a piecewise-quadratic storage function in closed form
-along a trajectory together with its analytic derivative, and flags any
-step where the stored value increases beyond tolerance.
+The maps, the staged steps and the dt bound share one description of the
+loop, y' = y M0 + f(u) B1 + [w, 0] with u = y L (``_loop``): a pattern's
+M is M0 + (L d) B1, the bound's is M0 + L B1, and a stage is two
+products, y [M0 | L] and f(u) B1.  A stack of closed loops (C
+controllers, each with its own start) shares the forcing table, the step
+grid and the blow-up test, and its rows run one after another, so a row
+is its single run by construction.  Costs are time averages computed
+with trapezoidal quadrature on the recorded grid.  The monitor evaluates
+a piecewise-quadratic storage function in closed form along a trajectory
+together with its analytic derivative, and flags any step where the
+stored value increases beyond tolerance.
 """
 
 from __future__ import annotations
@@ -95,8 +97,7 @@ class Trajectory:
 
 def stability_dt_bound(plant: model.PlantModel, ctrl: model.ControllerSpec) -> float:
     """Step-size bound from the linear-regime closed-loop spectrum."""
-    m, _ = _loop_matrix(plant, ctrl, np.ones(plant.n))
-    return _spectral_dt(m.tobytes(), m.shape[0])
+    return stable_dt(plant, ctrl, math.inf)
 
 
 @functools.lru_cache(maxsize=1)
@@ -117,7 +118,8 @@ def stable_dt(plant: model.PlantModel, ctrl: model.ControllerSpec,
     so a dt within their bound is returned without the eigenvalues,
     which cost O(n^3) (11 ms at n = 100).
     """
-    m, _ = _loop_matrix(plant, ctrl, np.ones(plant.n))
+    kmat, b1 = _loop(plant, ctrl)
+    m = kmat[:, :2 * plant.n] + kmat[:, 2 * plant.n:] @ b1   # at slope 1
     norm = min(np.abs(m).sum(axis=0).max(), np.abs(m).sum(axis=1).max())
     if dt * norm <= _RK4_STABILITY:
         return dt
@@ -161,26 +163,25 @@ def _forcing_rows(h, r, ra, ra2, ra3, rl, ral, ra2l):
             np.hstack(((h / 6.0) * r, zero, zero, zero, zero)))
 
 
-def _loop_matrix(plant: model.PlantModel, ctrl: model.ControllerSpec, d):
-    """M and L of the loop y' = y M + g, u = y L, while f has slopes d."""
+def _loop(plant: model.PlantModel, ctrl: model.ControllerSpec):
+    """K = [M0 | L], B1 of the loop y' = y M0 + f(u) B1 + [w, 0], u = y L:
+    M0 is M at slope 0; where f = c + d u, M = M0 + (L d) B1, g = c B1."""
     n = plant.n
     cols = np.arange(n)
     lmap = -np.vstack((ctrl.kx.T, ctrl.kz.T))
-    m = np.zeros((2 * n, 2 * n))
-    m[cols, cols] = -plant.a
-    m[:n, n:] = ctrl.e.T
-    m[:, :n] += (lmap * d) @ plant.b.T
-    m[:, n:] += (lmap * (1.0 - d)) @ ctrl.s_aw
-    return m, lmap
+    kmat = np.hstack((np.zeros((2 * n, 2 * n)), lmap))
+    kmat[cols, cols] = -plant.a
+    kmat[:n, n:2 * n] = ctrl.e.T
+    kmat[:, n:2 * n] += lmap @ ctrl.s_aw
+    return kmat, np.hstack((plant.b.T, -ctrl.s_aw))
 
 
-def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
-                 piece: np.ndarray, h: float, w_const):
+def _affine_step(loop, pair, piece: np.ndarray, h: float, w_const):
     """One RK4 step of size h while every input stays on ``piece``.
 
-    ``piece`` holds a row of the sector's piece table per input.  There
-    f(u) = c + d u, so the loop is the affine ODE
-    y' = y M + g + [w, 0] with u = y L, and the step is
+    ``loop`` is ``_loop``'s (K, B1), ``piece`` a row of the pair's
+    piece table per input.  There f(u) = c + d u, so the loop is the
+    affine ODE y' = y M + g + [w, 0] with u = y L, and the step is
     y P + b0 Q0 + bm Qm + b1 Q1 for b = g + [w, 0] at the three stage
     times, where A = h M and P = I + A + A^2/2 + A^3/6 + A^4/24, RK4's
     stability function.  The stage states, and so the stage inputs
@@ -190,11 +191,12 @@ def _affine_step(plant: model.PlantModel, ctrl: model.ControllerSpec,
     when lo <= u_j <= hi for all four stages.  A constant load vector
     ``w_const`` folds into g, so ``bias`` carries it and tw is None.
     """
-    n, pair = plant.n, plant.pair
-    cols = np.arange(n)
+    kmat, b1 = loop
+    n, cols = pair.n, np.arange(pair.n)
+    m0, lmap = kmat[:, :2 * n], kmat[:, 2 * n:]
     d, c = pair.slope[piece, cols], pair.icpt[piece, cols]
-    m, lmap = _loop_matrix(plant, ctrl, d)
-    g = np.concatenate((c @ plant.b.T, -c @ ctrl.s_aw))
+    m = m0 + (lmap * d) @ b1
+    g = c @ b1
     if w_const is not None:
         g[:n] += w_const
     eye = np.eye(2 * n)
@@ -252,8 +254,8 @@ class _PatternMaps:
     """
 
     def __init__(self, plant, ctrl, dt: float, w_const):
-        self.plant, self.ctrl, self.dt = plant, ctrl, dt
-        self.w_const = w_const
+        self.plant, self.dt, self.w_const = plant, dt, w_const
+        self.loop = _loop(plant, ctrl)
         self.hold = max(1, plant.n // 5)    # staged steps held before a build
         self.run = None, 0                  # (pattern, staged steps held)
         self.maps = {}
@@ -278,21 +280,21 @@ class _PatternMaps:
         f = bias if tw is None else w @ tw + bias
         a = np.empty((span, n2))
         a[:] = f[:, :n2]
-        a[:1] += y @ pows[0]
+        a[0] += y @ pows[0]
         d = 1
         for i in range((span - 1).bit_length()):
             if i == len(pows):
                 pows.append(pows[-1] @ pows[-1])
             a[d:] += a[:-d] @ pows[i]
             d <<= 1
-        u = np.concatenate((y, a[:-1])) @ mat[:, n2:]
+        u = np.concatenate((y[None], a[:-1])) @ mat[:, n2:]
         u += f[:, n2:]
         ok = (np.all((lo <= u) & (u <= hi), axis=1)
               & np.all(np.abs(a) <= limit, axis=1))
         return a, span if ok.all() else int(np.argmin(ok))
 
     def observe(self, us) -> None:
-        """Update after a staged step whose stage inputs were ``us``."""
+        """Update after a staged step with (4, n) stage inputs ``us``."""
         pieces = self.plant.pair.piece_of(us)
         key = (pieces[0].tobytes() if np.all(pieces == pieces[0])
                else None)
@@ -304,11 +306,28 @@ class _PatternMaps:
             if len(maps) == _MAPS_PER_ROW:
                 del maps[next(iter(maps))]
             mat, tw, bias, lo, hi = _affine_step(
-                self.plant, self.ctrl, pieces[0], self.dt, self.w_const)
+                self.loop, self.plant.pair, pieces[0], self.dt, self.w_const)
             maps[key] = (mat, tw, bias[None], lo, hi,
                          [mat[:, :2 * self.plant.n]])
             self.built += 1
         self.live = maps.get(key)
+
+
+def _stage_kernel(pair: sector.SectorPair, loop):
+    """A row's RK4 stage ``stage(y, w, j)``, dy = y M0 + f(u) B1 + [w, 0]
+    with u = y L in two products: y [M0 | L] fills row j of a (4, 3n)
+    buffer, whose u columns are the (4, n) stage inputs returned."""
+    kmat, b1 = loop
+    n, n2, f = pair.n, 2 * pair.n, sector.bind_f(pair)
+    buf = np.empty((4, 3 * n))
+
+    def stage(y, w, j):
+        yk = np.matmul(y, kmat, out=buf[j])
+        dy = yk[:n2] + f(yk[n2:]) @ b1
+        dy[:n] += w
+        return dy
+
+    return stage, buf[:, n2:]
 
 
 def _step_row(plant, ctrl, ys, grid, dt: float, limit: float, w_const,
@@ -318,8 +337,8 @@ def _step_row(plant, ctrl, ys, grid, dt: float, limit: float, w_const,
     ``where`` prefixes the message of a blow-up.
     """
     n = plant.n
-    field = model.vector_field(plant, [ctrl])
     maps = _PatternMaps(plant, ctrl, dt, w_const)
+    stage, us = _stage_kernel(plant.pair, maps.loop)
     ts, hs, forcing, full = grid
     steps = len(hs)
     w_flat = forcing.reshape(steps, 3 * n)
@@ -335,7 +354,7 @@ def _step_row(plant, ctrl, ys, grid, dt: float, limit: float, w_const,
             span = min(length, full - k)
             states, held = maps.scan(y, w_flat[k:k + span], limit)
             if held:
-                ys[k + 1:k + 1 + held, 0] = states[:held]
+                ys[k + 1:k + 1 + held] = states[:held]
                 k += held
                 y = ys[k]
                 affine += held
@@ -352,17 +371,16 @@ def _step_row(plant, ctrl, ys, grid, dt: float, limit: float, w_const,
         # the staged step, at a kink or without a live map
         h = float(hs[k])
         w0, wm, w1 = forcing[k]
-        yy = y[None]
-        k1, u1 = field(yy, w0)
-        k2, u2 = field(yy + 0.5 * h * k1, wm)
-        k3, u3 = field(yy + 0.5 * h * k2, wm)
-        k4, u4 = field(yy + h * k3, w1)
-        y = (yy + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[0]
+        k1 = stage(y, w0, 0)
+        k2 = stage(y + 0.5 * h * k1, wm, 1)
+        k3 = stage(y + 0.5 * h * k2, wm, 2)
+        k4 = stage(y + h * k3, w1, 3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.abs(y).max() <= limit:
             raise NonFiniteState(f"{where}state left +-{limit:g} near "
                                  f"t={ts[k + 1]:.6g} (step {k + 1})")
         if k + 1 < full:
-            maps.observe(np.concatenate((u1, u2, u3, u4), axis=1)[0])
+            maps.observe(us)
         k += 1
         ys[k] = y
     return StepCounts(affine, steps - affine, maps.built, scans)
@@ -391,9 +409,9 @@ def integrate(plant: model.PlantModel,
     map's P gives their L states in log2(L) products, and one more
     product gives all 4L stage inputs.  The row commits the steps before
     the first that fails, one whose stage input leaves its piece or
-    whose state fails the blow-up test, and takes that step staged: it
-    evaluates the vector field four times, so a kink is stepped as RK4
-    steps it and a blow-up raises at the step where it happens.  L
+    whose state fails the blow-up test, and takes that step staged: four
+    stages of two products each (``_stage_kernel``), so a kink is stepped
+    as RK4 steps it and a blow-up raises at the step where it happens.  L
     starts at 8 on a pattern, doubles after every scan that holds
     throughout, up to a cap that falls with n (256 up to n = 14, 32 at
     n = 40, 4 at n = 100), and starts at 8 again after a kink; a scan
@@ -456,14 +474,14 @@ def integrate(plant: model.PlantModel,
     forcing = wsig(np.stack([tk, tk + 0.5 * hs, tk + hs], axis=1))
     w_const = wsig(t0) if wsig.is_constant else None
 
-    ys = np.empty((rows, steps + 1, 1, 2 * n))
-    ys[:, 0, 0] = np.concatenate((x, z), axis=1)
+    ys = np.empty((rows, steps + 1, 2 * n))
+    ys[:, 0] = np.concatenate((x, z), axis=1)
     limit = BLOWUP_LIMIT * max(1.0, float(np.abs(ys[:, 0]).max()))
     trajs = []
     for i, c in enumerate(ctrls):
         counts = _step_row(plant, c, ys[i], (ts, hs, forcing, full), dt,
                            limit, w_const, "" if single else f"row {i}: ")
-        xs, zs = ys[i, :, 0, :n], ys[i, :, 0, n:]
+        xs, zs = ys[i, :, :n], ys[i, :, n:]
         us = c.feedback(xs, zs)
         trajs.append(Trajectory(ts, xs, zs, us,
                                 sector.eval_f(plant.pair, us), counts))

@@ -45,7 +45,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 11
+    assert report["schema_version"] == 12
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -293,6 +293,55 @@ def test_certify_storage_names_merged_knots(tmp_path):
     assert "value_initial" not in storage
 
 
+def test_certify_storage_rises_on_the_loop_at_a_times_100(tmp_path):
+    # a x 1e2 on the bundled network breaks p_i s_i < 1 (antiwindup
+    # margin -4 on every agent); V rises on probe steps 5 and 6, where
+    # the analytic dV/dt reaches +0.0148, so the loop itself raises V and
+    # rounding does not; at a x 1 dV/dt stays negative along the probe
+    bundled = json.loads(pathlib.Path(BENCHMARK).read_text())
+    code, by_name = _certify_checks(tmp_path, _scaled(bundled, a=1e2))
+    storage = by_name["storage_decrease"]
+    assert code == 1 and storage["status"] == "fail"
+    assert storage["increase_steps"] == 2
+    assert storage["vdot_max"] > 0.0
+    assert by_name["tuning_margins"]["status"] == "warn"
+    assert max(by_name["tuning_margins"]["antiwindup_margin"]) < 0.0
+    _, by_name = _certify_checks(tmp_path, bundled)
+    assert by_name["storage_decrease"]["vdot_max"] < 0.0
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_every_report_is_strict_json(tmp_path):
+    # Infinity and NaN are not JSON (RFC 8259), and jq and JSON.parse
+    # reject them; the textbook network's unbounded epsilon reads null
+    for cfg in ("benchmark_cold_snap", "benchmark_constant",
+                "run_cold_snap", "textbook_single"):
+        for command in ("certify", "equilibrium", "lp", "simulate",
+                        "compare"):
+            out = tmp_path / cfg / command
+            out.parent.mkdir(exist_ok=True)
+            argv = [command, "--config", str(CONFIGS / f"{cfg}.json")]
+            if command == "compare":
+                argv += ["--controllers", "decentralized", "static"]
+            if command not in ("simulate", "compare"):
+                out = out.with_suffix(".json")
+            assert _run(*argv, "--out", str(out)) in (cli.EXIT_PASS,
+                                                      cli.EXIT_WARN)
+    reports = sorted(tmp_path.rglob("*.json"))
+    assert len(reports) == 4 * 5
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    storage, = (c for c in json.loads(
+        (tmp_path / "textbook_single" / "certify.json").read_text())["checks"]
+        if c["name"] == "storage_decrease")
+    assert storage["epsilon_bound"] is None and storage["epsilon"] == 1.0
+    with pytest.raises(ValueError):
+        cli._emit({"bound": math.inf}, str(tmp_path / "inf.json"))
+
+
 def test_certify_reports_unit_scale_on_bundled_load(tmp_path):
     out = tmp_path / "report.json"
     assert _run("certify", "--config", TEXTBOOK, "--out", str(out)) == 0
@@ -419,7 +468,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 11
+    assert costs["schema_version"] == 12
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -640,7 +689,7 @@ def test_diagnostics_counters_repeat(tmp_path):
             (out / "certify.json").read_text())["checks"]
             if c["name"] == "storage_decrease")
         diags[run].append({k: storage[k] for k in _RK4_COUNTERS})
-        assert all(json.loads(p.read_text())["schema_version"] == 11
+        assert all(json.loads(p.read_text())["schema_version"] == 12
                    for p in reports + (out / "certify.json",))
     assert diags["a"] == diags["b"]
     sim, cmp_, lp, probe = diags["a"]
@@ -672,7 +721,7 @@ def test_cold_snap_simulate_counts_sampled_blocks(tmp_path):
                     str(CONFIGS / "benchmark_cold_snap.json"),
                     "--out", str(out)) == 0
         report = json.loads((out / "costs.json").read_text())
-        assert report["schema_version"] == 11
+        assert report["schema_version"] == 12
         diags.append(report["diagnostics"])
     assert diags[0] == diags[1]
     diag = diags[0]

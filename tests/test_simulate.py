@@ -495,6 +495,40 @@ def test_stack_rows_on_different_patterns(rng):
         *map(sum, zip(*(row.counts for row in stack))))
 
 
+# a stage's two products round otherwise than the branch formulas; the
+# largest difference measured on 1,800 random stages up to n = 40 was
+# 7.6e-16 of the largest |dy| (and of the largest |u|)
+STAGE_RTOL = 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", ["saturation", "custom"])
+def test_stage_kernel_matches_branch_reference(kind, rng):
+    saturated, dec = random_instance(rng, 6)
+    pair = (saturated.pair if kind == "saturation"
+            else random_pwl_pair(rng, 6))
+    plant = model.PlantModel(saturated.a, saturated.b, pair)
+    for ctrl in _three_controllers(plant, dec):
+        stage, us = simulate._stage_kernel(pair, simulate._loop(plant, ctrl))
+        x = rng.uniform(-5.0, 5.0, (4, 6))
+        z = rng.uniform(-5.0, 5.0, (4, 6)) if ctrl.is_pi else None
+        w = rng.uniform(-10.0, 10.0, (4, 6))
+        y = np.concatenate((x, np.zeros_like(x) if z is None else z), axis=1)
+        dy = np.array([stage(y[j], w[j], j) for j in range(4)])
+        dx, dz, u = oracles.closed_loop_derivative_branches(plant, ctrl, x,
+                                                            z, w)
+        if dz is None:
+            # exact +0.0, as the static row's z must stay
+            np.testing.assert_array_equal(dy[:, 6:], 0.0)
+            assert not np.any(np.signbit(dy[:, 6:]))
+            dz = dy[:, 6:]
+        want = np.concatenate((dx, dz), axis=1)
+        np.testing.assert_allclose(dy, want, rtol=0, atol=STAGE_RTOL
+                                   * np.abs(want).max())
+        np.testing.assert_allclose(us, u, rtol=0,
+                                   atol=STAGE_RTOL * np.abs(u).max())
+        assert np.any(np.abs(u) > 1.0) and np.any(np.abs(u) < 1.0)
+
+
 @pytest.mark.parametrize("kind", ["identity", "custom"])
 def test_affine_steps_on_identity_and_custom_pairs(kind, rng):
     saturated, dec = random_instance(rng, 3)
