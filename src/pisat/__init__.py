@@ -22,7 +22,7 @@ from .matrixlab import (column_dominance_scaling, diagonal_lyapunov_scaling,
 from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
                     VARIANT_STATIC, ControllerSpec, DisturbanceSignal,
                     PlantModel, TuningReport, check_tuning,
-                    default_static_gain, vector_field)
+                    default_static_gain)
 from .optimality import (AllocationSolution, OptimalityCertificate,
                          admissible_gamma, certify_equilibrium_optimality,
                          check_gamma_condition, solve_weighted_l1_lp)

@@ -1,5 +1,5 @@
-"""Plant and controller descriptions and the assembled closed-loop
-vector field.
+"""Plant and controller descriptions, disturbance signals and the
+tuning rules.
 
 The plant is a network of first-order agents with diagonal decay, an
 M-matrix input coupling, and an elementwise sector nonlinearity acting
@@ -16,17 +16,8 @@ Per-agent PI with local anti-windup is (diag(p), diag(r), I, diag(s));
 the same PI loops sharing one anti-windup signal replace S_aw by
 beta 11^T; static state feedback is (K, 0, 0, 0), so its integral
 state z stays at zero.  ``ControllerSpec`` builds these matrices from
-the variant and its gains, and checks both.  The vector field therefore
-has one body for every variant, and it broadcasts over leading axes of
-the state arrays.
-
-``vector_field`` is that body, bound once with the plant, the sector's
-f and the matrices of a sequence of C controllers resolved, as a
-function of the stacked state y = [x, z]: the reference that the
-integrator's stages (``simulate._stage_kernel``) are tested against.
-The matrices are stacked as (C, n, n) arrays, and the state of row i
-is a (1, n) slice of a (C, 1, n) array.  The body transposes with
-``.mT`` (the last two axes), so one controller is a stack of one.
+the variant and its gains, and checks both, so the closed loop has one
+form for every variant; ``simulate`` steps it.
 """
 
 from __future__ import annotations
@@ -216,37 +207,6 @@ class DisturbanceSignal:
         for j in range(self.n):
             out[:, j] = np.interp(tt, self._times, self._values[:, j])
         return out.reshape(t.shape + (self.n,))
-
-
-def vector_field(plant: PlantModel, ctrls):
-    """The closed-loop vector field of C controllers, stacked.
-
-    Returns ``field(y, w) -> (dy, u)``, the derivative and the input,
-    for float arrays y (last axis 2n, the state [x, z]) and w (last axis
-    n) that broadcast over leading axes; states shaped (C, 1, 2n) step
-    row i through controller i of the sequence ``ctrls``.  The plant,
-    the stacked (C, n, n) matrices and the sector's f are bound once,
-    and the field checks none of its inputs: it is meant for loops that
-    call it many times on arrays they built.
-    """
-    kx, kz, e, s_aw = (np.stack([getattr(c, name) for c in ctrls])
-                       for name in ("kx", "kz", "e", "s_aw"))
-    neg_a, bt, f = -plant.a, plant.b.T, sector.bind_f(plant.pair)
-    kxt, kzt, et = kx.mT, kz.mT, e.mT
-    n = plant.n
-
-    def field(y, w):
-        x, z = y[..., :n], y[..., n:]
-        # the law u as ControllerSpec.feedback has it
-        u = -(x @ kxt) - z @ kzt
-        fu = f(u)
-        # s_aw is symmetric for every variant, so this is h @ s_aw.mT; on
-        # the bundled cold snap this side rounds the coordinating costs
-        # exactly as beta * sum(h) does, the transposed view does not
-        dx = neg_a * x + fu @ bt + w
-        return np.concatenate((dx, x @ et + (u - fu) @ s_aw), axis=-1), u
-
-    return field
 
 
 @dataclass(frozen=True, eq=False)

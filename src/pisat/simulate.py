@@ -9,6 +9,8 @@ piece table (the identity is one piece), so while every input stays on
 one piece (a saturation pattern) the closed loop is the affine ODE
 y' = y M + g + [w, 0], and one RK4 step is the affine recurrence
 y_{k+1} = y_k P + f_k; M at slope 1 gives the dt warning its spectrum.
+The RK4 step is written once (``_rk4``): a staged step runs it on the
+state, and a pattern's map is the same step run on a basis.
 A pattern's map is built only after the pattern has held through
 max(1, n // 5) consecutive staged steps (a build costs O(n^3), a staged
 step O(n^2)).  While it is live the loop scans ahead: one product gives
@@ -17,7 +19,7 @@ P^4, .. gives their states (Blelloch, "Prefix sums and their
 applications", 1990), and one more product all their stage inputs.  The
 loop commits the steps before the first whose stage input leaves its
 piece or whose state fails the blow-up test, and takes that step staged,
-evaluating the vector field four times.  L doubles while the pattern
+evaluating the loop at its four stages.  L doubles while the pattern
 holds and starts short again after a kink, up to a cap that falls with
 n, since the scan's log2(L) products grow as n^2 while the loop overhead
 they save does not.  The partial last step is always staged.  In exact
@@ -26,8 +28,9 @@ point they agree to rounding.
 
 The maps, the staged steps and the dt bound share one description of the
 loop, y' = y M0 + f(u) B1 + [w, 0] with u = y L (``_loop``): a pattern's
-M is M0 + (L d) B1, the bound's is M0 + L B1, and a stage is two
-products, y [M0 | L] and f(u) B1.  A stack of closed loops (C
+M is M0 + (L d) B1 and the bound's M0 + L B1 (``_pattern_matrix``), a
+staged stage is two products, y [M0 | L] and f(u) B1, and a map's stage
+two, its basis times M and times L.  A stack of closed loops (C
 controllers, each with its own start) shares the forcing table, the step
 grid and the blow-up test, and its rows run one after another, so a row
 is its single run by construction.  Costs are time averages computed
@@ -118,8 +121,7 @@ def stable_dt(plant: model.PlantModel, ctrl: model.ControllerSpec,
     so a dt within their bound is returned without the eigenvalues,
     which cost O(n^3) (11 ms at n = 100).
     """
-    kmat, b1 = _loop(plant, ctrl)
-    m = kmat[:, :2 * plant.n] + kmat[:, 2 * plant.n:] @ b1   # at slope 1
+    m = _pattern_matrix(_loop(plant, ctrl), 1.0)
     norm = min(np.abs(m).sum(axis=0).max(), np.abs(m).sum(axis=1).max())
     if dt * norm <= _RK4_STABILITY:
         return dt
@@ -151,18 +153,6 @@ class TrajectoryStack(tuple):
         return StepCounts(*map(sum, zip(*(row.counts for row in self))))
 
 
-def _forcing_rows(h, r, ra, ra2, ra3, rl, ral, ra2l):
-    # what rows r of the forcing b contribute to [y_next | u1 | u2 | u3 |
-    # u4] when they enter at t_k, at t_k + h/2 and at t_k + h; ra is r A,
-    # rl is r L, ral is r A L and so on
-    zero = np.zeros_like(rl)
-    return (np.hstack((h * (r / 6.0 + ra / 6.0 + ra2 / 12.0 + ra3 / 24.0),
-                       zero, 0.5 * h * rl, 0.25 * h * ral, 0.25 * h * ra2l)),
-            np.hstack((h * (2.0 * r / 3.0 + ra / 3.0 + ra2 / 12.0), zero,
-                       zero, 0.5 * h * rl, 0.5 * h * ral + h * rl)),
-            np.hstack(((h / 6.0) * r, zero, zero, zero, zero)))
-
-
 def _loop(plant: model.PlantModel, ctrl: model.ControllerSpec):
     """K = [M0 | L], B1 of the loop y' = y M0 + f(u) B1 + [w, 0], u = y L:
     M0 is M at slope 0; where f = c + d u, M = M0 + (L d) B1, g = c B1."""
@@ -176,49 +166,87 @@ def _loop(plant: model.PlantModel, ctrl: model.ControllerSpec):
     return kmat, np.hstack((plant.b.T, -ctrl.s_aw))
 
 
+def _pattern_matrix(loop, d) -> np.ndarray:
+    """M = M0 + (L d) B1, the loop matrix where f has slope d."""
+    kmat, b1 = loop
+    n2 = b1.shape[1]
+    return kmat[:, :n2] + (kmat[:, n2:] * d) @ b1
+
+
+# stage j of an RK4 step from t_k takes the load at t_k, t_k + h/2,
+# t_k + h/2 and t_k + h: row _STAGE_LOAD[j] of the step's [w0, wm, w1]
+_STAGE_LOAD = (0, 1, 1, 2)
+
+
+def _rk4(y, h: float, deriv):
+    """One classic RK4 step of size h from y; ``deriv(y, j)`` is the
+    derivative at stage j = 0..3."""
+    # k1 + 2 k2 + 2 k3 + k4, summed in that order as the stages come, so
+    # that a map's build holds one stage's derivative at a time, not four
+    k = deriv(y, 0)
+    acc = k
+    k = deriv(y + 0.5 * h * k, 1)
+    acc = acc + 2.0 * k
+    k = deriv(y + 0.5 * h * k, 2)
+    acc += 2.0 * k
+    k = deriv(y + h * k, 3)
+    acc += k
+    return y + (h / 6.0) * acc
+
+
 def _affine_step(loop, pair, piece: np.ndarray, h: float, w_const):
     """One RK4 step of size h while every input stays on ``piece``.
 
     ``loop`` is ``_loop``'s (K, B1), ``piece`` a row of the pair's
     piece table per input.  There f(u) = c + d u, so the loop is the
-    affine ODE y' = y M + g + [w, 0] with u = y L, and the step is
-    y P + b0 Q0 + bm Qm + b1 Q1 for b = g + [w, 0] at the three stage
-    times, where A = h M and P = I + A + A^2/2 + A^3/6 + A^4/24, RK4's
-    stability function.  The stage states, and so the stage inputs
-    u_j = Y_j L, are affine in the same quantities.  Returns
-    (mat, tw, bias, lo, hi): ``y @ mat + [w0, wm, w1] @ tw + bias`` is
-    [y_next | u1 | u2 | u3 | u4], and the step is RK4's (up to rounding)
-    when lo <= u_j <= hi for all four stages.  A constant load vector
-    ``w_const`` folds into g, so ``bias`` carries it and tw is None.
+    affine ODE y' = y M + g + [w, 0] with u = y L, and the step and its
+    stage inputs are linear in (y, 1, w0, wm, w1).  The map is ``_rk4``
+    run once on a basis: rows 0..2n-1 are the state directions, row 2n
+    the constant, which carries g and a constant load ``w_const``, and
+    for a sampled load 3n more rows carry w0, wm and w1.  A stage takes
+    the basis's stage state times M (its derivative) and times L (its
+    input).  Returns (mat, tw, bias, lo, hi): ``y @ mat + [w0, wm, w1]
+    @ tw + bias`` is [y_next | u1 | u2 | u3 | u4], and the step is RK4's
+    (up to rounding) when lo <= u_j <= hi for all four stages; tw is
+    None for a constant load.
     """
     kmat, b1 = loop
     n, cols = pair.n, np.arange(pair.n)
-    m0, lmap = kmat[:, :2 * n], kmat[:, 2 * n:]
-    d, c = pair.slope[piece, cols], pair.icpt[piece, cols]
-    m = m0 + (lmap * d) @ b1
-    g = c @ b1
+    n2 = 2 * n
+    rows = n2 + 1 if w_const is not None else 5 * n + 1
+    m, lmap = _pattern_matrix(loop, pair.slope[piece, cols]), kmat[:, n2:]
+    g = pair.icpt[piece, cols] @ b1
     if w_const is not None:
         g[:n] += w_const
-    eye = np.eye(2 * n)
-    a = h * m
-    a2 = a @ a
-    p = eye + a + a2 @ (0.5 * eye + a / 6.0 + a2 / 24.0)
-    al = a @ lmap
-    a2l = a @ al
-    mat = np.hstack((p, lmap, lmap + 0.5 * al, lmap + 0.5 * al + 0.25 * a2l,
-                     lmap + al + 0.5 * a2l + 0.25 * (a @ a2l)))
-    ga = g @ a
-    ga2 = ga @ a
-    bias = sum(_forcing_rows(h, g, ga, ga2, ga2 @ a, g @ lmap, ga @ lmap,
-                             ga2 @ lmap))
-    tw = None if w_const is not None else np.vstack(_forcing_rows(
-        h, eye[:n], a[:n], a2[:n], a2[:n] @ a, lmap[:n], al[:n], a2l[:n]))
-    return (mat, tw, bias, np.tile(pair.lo[piece, cols], 4),
+    # per basis row: its part of [y_next | u1 | u2 | u3 | u4]
+    out = np.zeros((rows, 6 * n))
+
+    def deriv(yb, j):
+        u = out[:, (2 + j) * n:(3 + j) * n]
+        if j:
+            dy = yb @ m
+            np.matmul(yb, lmap, out=u)
+        else:
+            # stage 0 runs on the basis itself: M and L on the state rows
+            dy = np.zeros((rows, n2))
+            dy[:n2], u[:n2] = m, lmap
+        dy[n2] += g
+        if w_const is None:
+            dy[n2 + 1 + n * _STAGE_LOAD[j] + cols, cols] += 1.0
+        return dy
+
+    out[:, :n2] = _rk4(np.eye(rows, n2), h, deriv)
+    return (out[:n2], None if w_const is not None else out[n2 + 1:],
+            out[n2], np.tile(pair.lo[piece, cols], 4),
             np.tile(pair.hi[piece, cols], 4))
 
 
 # maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100, and
-# the powers of P its scans needed (P^2 alone at n = 100)
+# the powers of P its scans needed (P^2 alone at n = 100).  With one
+# slot no certify probe of the bundled configs or of gen.py's networks
+# built another map, but the cold snap's daily swing brings a row back
+# to its earlier patterns: its simulate built 17 maps for 12 (and staged
+# 50 steps for 45), its 3-controller compare 37 for 22 (108 for 93)
 _MAPS_PER_ROW = 3
 # a row's first scan on a pattern takes _SCAN_FIRST steps, and each scan
 # that holds throughout doubles the next, up to _scan_cap(n); a scan of L
@@ -369,13 +397,9 @@ def _step_row(plant, ctrl, ys, grid, dt: float, limit: float, w_const,
                 backoff = 2 * backoff or 1
                 idle = backoff - 1
         # the staged step, at a kink or without a live map
-        h = float(hs[k])
-        w0, wm, w1 = forcing[k]
-        k1 = stage(y, w0, 0)
-        k2 = stage(y + 0.5 * h * k1, wm, 1)
-        k3 = stage(y + 0.5 * h * k2, wm, 2)
-        k4 = stage(y + h * k3, w1, 3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = forcing[k]
+        y = _rk4(y, float(hs[k]),
+                 lambda v, j: stage(v, w[_STAGE_LOAD[j]], j))
         if not np.abs(y).max() <= limit:
             raise NonFiniteState(f"{where}state left +-{limit:g} near "
                                  f"t={ts[k + 1]:.6g} (step {k + 1})")
@@ -399,9 +423,10 @@ def integrate(plant: model.PlantModel,
     finite or exceeds ``BLOWUP_LIMIT`` times max(1, largest initial
     |state|) raises NonFiniteState: the test measures growth, not size.
 
-    Each step is classic RK4, taken one of two ways.  While every input
-    stays on one piece of the sector (its saturation pattern) the loop
-    is affine, and a step is one affine map (see ``_affine_step``).  A
+    Each step is classic RK4 (``_rk4``), taken one of two ways.  While
+    every input stays on one piece of the sector (its saturation
+    pattern) the loop is affine, and a step is one affine map, the RK4
+    step run once on a basis (see ``_affine_step``).  A
     pattern's map is built once the pattern has held through
     max(1, n // 5) consecutive staged steps.  While it is live the row
     scans ahead (see ``_PatternMaps.scan``): one product gives the

@@ -11,7 +11,9 @@ stacked sector tables.  ``simplex_loop`` with ``allocation_lp``,
 library's simplex, RK4 loop and fixed-point iteration, kept to pin the
 vectorized code to the same arithmetic, the accelerated iteration to
 the same fixed point and the bounded simplex to the same optimum as the
-two-phase epigraph solve it replaced.  The error-coordinate
+two-phase epigraph solve it replaced.  ``affine_rk4_closed_form`` is
+the hand expansion of one RK4 step on a saturation pattern that the
+library's maps replaced by RK4 run on a basis.  The error-coordinate
 helpers, the comparison CSV reader, ``eval_h``, ``control_input``,
 ``pair_components``, ``sector_audit``, the scenario writer
 ``save_scenario`` and ``DimensionTooLarge`` are test-only tools with no
@@ -511,6 +513,61 @@ def integrate_loop(plant, ctrl, wsig, x_init, z_init, t_span, dt):
     else:
         us = -ctrl.p * xs - ctrl.r * zs
     return np.array(ts), xs, zs, us, sector.eval_f(plant.pair, us)
+
+
+def affine_rk4_closed_form(plant, ctrl, piece, h, w_const):
+    """One RK4 step of the loop on one saturation pattern, expanded by hand.
+
+    On ``piece`` (a row of the pair's piece table per input) f(u) =
+    c + d u, so with y = [x, z] the loop is y' = y M + g + [w, 0] and
+    u = y L, where L = -[kx^T; kz^T], M = [[-diag(a), e^T], [0, 0]] +
+    L [diag(d) b^T | (I - diag(d)) s_aw^T] and g = [c b^T | -c s_aw^T].
+    With A = h M the step is y P, P = I + A + A^2/2 + A^3/6 + A^4/24,
+    plus a forcing b = g + [w, 0] that enters at t_k, t_k + h/2 and
+    t_k + h; the stage inputs u_j = Y_j L expand the same way.  Returns
+    (mat, tw, bias) in the layout of ``simulate._affine_step``: ``y @ mat
+    + [w0, wm, w1] @ tw + bias`` is [y_next | u1 | u2 | u3 | u4], and tw
+    is None when the constant load ``w_const`` is folded into g.
+    """
+    n, cols = plant.n, np.arange(plant.n)
+    d, c = plant.pair.slope[piece, cols], plant.pair.icpt[piece, cols]
+    lmap = -np.vstack((ctrl.kx.T, ctrl.kz.T))
+    m = np.zeros((2 * n, 2 * n))
+    m[cols, cols] = -plant.a
+    m[:n, n:] = ctrl.e.T
+    m += lmap @ np.hstack((d[:, None] * plant.b.T,
+                           (1.0 - d)[:, None] * ctrl.s_aw.T))
+    g = np.concatenate((c @ plant.b.T, -(c @ ctrl.s_aw.T)))
+    if w_const is not None:
+        g[:n] += w_const
+    eye = np.eye(2 * n)
+    a = h * m
+    a2 = a @ a
+    p = eye + a + a2 @ (0.5 * eye + a / 6.0 + a2 / 24.0)
+    al = a @ lmap
+    a2l = a @ al
+    mat = np.hstack((p, lmap, lmap + 0.5 * al, lmap + 0.5 * al + 0.25 * a2l,
+                     lmap + al + 0.5 * a2l + 0.25 * (a @ a2l)))
+
+    def forcing_rows(r, ra, ra2, ra3, rl, ral, ra2l):
+        # what rows r of the forcing contribute to [y_next | u1 | .. | u4]
+        # when they enter at t_k, at t_k + h/2 and at t_k + h; ra is r A,
+        # rl is r L, ral is r A L and so on
+        zero = np.zeros_like(rl)
+        return (np.hstack((h * (r / 6.0 + ra / 6.0 + ra2 / 12.0 + ra3 / 24.0),
+                           zero, 0.5 * h * rl, 0.25 * h * ral,
+                           0.25 * h * ra2l)),
+                np.hstack((h * (2.0 * r / 3.0 + ra / 3.0 + ra2 / 12.0), zero,
+                           zero, 0.5 * h * rl, 0.5 * h * ral + h * rl)),
+                np.hstack(((h / 6.0) * r, zero, zero, zero, zero)))
+
+    ga = g @ a
+    ga2 = ga @ a
+    bias = sum(forcing_rows(g, ga, ga2, ga2 @ a, g @ lmap, ga @ lmap,
+                            ga2 @ lmap))
+    tw = None if w_const is not None else np.vstack(forcing_rows(
+        eye[:n], a[:n], a2[:n], a2[:n] @ a, lmap[:n], al[:n], a2l[:n]))
+    return mat, tw, bias
 
 
 def transform_to_error_coords(plant, ctrl, eq, x, z):

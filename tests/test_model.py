@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from conftest import random_instance
-from pisat import equilibrium, model, sector
+from pisat import equilibrium, model, sector, simulate
 from pisat.errors import DimensionMismatch, NotMMatrix, UnsupportedVariant
 
 
@@ -60,56 +60,12 @@ def test_canonical_matrices_per_variant():
 
 
 def _derivative(plant, ctrl, x, z, w):
-    # (dx, dz, u) of one controller, shaped as x: the stacked field on a
-    # stack of one
-    shape = np.shape(x)
-    x, z, w = (np.atleast_2d(np.asarray(v, float)) for v in (x, z, w))
-    dy, u = model.vector_field(plant, [ctrl])(
-        np.concatenate((x, z), axis=-1)[None], w)
-    n = plant.n
-    return tuple(a.reshape(shape) for a in (dy[..., :n], dy[..., n:], u))
-
-
-def _assert_matches_branches(plant, ctrl, x, z, w, got):
-    dx, dz, u = got
-    rx, rz, ru = oracles.closed_loop_derivative_branches(
-        plant, ctrl, x, z if ctrl.is_pi else None, w)
-    np.testing.assert_array_equal(dx, rx)
-    np.testing.assert_array_equal(u, ru)
-    if ctrl.variant == model.VARIANT_COORDINATING:
-        np.testing.assert_allclose(dz, rz, rtol=1e-12)
-    elif ctrl.is_pi:
-        np.testing.assert_array_equal(dz, rz)
-    else:
-        assert rz is None
-        np.testing.assert_array_equal(dz, 0.0)
-
-
-def test_derivative_matches_branch_reference(rng):
-    plant, dec = random_instance(rng, 5)
-    coord = model.ControllerSpec("coordinating", dec.p, dec.r, dec.s)
-    stat = model.ControllerSpec(
-        "static", k_static=model.default_static_gain(plant))
-    x = rng.uniform(-5.0, 5.0, (7, 5))
-    z = rng.uniform(-5.0, 5.0, (7, 5))
-    w = rng.uniform(-10.0, 10.0, (7, 5))
-    ctrls = (dec, coord, stat)
-    for ctrl in ctrls:
-        zz = z if ctrl.is_pi else np.zeros_like(x)
-        _assert_matches_branches(
-            plant, ctrl, x, zz, w,
-            _derivative(plant, ctrl, x, zz, w))
-    # a stack on (C, 1, n) states: row i is controller i at sample i
-    field = model.vector_field(plant, ctrls)
-    zs = np.array([z[i] if c.is_pi else np.zeros(5)
-                   for i, c in enumerate(ctrls)])
-    c = len(ctrls)
-    dy, u = field(np.concatenate((x[:c], zs), axis=1)[:, None], w[:c, None])
-    dx, dz = dy[..., :5], dy[..., 5:]
-    assert dx.shape == dz.shape == u.shape == (c, 1, 5)
-    for i, ctrl in enumerate(ctrls):
-        _assert_matches_branches(plant, ctrl, x[i:i + 1], zs[i:i + 1],
-                                 w[i:i + 1], (dx[i], dz[i], u[i]))
+    # (dx, dz, u) of one controller from the integrator's stage kernel
+    stage, us = simulate._stage_kernel(plant.pair,
+                                       simulate._loop(plant, ctrl))
+    dy = stage(np.concatenate((x, z)).astype(float),
+               np.asarray(w, dtype=float), 0)
+    return dy[:plant.n], dy[plant.n:], us[0]
 
 
 def test_control_input_broadcast():

@@ -49,6 +49,34 @@ def test_fourth_order_on_smooth_problem():
     assert 12.0 < errs[0] / errs[1] < 20.0
 
 
+def test_rk4_step_and_its_stage_loads(monkeypatch):
+    # one step of y' = lam y is R(z) y with z = h lam, where R is RK4's
+    # stability function; the bound is 4 ulps of the sum of R's terms
+    for h in (0.1, 1.0):
+        for z in np.linspace(-2.7, 0.0, 28):
+            terms = np.array([1.0, z, z * z / 2.0, z ** 3 / 6.0,
+                              z ** 4 / 24.0])
+            got = simulate._rk4(np.array([1.0]), h,
+                                lambda y, j: (z / h) * y)
+            assert abs(got[0] - terms.sum()) <= (
+                4 * np.finfo(float).eps * np.abs(terms).sum())
+    # a staged step hands stages 0..3 the loads w0, wm, wm and w1
+    calls = []
+
+    def recording_kernel(pair, loop):
+        def stage(y, w, j):
+            calls.append((j, float(w[0])))
+            return np.zeros_like(y)
+        return stage, np.zeros((4, pair.n))
+
+    monkeypatch.setattr(simulate, "_stage_kernel", recording_kernel)
+    plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
+    ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
+    ramp = model.DisturbanceSignal.sampled([0.0, 2.0], [[0.0], [2.0]])
+    simulate.integrate(plant, ctrl, ramp, [1.0], [0.0], (1.0, 1.5), 0.5)
+    assert calls == [(0, 1.0), (1, 1.25), (2, 1.25), (3, 1.5)]
+
+
 def test_partial_final_step_lands_on_t_end():
     plant, ctrl = _linear_loop()
     traj = simulate.integrate(plant, ctrl, np.zeros(2), np.ones(2),
@@ -543,6 +571,41 @@ def test_affine_steps_on_identity_and_custom_pairs(kind, rng):
                                            z0 if ctrl.is_pi else None,
                                            (0.0, 4.0), 0.02)
         assert traj.counts.affine > 0 and traj.counts.patterns > 0
+
+
+# RK4 run on a basis and the hand expansion sum the same terms in other
+# orders; at the stability limit the largest difference measured on five
+# seeds was 3.1e-15 of an output's largest entry at n = 40 (4.5e-15 at
+# n = 100)
+MAP_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 40])
+@pytest.mark.parametrize("kind", ["saturation", "identity", "custom"])
+def test_affine_step_matches_closed_form(kind, n, rng):
+    saturated, dec = random_instance(rng, n)
+    pair = {"saturation": saturated.pair, "identity": sector.identity_zero(n),
+            "custom": random_pwl_pair(rng, n)}[kind]
+    plant = model.PlantModel(saturated.a, saturated.b, pair)
+    cols = np.arange(n)
+    for ctrl in _three_controllers(plant, dec):
+        loop = simulate._loop(plant, ctrl)
+        # a step at RK4's stability limit, so that every power of A shows
+        h = simulate.stability_dt_bound(plant, ctrl)
+        for w_const in (random_disturbance(rng, n), None):
+            piece = rng.integers(0, len(pair.slope), n)
+            mat, tw, bias, lo, hi = simulate._affine_step(loop, pair, piece,
+                                                          h, w_const)
+            want = oracles.affine_rk4_closed_form(plant, ctrl, piece, h,
+                                                  w_const)
+            assert (tw is None) == (w_const is not None)
+            for got, ref in zip((mat, tw, bias), want):
+                if ref is not None:
+                    assert got.shape == ref.shape
+                    np.testing.assert_allclose(
+                        got, ref, rtol=0, atol=MAP_RTOL * np.abs(ref).max())
+            np.testing.assert_array_equal(lo, np.tile(pair.lo[piece, cols], 4))
+            np.testing.assert_array_equal(hi, np.tile(pair.hi[piece, cols], 4))
 
 
 def test_identity_pair_steps_on_one_map():
