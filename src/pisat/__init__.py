@@ -30,8 +30,7 @@ from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f,
                      identity_zero, integral_from_zero, saturation_deadzone,
                      scale_pair, shift_pair)
 from .simulate import (CostReport, LyapunovParameters, LyapunovTrace,
-                       Trajectory, TrajectoryStack, evaluate_costs,
-                       integrate,
+                       Trajectory, evaluate_costs, integrate,
                        lyapunov_parameters, lyapunov_trace,
                        read_trajectory_csv, stability_dt_bound,
                        write_trajectory_csv)

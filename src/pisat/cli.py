@@ -28,8 +28,8 @@ import warnings
 import numpy as np
 
 from . import equilibrium, heating, matrixlab, model, optimality, simulate
-from .errors import (ConditionViolated, ConfigError, ParseError,
-                     PisatError, UnsupportedVariant)
+from .errors import (ConditionViolated, ConfigError, NonFiniteState,
+                     ParseError, PisatError, UnsupportedVariant)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -346,11 +346,11 @@ def _z_rest(ctrl, n):
     return np.zeros(n) if ctrl.is_pi else None
 
 
-def _rk4_diagnostics(traj) -> dict:
+def _rk4_diagnostics(*trajs) -> dict:
     # a staged step evaluates the vector field four times, an affine step
-    # not at all; a stack counts the steps of each of its rows; a block
-    # is one scan's committed affine steps
-    c = traj.counts
+    # not at all; a block is one scan's committed affine steps; several
+    # runs report the sums of their counts
+    c = simulate.StepCounts(*map(sum, zip(*(t.counts for t in trajs))))
     return {"rk4_steps": c.affine + c.staged, "affine_steps": c.affine,
             "staged_steps": c.staged, "patterns": c.patterns,
             "blocks": c.blocks, "derivative_evaluations": 4 * c.staged}
@@ -394,19 +394,20 @@ def cmd_compare(args) -> int:
     names = list(ctx.controllers)
     if len(names) < 2:
         raise ConfigError("compare needs at least two controllers")
-    # the plant and the load do not depend on the controller, so every
-    # controller is one row of a single stacked integration
+    # every controller runs the simulate command's integration, from rest
     plant = ctx.plant
-    ctrls = [_resolve_controller(ctx.scn, name, plant).controller
-             for name in names]
     n = plant.n
-    trajs = simulate.integrate(plant, ctrls, ctx.wsig,
-                               np.zeros((len(ctrls), n)),
-                               [_z_rest(c, n) for c in ctrls],
-                               (0.0, ctx.t_end), ctx.dt)
     l_diag = heating.default_cost_weights(ctx.scn)
-    rows = []
-    for name, traj in zip(names, trajs):
+    trajs, rows = [], []
+    for name in names:
+        ctrl = _resolve_controller(ctx.scn, name, plant).controller
+        try:
+            traj = simulate.integrate(plant, ctrl, ctx.wsig, np.zeros(n),
+                                      _z_rest(ctrl, n), (0.0, ctx.t_end),
+                                      ctx.dt)
+        except NonFiniteState as exc:
+            raise NonFiniteState(f"{name}: {exc}") from exc
+        trajs.append(traj)
         costs = simulate.evaluate_costs(traj, l_diag)
         rows.append({"controller": name, "j1": costs.j1, "jinf": costs.jinf,
                      "j2": costs.j2,
@@ -430,7 +431,7 @@ def cmd_compare(args) -> int:
                                      ("j1", "jinf", "j2", "final_max_abs_x")])
                          + "\n")
         report = _report("compare", ctx.scn, dt_h=ctx.dt, t_end_h=ctx.t_end,
-                         diagnostics=_rk4_diagnostics(trajs), rows=rows)
+                         diagnostics=_rk4_diagnostics(*trajs), rows=rows)
         _emit(report, os.path.join(out_dir, "comparison.json"))
     return EXIT_PASS
 

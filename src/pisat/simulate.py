@@ -30,12 +30,10 @@ The maps, the staged steps and the dt bound share one description of the
 loop, y' = y M0 + f(u) B1 + [w, 0] with u = y L (``_loop``): a pattern's
 M is M0 + (L d) B1 and the bound's M0 + L B1 (``_pattern_matrix``), a
 staged stage is two products, y [M0 | L] and f(u) B1, and a map's stage
-two, its basis times M and times L.  A stack of closed loops (C
-controllers, each with its own start) shares the forcing table, the step
-grid and the blow-up test, and its rows run one after another, so a row
-is its single run by construction.  Costs are time averages computed
-with trapezoidal quadrature on the recorded grid.  The monitor evaluates
-a piecewise-quadratic storage function in closed form along a trajectory
+two, its basis times M and times L.  One call integrates one closed
+loop from one start.  Costs are time averages computed with trapezoidal
+quadrature on the recorded grid.  The monitor evaluates a
+piecewise-quadratic storage function in closed form along a trajectory
 together with its analytic derivative, and flags any step where the
 stored value increases beyond tolerance.
 """
@@ -45,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,28 +126,21 @@ def stable_dt(plant: model.PlantModel, ctrl: model.ControllerSpec,
 
 
 def _as_signal(w, n: int) -> model.DisturbanceSignal:
-    if isinstance(w, model.DisturbanceSignal):
-        if w.n != n:
-            raise DimensionMismatch("disturbance width disagrees with plant")
-        return w
-    return model.DisturbanceSignal.constant(np.broadcast_to(
-        np.asarray(w, dtype=float), (n,)))
+    # a scalar load is the same on every agent
+    if not isinstance(w, model.DisturbanceSignal):
+        w = np.asarray(w, dtype=float)
+        w = model.DisturbanceSignal.constant(np.full(n, w) if w.ndim == 0
+                                             else w)
+    if w.n != n:
+        raise DimensionMismatch("disturbance width disagrees with plant")
+    return w
 
 
-class TrajectoryStack(tuple):
-    """One Trajectory per row of a stacked run; all rows share ``t``.
-
-    ``counts`` are the sums of the rows' counts: a stack of C rows over
-    k steps takes C k RK4 steps.
-    """
-
-    @property
-    def t(self) -> np.ndarray:
-        return self[0].t
-
-    @property
-    def counts(self) -> StepCounts:
-        return StepCounts(*map(sum, zip(*(row.counts for row in self))))
+def _start(v, n: int) -> np.ndarray:
+    v = np.array(v, dtype=float).reshape(-1)
+    if v.size != n:
+        raise DimensionMismatch("initial state width disagrees with plant")
+    return v
 
 
 def _loop(plant: model.PlantModel, ctrl: model.ControllerSpec):
@@ -241,14 +231,14 @@ def _affine_step(loop, pair, piece: np.ndarray, h: float, w_const):
             np.tile(pair.hi[piece, cols], 4))
 
 
-# maps kept per row; one is 2n x 6n doubles, about 1 MB at n = 100, and
+# maps kept per call; one is 2n x 6n doubles, about 1 MB at n = 100, and
 # the powers of P its scans needed (P^2 alone at n = 100).  With one
 # slot no certify probe of the bundled configs or of gen.py's networks
-# built another map, but the cold snap's daily swing brings a row back
+# built another map, but the cold snap's daily swing brings a loop back
 # to its earlier patterns: its simulate built 17 maps for 12 (and staged
 # 50 steps for 45), its 3-controller compare 37 for 22 (108 for 93)
-_MAPS_PER_ROW = 3
-# a row's first scan on a pattern takes _SCAN_FIRST steps, and each scan
+_MAPS_KEPT = 3
+# a call's first scan on a pattern takes _SCAN_FIRST steps, and each scan
 # that holds throughout doubles the next, up to _scan_cap(n); a scan of L
 # steps trades L turns of the loop for log2(L) products of its L states,
 # O(L n^2 log L) flops, so L n^2 stays within 51,200 (256 steps up to
@@ -269,14 +259,14 @@ def _scan_cap(n: int) -> int:
 
 
 class _PatternMaps:
-    """The saturation-pattern maps of one row.
+    """The saturation-pattern maps of one ``integrate`` call.
 
-    The row gets the map of pattern p once p has held (all four stage
+    The loop gets the map of pattern p once p has held (all four stage
     inputs on p) through max(1, n // 5) consecutive staged steps: a
     build costs O(n^3), a staged step O(n^2), and at n = 40 a build
-    takes about three staged steps.  The row keeps its last few maps, so
-    a pattern it returns to needs no new build; nothing outlives the
-    call.  ``live`` is the map of the row's current pattern, or None.
+    takes about three staged steps.  The last few maps are kept, so a
+    pattern the loop returns to needs no new build; nothing outlives
+    the call.  ``live`` is the map of the current pattern, or None.
     Each map carries the powers P, P^2, P^4, .. of its state map P that
     its scans have needed so far, built by squaring.
     """
@@ -331,7 +321,7 @@ class _PatternMaps:
         self.run = key, run
         maps = self.maps
         if key is not None and key not in maps and run >= self.hold:
-            if len(maps) == _MAPS_PER_ROW:
+            if len(maps) == _MAPS_KEPT:
                 del maps[next(iter(maps))]
             mat, tw, bias, lo, hi = _affine_step(
                 self.loop, self.plant.pair, pieces[0], self.dt, self.w_const)
@@ -342,7 +332,7 @@ class _PatternMaps:
 
 
 def _stage_kernel(pair: sector.SectorPair, loop):
-    """A row's RK4 stage ``stage(y, w, j)``, dy = y M0 + f(u) B1 + [w, 0]
+    """The loop's RK4 stage ``stage(y, w, j)``, dy = y M0 + f(u) B1 + [w, 0]
     with u = y L in two products: y [M0 | L] fills row j of a (4, 3n)
     buffer, whose u columns are the (4, n) stage inputs returned."""
     kmat, b1 = loop
@@ -358,18 +348,82 @@ def _stage_kernel(pair: sector.SectorPair, loop):
     return stage, buf[:, n2:]
 
 
-def _step_row(plant, ctrl, ys, grid, dt: float, limit: float, w_const,
-              where: str) -> StepCounts:
-    """Step one row over ``grid`` into ``ys``; see ``integrate``.
+def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
+              z_init, t_span: tuple[float, float], dt: float) -> Trajectory:
+    """Integrate the closed loop over ``t_span`` with fixed step ``dt``.
 
-    ``where`` prefixes the message of a blow-up.
+    ``w`` may be a DisturbanceSignal, a constant vector or a scalar, the
+    same on every agent.  ``z_init`` must be None for static feedback,
+    whose integral state is then held at zero.  Every step is recorded.
+    A rough spectral pre-check warns when dt looks too coarse for the
+    linear regime; a state that is not finite or exceeds
+    ``BLOWUP_LIMIT`` times max(1, largest initial |state|) raises
+    NonFiniteState: the test measures growth, not size.
+
+    Each step is classic RK4 (``_rk4``), taken one of two ways.  While
+    every input stays on one piece of the sector (its saturation
+    pattern) the loop is affine, and a step is one affine map, the RK4
+    step run once on a basis (see ``_affine_step``).  A
+    pattern's map is built once the pattern has held through
+    max(1, n // 5) consecutive staged steps.  While it is live the loop
+    scans ahead (see ``_PatternMaps.scan``): one product gives the
+    forcing of the next L steps, a prefix scan with the powers of the
+    map's P gives their L states in log2(L) products, and one more
+    product gives all 4L stage inputs.  The loop commits the steps before
+    the first that fails, one whose stage input leaves its piece or
+    whose state fails the blow-up test, and takes that step staged: four
+    stages of two products each (``_stage_kernel``), so a kink is stepped
+    as RK4 steps it and a blow-up raises at the step where it happens.  L
+    starts at 8 on a pattern, doubles after every scan that holds
+    throughout, up to a cap that falls with n (256 up to n = 14, 32 at
+    n = 40, 4 at n = 100), and starts at 8 again after a kink; a scan
+    that fails at its first step makes the loop stage 1, 2, 4, .. steps
+    before it scans again.  The partial last step (``h`` below ``dt``)
+    is always staged.  The two ways agree up to rounding, kinks
+    included.  The load may be constant or sampled.  The returned
+    ``counts`` say how many steps took each way, how many maps were
+    built and how many scans committed steps.
     """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (t1 > t0 and dt > 0.0):
+        raise ValueError("need t1 > t0 and dt > 0")
     n = plant.n
-    maps = _PatternMaps(plant, ctrl, dt, w_const)
-    stage, us = _stage_kernel(plant.pair, maps.loop)
-    ts, hs, forcing, full = grid
-    steps = len(hs)
+    wsig = _as_signal(w, n)
+    if ctrl.n != n:
+        raise DimensionMismatch("controller width disagrees with plant")
+    if ctrl.is_pi and z_init is None:
+        raise DimensionMismatch("PI variants require an initial integral "
+                                "state")
+    if not ctrl.is_pi and z_init is not None:
+        raise DimensionMismatch("static feedback carries no integral state")
+    bound = stable_dt(plant, ctrl, dt)
+    if bound < dt:
+        warnings.warn(f"dt={dt:g} exceeds the linear-regime stability "
+                      f"estimate {bound:.3g}; expect inaccuracy or blow-up",
+                      stacklevel=2)
+
+    horizon = t1 - t0
+    full = int(math.floor(horizon / dt + 1e-9))
+    rem = horizon - full * dt
+    # a span below one step is that step, however short
+    has_partial = rem > 1e-12 * max(dt, 1.0) or full == 0
+    steps = full + (1 if has_partial else 0)
+
+    ts = t0 + np.arange(steps + 1) * dt
+    ts[full + 1:] = t1
+    # the disturbance at the stage times t_k, t_k + h/2 and t_k + h
+    hs = np.where(np.arange(steps) < full, dt, rem)
+    tk = ts[:steps]
+    forcing = wsig(np.stack([tk, tk + 0.5 * hs, tk + hs], axis=1))
     w_flat = forcing.reshape(steps, 3 * n)
+    maps = _PatternMaps(plant, ctrl, dt,
+                        wsig(t0) if wsig.is_constant else None)
+    stage, us = _stage_kernel(plant.pair, maps.loop)
+
+    ys = np.empty((steps + 1, 2 * n))
+    ys[0, :n] = _start(x_init, n)
+    ys[0, n:] = 0.0 if z_init is None else _start(z_init, n)
+    limit = BLOWUP_LIMIT * max(1.0, float(np.abs(ys[0]).max()))
     cap = _scan_cap(n)
     first = length = min(_SCAN_FIRST, cap)
     affine = scans = idle = backoff = 0
@@ -401,116 +455,16 @@ def _step_row(plant, ctrl, ys, grid, dt: float, limit: float, w_const,
         y = _rk4(y, float(hs[k]),
                  lambda v, j: stage(v, w[_STAGE_LOAD[j]], j))
         if not np.abs(y).max() <= limit:
-            raise NonFiniteState(f"{where}state left +-{limit:g} near "
+            raise NonFiniteState(f"state left +-{limit:g} near "
                                  f"t={ts[k + 1]:.6g} (step {k + 1})")
         if k + 1 < full:
             maps.observe(us)
         k += 1
         ys[k] = y
-    return StepCounts(affine, steps - affine, maps.built, scans)
-
-
-def integrate(plant: model.PlantModel,
-              ctrl: model.ControllerSpec | Sequence[model.ControllerSpec],
-              w, x_init, z_init, t_span: tuple[float, float], dt: float
-              ) -> Trajectory | TrajectoryStack:
-    """Integrate the closed loop over ``t_span`` with fixed step ``dt``.
-
-    ``w`` may be a DisturbanceSignal or a constant vector.  ``z_init``
-    must be None for static feedback, whose integral state is then held
-    at zero.  Every step is recorded.  A rough spectral pre-check warns
-    when dt looks too coarse for the linear regime; a state that is not
-    finite or exceeds ``BLOWUP_LIMIT`` times max(1, largest initial
-    |state|) raises NonFiniteState: the test measures growth, not size.
-
-    Each step is classic RK4 (``_rk4``), taken one of two ways.  While
-    every input stays on one piece of the sector (its saturation
-    pattern) the loop is affine, and a step is one affine map, the RK4
-    step run once on a basis (see ``_affine_step``).  A
-    pattern's map is built once the pattern has held through
-    max(1, n // 5) consecutive staged steps.  While it is live the row
-    scans ahead (see ``_PatternMaps.scan``): one product gives the
-    forcing of the next L steps, a prefix scan with the powers of the
-    map's P gives their L states in log2(L) products, and one more
-    product gives all 4L stage inputs.  The row commits the steps before
-    the first that fails, one whose stage input leaves its piece or
-    whose state fails the blow-up test, and takes that step staged: four
-    stages of two products each (``_stage_kernel``), so a kink is stepped
-    as RK4 steps it and a blow-up raises at the step where it happens.  L
-    starts at 8 on a pattern, doubles after every scan that holds
-    throughout, up to a cap that falls with n (256 up to n = 14, 32 at
-    n = 40, 4 at n = 100), and starts at 8 again after a kink; a scan
-    that fails at its first step makes the row stage 1, 2, 4, .. steps
-    before it scans again.  The partial last step (``h`` below ``dt``)
-    is always staged.  The two ways agree up to rounding, kinks
-    included.  The load may be constant or sampled.  The returned
-    ``counts`` say how many steps took each way, how many maps were
-    built and how many scans committed steps.
-
-    ``ctrl`` may instead be a sequence of C controllers, one per row of
-    a stack of closed loops: ``x_init`` is then (C, n) and ``z_init``
-    holds one entry per row (None for a static row).  The rows share
-    the forcing table, the step grid and the blow-up test, and run one
-    after another, so each row is its single run by construction.  The
-    call returns a TrajectoryStack whose counts sum the rows' counts.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (t1 > t0 and dt > 0.0):
-        raise ValueError("need t1 > t0 and dt > 0")
-    wsig = _as_signal(w, plant.n)
-    n = plant.n
-    single = isinstance(ctrl, model.ControllerSpec)
-    ctrls = [ctrl] if single else list(ctrl)
-    z_rows = [z_init] if single else list(z_init)
-    if not ctrls or len(z_rows) != len(ctrls):
-        raise DimensionMismatch("need one integral-state entry per "
-                                "controller")
-    for c, zi in zip(ctrls, z_rows):
-        if c.n != n:
-            raise DimensionMismatch("controller width disagrees with plant")
-        if c.is_pi and zi is None:
-            raise DimensionMismatch("PI variants require an initial "
-                                    "integral state")
-        if not c.is_pi and zi is not None:
-            raise DimensionMismatch("static feedback carries no integral "
-                                    "state")
-        bound = stable_dt(plant, c, dt)
-        if bound < dt:
-            warnings.warn(f"dt={dt:g} exceeds the linear-regime "
-                          f"stability estimate {bound:.3g}; expect "
-                          f"inaccuracy or blow-up", stacklevel=2)
-    rows = len(ctrls)
-    x = np.array(x_init, dtype=float).reshape(rows, n)
-    z = np.array([np.zeros(n) if zi is None
-                  else np.array(zi, dtype=float).reshape(n) for zi in z_rows])
-
-    span = t1 - t0
-    full = int(math.floor(span / dt + 1e-9))
-    rem = span - full * dt
-    # a span below one step is that step, however short
-    has_partial = rem > 1e-12 * max(dt, 1.0) or full == 0
-    steps = full + (1 if has_partial else 0)
-
-    ts = t0 + np.arange(steps + 1) * dt
-    ts[full + 1:] = t1
-    # the disturbance at the stage times t_k, t_k + h/2 and t_k + h
-    hs = np.where(np.arange(steps) < full, dt, rem)
-    tk = ts[:steps]
-    forcing = wsig(np.stack([tk, tk + 0.5 * hs, tk + hs], axis=1))
-    w_const = wsig(t0) if wsig.is_constant else None
-
-    ys = np.empty((rows, steps + 1, 2 * n))
-    ys[:, 0] = np.concatenate((x, z), axis=1)
-    limit = BLOWUP_LIMIT * max(1.0, float(np.abs(ys[:, 0]).max()))
-    trajs = []
-    for i, c in enumerate(ctrls):
-        counts = _step_row(plant, c, ys[i], (ts, hs, forcing, full), dt,
-                           limit, w_const, "" if single else f"row {i}: ")
-        xs, zs = ys[i, :, :n], ys[i, :, n:]
-        us = c.feedback(xs, zs)
-        trajs.append(Trajectory(ts, xs, zs, us,
-                                sector.eval_f(plant.pair, us), counts))
-    return trajs[0] if single else TrajectoryStack(trajs)
+    xs, zs = ys[:, :n], ys[:, n:]
+    u = ctrl.feedback(xs, zs)
+    return Trajectory(ts, xs, zs, u, sector.eval_f(plant.pair, u),
+                      StepCounts(affine, steps - affine, maps.built, scans))
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,16 +91,11 @@ def test_criterion_3_global_stability(batch):
         params = simulate.lyapunov_parameters(plant, ctrl)
         horizon = 50.0 / float(np.min(plant.a))
         dt = min(0.05, 0.4 * simulate.stability_dt_bound(plant, ctrl))
-        inits = []
         for _ in range(20):
             init = rng.standard_normal(2 * n)
             init *= rng.uniform(0.0, 100.0) / np.linalg.norm(init)
-            inits.append(init)
-        inits = np.array(inits)
-        # the 20 starts are one stack of 20 copies of the controller
-        trajs = simulate.integrate(plant, [ctrl] * 20, w, inits[:, :n],
-                                   inits[:, n:], (0.0, horizon), dt)
-        for traj in trajs:
+            traj = simulate.integrate(plant, ctrl, w, init[:n], init[n:],
+                                      (0.0, horizon), dt)
             err = max(float(np.max(np.abs(traj.x[-1] - eq.x0))),
                       float(np.max(np.abs(traj.z[-1] - eq.z0))))
             worst_final = max(worst_final, err)

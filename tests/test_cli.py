@@ -553,6 +553,42 @@ def test_simulate_blowup_fails(tmp_path, capsys):
     assert "NonFiniteState" in capsys.readouterr().err
 
 
+def test_compare_blowup_names_the_controller(capsys):
+    # static runs through at dt = 10 h; decentralized, run after it,
+    # blows up, and the message says which controller did
+    code = _run("compare", "--config",
+                str(CONFIGS / "benchmark_cold_snap.json"), "--controllers",
+                "static", "decentralized", "--dt", "10")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "pisat: NonFiniteState: decentralized: state left +-1e+12 near "
+        "t=140 (step 14)"]
+
+
+def test_compare_is_simulate_per_controller(tmp_path):
+    # each row of comparison.csv holds the text of that controller's
+    # simulate costs, and comparison.json's counters are their sums
+    cold = str(CONFIGS / "benchmark_cold_snap.json")
+    names = ("decentralized", "coordinating", "static")
+    assert _run("compare", "--config", cold, "--controllers", *names,
+                "--out", str(tmp_path / "cmp")) == 0
+    lines = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
+    sims = []
+    for name, line in zip(names, lines[1:], strict=True):
+        out = tmp_path / name
+        assert _run("simulate", "--config", cold, "--controller", name,
+                    "--out", str(out)) == 0
+        sims.append(json.loads((out / "costs.json").read_text()))
+        costs = sims[-1]["costs"]
+        assert line.split(",") == [name] + [
+            repr(v) for v in (costs["j1"], costs["jinf"], costs["j2"],
+                              sims[-1]["final_max_abs_x"])]
+    diag = json.loads((tmp_path / "cmp" / "comparison.json").read_text())[
+        "diagnostics"]
+    assert diag == {k: sum(sim["diagnostics"][k] for sim in sims)
+                    for k in _RK4_COUNTERS}
+
+
 def test_compare_table_and_files(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = _run("compare", "--config", BENCHMARK, "--controllers",
@@ -667,7 +703,7 @@ def _assert_rk4_counters(diag, steps):
 
 def test_diagnostics_counters_repeat(tmp_path):
     # deterministic counters: two runs of each command report the same
-    # ones, and the stacked compare sums its rows' counts
+    # ones
     diags = {}
     for run in ("a", "b"):
         out = tmp_path / run
@@ -699,8 +735,6 @@ def test_diagnostics_counters_repeat(tmp_path):
     # and then long enough that its scans double past their first 8 steps
     assert sim["affine_steps"] > 0 and sim["patterns"] > 0
     assert 0 < sim["blocks"] and 8 * sim["blocks"] < sim["affine_steps"]
-    # the decentralized row of the stack is the simulate run
-    assert all(cmp_[k] >= sim[k] for k in _RK4_COUNTERS)
     assert set(lp) == {"pivots", "bound_flips", "bland_pivots"}
     assert lp["pivots"] > 0
     # the storage probe runs 10 / min(a) hours at the default step
@@ -732,9 +766,9 @@ def test_cold_snap_simulate_counts_sampled_blocks(tmp_path):
 
 
 def test_rk4_counters_are_pinned(tmp_path):
-    # the counters of the cold snap's stacked compare (the sums of its
-    # three rows) and of the bundled network's storage probe, under the
-    # build and scan rules
+    # the counters of the cold snap's compare (the sums of its three
+    # controllers' runs) and of the bundled network's storage probe, under
+    # the build and scan rules
     cold = str(CONFIGS / "benchmark_cold_snap.json")
     assert _run("compare", "--config", cold, "--controllers",
                 "decentralized", "coordinating", "static",

@@ -153,37 +153,26 @@ def test_trajectories_match_loop_reference(rng):
             assert np.any(traj.x < 0.0)
 
 
-def _stack_of_single_runs(plant, ctrls, wsig, x0, z0, t_span, dt):
-    # the stack from one start, each row bit for bit its single run
-    z_rows = [z0 if c.is_pi else None for c in ctrls]
-    stack = simulate.integrate(plant, ctrls, wsig,
-                               np.tile(x0, (len(ctrls), 1)), z_rows, t_span,
-                               dt)
-    assert isinstance(stack, simulate.TrajectoryStack)
-    assert len(stack) == len(ctrls)
-    for ctrl, z_init, row in zip(ctrls, z_rows, stack):
-        alone = simulate.integrate(plant, ctrl, wsig, x0, z_init, t_span, dt)
-        for name in ("t", "x", "z", "u", "v"):
-            np.testing.assert_array_equal(getattr(row, name),
-                                          getattr(alone, name))
-        assert row.counts == alone.counts
-    return stack
+def _runs_from_one_start(plant, ctrls, wsig, x0, z0, t_span, dt):
+    # one run per controller from one start (static ones without z0)
+    return [simulate.integrate(plant, c, wsig, x0, z0 if c.is_pi else None,
+                               t_span, dt) for c in ctrls]
 
 
-def _assert_stack_matches_alone(plant, ctrls, wsig, x0, z0, t_span, dt):
-    stack = _stack_of_single_runs(plant, ctrls, wsig, x0, z0, t_span, dt)
-    for ctrl, row in zip(ctrls, stack):
+def _assert_runs_match_oracle(plant, ctrls, wsig, x0, z0, t_span, dt):
+    runs = _runs_from_one_start(plant, ctrls, wsig, x0, z0, t_span, dt)
+    for ctrl, run in zip(ctrls, runs):
         z_init = z0 if ctrl.is_pi else None
         t, x, z, u, v = oracles.integrate_loop(plant, ctrl, wsig, x0,
                                                z_init, t_span, dt)
-        np.testing.assert_array_equal(row.t, t)
-        _assert_near_oracle((row.x, row.u, row.v), (x, u, v))
+        np.testing.assert_array_equal(run.t, t)
+        _assert_near_oracle((run.x, run.u, run.v), (x, u, v))
         if ctrl.is_pi:
-            _assert_near_oracle((row.z,), (z,))
+            _assert_near_oracle((run.z,), (z,))
         else:
-            np.testing.assert_array_equal(row.z, 0.0)
-            assert not np.any(np.signbit(row.z))
-    return stack
+            np.testing.assert_array_equal(run.z, 0.0)
+            assert not np.any(np.signbit(run.z))
+    return runs
 
 
 def _three_controllers(plant, dec):
@@ -202,22 +191,20 @@ def _cold_snap():
 
 def test_stack_matches_single_runs_on_cold_snap():
     # inputs first saturate near t = 81 h; the sampled load steps in
-    # scans while a row's pattern holds
+    # scans while a run's pattern holds
     plant, ctrls, wsig = _cold_snap()
     n = plant.n
-    stack = _assert_stack_matches_alone(plant, ctrls, wsig, np.zeros(n),
-                                        np.zeros(n), (0.0, 120.0), 0.05)
-    assert all(np.any(np.abs(row.u) > 1.0) for row in stack)
-    assert all(row.counts.blocks > 0 for row in stack)
+    runs = _assert_runs_match_oracle(plant, ctrls, wsig, np.zeros(n),
+                                     np.zeros(n), (0.0, 120.0), 0.05)
+    assert all(np.any(np.abs(run.u) > 1.0) for run in runs)
+    assert all(run.counts.blocks > 0 for run in runs)
 
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_stack_matches_single_runs_on_whole_cold_snap(flip, monkeypatch):
-    # the rows of the 336 h stack run one after another over one forcing
-    # table, so each is its single run, counts included, and the stack
-    # counts their sums; with ``flip`` every scan fails at its last step,
-    # as rounding at a kink may make it, so each committed scan ends in a
-    # staged step
+    # each controller's 336 h run takes its 6720 steps one way or the
+    # other; with ``flip`` every scan fails at its last step, as rounding
+    # at a kink may make it, so each committed scan ends in a staged step
     if flip:
         scan = simulate._PatternMaps.scan
 
@@ -227,41 +214,12 @@ def test_stack_matches_single_runs_on_whole_cold_snap(flip, monkeypatch):
         monkeypatch.setattr(simulate._PatternMaps, "scan", failing)
     plant, ctrls, wsig = _cold_snap()
     n = plant.n
-    stack = _stack_of_single_runs(plant, ctrls, wsig, np.zeros(n),
-                                  np.zeros(n), (0.0, 336.0), 0.05)
-    assert stack.counts == simulate.StepCounts(
-        *map(sum, zip(*(row.counts for row in stack))))
-    assert stack.counts.affine + stack.counts.staged == 3 * 6720
+    runs = _runs_from_one_start(plant, ctrls, wsig, np.zeros(n),
+                                np.zeros(n), (0.0, 336.0), 0.05)
+    assert all(run.counts.affine + run.counts.staged == 6720
+               for run in runs)
     if flip:
-        assert all(row.counts.staged >= row.counts.blocks for row in stack)
-
-
-def test_stack_matches_single_runs_on_sampled_load(rng):
-    # sampled load, saturating inputs, and a 0.03 partial last step
-    plant, dec = random_instance(rng, 5)
-    wsig = model.DisturbanceSignal.sampled(np.linspace(-0.1, 1.2, 9),
-                                           rng.uniform(-10.0, 10.0, (9, 5)))
-    stack = _assert_stack_matches_alone(
-        plant, _three_controllers(plant, dec), wsig,
-        rng.uniform(-3.0, 3.0, 5), rng.uniform(-3.0, 3.0, 5), (0.0, 1.03),
-        0.05)
-    assert stack.t.size == 22
-    assert all(np.any(np.abs(row.u) > 1.0) for row in stack)
-
-
-def test_stack_of_copies_matches_single_starts(rng):
-    plant, ctrl = random_instance(rng, 4)
-    w = random_disturbance(rng, 4)
-    x0 = rng.uniform(-50.0, 50.0, (20, 4))
-    z0 = rng.uniform(-50.0, 50.0, (20, 4))
-    stack = simulate.integrate(plant, [ctrl] * 20, w, x0, z0, (0.0, 2.0),
-                               0.01)
-    for i, row in enumerate(stack):
-        alone = simulate.integrate(plant, ctrl, w, x0[i], z0[i], (0.0, 2.0),
-                                   0.01)
-        for name in ("t", "x", "z", "u", "v"):
-            np.testing.assert_array_equal(getattr(row, name),
-                                          getattr(alone, name))
+        assert all(run.counts.staged >= run.counts.blocks for run in runs)
 
 
 @pytest.mark.parametrize("n, hold", [(10, 2), (40, 8)])
@@ -442,28 +400,6 @@ def test_partial_last_step_after_blocks_is_staged(full, monkeypatch):
         whole.counts.blocks)
 
 
-def test_stack_rows_commit_blocks_at_their_own_indices(rng):
-    # copies of one controller from six starts: each row builds its maps
-    # and commits its scans when its own pattern holds, so the rows
-    # commit different numbers of scans, and the stack counts their sum
-    plant, ctrl = random_instance(rng, 3)
-    w = random_disturbance(rng, 3)
-    x0 = rng.uniform(-20.0, 20.0, (6, 3))
-    z0 = rng.uniform(-20.0, 20.0, (6, 3))
-    stack = simulate.integrate(plant, [ctrl] * 6, w, x0, z0, (0.0, 4.0),
-                               0.01)
-    for i, row in enumerate(stack):
-        alone = simulate.integrate(plant, ctrl, w, x0[i], z0[i], (0.0, 4.0),
-                                   0.01)
-        for name in ("t", "x", "z", "u", "v"):
-            np.testing.assert_array_equal(getattr(row, name),
-                                          getattr(alone, name))
-        assert row.counts == alone.counts
-    blocks = [row.counts.blocks for row in stack]
-    assert len(set(blocks)) > 1
-    assert stack.counts.blocks == sum(blocks)
-
-
 def test_held_pattern_takes_logarithmically_many_scans():
     # the identity is one pattern: step 0 is staged and builds its map,
     # and the scans double from 8 steps, so 8 (2^s - 1) steps take s
@@ -509,18 +445,16 @@ def test_chattering_run_stays_staged():
 
 def test_stack_rows_on_different_patterns(rng):
     plant, dec = random_instance(rng, 4)
-    stack = _assert_stack_matches_alone(
+    runs = _assert_runs_match_oracle(
         plant, _three_controllers(plant, dec),
         model.DisturbanceSignal.constant(random_disturbance(rng, 4)),
         rng.uniform(-3.0, 3.0, 4), rng.uniform(-3.0, 3.0, 4), (0.0, 3.0),
         0.01)
-    # each row ends on its own pattern, through maps of its own
-    ends = {tuple((row.u[-1] > 1.0).astype(int) - (row.u[-1] < -1.0))
-            for row in stack}
+    # each controller ends on its own pattern, through maps of its own
+    ends = {tuple((run.u[-1] > 1.0).astype(int) - (run.u[-1] < -1.0))
+            for run in runs}
     assert len(ends) > 1
-    assert all(row.counts.affine > 0 for row in stack)
-    assert stack.counts == simulate.StepCounts(
-        *map(sum, zip(*(row.counts for row in stack))))
+    assert all(run.counts.affine > 0 for run in runs)
 
 
 # a stage's two products round otherwise than the branch formulas; the
@@ -654,22 +588,6 @@ def test_affine_steps_match_staged_reference(n, seed, sampled):
                                     0.02)
 
 
-def test_stack_blowup_names_the_row():
-    plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
-    calm = model.ControllerSpec("decentralized", [1.0], [0.5], [0.5])
-    wild = model.ControllerSpec("decentralized", [50.0], [1.0], [0.5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(NonFiniteState, match=r"^row 1: .*\(step \d+\)"):
-            simulate.integrate(plant, [calm, wild, calm], [0.0],
-                               [[1.0], [1.0], [1.0]], [[0.0], [0.0], [0.0]],
-                               (0.0, 40.0), 1.0)
-    with pytest.raises(NonFiniteState, match=r"^row 2: .*\(step 1\)"):
-        simulate.integrate(plant, [calm, calm, calm], [0.0],
-                           [[1.0], [1.0], [np.nan]], [[0.0], [0.0], [0.0]],
-                           (0.0, 1.0), 0.01)
-
-
 def test_stack_warns_once_per_coarse_controller():
     plant, ctrl = _linear_loop()
     stat = model.ControllerSpec(
@@ -680,26 +598,16 @@ def test_stack_warns_once_per_coarse_controller():
               for c in (ctrl, stat, fast)]
     dt = 0.5 * (bounds[2] + min(bounds[:2]))
     assert bounds[2] < dt < min(bounds[:2])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        simulate.integrate(plant, [ctrl, fast, stat, fast], np.zeros(2),
-                           np.zeros((4, 2)),
-                           [np.zeros(2), np.zeros(2), None, np.zeros(2)],
-                           (0.0, 1.0), dt)
     want = (f"dt={dt:g} exceeds the linear-regime stability estimate "
             f"{bounds[2]:.3g}; expect inaccuracy or blow-up")
-    assert [str(c.message) for c in caught] == [want, want]
-
-
-def test_stack_argument_guards():
-    # each row keeps the single-controller guards; one z entry per row
-    plant, ctrl = _linear_loop()
-    stat = model.ControllerSpec("static", k_static=np.eye(2))
-    zero = np.zeros(2)
-    for z_rows in ([None, None], [zero, zero], [zero]):
-        with pytest.raises(DimensionMismatch):
-            simulate.integrate(plant, [ctrl, stat], zero, np.zeros((2, 2)),
-                               z_rows, (0.0, 1.0), 0.1)
+    # each call checks its own controller: only the fast one warns
+    for c, warned in ((ctrl, []), (fast, [want]), (stat, [])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate.integrate(plant, c, np.zeros(2), np.zeros(2),
+                               np.zeros(2) if c.is_pi else None, (0.0, 1.0),
+                               dt)
+        assert [str(m.message) for m in caught] == warned
 
 
 def test_stability_bound_reasonable():
@@ -739,6 +647,17 @@ def test_state_argument_guards():
             simulate.integrate(plant, c, np.zeros(2), np.zeros(2),
                                np.zeros(3) if c.is_pi else None,
                                (0.0, 1.0), 0.1)
+    # loads and starts of the wrong width
+    zero = np.zeros(2)
+    for w, x0, z0 in ((np.zeros(3), zero, zero), ([[0.5, 0.5]], zero, zero),
+                      (zero, np.zeros(3), zero), (zero, zero, np.zeros(1))):
+        with pytest.raises(DimensionMismatch):
+            simulate.integrate(plant, ctrl, w, x0, z0, (0.0, 1.0), 0.1)
+    # a scalar load is the same on every agent
+    scalar = simulate.integrate(plant, ctrl, 0.7, zero, zero, (0.0, 1.0), 0.1)
+    vector = simulate.integrate(plant, ctrl, [0.7, 0.7], zero, zero,
+                                (0.0, 1.0), 0.1)
+    np.testing.assert_array_equal(scalar.x, vector.x)
 
 
 def test_costs_manufactured_trapezoid():
