@@ -17,7 +17,7 @@ The solver is an active-set loop over patterns: each round solves the
 equation on the current pattern and takes as the next one, for every
 coordinate, the piece of that row's solution, with v = c + d u read off
 the assumed pieces.  A pattern that predicts itself is exact: its solve
-lies on its own pieces.  A pattern that comes back ends the loop with
+lies on its own pieces and ends the loop.  A cycle of patterns raises
 MaxIterationsExceeded.  For saturation the stationary equation is a box
 LCP in v = sat(u0) with the M-matrix B, which has exactly one solution
 whatever s is (Cottle, Pang and Stone, The Linear Complementarity
@@ -148,18 +148,20 @@ def _next_pieces(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _pattern_loop(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
                   start: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Run the active-set loop from each row of ``start`` (k, n) pieces.
+    """Walk the active-set loop from the patterns of ``start`` (k, n).
 
     On the pieces of a pattern, f(u) = c + d u, and s a (u - f) + B f + w
     = 0 reads (diag(s a (1 - d)) + B diag(d)) u = s a c - B c - w.  The
     matrix is nonsingular for every d in [0, 1]: with its rows divided by
     s a and the map's dominance scaling, each column is strictly dominant
-    (d_j > 0) or a unit column (d_j = 0).  Each round solves the patterns
-    no row has met yet in one stacked ``np.linalg.solve``, which rounds
-    each system as a solve of its own, so rows that meet share a solve
-    and every row's result is the one it would reach alone.  Returns the
-    rows' inputs, the rounds until the last row settled and the
-    patterns solved.
+    (d_j > 0) or a unit column (d_j = 0).  A pattern's solve and its
+    successor do not depend on the start that reached it, so each round
+    moves a frontier of patterns to their successors, and a pattern that
+    predicts itself is an end.  The frontier's new patterns are solved in
+    one stacked ``np.linalg.solve``, which rounds each system as a solve
+    of its own.  Without a cycle, r rounds meet r distinct patterns, so
+    round ``len(solved) + 2`` raises MaxIterationsExceeded.  Returns the
+    distinct ends' inputs, the rounds and the patterns solved.
     """
     pair, b = plant.pair, plant.b
     sa = ctrl.s * plant.a
@@ -173,14 +175,13 @@ def _pattern_loop(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
                    sa * at + (np.diag(b) - sa)
                    * (pair.icpt[1:] + pair.slope[1:] * at))
     solved = {}     # pattern bytes -> (u, predicted pattern)
-    paths = [[pieces] for pieces in start]
-    u = np.empty(start.shape)
-    live = range(len(start))
+    frontier = {pieces.tobytes(): pieces for pieces in start}
     rounds = 0
-    while live:
+    while frontier:
         rounds += 1
-        new = {paths[row][-1].tobytes(): paths[row][-1] for row in live}
-        new = {key: p for key, p in new.items() if key not in solved}
+        if rounds > len(solved) + 1:
+            raise MaxIterationsExceeded(f"the patterns cycle by round {rounds}")
+        new = {key: p for key, p in frontier.items() if key not in solved}
         if new:
             pieces = np.array(list(new.values()))
             d, c = pair.slope[pieces, cols], pair.icpt[pieces, cols]
@@ -191,20 +192,12 @@ def _pattern_loop(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
             v = c + d * x
             nxt = _next_pieces(phi, -((off @ v[..., None])[..., 0] + w))
             solved.update(zip(new, zip(x, nxt)))
-        moved = []
-        for row in live:
-            pieces = paths[row][-1]
-            u[row], nxt = solved[pieces.tobytes()]
-            if np.array_equal(nxt, pieces):
-                continue
-            if any(np.array_equal(nxt, p) for p in paths[row]):
-                raise MaxIterationsExceeded(
-                    f"row {row} returned to an earlier pattern in round "
-                    f"{rounds}")
-            paths[row].append(nxt)
-            moved.append(row)
-        live = moved
-    return u, rounds, len(solved)
+        succ = [solved[key][1] for key in frontier]
+        frontier = {p.tobytes(): p for key, p in zip(frontier, succ)
+                    if p.tobytes() != key}
+    # the walk met every solved pattern; those predicting themselves end it
+    ends = [u for key, (u, p) in solved.items() if p.tobytes() == key]
+    return np.array(ends), rounds, len(solved)
 
 
 def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec,
@@ -280,12 +273,12 @@ def probe_uniqueness(plant: model.PlantModel, ctrl: model.ControllerSpec,
     """Re-solve from many random starts and report the disagreement.
 
     The starts are drawn uniformly in a box reaching twice as far out as
-    the farthest knot (at least [-2, 2]), so every piece can start a
-    row, and the pattern loop runs their patterns as one stack.  The spread is
-    the sum over coordinates of the spread of the rows' stationary
-    inputs, an upper bound on the pairwise 1-norm distance between any
-    two restarts.  Small values support uniqueness; g < 1 already
-    proves it, and the probe only cross-checks it.
+    the farthest knot (at least [-2, 2]), so every piece can start the
+    loop, and one walk runs all their patterns.  The spread is the sum
+    over coordinates of the spread of the ends' stationary inputs (and
+    so of the restarts'), an upper bound on the pairwise 1-norm distance
+    between any two restarts.  Small values support uniqueness; g < 1
+    already proves it, and the probe only cross-checks it.
     """
     if restarts < 2:
         raise ValueError("need at least two restarts")

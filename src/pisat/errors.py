@@ -30,8 +30,8 @@ class UnsupportedVariant(PisatError):
 
 
 class MaxIterationsExceeded(PisatError):
-    """An iteration returned to a state it had already left: a row of
-    the equilibrium's pattern loop met an earlier pattern again."""
+    """An iteration returned to a state it had already left: the
+    equilibrium's pattern loop walked a cycle of patterns."""
 
 
 class NonFiniteState(PisatError):

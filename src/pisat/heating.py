@@ -181,31 +181,37 @@ def synthetic_cold_snap(hours: int = 336, base_degc: float = 0.0,
     return TemperatureSeries(t, base_degc + daily - dip_degc * dip)
 
 
+def _number(value):
+    # float() and numpy would read a JSON true or false as 1 or 0
+    kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
+    if bool in kinds:
+        raise TypeError("true and false are not numbers")
+    return list(map(_number, value)) if list in kinds else value
+
+
 def scenario_from_json(data: dict) -> HeatingScenario:
     """Build a scenario from its unit-named JSON form (see ``configs/``).
 
-    A missing, malformed or non-finite value, or arrays whose sizes
-    disagree, raise ConfigError.
+    A missing, malformed (true or false included) or non-finite value,
+    or arrays whose sizes disagree, raise ConfigError.
     """
     try:
-        a = np.asarray(data["a_kw_per_degc"], dtype=float)
-        c = np.asarray(data["c_kwh_per_degc"], dtype=float)
-        b = np.asarray(data["b_heat_kw"], dtype=float)
-        x_c = float(data["x_c_degc"])
-        text = data["t_ext"]
-        cd = data["controller"]
+        text, cd = data["t_ext"], data["controller"]
         if "constant_degc" in text:
-            t_ext: TemperatureSeries | float = float(text["constant_degc"])
+            t_ext = _number(text["constant_degc"])
         else:
-            t_ext = TemperatureSeries(
-                np.asarray(text["time_h"], dtype=float),
-                np.asarray(text["temp_degc"], dtype=float))
+            t_ext = TemperatureSeries(_number(text["time_h"]),
+                                      _number(text["temp_degc"]))
         # the spec reads the gains its variant needs and checks them
-        ctrl = model.ControllerSpec(cd["variant"], p=cd.get("p_per_degc"),
-                                    r=cd.get("r_per_degc_h"),
-                                    s=cd.get("s_degc"), beta=cd.get("beta"),
-                                    k_static=cd.get("k_static"))
-        return HeatingScenario(a, c, b, x_c, t_ext, ctrl,
+        ctrl = model.ControllerSpec(
+            cd["variant"], p=_number(cd.get("p_per_degc")),
+            r=_number(cd.get("r_per_degc_h")), s=_number(cd.get("s_degc")),
+            beta=_number(cd.get("beta")), k_static=_number(cd.get("k_static")))
+        # the scenario converts and checks the values
+        return HeatingScenario(_number(data["a_kw_per_degc"]),
+                               _number(data["c_kwh_per_degc"]),
+                               _number(data["b_heat_kw"]),
+                               _number(data["x_c_degc"]), t_ext, ctrl,
                                name=str(data.get("name", "custom")))
     except (KeyError, TypeError, ValueError, DimensionMismatch,
             UnsupportedVariant) as exc:

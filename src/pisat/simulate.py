@@ -385,8 +385,8 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
     built and how many scans committed steps.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (t1 > t0 and dt > 0.0):
-        raise ValueError("need t1 > t0 and dt > 0")
+    if not (t1 > t0 and dt > 0.0 and all(map(math.isfinite, (t0, t1, dt)))):
+        raise ValueError("need finite t1 > t0 and dt > 0")
     n = plant.n
     wsig = _as_signal(w, n)
     if ctrl.n != n:

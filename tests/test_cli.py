@@ -250,6 +250,21 @@ def _n40_from_seed_11():
     return gen.random_network(rng, 40, 4.0, "seed11")
 
 
+@pytest.mark.parametrize("n, iterations, solves", [(None, 2, 23), (12, 3, 33),
+                                                   (40, 3, 42)])
+def test_certify_pattern_loop_counters_are_pinned(tmp_path, n, iterations,
+                                                  solves):
+    # the bundled network and seed-5 networks at ratio 4: the loop's rounds
+    # and distinct solves, pinned as integers (the floats' last digits
+    # can move with the BLAS thread count)
+    data = (json.loads(pathlib.Path(BENCHMARK).read_text()) if n is None
+            else _gen().random_network(np.random.default_rng(5), n, 4.0,
+                                       "seed5"))
+    _, by_name = _certify_checks(tmp_path, data)
+    assert by_name["equilibrium_residual"]["iterations"] == iterations
+    assert by_name["uniqueness_probe"]["solves"] == solves
+
+
 @pytest.mark.parametrize("base, s", [("textbook", 1.0), ("textbook", 1e-2),
                                      ("n40", 1.0)])
 def test_certify_contraction_ratio_holds_at_large_load(tmp_path, base, s):
@@ -858,6 +873,12 @@ _COORDINATING = {"variant": "coordinating", "p_per_degc": [1.0],
                                                       [0.0, 1.0]]}),
     ("controller", {**_COORDINATING, "beta": math.inf}),
     ("controller", {**_COORDINATING, "variant": "proportional"}),
+    # JSON true where a number belongs, which numpy reads as 1
+    ("x_c_degc", True),
+    ("t_ext", {"constant_degc": True}),
+    ("a_kw_per_degc", [True]),
+    ("controller", {**_COORDINATING, "beta": True}),
+    ("controller", {**_COORDINATING, "p_per_degc": [True]}),
 ])
 def test_malformed_scenario_values(key, value, tmp_path, capsys):
     data = json.loads(pathlib.Path(TEXTBOOK).read_text())

@@ -214,19 +214,23 @@ def _random_problem(rng, pwl: bool):
 
 
 def _loop_rows(plant, ctrl, w, restarts, rng):
-    # the solve, or a stack of random starts whose every row is bit for
-    # bit its own run
+    # the solve, or the ends of a stack of random starts: exactly the
+    # distinct ends of its single-start runs, bit for bit, after as many
+    # rounds as the longest of them and with no more solves than theirs
     if restarts is None:
         eq = equilibrium.solve_equilibrium(plant, ctrl, w)
         assert eq.residual_stationary <= 1e-10 * eq.scale
         return eq.u0
     start = plant.pair.piece_of(rng.uniform(-8.0, 8.0, (restarts, plant.n)))
     u, rounds, solves = equilibrium._pattern_loop(plant, ctrl, w, start)
-    assert 1 <= rounds <= 4 and solves <= restarts * rounds
-    for row in range(restarts):
-        single, _, _ = equilibrium._pattern_loop(plant, ctrl, w,
-                                                 start[row:row + 1])
-        np.testing.assert_array_equal(u[row], single[0])
+    singles = [equilibrium._pattern_loop(plant, ctrl, w, start[row:row + 1])
+               for row in range(restarts)]
+    assert all(len(end) == 1 for end, _, _ in singles)
+    assert 1 <= len(u) <= restarts
+    assert ({end.tobytes() for end in u}
+            == {end[0].tobytes() for end, _, _ in singles})
+    assert 1 <= rounds <= 4 and rounds == max(r for _, r, _ in singles)
+    assert solves <= sum(k for _, _, k in singles)
     return u
 
 
@@ -262,8 +266,9 @@ def test_accelerated_matches_newton_oracle(rng, restarts):
 
 
 def test_returning_pattern_raises(monkeypatch):
-    # a predictor that alternates between two patterns is a cycle, and
-    # the loop names the row and the round instead of spinning
+    # a predictor that alternates between two patterns is a cycle: two
+    # solves cannot take four rounds, and the loop raises instead of
+    # spinning
     plant, ctrl, w = _benchmark()
     calls = []
 
@@ -273,10 +278,36 @@ def test_returning_pattern_raises(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "_next_pieces", alternating)
     with pytest.raises(MaxIterationsExceeded,
-                       match="row 0 returned to an earlier pattern in "
-                             "round 2"):
+                       match="the patterns cycle by round 4"):
         equilibrium.solve_equilibrium(plant, ctrl, w)
     assert len(calls) == 2
+
+
+def _scripted_walk(monkeypatch, start, *successors):
+    # the one-agent saturation loop, whose predictor returns the given
+    # successors call by call, one row per new pattern in frontier order
+    plant, ctrl = _textbook()
+    calls = iter(successors)
+    monkeypatch.setattr(equilibrium, "_next_pieces",
+                        lambda phi, rhs: np.array(next(calls)))
+    return equilibrium._pattern_loop(plant, ctrl, np.array([-0.3]),
+                                     np.array(start))
+
+
+def test_path_through_three_patterns_ends(monkeypatch):
+    # 1 -> 0 -> 2 -> 2 ends without raising after three rounds on three
+    # solves, the edge of the cycle bound
+    u, rounds, solves = _scripted_walk(monkeypatch, [[1]], [[0]], [[2]],
+                                       [[2]])
+    assert (len(u), rounds, solves) == (1, 3, 3)
+
+
+def test_starts_joining_one_path_share_its_end(monkeypatch):
+    # starts on patterns 1 and 0 of the path 1 -> 0 -> 2 -> 2 join it at
+    # depths 0 and 1; the walk solves each pattern once and gives one end
+    u, rounds, solves = _scripted_walk(monkeypatch, [[1], [0]],
+                                       [[0], [2]], [[2]])
+    assert (len(u), rounds, solves) == (1, 3, 3)
 
 
 def _roadmap_cases():

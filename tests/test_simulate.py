@@ -658,6 +658,13 @@ def test_state_argument_guards():
     vector = simulate.integrate(plant, ctrl, [0.7, 0.7], zero, zero,
                                 (0.0, 1.0), 0.1)
     np.testing.assert_array_equal(scalar.x, vector.x)
+    # a step or a horizon that is not finite
+    sat_plant, sat_ctrl = _saturating_loop()
+    for t_span, dt in (((0.0, 1.0), math.inf), ((0.0, math.inf), 0.1),
+                       ((-math.inf, 1.0), 0.1)):
+        with pytest.raises(ValueError, match="finite"):
+            simulate.integrate(sat_plant, sat_ctrl, [0.0], [0.0], [0.0],
+                               t_span, dt)
 
 
 def test_costs_manufactured_trapezoid():
