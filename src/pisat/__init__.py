@@ -32,8 +32,7 @@ from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f,
 from .simulate import (CostReport, LyapunovParameters, LyapunovTrace,
                        Trajectory, evaluate_costs, integrate,
                        lyapunov_parameters, lyapunov_trace,
-                       read_trajectory_csv, stability_dt_bound,
-                       write_trajectory_csv)
+                       read_trajectory_csv, write_trajectory_csv)
 
 __version__ = "0.1.0"
 

@@ -356,6 +356,17 @@ def _rk4_diagnostics(*trajs) -> dict:
             "blocks": c.blocks, "derivative_evaluations": 4 * c.staged}
 
 
+def _run_from_rest(ctx, ctrl) -> simulate.Trajectory:
+    # simulate's and compare's run; with dt and t_end checked, integrate
+    # raises ValueError only for a run past its step cap
+    n = ctx.plant.n
+    try:
+        return simulate.integrate(ctx.plant, ctrl, ctx.wsig, np.zeros(n),
+                                  _z_rest(ctrl, n), (0.0, ctx.t_end), ctx.dt)
+    except ValueError as exc:
+        raise ConfigError(f"--t-end and --dt: {exc}") from None
+
+
 def _out_dir(ctx) -> str | None:
     # --out (relative to the working directory), then run.out_dir
     return ctx.out if ctx.out is not None else ctx.run.get("out_dir")
@@ -367,11 +378,9 @@ def cmd_simulate(args) -> int:
     if out_dir is None:
         raise ConfigError("simulate needs --out or run.out_dir")
     os.makedirs(out_dir, exist_ok=True)
-    plant, scn = ctx.plant, ctx.scn
+    scn = ctx.scn
     ctrl = scn.controller
-    traj = simulate.integrate(plant, ctrl, ctx.wsig, np.zeros(plant.n),
-                              _z_rest(ctrl, plant.n), (0.0, ctx.t_end),
-                              ctx.dt)
+    traj = _run_from_rest(ctx, ctrl)
     costs = simulate.evaluate_costs(traj, heating.default_cost_weights(scn))
     simulate.write_trajectory_csv(traj, os.path.join(out_dir,
                                                      "trajectory.csv"))
@@ -395,16 +404,12 @@ def cmd_compare(args) -> int:
     if len(names) < 2:
         raise ConfigError("compare needs at least two controllers")
     # every controller runs the simulate command's integration, from rest
-    plant = ctx.plant
-    n = plant.n
     l_diag = heating.default_cost_weights(ctx.scn)
     trajs, rows = [], []
     for name in names:
-        ctrl = _resolve_controller(ctx.scn, name, plant).controller
+        ctrl = _resolve_controller(ctx.scn, name, ctx.plant).controller
         try:
-            traj = simulate.integrate(plant, ctrl, ctx.wsig, np.zeros(n),
-                                      _z_rest(ctrl, n), (0.0, ctx.t_end),
-                                      ctx.dt)
+            traj = _run_from_rest(ctx, ctrl)
         except NonFiniteState as exc:
             raise NonFiniteState(f"{name}: {exc}") from exc
         trajs.append(traj)

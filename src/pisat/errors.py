@@ -39,7 +39,9 @@ class NonFiniteState(PisatError):
 
 
 class SolverFailure(PisatError):
-    """The LP pivot guard tripped before reaching an optimum."""
+    """The LP solve ended without an optimum: the pivot guard tripped,
+    the tableau showed an unbounded objective, or the recovered input
+    violated its box bound."""
 
 
 class ConditionViolated(PisatError):

@@ -37,30 +37,31 @@ def is_z_pattern(m) -> bool:
     return bool(np.all(off <= 0.0))
 
 
-def is_m_matrix(m) -> bool:
-    """True iff ``m`` is a Z-matrix with every eigenvalue in the open
-    right half plane.
-
-    Decided without eigenvalues: an invertible Z-matrix is an M-matrix
-    exactly when some d > 0 satisfies m d > 0, so it suffices to solve
-    m d = 1 and check the sign of d.  A singular or numerically
-    unreliable solve counts as "not an M-matrix".
-    """
-    arr = as_square_matrix(m)
+def _semipositive_solution(arr: np.ndarray) -> np.ndarray | None:
+    """d with arr d = 1 when that solve proves ``arr`` an M-matrix, else
+    None: an invertible Z-matrix is one exactly when some d > 0 has
+    arr d > 0, and a singular or unreliable solve proves nothing."""
     if not is_z_pattern(arr):
-        return False
+        return None
     ones = np.ones(arr.shape[0])
     try:
         d = np.linalg.solve(arr, ones)
     except np.linalg.LinAlgError:
-        return False
+        return None
     if not np.all(np.isfinite(d)):
-        return False
+        return None
     # reject garbage from a nearly singular solve
     scale = 1.0 + np.max(np.abs(arr)) * np.max(np.abs(d))
     if np.max(np.abs(arr @ d - ones)) > 1e-8 * scale:
-        return False
-    return bool(np.all(d > 0.0))
+        return None
+    return d if np.all(d > 0.0) else None
+
+
+def is_m_matrix(m) -> bool:
+    """True iff ``m`` is a Z-matrix with every eigenvalue in the open
+    right half plane, decided without eigenvalues by one solve of
+    m d = 1 and the sign of d."""
+    return _semipositive_solution(as_square_matrix(m)) is not None
 
 
 def is_strictly_column_dominant(m) -> bool:
@@ -79,14 +80,15 @@ def column_dominance_scaling(m) -> np.ndarray:
     """Positive d such that diag(d) m diag(1/d) is strictly column-dominant.
 
     Solves m^T d = 1.  For an M-matrix this d is positive and gives each
-    column j the weighted margin d_j m_jj - sum_{i != j} d_i |m_ij| = 1.
+    column j the weighted margin d_j m_jj - sum_{i != j} d_i |m_ij| = 1;
+    the same solve proves m^T, and so m, an M-matrix.
 
-    Raises NotMMatrix if ``m`` fails :func:`is_m_matrix`.
+    Raises NotMMatrix if ``m`` is not an M-matrix.
     """
     arr = as_square_matrix(m)
-    if not is_m_matrix(arr):
+    d = _semipositive_solution(arr.T)
+    if d is None:
         raise NotMMatrix("column dominance scaling requires an M-matrix")
-    d = np.linalg.solve(arr.T, np.ones(arr.shape[0]))
     scaled = d[:, None] * arr / d[None, :]
     if not is_strictly_column_dominant(scaled):
         raise CertificateFailure("constructed scaling failed the dominance check")
@@ -96,16 +98,16 @@ def column_dominance_scaling(m) -> np.ndarray:
 def diagonal_lyapunov_scaling(m) -> np.ndarray:
     """Positive q with diag(q) m + m^T diag(q) symmetric positive definite.
 
-    Uses q_i = v_i / w_i where m w = 1 and m^T v = 1.  The result is
-    verified by a Cholesky factorization; an uncertified scaling is never
+    Uses q_i = v_i / w_i where m w = 1 and m^T v = 1; the solve for w
+    proves m an M-matrix (NotMMatrix otherwise).  The result is verified
+    by a Cholesky factorization; an uncertified scaling is never
     returned (CertificateFailure instead).
     """
     arr = as_square_matrix(m)
-    if not is_m_matrix(arr):
+    w = _semipositive_solution(arr)
+    if w is None:
         raise NotMMatrix("diagonal Lyapunov scaling requires an M-matrix")
-    ones = np.ones(arr.shape[0])
-    w = np.linalg.solve(arr, ones)
-    v = np.linalg.solve(arr.T, ones)
+    v = np.linalg.solve(arr.T, np.ones(arr.shape[0]))
     q = v / w
     sym = q[:, None] * arr + arr.T * q[None, :]
     if not is_spd(sym):

@@ -88,15 +88,6 @@ class OptimalityCertificate:
         return abs(self.equilibrium_cost - self.lp.cost)
 
 
-def _gamma_vector(gamma, n: int) -> np.ndarray:
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if g.ndim != 1 or g.size != n:
-        raise DimensionMismatch(f"gamma must be a vector of length {n}")
-    if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
-        raise ValueError("gamma must be positive and finite")
-    return g
-
-
 def _weighted_system(g: np.ndarray, plant: model.PlantModel,
                      w: np.ndarray):
     """gm = diag(gamma) A^-1 B and gw = diag(gamma) A^-1 w."""
@@ -106,10 +97,14 @@ def _weighted_system(g: np.ndarray, plant: model.PlantModel,
 
 
 def check_gamma_condition(gamma, plant: model.PlantModel) -> bool:
-    """True iff diag(gamma) A^-1 B is a strictly column-dominant M-matrix."""
-    g = _gamma_vector(gamma, plant.n)
-    m = (g / plant.a)[:, None] * plant.b
-    return matrixlab.is_m_matrix(m) and matrixlab.is_strictly_column_dominant(m)
+    """True iff diag(gamma) A^-1 B is a strictly column-dominant M-matrix.
+
+    The plant proved B an M-matrix, and a positive diagonal scaling of
+    one is one, so only the dominance is left to test.
+    """
+    g = model._positive_vector(gamma, "gamma", plant.n)
+    return matrixlab.is_strictly_column_dominant((g / plant.a)[:, None]
+                                                 * plant.b)
 
 
 def admissible_gamma(plant: model.PlantModel) -> np.ndarray:
@@ -266,7 +261,7 @@ def solve_weighted_l1_lp(gamma, plant: model.PlantModel, w) -> AllocationSolutio
     state is split into its positive and negative parts, giving an LP in
     v that is always feasible (v = 0).  Deterministic for fixed inputs.
     """
-    g = _gamma_vector(gamma, plant.n)
+    g = model._positive_vector(gamma, "gamma", plant.n)
     w = np.atleast_1d(np.asarray(w, dtype=float))
     gm, gw = _weighted_system(g, plant, w)
     v, pivots, flips, bland = _bounded_simplex(gm, gw)
@@ -322,7 +317,7 @@ def certify_equilibrium_optimality(
         raise UnsupportedVariant("certificate requires the saturation pair")
     if ctrl.variant != model.VARIANT_DECENTRALIZED:
         raise UnsupportedVariant("certificate requires the decentralized variant")
-    g = _gamma_vector(gamma, plant.n)
+    g = model._positive_vector(gamma, "gamma", plant.n)
     if not check_gamma_condition(g, plant):
         raise ConditionViolated(
             "diag(gamma) A^-1 B is not a strictly column-dominant M-matrix")

@@ -7,9 +7,11 @@ an operating point and rescaling it coordinatewise both stay inside the
 class; the transforms here act exactly on the underlying piecewise-linear
 description instead of resampling it.
 
-f, its integral, the affine pieces the integrator steps on and the
-pair's kind (saturation, identity or custom) are all read from one
-piece table, built once per pair; no caller labels a pair's kind.
+f, its integral and the affine pieces the integrator steps on are all
+read from one piece table, built once per pair.  A pair's kind is
+saturation or identity when its tables are exactly the ones
+``saturation_deadzone`` or ``identity_zero`` builds, and custom
+otherwise; no caller labels a pair's kind.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class SectorPair:
     line as the piece before it continues that piece, so each run of
     such pieces is one affine piece: its first piece spans it, from
     ``lo`` to ``hi`` (-inf and inf at the ends), and the others span
-    nothing (lo = hi).  ``kind`` is read off the table.
+    nothing (lo = hi).
     """
 
     def __init__(self, components: Sequence[PwlFunction]):
@@ -137,34 +139,19 @@ class SectorPair:
         return np.sum(u[..., None, :] > self.lo[1:], axis=-2)
 
 
-# (hi, slope, icpt) of each kind's pieces, left to right; pieces tile
-# the line, and a spanning piece starts where the one before it ends, so
-# a pair whose spanning pieces are these in every coordinate is that kind
-_KINDS = ((KIND_SATURATION, np.array([[-1.0, 0.0, -1.0],
-                                      [1.0, 1.0, 0.0],
-                                      [np.inf, 0.0, 1.0]])),
-          (KIND_IDENTITY, np.array([[np.inf, 1.0, 0.0]])))
-
-
 def _kind(pair: SectorPair) -> str:
-    span = pair.lo != pair.hi
-    spans = np.count_nonzero(span)
-    n = pair.n
-    for kind, want in _KINDS:
-        # piece 0 always spans something, so its line rules out most
-        if (spans != len(want) * n
-                or np.count_nonzero(pair.slope[0] != want[0, 1])
-                or np.count_nonzero(pair.icpt[0] != want[0, 2])):
-            continue
-        tables = (pair.hi, pair.slope, pair.icpt)
-        if spans < span.size:
-            # each coordinate's spanning pieces as one column; only the
-            # last piece of a coordinate ends at inf, so a coordinate with
-            # the wrong count of them misaligns the columns and fails
-            tables = [t.T[span.T].reshape(n, -1).T for t in tables]
-        if not any(np.count_nonzero(t != col)
-                   for t, col in zip(tables, want.T[:, :, None])):
-            return kind
+    # a named kind is exactly the tables its builder below makes; any
+    # other table (padded, or with a scaled or shifted pair's moved
+    # knots) is custom
+    knots, ext = pair.knots, pair.slope[[0, -1]]
+    if np.count_nonzero(pair.values != knots):
+        return KIND_CUSTOM
+    if (len(knots) == 2 and not np.count_nonzero(knots != [[-1.0], [1.0]])
+            and not np.count_nonzero(ext)):
+        return KIND_SATURATION
+    if (len(knots) == 1 and not np.count_nonzero(knots)
+            and not np.count_nonzero(ext != 1.0)):
+        return KIND_IDENTITY
     return KIND_CUSTOM
 
 

@@ -55,6 +55,10 @@ from .errors import (CertificateFailure, DimensionMismatch, NonFiniteState,
 BLOWUP_LIMIT = 1e12
 # the storage monitor flags V(t_{k+1}) > V(t_k) + INCREASE_TOL max(1, V(t_k))
 INCREASE_TOL = 1e-9
+# integrate records every step; its arrays (states, load, inputs) peak
+# at about 66 bytes per agent and step (measured at n = 10), so a run
+# within this cap stays below 1 GB
+MAX_AGENT_STEPS = 12_500_000
 # classic RK4 keeps the whole negative real axis stable up to ~2.785/|eig|;
 # warn a little earlier
 _RK4_STABILITY = 2.5
@@ -95,11 +99,6 @@ class Trajectory:
         return self.x.shape[1]
 
 
-def stability_dt_bound(plant: model.PlantModel, ctrl: model.ControllerSpec) -> float:
-    """Step-size bound from the linear-regime closed-loop spectrum."""
-    return stable_dt(plant, ctrl, math.inf)
-
-
 @functools.lru_cache(maxsize=1)
 def _spectral_dt(m: bytes, size: int) -> float:
     # keyed on the loop matrix itself: certify's storage probe cuts its dt
@@ -112,7 +111,9 @@ def _spectral_dt(m: bytes, size: int) -> float:
 
 def stable_dt(plant: model.PlantModel, ctrl: model.ControllerSpec,
               dt: float) -> float:
-    """``dt``, cut to ``stability_dt_bound`` where it exceeds the bound.
+    """``dt``, cut to the step-size bound from the spectrum of the
+    linear-regime loop matrix where it exceeds that bound (dt = inf
+    gives the bound).
 
     The 1- and inf-norms of the loop matrix bound its spectral radius,
     so a dt within their bound is returned without the eigenvalues,
@@ -354,7 +355,9 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
 
     ``w`` may be a DisturbanceSignal, a constant vector or a scalar, the
     same on every agent.  ``z_init`` must be None for static feedback,
-    whose integral state is then held at zero.  Every step is recorded.
+    whose integral state is then held at zero.  Every step is recorded,
+    so a run of more than ``MAX_AGENT_STEPS`` steps times agents raises
+    ValueError before anything is allocated.
     A rough spectral pre-check warns when dt looks too coarse for the
     linear regime; a state that is not finite or exceeds
     ``BLOWUP_LIMIT`` times max(1, largest initial |state|) raises
@@ -388,6 +391,11 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
     if not (t1 > t0 and dt > 0.0 and all(map(math.isfinite, (t0, t1, dt)))):
         raise ValueError("need finite t1 > t0 and dt > 0")
     n = plant.n
+    horizon = t1 - t0
+    if not horizon / dt * n <= MAX_AGENT_STEPS:
+        raise ValueError(f"the span holds {horizon / dt:.3g} steps of dt; "
+                         f"at n = {n} a run records at most "
+                         f"{MAX_AGENT_STEPS // n:,}")
     wsig = _as_signal(w, n)
     if ctrl.n != n:
         raise DimensionMismatch("controller width disagrees with plant")
@@ -402,7 +410,6 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
                       f"estimate {bound:.3g}; expect inaccuracy or blow-up",
                       stacklevel=2)
 
-    horizon = t1 - t0
     full = int(math.floor(horizon / dt + 1e-9))
     rem = horizon - full * dt
     # a span below one step is that step, however short
@@ -555,7 +562,6 @@ class LyapunovTrace:
     t: np.ndarray
     value: np.ndarray
     vdot_analytic: np.ndarray
-    vdot_fd: np.ndarray
     increase_steps: np.ndarray
     passed: bool
 
@@ -568,8 +574,8 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
     Valid for the decentralized variant under the constant disturbance
     used to compute ``eq``, with the weights ``params`` that
     :func:`lyapunov_parameters` derived for this plant and controller.
-    The value is integrated segmentwise in closed form; the analytic
-    derivative is cross-checkable against the finite-difference column.
+    The value is integrated segmentwise in closed form, and its
+    derivative is the analytic one.
     Steps with V(t_{k+1}) > V(t_k) + INCREASE_TOL max(1, V(t_k)) are
     flagged.
     """
@@ -598,12 +604,10 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
              + np.sum(gz * (d_t * ctrl.p * ctrl.s) * hu, axis=1)
              + np.sum(gu * (q * ctrl.r * ctrl.s) * hu, axis=1)
              + np.sum(gu * (q * ctrl.p) * (fu @ plant.b.T), axis=1))
-    # a probe of one step has two samples, which take first-order edges
-    vdot_fd = np.gradient(value, traj.t, edge_order=min(2, traj.t.size - 1))
 
     slack = INCREASE_TOL * np.maximum(1.0, value[:-1])
     bad = np.nonzero(value[1:] > value[:-1] + slack)[0]
-    return LyapunovTrace(traj.t, value, vdot, vdot_fd, bad, bad.size == 0)
+    return LyapunovTrace(traj.t, value, vdot, bad, bad.size == 0)
 
 
 _CSV_PREFIXES = ("x", "z", "u", "v")

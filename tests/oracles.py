@@ -9,7 +9,7 @@ stacked sector tables.  ``simplex_loop`` with ``allocation_lp``,
 ``closed_loop_derivative_branches``, ``integrate_loop`` and
 ``iterate_plain`` are the exceptions: they are the earlier forms of the
 library's simplex, RK4 loop and fixed-point iteration, kept to pin the
-vectorized code to the same arithmetic, the accelerated iteration to
+vectorized code to the same arithmetic, the pattern loop to
 the same fixed point and the bounded simplex to the same optimum as the
 two-phase epigraph solve it replaced.  ``affine_rk4_closed_form`` is
 the hand expansion of one RK4 step on a saturation pattern that the

@@ -375,7 +375,7 @@ def test_certify_probe_step_is_cut_to_stability_bound(tmp_path):
     # the storage probe steps with the run's dt, cut to the integrator's
     # RK4 stability estimate (1.46 h on the textbook loop), and reports
     # the step it took
-    bound = simulate.stability_dt_bound(*_textbook_plant())
+    bound = simulate.stable_dt(*_textbook_plant(), math.inf)
     assert 0.05 < bound < 1.5
     steps = []
     for dt, want in (([], 0.05), (["--dt", "1.5"], bound)):
@@ -468,8 +468,8 @@ def test_warning_prints_one_line(name, argv, code, error, tmp_path):
                            *argv], capture_output=True, text=True,
                           env=_src_env())
     scn, _ = cli.load_config(config)
-    bound = simulate.stability_dt_bound(heating.to_standard_form(scn)[0],
-                                        scn.controller)
+    bound = simulate.stable_dt(heating.to_standard_form(scn)[0],
+                               scn.controller, math.inf)
     warning = (f"pisat: warning: dt={argv[1]} exceeds the linear-regime "
                f"stability estimate {bound:.3g}; expect inaccuracy or "
                f"blow-up")
@@ -536,8 +536,8 @@ def test_certify_fast_decay_probe_steps_at_stability_bound(tmp_path):
     # probe steps at the estimate instead, and its storage decreases
     cfg = _textbook_with(tmp_path, a_kw_per_degc=[200.0])
     scn, _ = cli.load_config(cfg)
-    bound = simulate.stability_dt_bound(heating.to_standard_form(scn)[0],
-                                        scn.controller)
+    bound = simulate.stable_dt(heating.to_standard_form(scn)[0],
+                               scn.controller, math.inf)
     assert bound < 0.05 / 4.0
     out = tmp_path / "report.json"
     assert _run("certify", "--config", cfg, "--out", str(out)) == 0
@@ -901,6 +901,10 @@ def test_lp_rejects_unparsable_or_non_finite_gamma(gamma, capsys):
     ["simulate", "--t-end", "inf"],
     ["compare", "--controllers", "decentralized", "static", "--t-end", "-5"],
     ["compare", "--controllers", "decentralized", "static", "--dt", "-0.1"],
+    # steps past the float range
+    ["simulate", "--t-end", "1e300", "--dt", "1e-300"],
+    ["compare", "--controllers", "decentralized", "static", "--t-end",
+     "1e300", "--dt", "1e-300"],
     ["certify", "--tol", "nan"],
     ["certify", "--tol", "0"],
     ["certify", "--dt", "inf"],
@@ -912,6 +916,18 @@ def test_bad_step_horizon_and_tolerance_flags(argv, tmp_path, capsys):
     if argv[0] in ("simulate", "compare"):
         argv += ["--out", str(tmp_path / "out")]
     _assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["compare", "--controllers", "decentralized", "static"]])
+def test_step_cap_is_config_error(command, monkeypatch, tmp_path, capsys):
+    # the textbook network has one agent: 20 steps of 0.25 h pass a cap
+    # of 20, 21 do not
+    monkeypatch.setattr(simulate, "MAX_AGENT_STEPS", 20)
+    argv = (command[:1] + ["--config", TEXTBOOK, "--dt", "0.25",
+                           "--out", str(tmp_path / "out")] + command[1:])
+    assert _run(*argv, "--t-end", "5") == 0
+    _assert_usage_error(argv + ["--t-end", "5.25"], capsys)
 
 
 @pytest.mark.parametrize("command,run", [
@@ -938,6 +954,39 @@ def test_bad_step_horizon_and_tolerance_run_keys(command, run, tmp_path,
     if command[0] in ("simulate", "compare") and "out_dir" not in run:
         argv += ["--out", str(tmp_path / "out")]
     _assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("config", [
+    [TEXTBOOK],                                  # a top-level list
+    {"scenario": TEXTBOOK, "runs": {}},          # an unknown top-level key
+    {"scenario": TEXTBOOK, "run": [["dt_h", 0.1]]},  # a run that is a list
+])
+def test_malformed_config_layout(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    _assert_usage_error(["certify", "--config", str(cfg)], capsys)
+
+
+def test_inline_scenario_config_matches_the_bare_scenario(tmp_path,
+                                                          capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"scenario": json.loads(pathlib.Path(TEXTBOOK).read_text())}))
+    assert _run("certify", "--config", TEXTBOOK) == 0
+    bare = capsys.readouterr().out
+    assert _run("certify", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == bare
+
+
+def test_static_config_cannot_build_a_pi_controller(tmp_path, capsys):
+    data = json.loads(pathlib.Path(TEXTBOOK).read_text())
+    data["controller"] = {"variant": "static", "k_static": [[1.0]]}
+    cfg = tmp_path / "static.json"
+    cfg.write_text(json.dumps(data))
+    assert _run("certify", "--config", str(cfg)) == 0
+    err = _assert_usage_error(["certify", "--config", str(cfg),
+                               "--controller", "decentralized"], capsys)
+    assert "config carries no PI gains" in err
 
 
 def test_seed_flag_only_on_certify(tmp_path):

@@ -235,7 +235,7 @@ def _loop_rows(plant, ctrl, w, restarts, rng):
 
 
 @pytest.mark.parametrize("restarts", [None, 7])
-def test_accelerated_matches_plain_iteration(rng, restarts):
+def test_pattern_loop_matches_plain_iteration(rng, restarts):
     # the pattern loop reaches in a few solves the fixed point that the
     # plain contraction loop crawls to; that loop, run 1000x tighter,
     # stands in for it
@@ -250,7 +250,7 @@ def test_accelerated_matches_plain_iteration(rng, restarts):
 
 
 @pytest.mark.parametrize("restarts", [None, 7])
-def test_accelerated_matches_newton_oracle(rng, restarts):
+def test_pattern_loop_matches_newton_oracle(rng, restarts):
     # the pattern loop's rows land on the solve, and both on Newton's root
     for _ in range(30):
         plant, ctrl, w, _ = _random_problem(rng, pwl=False)

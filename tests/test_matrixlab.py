@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pisat import matrixlab
+from pisat import matrixlab, model, optimality, sector
 from pisat.errors import CertificateFailure, DimensionMismatch, NotMMatrix, NotSymmetric
 
 
@@ -110,3 +110,50 @@ def test_scaling_makes_m_matrices_dominant(n, seed):
     d = matrixlab.column_dominance_scaling(m)
     assert np.all(d > 0.0)
     assert matrixlab.is_strictly_column_dominant(d[:, None] * m)
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_each_m_matrix_proof_is_a_solve_its_caller_uses(monkeypatch):
+    # the scalings prove m an M-matrix by the solve whose result they
+    # use; the gamma condition scales the coupling that the plant proved
+    m = np.array([[2.0, -1.0], [-0.5, 3.0]])
+    plant = model.PlantModel([1.0, 2.0], m, sector.saturation_deadzone(2))
+    calls = _count_solves(monkeypatch)
+    for call, want in ((lambda: matrixlab.is_m_matrix(m), 1),
+                       (lambda: matrixlab.column_dominance_scaling(m), 1),
+                       (lambda: matrixlab.diagonal_lyapunov_scaling(m), 2),
+                       (lambda: optimality.check_gamma_condition(
+                           [1.0, 1.0], plant), 0)):
+        calls.clear()
+        call()
+        assert len(calls) == want
+
+
+def test_column_dominance_scaling_raises_exactly_off_m_matrices(rng):
+    # the eigenvalue-oracle family: Z-matrices from comfortably dominant
+    # to clearly failing, proved by m^T d = 1 instead of m d = 1
+    off_m = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        off = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(off, 0.0)
+        diag = rng.uniform(0.1, 2.0) * np.maximum(off.sum(axis=1), 0.2)
+        m = np.diag(diag) - off
+        if matrixlab.is_m_matrix(m):
+            assert np.all(matrixlab.column_dominance_scaling(m) > 0.0)
+        else:
+            off_m += 1
+            with pytest.raises(NotMMatrix):
+                matrixlab.column_dominance_scaling(m)
+    assert 0 < off_m < 300

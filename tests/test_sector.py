@@ -58,23 +58,17 @@ def test_kind_is_read_off_the_pieces():
     def comp(knots, ext):
         return sector.PwlFunction(np.array(knots), np.array(knots), ext, ext)
 
-    # saturation, once with an extra knot: np.clip's values and zeros
+    # saturation, once with an extra knot: padded tables are custom
     sat = sector.custom_pwl([comp([-1.0, 1.0], 0.0),
                              comp([-1.0, 0.25, 1.0], 0.0)])
-    assert sat.kind == sector.KIND_SATURATION
-    u = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
-                  np.nextafter(-1.0, 0.0), 0.1, -0.7, 1e308, -np.inf,
-                  np.nan, 5e-324]).reshape(-1, 2)
-    got, want = sector.eval_f(sat, u), np.clip(u, -1.0, 1.0)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert sat.kind == sector.KIND_CUSTOM
     # a clip to [-2, 2] is custom: f(1.5) stays 1.5
     wide = sector.SectorPair([comp([-2.0, 2.0], 0.0)])
     assert wide.kind == sector.KIND_CUSTOM
     assert sector.eval_f(wide, [1.5])[0] == 1.5
-    # unit slope through 0 is the identity, extra knots or not: one piece
+    # unit slope through 0 with extra knots is custom, on one piece
     ident = sector.custom_pwl([comp([-2.0, 0.0, 0.5, 3.0], 1.0)] * 2)
-    assert ident.kind == sector.KIND_IDENTITY
+    assert ident.kind == sector.KIND_CUSTOM
     np.testing.assert_array_equal(
         ident.piece_of(np.linspace(-9.0, 9.0, 38).reshape(-1, 2)), 0)
 
@@ -85,11 +79,26 @@ def test_padded_pieces_continue_the_line_before_them():
     one = sector.PwlFunction([0.0], [0.0], 1.0, 1.0)
     three = sector.PwlFunction([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 1.0, 1.0)
     pair = sector.custom_pwl([one, three])
-    assert pair.kind == sector.KIND_IDENTITY
+    assert pair.kind == sector.KIND_CUSTOM
     np.testing.assert_array_equal(pair.hi[0], np.inf)
     u = np.linspace(-9.0, 9.0, 38).reshape(-1, 2)
     np.testing.assert_array_equal(pair.piece_of(u), 0)
     np.testing.assert_array_equal(sector.eval_f(pair, u), u)
+
+
+def test_kind_names_exactly_the_builders_tables():
+    # every saturation_deadzone(n) pair reads as saturation, and so do
+    # the same tables built otherwise; any other table is custom
+    for n in (1, 2, 5, 40):
+        assert sector.saturation_deadzone(n).kind == sector.KIND_SATURATION
+        assert sector.identity_zero(n).kind == sector.KIND_IDENTITY
+    sat = sector.saturation_deadzone(3)
+    assert sector.shift_pair(sat, np.zeros(3)).kind == sector.KIND_SATURATION
+    assert sector.scale_pair(sat, [1.0, 2.0, 1.0]).kind == sector.KIND_CUSTOM
+    assert (sector.shift_pair(sector.identity_zero(2), [0.5, 0.0]).kind
+            == sector.KIND_CUSTOM)
+    clip = sector.PwlFunction([-1.0, 1.0], [-1.0, 1.0], 0.0, 0.0)
+    assert sector.custom_pwl([clip] * 2).kind == sector.KIND_SATURATION
 
 
 def test_custom_pair_validation():
