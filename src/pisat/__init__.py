@@ -17,8 +17,7 @@ from .heating import (HeatingScenario, TemperatureSeries, benchmark_scenario,
                       scenario_from_json, synthetic_cold_snap,
                       to_standard_form)
 from .matrixlab import (column_dominance_scaling, diagonal_lyapunov_scaling,
-                        is_m_matrix, is_spd, is_strictly_column_dominant,
-                        is_z_pattern)
+                        is_spd, is_strictly_column_dominant, is_z_pattern)
 from .model import (VARIANT_COORDINATING, VARIANT_DECENTRALIZED,
                     VARIANT_STATIC, ControllerSpec, DisturbanceSignal,
                     PlantModel, TuningReport, check_tuning,

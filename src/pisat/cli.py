@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from . import equilibrium, heating, matrixlab, model, optimality, simulate
+from . import equilibrium, heating, model, optimality, simulate
 from .errors import (ConditionViolated, ConfigError, NonFiniteState,
                      ParseError, PisatError, UnsupportedVariant)
 
@@ -204,8 +204,7 @@ def cmd_certify(args) -> int:
     ctx = _context(args)
     plant, ctrl = ctx.plant, ctx.scn.controller
     checks = [{"name": "input_matrix_m", "status": "pass", "m_matrix": True,
-               "dominance_scaling":
-                   matrixlab.column_dominance_scaling(plant.b)}]
+               "dominance_scaling": plant.gain_scaling / plant.a}]
     w_ref = ctx.w_ref
     if ctrl.is_pi:
         tr = model.check_tuning(plant, ctrl)
@@ -377,11 +376,11 @@ def cmd_simulate(args) -> int:
     out_dir = _out_dir(ctx)
     if out_dir is None:
         raise ConfigError("simulate needs --out or run.out_dir")
-    os.makedirs(out_dir, exist_ok=True)
     scn = ctx.scn
     ctrl = scn.controller
     traj = _run_from_rest(ctx, ctrl)
     costs = simulate.evaluate_costs(traj, heating.default_cost_weights(scn))
+    os.makedirs(out_dir, exist_ok=True)
     simulate.write_trajectory_csv(traj, os.path.join(out_dir,
                                                      "trajectory.csv"))
     report = _report("simulate", scn, controller=ctrl.variant, n=scn.n,

@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matrixlab, model, sector
-from .errors import (DimensionMismatch, MaxIterationsExceeded,
-                     UnsupportedVariant)
+from .errors import (CertificateFailure, DimensionMismatch,
+                     MaxIterationsExceeded, UnsupportedVariant)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,16 +110,18 @@ def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
                       w) -> ContractionMap:
     """Assemble the contraction map for the stationary input equation.
 
-    The diagonal scaling d comes from the column dominance scaling of
-    S^-1 A^-1 B; the offset constant k exceeds max(1, 2 max_i b_hat_ii),
-    which makes every per-coordinate Lipschitz factor strictly less
-    than one.
+    The diagonal scaling d = s * plant.gain_scaling makes S^-1 A^-1 B
+    strictly column-dominant (checked, CertificateFailure otherwise);
+    the offset constant k exceeds max(1, 2 max_i b_hat_ii), which makes
+    every per-coordinate Lipschitz factor strictly less than one.
     """
     w = _load(plant, ctrl, w)
     sa = ctrl.s * plant.a
     m = plant.b / sa[:, None]
-    d = matrixlab.column_dominance_scaling(m)
+    d = ctrl.s * plant.gain_scaling
     b_hat = d[:, None] * m / d[None, :]
+    if not matrixlab.is_strictly_column_dominant(b_hat):
+        raise CertificateFailure("b_hat failed the dominance check")
     w_hat = d * (w / sa)
     k = max(1.0, 2.0 * float(np.max(np.diag(b_hat)))) + 1.0
     lam = (k - 1.0) / k
@@ -153,7 +155,7 @@ def _pattern_loop(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
     On the pieces of a pattern, f(u) = c + d u, and s a (u - f) + B f + w
     = 0 reads (diag(s a (1 - d)) + B diag(d)) u = s a c - B c - w.  The
     matrix is nonsingular for every d in [0, 1]: with its rows divided by
-    s a and the map's dominance scaling, each column is strictly dominant
+    s a and the scaling s * gain_scaling, each column is strictly dominant
     (d_j > 0) or a unit column (d_j = 0).  A pattern's solve and its
     successor do not depend on the start that reached it, so each round
     moves a frontier of patterns to their successors, and a pattern that

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrixlab, model, sector
-from .errors import (ConfigError, DimensionMismatch, NotMMatrix, ParseError,
+from . import model, sector
+from .errors import (ConfigError, DimensionMismatch, ParseError,
                      UnsupportedVariant)
 
 BENCHMARK_SIZE = 10
@@ -55,8 +55,8 @@ class HeatingScenario:
     """Physical network description plus the controller to run on it.
 
     a: heat loss kW/degC per building, c: capacity kWh/degC, b_heat:
-    input gains kW, x_c: comfort setpoint degC, t_ext: outdoor
-    temperature (series or a constant).
+    input gains kW (an M-matrix; ``to_standard_form`` proves it), x_c:
+    comfort setpoint degC, t_ext: outdoor temperature (series or a constant).
     """
 
     a: np.ndarray
@@ -84,8 +84,6 @@ class HeatingScenario:
             raise ConfigError("scenario values must be finite")
         if np.any(a <= 0.0) or np.any(c <= 0.0):
             raise ConfigError("loss and capacity coefficients must be positive")
-        if not matrixlab.is_m_matrix(b):
-            raise NotMMatrix("heat allocation matrix must be an M-matrix")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b_heat", b)
@@ -149,8 +147,8 @@ def to_standard_form(scn: HeatingScenario) -> tuple[model.PlantModel,
         load = _formed("constant disturbance",
                        lambda: decay * (scn.t_ext - scn.x_c))
     try:
-        plant = model.PlantModel(decay, gain,
-                                 sector.saturation_deadzone(scn.n))
+        plant = _formed("static gain", lambda: model.PlantModel(
+            decay, gain, sector.saturation_deadzone(scn.n)))
         w = (model.DisturbanceSignal.sampled(scn.t_ext.time_h, load)
              if series else model.DisturbanceSignal.constant(load))
     except (ValueError, DimensionMismatch) as exc:

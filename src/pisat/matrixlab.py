@@ -1,11 +1,11 @@
 """Dense small-matrix utilities for M-matrix analysis.
 
-Z-pattern and M-matrix classification, a diagonal similarity that makes
-an M-matrix strictly column-dominant, and a diagonal scaling q that
-makes diag(q) M + M^T diag(q) symmetric positive definite.  All
-classification is deterministic and eigenvalue-free: it rests on LU
-solves against the all-ones vector, which for Z-matrices is an exact
-characterization (semipositivity).
+Z-pattern classification, a diagonal similarity that makes an M-matrix
+strictly column-dominant, and a diagonal scaling q that makes
+diag(q) M + M^T diag(q) symmetric positive definite.  Each scaling
+proves its matrix an M-matrix by the solve whose result it uses, one
+LU solve against the all-ones vector, which for Z-matrices is an
+exact, eigenvalue-free characterization (semipositivity).
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ def _semipositive_solution(arr: np.ndarray) -> np.ndarray | None:
     return d if np.all(d > 0.0) else None
 
 
-def is_m_matrix(m) -> bool:
-    """True iff ``m`` is a Z-matrix with every eigenvalue in the open
-    right half plane, decided without eigenvalues by one solve of
-    m d = 1 and the sign of d."""
-    return _semipositive_solution(as_square_matrix(m)) is not None
-
-
 def is_strictly_column_dominant(m) -> bool:
     """Strict diagonal dominance of every column, positive diagonal
     required; the margin is compared against DOMINANCE_SLACK after
@@ -95,20 +88,19 @@ def column_dominance_scaling(m) -> np.ndarray:
     return d
 
 
-def diagonal_lyapunov_scaling(m) -> np.ndarray:
+def diagonal_lyapunov_scaling(m, v) -> np.ndarray:
     """Positive q with diag(q) m + m^T diag(q) symmetric positive definite.
 
-    Uses q_i = v_i / w_i where m w = 1 and m^T v = 1; the solve for w
-    proves m an M-matrix (NotMMatrix otherwise).  The result is verified
-    by a Cholesky factorization; an uncertified scaling is never
-    returned (CertificateFailure instead).
+    Uses q_i = v_i / w_i where m w = 1 and the given v solves m^T v = 1;
+    the solve for w proves m an M-matrix (NotMMatrix otherwise).  The
+    result is verified by a Cholesky factorization; an uncertified
+    scaling is never returned (CertificateFailure instead).
     """
     arr = as_square_matrix(m)
     w = _semipositive_solution(arr)
     if w is None:
         raise NotMMatrix("diagonal Lyapunov scaling requires an M-matrix")
-    v = np.linalg.solve(arr.T, np.ones(arr.shape[0]))
-    q = v / w
+    q = np.asarray(v, dtype=float) / w
     sym = q[:, None] * arr + arr.T * q[None, :]
     if not is_spd(sym):
         raise CertificateFailure("diag(q) m + m^T diag(q) is not positive definite")

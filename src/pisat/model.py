@@ -53,25 +53,32 @@ class PlantModel:
     """First-order agent network dx = -diag(a) x + b f(u) + w.
 
     a is the per-agent decay (positive, units 1/time), b the input
-    coupling (must be an M-matrix), and pair the sector nonlinearity
-    applied to the input coordinatewise.
+    coupling, and pair the sector nonlinearity applied to the input
+    coordinatewise.  The derived gain_scaling is the column dominance
+    scaling d of A^-1 b, whose solve proves b an M-matrix; a row scaling
+    diag(k) A^-1 b has the scaling d / k, so each certificate reads its
+    scaling off d.
     """
 
     a: np.ndarray
     b: np.ndarray
     pair: sector.SectorPair
+    gain_scaling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = _positive_vector(self.a, "a")
         b = matrixlab.as_square_matrix(self.b)
         if b.shape[0] != a.size:
             raise DimensionMismatch("a and b sizes disagree")
-        if not matrixlab.is_m_matrix(b):
-            raise NotMMatrix("input coupling must be an M-matrix")
+        try:
+            d = matrixlab.column_dominance_scaling(b / a[:, None])
+        except NotMMatrix:
+            raise NotMMatrix("input coupling must be an M-matrix") from None
         if self.pair.n != a.size:
             raise DimensionMismatch("sector pair width disagrees with a")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "gain_scaling", d)
 
     @property
     def n(self) -> int:

@@ -110,10 +110,10 @@ def check_gamma_condition(gamma, plant: model.PlantModel) -> bool:
 def admissible_gamma(plant: model.PlantModel) -> np.ndarray:
     """A weight vector that satisfies the certificate condition.
 
-    Taken from the column dominance scaling of A^-1 B and normalized so
-    the largest weight is one.
+    The plant's column dominance scaling of A^-1 B, normalized so the
+    largest weight is one.
     """
-    d = matrixlab.column_dominance_scaling(plant.b / plant.a[:, None])
+    d = plant.gain_scaling
     return d / float(np.max(d))
 
 

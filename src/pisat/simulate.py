@@ -531,11 +531,12 @@ def lyapunov_parameters(plant: model.PlantModel,
                         ctrl: model.ControllerSpec) -> LyapunovParameters:
     """Derive the storage-function weights for the decentralized loop.
 
-    The admissible range for epsilon keeps a 2x2 comparison form negative
-    definite; epsilon is half the bound (or 1 when unbounded).  The
-    storage function needs a_i p_i > r_i for every agent, so a loop
-    without that margin raises CertificateFailure here, before any
-    trajectory is integrated for it.
+    q = v / w with P B w = 1 and v = d / (a p), d the plant's gain
+    scaling.  The admissible range for epsilon keeps a 2x2 comparison
+    form negative definite; epsilon is half the bound (or 1 when
+    unbounded).  The storage function needs a_i p_i > r_i for every
+    agent, so a loop without that margin raises CertificateFailure here,
+    before any trajectory is integrated for it.
     """
     if ctrl.variant != model.VARIANT_DECENTRALIZED:
         raise UnsupportedVariant("storage function covers the decentralized "
@@ -544,7 +545,8 @@ def lyapunov_parameters(plant: model.PlantModel,
         raise CertificateFailure("storage function needs a_i p_i > r_i "
                                  "for every agent")
     pb = ctrl.p[:, None] * plant.b
-    q = matrixlab.diagonal_lyapunov_scaling(pb)
+    q = matrixlab.diagonal_lyapunov_scaling(
+        pb, plant.gain_scaling / (plant.a * ctrl.p))
     qpb = q[:, None] * pb
     alpha = 0.5 * float(np.min(np.linalg.eigvalsh(qpb + qpb.T)))
     beta_min = float(np.min(q * ctrl.r * ctrl.s))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pisat import cli, equilibrium, heating, model, simulate
+from pisat import cli, equilibrium, heating, matrixlab, model, simulate
 from pisat.errors import NotMMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -116,6 +116,28 @@ def _count_calls(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("command, code, solves", [
+    ("certify", 2, 8), ("lp", 0, 1), ("equilibrium", 0, 3)])
+def test_linear_solves_per_command(command, code, solves, monkeypatch):
+    # the plant's one proof of B gives every scaling of it: certify's
+    # report, the contraction map, gamma and the storage weights
+    calls = _count_calls(monkeypatch, np.linalg, "solve")
+    assert _run(command, "--config", BENCHMARK) == code
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("config", [BENCHMARK, TEXTBOOK])
+def test_certify_reports_the_dominance_scaling_of_b(config, tmp_path):
+    out = tmp_path / "report.json"
+    _run("certify", "--config", config, "--out", str(out))
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["name"] == "input_matrix_m"
+    plant, _ = heating.to_standard_form(cli.load_config(config)[0])
+    np.testing.assert_allclose(check["dominance_scaling"],
+                               matrixlab.column_dominance_scaling(plant.b),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_certify_builds_contraction_once(monkeypatch):
@@ -430,6 +452,7 @@ def _textbook_with(tmp_path, **fields):
     ({"b_heat_kw": [[1e300]], "c_kwh_per_degc": [1e-10]}, "matrix entries"),
     ({"a_kw_per_degc": [10.0], "t_ext": {"constant_degc": -1e308}},
      "constant disturbance"),
+    ({"a_kw_per_degc": [1e-300], "b_heat_kw": [[1e10]]}, "static gain"),
 ])
 @pytest.mark.parametrize("command", ["certify", "equilibrium", "lp"])
 def test_overflowing_standard_form_is_config_error(fields, quantity, command,
@@ -439,6 +462,22 @@ def test_overflowing_standard_form_is_config_error(fields, quantity, command,
     err = _assert_usage_error([command, "--config",
                                _textbook_with(tmp_path, **fields)], capsys)
     assert quantity in err
+
+
+@pytest.mark.parametrize("command",
+                         ["certify", "equilibrium", "lp", "simulate"])
+def test_non_m_coupling_fails_with_one_line(command, tmp_path, capsys):
+    # b_heat is upper triangular with a positive coupling: no M-matrix
+    ctrl = {"variant": "decentralized", "p_per_degc": [1.0, 1.0],
+            "r_per_degc_h": [0.5, 0.5], "s_degc": [0.5, 0.5]}
+    cfg = _textbook_with(tmp_path, a_kw_per_degc=[1.0, 1.0],
+                         c_kwh_per_degc=[1.0, 1.0],
+                         b_heat_kw=[[1.0, 2.0], [0.0, 1.0]], controller=ctrl)
+    out = tmp_path / "out"
+    assert _run(command, "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "pisat: NotMMatrix: input coupling must be an M-matrix"]
+    assert not out.exists()
 
 
 def test_overflowing_standard_form_prints_one_line(tmp_path):
@@ -558,6 +597,22 @@ def test_certify_cut_probe_step_takes_the_eigenvalues_once(tmp_path,
     cfg = _textbook_with(tmp_path, a_kw_per_degc=[200.0])
     assert _run("certify", "--config", cfg) == 0
     assert calls == ["eigvals"]
+
+
+@pytest.mark.parametrize("cap, argv, code, error", [
+    (20, ["--dt", "0.25", "--t-end", "5.25"], 64, "ConfigError"),
+    (None, ["--dt", "5.0", "--t-end", "500"], 1, "NonFiniteState")])
+def test_failed_simulate_leaves_no_directory(cap, argv, code, error,
+                                             monkeypatch, tmp_path, capsys):
+    # a run refused for its step cap (one agent, 21 steps past a cap of
+    # 20), and a run that blows up
+    if cap is not None:
+        monkeypatch.setattr(simulate, "MAX_AGENT_STEPS", cap)
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", TEXTBOOK, "--out", str(out),
+                *argv) == code
+    assert capsys.readouterr().err.startswith(f"pisat: {error}: ")
+    assert not out.exists()
 
 
 def test_simulate_blowup_fails(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 import oracles
 from conftest import random_disturbance, random_instance, random_pwl_pair
 from pisat import cli, equilibrium, heating, model, sector
-from pisat.errors import MaxIterationsExceeded, UnsupportedVariant
+from pisat.errors import (CertificateFailure, MaxIterationsExceeded,
+                          UnsupportedVariant)
 
 BENCHMARK = (pathlib.Path(__file__).resolve().parent.parent / "configs"
              / "benchmark_constant.json")
@@ -48,6 +49,19 @@ def test_contraction_constants_identity_case():
     assert cmap.k == pytest.approx(3.0)
     assert cmap.lam == pytest.approx(2.0 / 3.0)
     assert cmap.contraction_bound == pytest.approx(2.0 / 3.0)
+
+
+def test_build_contraction_rechecks_the_plants_scaling():
+    # with unit scaling the second column of this M-matrix is not
+    # dominant, so a wrong scaling in the plant fails the map, loudly
+    b = np.array([[1.0, -2.0], [0.0, 1.0]])
+    plant = model.PlantModel([1.0, 1.0], b, sector.saturation_deadzone(2))
+    ctrl = model.ControllerSpec("decentralized", [1.0, 1.0], [0.5, 0.5],
+                                [1.0, 1.0])
+    assert equilibrium.build_contraction(plant, ctrl, [0.0, 0.0]).n == 2
+    object.__setattr__(plant, "gain_scaling", np.ones(2))
+    with pytest.raises(CertificateFailure):
+        equilibrium.build_contraction(plant, ctrl, [0.0, 0.0])
 
 
 def test_fixed_point_is_stationary(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pisat import equilibrium, heating, matrixlab, model, simulate
+from pisat import equilibrium, heating, model, simulate
 from pisat.errors import (ConfigError, DimensionMismatch, NotMMatrix,
                           ParseError)
 
@@ -20,19 +20,22 @@ def test_benchmark_constants():
     assert scn.b_heat[9, 9] == pytest.approx(12.0)
     assert scn.b_heat[9, 0] == pytest.approx(-0.15)   # min(10, 1) = 1
     assert scn.b_heat[2, 6] == pytest.approx(-0.45)   # min(3, 7) = 3
-    assert matrixlab.is_m_matrix(scn.b_heat)
+    assert oracles.is_m_matrix_eig(scn.b_heat)
     np.testing.assert_allclose(scn.controller.p, 2.5)
     np.testing.assert_allclose(scn.controller.r, 0.2)
     np.testing.assert_allclose(scn.controller.s, 2.0)
 
 
 def test_scenario_rejects_non_m_heat_matrix():
+    # the plant proves the coupling on b_heat / c, a row scaling of it
     ctrl = model.ControllerSpec("decentralized", [1.0, 1.0], [0.1, 0.1],
                                 [1.0, 1.0])
-    with pytest.raises(NotMMatrix):
-        heating.HeatingScenario(np.ones(2), np.ones(2),
-                                np.array([[1.0, 2.0], [0.0, 1.0]]),
-                                20.0, -5.0, ctrl)
+    scn = heating.HeatingScenario(np.ones(2), np.ones(2),
+                                  np.array([[1.0, 2.0], [0.0, 1.0]]),
+                                  20.0, -5.0, ctrl)
+    with pytest.raises(NotMMatrix, match="input coupling must be an "
+                                         "M-matrix"):
+        heating.to_standard_form(scn)
 
 
 def test_standard_form_constants():

@@ -4,7 +4,8 @@ import pytest
 import oracles
 from conftest import random_instance
 from pisat import equilibrium, model, sector, simulate
-from pisat.errors import DimensionMismatch, NotMMatrix, UnsupportedVariant
+from pisat.errors import (CertificateFailure, DimensionMismatch, NotMMatrix,
+                          UnsupportedVariant)
 
 
 def _plant1():
@@ -15,6 +16,19 @@ def test_plant_rejects_non_m_matrix():
     with pytest.raises(NotMMatrix):
         model.PlantModel([1.0, 1.0], [[1.0, 2.0], [0.0, 1.0]],
                          sector.saturation_deadzone(2))
+
+
+def test_plant_refuses_a_coupling_its_scaling_cannot_certify():
+    # det B = eps: the scaling's relative column margins are about eps,
+    # so below DOMINANCE_SLACK (1e-12) the plant's one proof of B fails
+    # loudly, where the contraction map and gamma would fail later
+    pair = sector.saturation_deadzone(2)
+    plant = model.PlantModel([1.0, 1.0], [[1.0, -1.0 + 1e-9], [-1.0, 1.0]],
+                             pair)
+    assert np.all(plant.gain_scaling > 0.0)
+    with pytest.raises(CertificateFailure):
+        model.PlantModel([1.0, 1.0], [[1.0, -1.0 + 1e-13], [-1.0, 1.0]],
+                         pair)
 
 
 def test_plant_rejects_nonpositive_decay():
