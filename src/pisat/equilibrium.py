@@ -17,7 +17,10 @@ The solver is an active-set loop over patterns: each round solves the
 equation on the current pattern and takes as the next one, for every
 coordinate, the piece of that row's solution, with v = c + d u read off
 the assumed pieces.  A pattern that predicts itself is exact: its solve
-lies on its own pieces and ends the loop.  A cycle of patterns raises
+lies on its own pieces and ends the loop.  A row whose right side lies
+above a piece boundary by no more than 1e-12 of the size of its terms
+is taken to lie below it, as an exact tie does, so rounding cannot move
+rows that sit on a knot from piece to piece.  A cycle of patterns raises
 MaxIterationsExceeded.  For saturation the stationary equation is a box
 LCP in v = sat(u0) with the M-matrix B, which has exactly one solution
 whatever s is (Cottle, Pang and Stone, The Linear Complementarity
@@ -41,6 +44,8 @@ import numpy as np
 from . import matrixlab, model, sector
 from .errors import (CertificateFailure, DimensionMismatch,
                      MaxIterationsExceeded, UnsupportedVariant)
+
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,34 +153,43 @@ def _next_pieces(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.sum(rhs[..., None, :] > phi, axis=-2)
 
 
-def _pattern_loop(plant: model.PlantModel, ctrl: model.ControllerSpec, w,
-                  start: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _pattern_loop(b: np.ndarray, pair: sector.SectorPair, sa: np.ndarray,
+                  w, start: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Walk the active-set loop from the patterns of ``start`` (k, n).
 
-    On the pieces of a pattern, f(u) = c + d u, and s a (u - f) + B f + w
-    = 0 reads (diag(s a (1 - d)) + B diag(d)) u = s a c - B c - w.  The
-    matrix is nonsingular for every d in [0, 1]: with its rows divided by
-    s a and the scaling s * gain_scaling, each column is strictly dominant
-    (d_j > 0) or a unit column (d_j = 0).  A pattern's solve and its
-    successor do not depend on the start that reached it, so each round
-    moves a frontier of patterns to their successors, and a pattern that
-    predicts itself is an end.  The frontier's new patterns are solved in
-    one stacked ``np.linalg.solve``, which rounds each system as a solve
-    of its own.  Without a cycle, r rounds meet r distinct patterns, so
+    ``sa`` is the loop's s a, any positive vector.  On the pieces of a
+    pattern, f(u) = c + d u, and sa (u - f) + B f + w = 0 reads
+    (diag(sa (1 - d)) + B diag(d)) u = sa c - B c - w.  The matrix is
+    nonsingular for every d in [0, 1]: with its rows divided by sa and
+    the column dominance scaling of the M-matrix diag(1 / sa) B, each
+    column is strictly dominant (d_j > 0) or a unit column (d_j = 0).
+    Under saturation the end's v = sat(u) solves the box LCP of B and w,
+    which does not depend on sa.  A pattern's solve and its successor do
+    not depend on the start that reached it, so each round moves a
+    frontier of patterns to their successors, and a pattern that predicts
+    itself is an end.  The frontier's new patterns are solved in one
+    stacked ``np.linalg.solve``, which rounds each system as a solve of
+    its own.  Without a cycle, r rounds meet r distinct patterns, so
     round ``len(solved) + 2`` raises MaxIterationsExceeded.  Returns the
     distinct ends' inputs, the rounds and the patterns solved.
     """
-    pair, b = plant.pair, plant.b
-    sa = ctrl.s * plant.a
     cols = np.arange(pair.n)
     off = b - np.diag(np.diag(b))
-    # the row's left side at the lower end of each piece past the first
+    # the row's left side at the lower end of each piece past the first,
+    # raised by a tie: rounding moves a row's right side and these values
+    # by a few ulps of the size of its terms, here bounded with |u| and
+    # |v| at most the largest |knot| m (|f(u)| <= |u| in the sector; the
+    # knots ascend), so a right side that exceeds a boundary by no more
+    # than _TIE_TOL of that size stays below it, as an exact tie does,
+    # and rows on a knot cannot flip from piece to piece
     lo = pair.lo[1:]
     edge = np.isinf(lo)
     at = np.where(edge, 0.0, lo)
+    m = np.maximum(-pair.knots[0], pair.knots[-1])
+    tie = _TIE_TOL * (np.abs(w) + sa * m + np.abs(b) @ m)
     phi = np.where(edge, np.inf,
                    sa * at + (np.diag(b) - sa)
-                   * (pair.icpt[1:] + pair.slope[1:] * at))
+                   * (pair.icpt[1:] + pair.slope[1:] * at) + tie)
     solved = {}     # pattern bytes -> (u, predicted pattern)
     frontier = {pieces.tobytes(): pieces for pieces in start}
     rounds = 0
@@ -217,7 +231,8 @@ def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec,
     w = _load(plant, ctrl, w)
     cmap = build_contraction(plant, ctrl, w)
     start = plant.pair.piece_of(np.zeros((1, plant.n)))
-    (u0,), rounds, _ = _pattern_loop(plant, ctrl, w, start)
+    (u0,), rounds, _ = _pattern_loop(plant.b, plant.pair, ctrl.s * plant.a,
+                                     w, start)
     residual = stationary_residual(plant, ctrl, u0, w)
     load = float(np.max(np.abs(w / (ctrl.s * plant.a))))
     scale = max(1.0, load, float(np.max(np.abs(u0))))
@@ -290,6 +305,7 @@ def probe_uniqueness(plant: model.PlantModel, ctrl: model.ControllerSpec,
     radius = 2.0 * max(1.0, float(np.max(np.abs(plant.pair.knots))))
     start = plant.pair.piece_of(rng.uniform(-radius, radius,
                                             size=(restarts, plant.n)))
-    u, _, solves = _pattern_loop(plant, ctrl, w, start)
+    u, _, solves = _pattern_loop(plant.b, plant.pair, ctrl.s * plant.a, w,
+                                 start)
     return UniquenessProbe(float(np.sum(u.max(axis=0) - u.min(axis=0))),
                            solves)

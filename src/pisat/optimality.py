@@ -18,12 +18,17 @@ solved, and the certificate records that the fallback ran.
 The LP is solved in the x-eliminated form min ||gm v + gw||_1 over the
 input box, with gm = diag(gamma) A^-1 B and gw = diag(gamma) A^-1 w, by
 one bounded-variable primal simplex on n rows, so no external solver
-is involved.  The box is kept as variable bounds, the start is
-feasible, entering columns are priced by Dantzig's rule with Bland's
-rule as the anti-cycling fallback, and each pivot is one vectorized
-rank-one update of the whole tableau.  Runs are deterministic at a
-fixed BLAS thread count (the start's reduced-cost row is a
-vector-matrix product).
+is involved.  The box is kept as variable bounds, entering columns are
+priced by Dantzig's rule with Bland's rule as the anti-cycling
+fallback, and each pivot is one vectorized rank-one update of the
+whole tableau.  The simplex starts from a crash basis (Bixby, ORSA J.
+Computing 4(3), 1992): the saturation pattern of the box LCP
+B v + w, v in [-1, 1]^n, which the equilibrium's pattern loop solves.
+That pattern is primal feasible for every gamma, and by the result
+above it is optimal when the condition on gamma holds, so the simplex
+then takes no step.  Runs are deterministic at a fixed BLAS thread
+count (the pattern and the start's tableau come from BLAS solves and
+products).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .errors import (ConditionViolated, DimensionMismatch, SolverFailure,
                      UnsupportedVariant)
 
 _PIVOT_EPS = 1e-9
+_START_TOL = 1e-9
 _MIN_PIVOTS = 10_000
 
 
@@ -122,10 +128,13 @@ def _pivot_budget(rows: int, cols: int) -> int:
 
     One step, pivot or bound flip, per entry of the tableau and a basis
     square (4 n^2 on the n x 3n allocation system), and never fewer
-    than 10,000.  Dantzig's path on generated ratio-4 allocation LPs
-    takes about 1.7 n steps (166 pivots at n = 100, 418 at n = 240,
-    where this guard allows 230,400), so the guard stops only a solve
-    that has lost its way, never one that is merely large.
+    than 10,000.  From the loop's pattern the path on generated ratio-4
+    allocation LPs takes no step under an admissible gamma, and 2-42
+    steps at n = 40 and 100 under a random gamma in [0.1, 10]^n that
+    breaks the condition; from the all-low start at v = -1 it took
+    about 1.7 n steps (418 at n = 240, where this guard allows
+    230,400).  So the guard stops only a solve that has lost its way,
+    never one that is merely large.
     """
     return max(_MIN_PIVOTS, rows * (cols + rows))
 
@@ -166,8 +175,60 @@ def _ratio_test(rows: np.ndarray, ratios: np.ndarray,
     return leave, best_ratio
 
 
-def _bounded_simplex(gm: np.ndarray,
-                     gw: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+def _pattern_start(gm: np.ndarray, gw: np.ndarray, pieces: np.ndarray):
+    """The simplex's first basis from a saturation pattern.
+
+    ``pieces[j]`` is 0 (v_j = -1), 1 (free) or 2 (v_j = 1), the piece of
+    saturation that input j takes, so a saturated y_j = v_j + 1 sits
+    nonbasic at pieces[j].  Row j of the basis holds y_j for a free input
+    and, on a saturated one, p_j or q_j by the sign of that row's
+    residual.  The basis matrix is the free block gm[J, J] bordered by
+    unit columns, so one solve on J gives the tableau B^-1 [gm, -I, I]
+    and the basic values.  A basic value outside its bounds by more than
+    _START_TOL raises SolverFailure: the simplex never pivots from an
+    infeasible start.  Returns the tableau over its reduced-cost row, the
+    basis, the basic values, the nonbasic sides and the upper bounds.
+    """
+    n = gw.size
+    idx = np.arange(n)
+    free = pieces == 1
+    sat = ~free
+    # [gm, -I, I | rhs] over the cost row [0, 1, 1 | 0], with the
+    # saturated y moved to the right side
+    body = np.zeros((n + 1, 3 * n + 1))
+    body[:n, :n] = gm
+    body[idx, n + idx] = -1.0
+    body[idx, 2 * n + idx] = 1.0
+    body[:n, -1] = gm @ (1.0 - np.where(free, 0.0, pieces)) - gw
+    body[n, n:-1] = 1.0
+    rows = body[:n]
+    rows[free] = np.linalg.solve(gm[np.ix_(free, free)], rows[free])
+    rows[sat] -= gm[np.ix_(sat, free)] @ rows[free]
+    # q_i - p_i is what is left of the saturated row's right side
+    sign = np.where(rows[sat, -1] >= 0.0, 1.0, -1.0)
+    rows[sat] *= sign[:, None]
+    # each basic p or q costs one: price the saturated rows out
+    body[n] -= rows[sat].sum(axis=0)
+    basis = idx.copy()
+    basis[sat] = np.where(sign > 0.0, 2 * n, n) + idx[sat]
+    upper = np.concatenate([np.full(n, 2.0), np.full(2 * n, np.inf)])
+    value = rows[:, -1].copy()
+    bad = np.flatnonzero(~((value >= -_START_TOL)
+                           & (value <= upper[basis] + _START_TOL)))
+    if bad.size:
+        k = bad[0]
+        raise SolverFailure(
+            f"start pattern infeasible: basic {'ypq'[basis[k] // n]}_{k} "
+            f"= {value[k]:.6g} lies outside its bounds")
+    # +1 nonbasic at the lower bound, -1 at the upper bound, 0 basic
+    side = np.ones(3 * n)
+    side[:n] = np.where(pieces == 2, -1.0, 1.0)
+    side[basis] = 0.0
+    return body[:, :-1], basis, value, side, upper
+
+
+def _bounded_simplex(gm: np.ndarray, gw: np.ndarray,
+                     pieces: np.ndarray) -> tuple[np.ndarray, int, int, int]:
     """Minimize ||gm v + gw||_1 over -1 <= v <= 1.
 
     Bounded-variable primal simplex (Dantzig's upper-bounding
@@ -176,31 +237,19 @@ def _bounded_simplex(gm: np.ndarray,
         min 1 @ (p + q)  s.t.  gm v - p + q = -gw,  p, q >= 0,
 
     in the columns [y, p, q] with y = v + 1 in [0, 2]: n rows, 3n
-    columns.  Every y starts nonbasic at 0, and q_i or p_i is basic by
-    the sign of (gm 1 - gw)_i, so the first basis is feasible.  The
-    entering column has the largest |reduced cost| (lowest index on
-    ties); after n consecutive degenerate steps pricing turns to Bland's
-    rule until a step has positive length.  An entering y whose own
-    range is the shortest step flips between its bounds without a pivot.
+    columns.  It starts from the basis that the saturation pattern
+    ``pieces`` names (``_pattern_start``): free y basic, saturated y
+    nonbasic at their bounds; the all-low pattern is the start at
+    v = -1.  The entering column has the largest |reduced cost| (lowest
+    index on ties); after n consecutive degenerate steps pricing turns
+    to Bland's rule until a step has positive length.  An entering y
+    whose own range is the shortest step flips between its bounds
+    without a pivot.
 
     Returns v and the pivots, bound flips and Bland-priced pivots made.
     """
     n = gw.size
-    idx = np.arange(n)
-    rhs = gm @ np.ones(n) - gw
-    sign = np.where(rhs >= 0.0, 1.0, -1.0)
-    basis = np.where(sign > 0.0, 2 * n + idx, n + idx)
-    value = np.abs(rhs)
-    # the tableau B^-1 [gm, -I, I] over its reduced-cost row
-    tab = np.zeros((n + 1, 3 * n))
-    tab[:n, :n] = sign[:, None] * gm
-    tab[idx, n + idx] = -sign
-    tab[idx, 2 * n + idx] = sign
-    tab[n] = np.concatenate([-(sign @ gm), 1.0 + sign, 1.0 - sign])
-    upper = np.concatenate([np.full(n, 2.0), np.full(2 * n, np.inf)])
-    # +1 nonbasic at the lower bound, -1 at the upper bound, 0 basic
-    side = np.ones(3 * n)
-    side[basis] = 0.0
+    tab, basis, value, side, upper = _pattern_start(gm, gw, pieces)
 
     budget = _pivot_budget(n, 3 * n)
     stall_limit = _stall_limit(n)
@@ -254,17 +303,42 @@ def _bounded_simplex(gm: np.ndarray,
     return y[:n] - 1.0, pivots, flips, bland
 
 
+def _lcp_pattern(plant: model.PlantModel, w: np.ndarray) -> np.ndarray:
+    """Saturation pattern of the box LCP B v + w, v in [-1, 1]^n.
+
+    Its solution is v = sat(u) at the end of the pattern loop under
+    saturation, for any positive s a.  The loop runs with s a = a from
+    the pattern of u = 0, on ``saturation_deadzone(n)`` (a saturation
+    plant's pair is that pair) whatever pair the plant has, because the
+    LP's box is [-1, 1]^n; no controller is involved.
+    """
+    pair = plant.pair
+    if pair.kind != sector.KIND_SATURATION:
+        pair = sector.saturation_deadzone(plant.n)
+    start = pair.piece_of(np.zeros((1, plant.n)))
+    (u,), _, _ = equilibrium._pattern_loop(plant.b, pair, plant.a, w, start)
+    v = np.clip(u, -1.0, 1.0)
+    # a row whose x = v - u is zero within rounding has v on a knot; it is
+    # free, basic at its bound, as the dual point takes |u0| = 1 as free
+    tie = equilibrium._TIE_TOL * (np.abs(w) + np.abs(plant.b) @ np.abs(v))
+    return np.where(plant.a * np.abs(u - v) <= tie, 1, pair.piece_of(u))
+
+
 def solve_weighted_l1_lp(gamma, plant: model.PlantModel, w) -> AllocationSolution:
     """Solve the weighted 1-norm steady-state allocation problem.
 
     The state is eliminated through x = A^-1 (B v + w), and the weighted
     state is split into its positive and negative parts, giving an LP in
-    v that is always feasible (v = 0).  Deterministic for fixed inputs.
+    v that is always feasible (v = 0).  The simplex starts at the
+    saturation pattern of the loop's equilibrium (``_lcp_pattern``), the
+    optimum whenever gamma meets the certificate condition, and a
+    feasible start for every other gamma.  Deterministic for fixed
+    inputs.
     """
     g = model._positive_vector(gamma, "gamma", plant.n)
     w = np.atleast_1d(np.asarray(w, dtype=float))
     gm, gw = _weighted_system(g, plant, w)
-    v, pivots, flips, bland = _bounded_simplex(gm, gw)
+    v, pivots, flips, bland = _bounded_simplex(gm, gw, _lcp_pattern(plant, w))
     if np.max(np.abs(v) - 1.0) > 1e-9:
         raise SolverFailure("recovered input violates its box bound")
     v = np.clip(v, -1.0, 1.0)

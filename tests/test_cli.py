@@ -119,10 +119,12 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize("command, code, solves", [
-    ("certify", 2, 8), ("lp", 0, 1), ("equilibrium", 0, 3)])
+    ("certify", 2, 8), ("lp", 0, 4), ("equilibrium", 0, 3)])
 def test_linear_solves_per_command(command, code, solves, monkeypatch):
     # the plant's one proof of B gives every scaling of it: certify's
-    # report, the contraction map, gamma and the storage weights
+    # report, the contraction map, gamma and the storage weights; lp adds
+    # its pattern loop's two rounds and the start's one solve on the free
+    # block
     calls = _count_calls(monkeypatch, np.linalg, "solve")
     assert _run(command, "--config", BENCHMARK) == code
     assert len(calls) == solves
@@ -771,6 +773,9 @@ def _assert_rk4_counters(diag, steps):
     assert diag["derivative_evaluations"] == 4 * diag["staged_steps"]
 
 
+_LOPSIDED = "1,1,1,1,1,1,1,1,10,10"
+
+
 def test_diagnostics_counters_repeat(tmp_path):
     # deterministic counters: two runs of each command report the same
     # ones
@@ -782,7 +787,9 @@ def test_diagnostics_counters_repeat(tmp_path):
         assert _run("compare", "--config", BENCHMARK, "--t-end", "40",
                     "--controllers", "decentralized", "coordinating",
                     "static", "--out", str(out / "cmp")) == 0
-        assert _run("lp", "--config", BENCHMARK,
+        # a gamma that breaks the condition, so the simplex pivots from
+        # the loop's pattern
+        assert _run("lp", "--config", BENCHMARK, "--gamma", _LOPSIDED,
                     "--out", str(out / "lp.json")) == 0
         # exit 2: the benchmark's tuning margins only warn
         assert _run("certify", "--config", BENCHMARK,

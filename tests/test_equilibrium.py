@@ -236,8 +236,9 @@ def _loop_rows(plant, ctrl, w, restarts, rng):
         assert eq.residual_stationary <= 1e-10 * eq.scale
         return eq.u0
     start = plant.pair.piece_of(rng.uniform(-8.0, 8.0, (restarts, plant.n)))
-    u, rounds, solves = equilibrium._pattern_loop(plant, ctrl, w, start)
-    singles = [equilibrium._pattern_loop(plant, ctrl, w, start[row:row + 1])
+    loop = (plant.b, plant.pair, ctrl.s * plant.a, w)
+    u, rounds, solves = equilibrium._pattern_loop(*loop, start)
+    singles = [equilibrium._pattern_loop(*loop, start[row:row + 1])
                for row in range(restarts)]
     assert all(len(end) == 1 for end, _, _ in singles)
     assert 1 <= len(u) <= restarts
@@ -297,6 +298,22 @@ def test_returning_pattern_raises(monkeypatch):
     assert len(calls) == 2
 
 
+def test_rows_on_a_knot_settle():
+    # w = +-B 1 puts every row on a knot, u0 = -+1 with x0 = 0, where
+    # rounding alone decides each row's piece; a row within rounding of a
+    # boundary stays below it, so the loop ends instead of cycling (29 of
+    # these 80 solves raised MaxIterationsExceeded before)
+    rng = np.random.default_rng(3)
+    for n in range(1, 41):
+        plant, ctrl = random_instance(rng, n)
+        for knot in (1.0, -1.0):
+            w = knot * (plant.b @ np.ones(n))
+            eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+            assert eq.residual_stationary <= 1e-10 * eq.scale
+            assert eq.iterations <= 2
+            np.testing.assert_allclose(eq.u0, -knot, rtol=0.0, atol=1e-12)
+
+
 def _scripted_walk(monkeypatch, start, *successors):
     # the one-agent saturation loop, whose predictor returns the given
     # successors call by call, one row per new pattern in frontier order
@@ -304,8 +321,8 @@ def _scripted_walk(monkeypatch, start, *successors):
     calls = iter(successors)
     monkeypatch.setattr(equilibrium, "_next_pieces",
                         lambda phi, rhs: np.array(next(calls)))
-    return equilibrium._pattern_loop(plant, ctrl, np.array([-0.3]),
-                                     np.array(start))
+    return equilibrium._pattern_loop(plant.b, plant.pair, ctrl.s * plant.a,
+                                     np.array([-0.3]), np.array(start))
 
 
 def test_path_through_three_patterns_ends(monkeypatch):

@@ -35,8 +35,10 @@ def test_simplex_matches_scipy(rng):
 def _assert_matches_loop_oracle(gm, gw):
     # the bounded simplex reaches the optimum of the two-phase epigraph
     # solve it replaced; the paths differ, so the costs agree to 1e-12
-    # relative (1e-12 absolute where the optimum is zero)
-    v, _, _, bland = optimality._bounded_simplex(gm, gw)
+    # relative (1e-12 absolute where the optimum is zero); a raw gm has no
+    # loop pattern, so the simplex starts at the all-low pattern v = -1
+    v, _, _, bland = optimality._bounded_simplex(
+        gm, gw, np.zeros(gw.size, dtype=int))
     assert np.max(np.abs(v)) <= 1.0 + 1e-9
     cost = float(np.sum(np.abs(gm @ np.clip(v, -1.0, 1.0) + gw)))
     assert cost == pytest.approx(oracles.allocation_cost_loop(gm, gw),
@@ -53,25 +55,36 @@ def _assert_plant_matches_loop_oracle(gamma, plant, w):
     return sol
 
 
+def _assert_starts_optimal(sol):
+    # the loop's saturation pattern is an optimal basis: no step is taken
+    assert (sol.pivots, sol.bound_flips, sol.bland_pivots) == (0, 0, 0)
+
+
 def test_simplex_path_matches_loop_oracle(rng):
-    # Dantzig's path reaches the loop oracle's optimum on every n
+    # under an admissible gamma the simplex starts at the loop oracle's
+    # optimum on every n
     for n in range(1, 41):
         plant, _ = random_instance(rng, n)
         w = random_disturbance(rng, n)
         sol = _assert_plant_matches_loop_oracle(
             optimality.admissible_gamma(plant), plant, w)
-        assert sol.bland_pivots == 0
+        _assert_starts_optimal(sol)
 
 
 def test_simplex_path_matches_loop_oracle_degenerate(rng):
     for n in (1, 2, 5, 12, 25):
         plant, _ = random_instance(rng, n)
         gamma = optimality.admissible_gamma(plant)
-        # w = 0: the optimum x = 0 is a degenerate vertex
-        _assert_plant_matches_loop_oracle(gamma, plant, np.zeros(n))
-        # a huge pull puts the optimum on a corner of the input box
+        # w = 0: the optimum x = 0 is a degenerate vertex, every input free
+        assert np.all(optimality._lcp_pattern(plant, np.zeros(n)) == 1)
+        _assert_starts_optimal(_assert_plant_matches_loop_oracle(
+            gamma, plant, np.zeros(n)))
+        # a huge pull puts the optimum on a corner of the input box, every
+        # input saturated
         corner = 100.0 * np.sign(rng.uniform(-1.0, 1.0, n))
-        _assert_plant_matches_loop_oracle(gamma, plant, corner)
+        assert not np.any(optimality._lcp_pattern(plant, corner) == 1)
+        _assert_starts_optimal(_assert_plant_matches_loop_oracle(
+            gamma, plant, corner))
     for n in (2, 3, 8, 20):
         # duplicate columns of B: ties in the ratio test and the pricing
         gm = rng.uniform(-1.0, 1.0, (n, n))
@@ -81,18 +94,26 @@ def test_simplex_path_matches_loop_oracle_degenerate(rng):
 
 
 def test_simplex_fully_degenerate_start(rng):
-    # gw = gm 1 puts the optimum x = 0 on the start vertex v = -1, where
-    # every basic value is zero, so every step is degenerate
+    # w = +-B 1 puts the optimum x = 0 on the box vertex v = -+1 and every
+    # |u0| = 1 on a knot: the rows tie, each is free and basic at its
+    # bound, and the start is the optimum
     for n in (1, 3, 10, 25):
         plant, _ = random_instance(rng, n)
         gamma = optimality.admissible_gamma(plant)
-        sol = _assert_plant_matches_loop_oracle(gamma, plant,
-                                                plant.b @ np.ones(n))
-        assert sol.cost == pytest.approx(0.0, abs=1e-12)
+        for knot in (1.0, -1.0):
+            w = knot * (plant.b @ np.ones(n))
+            assert np.all(optimality._lcp_pattern(plant, w) == 1)
+            sol = _assert_plant_matches_loop_oracle(gamma, plant, w)
+            _assert_starts_optimal(sol)
+            assert sol.cost == pytest.approx(0.0, abs=1e-12)
+            np.testing.assert_allclose(sol.v_star, -knot, rtol=0.0,
+                                       atol=1e-12)
     fallbacks = 0
     for n in (4, 8, 15, 20):
-        # without the M-matrix structure, n degenerate pivots do not
-        # reach the optimum and Bland's rule takes over
+        # gw = gm 1 on a raw gm puts the optimum on the all-low start
+        # v = -1, where every basic value is zero; without the M-matrix
+        # structure, n degenerate pivots do not reach the optimum and
+        # Bland's rule takes over
         gm = rng.uniform(-1.0, 1.0, (n, n))
         fallbacks += _assert_matches_loop_oracle(gm, gm @ np.ones(n))
     assert fallbacks > 0
@@ -119,14 +140,54 @@ def test_bland_pricing_throughout_reaches_same_optimum(rng, monkeypatch):
                                     "textbook_single.json"])
 def test_simplex_path_matches_loop_oracle_bundled(config):
     plant, _, w = _bundled(config)
-    _assert_plant_matches_loop_oracle(optimality.admissible_gamma(plant),
-                                      plant, w)
+    _assert_starts_optimal(_assert_plant_matches_loop_oracle(
+        optimality.admissible_gamma(plant), plant, w))
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_pattern_start_is_optimal_on_generated_networks(tmp_path, n):
+    scn, _ = cli.load_config(_generated_network(tmp_path, n))
+    plant, wsig = heating.to_standard_form(scn)
+    _assert_starts_optimal(_assert_plant_matches_loop_oracle(
+        optimality.admissible_gamma(plant), plant, wsig.componentwise_min()))
+
+
+def _violating_gamma(rng, plant):
+    gamma = 10.0 ** rng.uniform(-3.0, 3.0, plant.n)
+    assert not optimality.check_gamma_condition(gamma, plant)
+    return gamma
+
+
+def test_pattern_start_under_violating_gamma(rng):
+    # the start stays primal feasible whatever gamma is, and the simplex
+    # pivots on from it to the optimum
+    steps = 0
+    for n in (3, 8, 15, 25, 40):
+        plant, _ = random_instance(rng, n)
+        w = random_disturbance(rng, n)
+        sol = _assert_plant_matches_loop_oracle(_violating_gamma(rng, plant),
+                                                plant, w)
+        steps += sol.pivots + sol.bound_flips
+    assert steps > 0
+
+
+def test_pattern_start_at_large_loads(rng):
+    # loads x 1e7 saturate most inputs far past their knots; the free
+    # block's solve still lands inside the box
+    for n in (1, 4, 12, 30):
+        plant, _ = random_instance(rng, n)
+        w = 1e7 * random_disturbance(rng, n)
+        _assert_starts_optimal(_assert_plant_matches_loop_oracle(
+            optimality.admissible_gamma(plant), plant, w))
+        if n > 1:   # one agent meets the condition at every gamma
+            _assert_plant_matches_loop_oracle(_violating_gamma(rng, plant),
+                                              plant, w)
 
 
 def test_pivot_guard_scales_with_tableau(rng, monkeypatch):
     # the guard is read from the n x 3n system: 4 n^2 steps, never fewer
-    # than 10,000; Dantzig's path stays far below it (about 1.7 n steps
-    # on generated networks, 418 at n = 240 where it allows 230,400)
+    # than 10,000; the path stays far below it (no step under an
+    # admissible gamma, 2-42 under a random gamma on generated networks)
     assert optimality._pivot_budget(230, 690) == 4 * 230 ** 2
     assert optimality._pivot_budget(3, 9) == 10_000
     shapes = []
@@ -146,9 +207,11 @@ def test_pivot_guard_scales_with_tableau(rng, monkeypatch):
 
 
 def test_pivot_guard_raises_when_exhausted(rng, monkeypatch):
-    plant, _ = random_instance(rng, 6)
-    w = random_disturbance(rng, 6)
-    gamma = optimality.admissible_gamma(plant)
+    plant, _ = random_instance(rng, 40)
+    w = random_disturbance(rng, 40)
+    # under an admissible gamma the start is optimal and takes no step, so
+    # a gamma that breaks the condition makes the simplex pivot
+    gamma = _violating_gamma(rng, plant)
     # the guard counts every step, pivot or bound flip
     sol = optimality.solve_weighted_l1_lp(gamma, plant, w)
     assert sol.pivots + sol.bound_flips > 3
@@ -408,6 +471,30 @@ def test_non_optimal_state_runs_fallback_and_fails(config):
     assert cert.cost_gap == abs(cert.equilibrium_cost - cert.lp.cost)
     assert cert.cost_gap > 1e-7
     assert not cert.passed
+
+
+@pytest.mark.parametrize("config", CONSTANT_CONFIGS)
+def test_infeasible_start_pattern_raises_before_pivoting(config,
+                                                         monkeypatch):
+    # the moved u0 above names a pattern whose free input must leave the
+    # box to zero its row: the start builder refuses it, and no pivot runs
+    plant, ctrl, w = _bundled(config)
+    if config == "textbook_single.json":
+        w = np.array([-2.0])
+    eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+    u0 = eq.u0.copy()
+    k = np.flatnonzero(np.abs(u0) > 1.0)[0]
+    u0[k] = 0.5 * np.sign(u0[k])
+    pieces = sector.saturation_deadzone(plant.n).piece_of(u0)
+    gm, gw = optimality._weighted_system(optimality.admissible_gamma(plant),
+                                         plant, w)
+    pivots = []
+    monkeypatch.setattr(optimality, "_pivot",
+                        lambda *args: pivots.append(args))
+    with pytest.raises(SolverFailure, match="start pattern infeasible: "
+                       rf"basic y_{k} = "):
+        optimality._bounded_simplex(gm, gw, pieces)
+    assert pivots == []
 
 
 def _generated_network(tmp_path, n):
