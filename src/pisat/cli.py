@@ -35,7 +35,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 RESIDUAL_TOL = 1e-10
 
 
@@ -289,8 +289,8 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
     # a step beyond RK4's stability estimate would fail the probe on a
     # blow-up of the integrator, not on the storage function
     dt = simulate.stable_dt(plant, ctrl, dt)
-    traj = simulate.integrate(plant, ctrl, w_ref, eq.x0 + 1.0, eq.z0,
-                              (0.0, horizon), dt)
+    traj = _integrate("--dt", plant, ctrl, w_ref, eq.x0 + 1.0, eq.z0,
+                      (0.0, horizon), dt)
     try:
         trace = simulate.lyapunov_trace(plant, ctrl, eq, traj, params)
     except PisatError as exc:
@@ -355,15 +355,21 @@ def _rk4_diagnostics(*trajs) -> dict:
             "blocks": c.blocks, "derivative_evaluations": 4 * c.staged}
 
 
-def _run_from_rest(ctx, ctrl) -> simulate.Trajectory:
-    # simulate's and compare's run; with dt and t_end checked, integrate
-    # raises ValueError only for a run past its step cap
-    n = ctx.plant.n
+def _integrate(flags: str, *args) -> simulate.Trajectory:
+    # with the step and the span checked, integrate raises ValueError
+    # only for a run past its step cap, which the named flags set
     try:
-        return simulate.integrate(ctx.plant, ctrl, ctx.wsig, np.zeros(n),
-                                  _z_rest(ctrl, n), (0.0, ctx.t_end), ctx.dt)
+        return simulate.integrate(*args)
     except ValueError as exc:
-        raise ConfigError(f"--t-end and --dt: {exc}") from None
+        raise ConfigError(f"{flags}: {exc}") from None
+
+
+def _run_from_rest(ctx, ctrl) -> simulate.Trajectory:
+    # simulate's and compare's run
+    n = ctx.plant.n
+    return _integrate("--t-end and --dt", ctx.plant, ctrl, ctx.wsig,
+                      np.zeros(n), _z_rest(ctrl, n), (0.0, ctx.t_end),
+                      ctx.dt)
 
 
 def _out_dir(ctx) -> str | None:
@@ -475,6 +481,15 @@ def cmd_lp(args) -> int:
                           for v in ctx.gamma.split(",")])
         if gamma.size != plant.n:
             raise ConfigError(f"--gamma needs {plant.n} values")
+        # the simplex works on diag(gamma / a) B and gamma / a w
+        with np.errstate(all="ignore"):
+            gm, gw = optimality._weighted_system(gamma, plant, ctx.w_ref)
+            underflow = np.min(gamma / plant.a) < np.finfo(float).tiny
+        if underflow or not (np.all(np.isfinite(gm))
+                             and np.all(np.isfinite(gw))):
+            raise ConfigError("--gamma: gamma / a must be normal floats, "
+                              "and diag(gamma / a) B and diag(gamma / a) w "
+                              "finite")
     else:
         gamma = optimality.admissible_gamma(plant)
     sol = optimality.solve_weighted_l1_lp(gamma, plant, ctx.w_ref)
@@ -485,8 +500,7 @@ def cmd_lp(args) -> int:
                   w_ref=ctx.w_ref, x_star=sol.x_star, v_star=sol.v_star,
                   cost=sol.cost,
                   diagnostics={"pivots": sol.pivots,
-                               "bound_flips": sol.bound_flips,
-                               "bland_pivots": sol.bland_pivots},
+                               "bound_flips": sol.bound_flips},
                   lp_status="optimal"), ctx.out)
     return EXIT_PASS
 

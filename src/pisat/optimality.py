@@ -18,9 +18,10 @@ solved, and the certificate records that the fallback ran.
 The LP is solved in the x-eliminated form min ||gm v + gw||_1 over the
 input box, with gm = diag(gamma) A^-1 B and gw = diag(gamma) A^-1 w, by
 one bounded-variable primal simplex on n rows, so no external solver
-is involved.  The box is kept as variable bounds, entering columns are
-priced by Dantzig's rule with Bland's rule as the anti-cycling
-fallback, and each pivot is one vectorized rank-one update of the
+is involved.  The box is kept as variable bounds, and Bland's rule,
+which cannot cycle (Bland, Math. Oper. Res. 2(2), 1977), picks both
+the entering column and, among the rows tied at the smallest ratio,
+the leaving one; each pivot is one vectorized rank-one update of the
 whole tableau.  The simplex starts from a crash basis (Bixby, ORSA J.
 Computing 4(3), 1992): the saturation pattern of the box LCP
 B v + w, v in [-1, 1]^n, which the equilibrium's pattern loop solves.
@@ -49,15 +50,13 @@ _MIN_PIVOTS = 10_000
 @dataclass(frozen=True, eq=False)
 class AllocationSolution:
     """Optimal steady state x_star with the input v_star achieving it,
-    and the simplex pivots, bound flips and Bland-priced pivots (the
-    anti-cycling fallback) the solve took."""
+    and the simplex pivots and bound flips the solve took."""
 
     x_star: np.ndarray
     v_star: np.ndarray
     cost: float
     pivots: int
     bound_flips: int
-    bland_pivots: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,20 +128,14 @@ def _pivot_budget(rows: int, cols: int) -> int:
     One step, pivot or bound flip, per entry of the tableau and a basis
     square (4 n^2 on the n x 3n allocation system), and never fewer
     than 10,000.  From the loop's pattern the path on generated ratio-4
-    allocation LPs takes no step under an admissible gamma, and 2-42
-    steps at n = 40 and 100 under a random gamma in [0.1, 10]^n that
-    breaks the condition; from the all-low start at v = -1 it took
-    about 1.7 n steps (418 at n = 240, where this guard allows
-    230,400).  So the guard stops only a solve that has lost its way,
-    never one that is merely large.
+    allocation LPs takes no step under an admissible gamma, and 30-75
+    steps at n = 40 and 187-282 at n = 100 under a random gamma in
+    [0.1, 10]^n that breaks the condition; from the all-low start at
+    v = -1 it takes about n^2 / 3 steps (18,993 at n = 240, where this
+    guard allows 230,400).  So the guard stops only a solve that has
+    lost its way, never one that is merely large.
     """
     return max(_MIN_PIVOTS, rows * (cols + rows))
-
-
-def _stall_limit(rows: int) -> int:
-    """Consecutive degenerate steps after which pricing falls back to
-    Bland's rule: one per row."""
-    return rows
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -157,22 +150,16 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
 
 def _ratio_test(rows: np.ndarray, ratios: np.ndarray,
                 basis: np.ndarray) -> tuple[int, float]:
-    """The leaving row among ``rows`` and its ratio, or (-1, inf).
+    """The leaving row among ``rows`` and the step, or (-1, inf).
 
-    The smallest ratio wins, and within _PIVOT_EPS the lowest basis
-    index.  The scan is sequential: the tolerance ties are not
-    transitive, so the smallest ratio is not always the row the rule
-    leaves by.
+    The step is the smallest ratio; of the rows whose ratio lies within
+    _PIVOT_EPS of it, the one with the lowest basis index leaves.
     """
-    best_ratio = np.inf
-    leave = -1
-    for i, ratio in zip(rows.tolist(), ratios.tolist()):
-        if ratio < best_ratio - _PIVOT_EPS or (
-                abs(ratio - best_ratio) <= _PIVOT_EPS
-                and (leave < 0 or basis[i] < basis[leave])):
-            best_ratio = ratio
-            leave = i
-    return leave, best_ratio
+    if rows.size == 0:
+        return -1, np.inf
+    best = float(ratios.min())
+    tied = rows[ratios <= best + _PIVOT_EPS]
+    return int(tied[np.argmin(basis[tied])]), best
 
 
 def _pattern_start(gm: np.ndarray, gw: np.ndarray, pieces: np.ndarray):
@@ -228,7 +215,7 @@ def _pattern_start(gm: np.ndarray, gw: np.ndarray, pieces: np.ndarray):
 
 
 def _bounded_simplex(gm: np.ndarray, gw: np.ndarray,
-                     pieces: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+                     pieces: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Minimize ||gm v + gw||_1 over -1 <= v <= 1.
 
     Bounded-variable primal simplex (Dantzig's upper-bounding
@@ -240,40 +227,30 @@ def _bounded_simplex(gm: np.ndarray, gw: np.ndarray,
     columns.  It starts from the basis that the saturation pattern
     ``pieces`` names (``_pattern_start``): free y basic, saturated y
     nonbasic at their bounds; the all-low pattern is the start at
-    v = -1.  The entering column has the largest |reduced cost| (lowest
-    index on ties); after n consecutive degenerate steps pricing turns
-    to Bland's rule until a step has positive length.  An entering y
-    whose own range is the shortest step flips between its bounds
-    without a pivot.
+    v = -1.  Bland's rule prices every step: the lowest-index column
+    that lowers the cost enters, and ``_ratio_test`` picks the leaving
+    row.  An entering y whose own range is the shortest step flips
+    between its bounds without a pivot.
 
-    Returns v and the pivots, bound flips and Bland-priced pivots made.
+    Returns v and the pivots and bound flips made.
     """
     n = gw.size
     tab, basis, value, side, upper = _pattern_start(gm, gw, pieces)
 
     budget = _pivot_budget(n, 3 * n)
-    stall_limit = _stall_limit(n)
-    pivots = flips = bland = stall = 0
+    pivots = flips = 0
     while True:
-        gain = -side * tab[n]
-        use_bland = stall >= stall_limit
-        if use_bland:
-            entering = np.flatnonzero(gain > _PIVOT_EPS)
-            if entering.size == 0:
-                break
-            j = int(entering[0])
-        else:
-            j = int(np.argmax(gain))
-            if gain[j] <= _PIVOT_EPS:
-                break
+        entering = np.flatnonzero(-side * tab[n] > _PIVOT_EPS)
+        if entering.size == 0:
+            break
+        j = int(entering[0])
         # basic values fall at the rate alpha as y_j moves off its bound
         alpha = side[j] * tab[:n, j]
         rows = np.flatnonzero(np.abs(alpha) > _PIVOT_EPS)
         rate = alpha[rows]
         room = np.where(rate > 0.0, value[rows],
                         upper[basis[rows]] - value[rows])
-        ratios = room / np.abs(rate)
-        leave, best = _ratio_test(rows, ratios, basis)
+        leave, best = _ratio_test(rows, room / np.abs(rate), basis)
         if best < upper[j]:
             step = max(best, 0.0)
         elif np.isfinite(upper[j]):
@@ -293,14 +270,12 @@ def _bounded_simplex(gm: np.ndarray, gw: np.ndarray,
             _pivot(tab, leave, j)
             basis[leave] = j
             pivots += 1
-            bland += use_bland
-        stall = 0 if step > _PIVOT_EPS else stall + 1
         if pivots + flips >= budget:
             raise SolverFailure("pivot guard exceeded")
 
     y = np.where(side < 0.0, upper, 0.0)
     y[basis] = value
-    return y[:n] - 1.0, pivots, flips, bland
+    return y[:n] - 1.0, pivots, flips
 
 
 def _lcp_pattern(plant: model.PlantModel, w: np.ndarray) -> np.ndarray:
@@ -338,13 +313,13 @@ def solve_weighted_l1_lp(gamma, plant: model.PlantModel, w) -> AllocationSolutio
     g = model._positive_vector(gamma, "gamma", plant.n)
     w = np.atleast_1d(np.asarray(w, dtype=float))
     gm, gw = _weighted_system(g, plant, w)
-    v, pivots, flips, bland = _bounded_simplex(gm, gw, _lcp_pattern(plant, w))
+    v, pivots, flips = _bounded_simplex(gm, gw, _lcp_pattern(plant, w))
     if np.max(np.abs(v) - 1.0) > 1e-9:
         raise SolverFailure("recovered input violates its box bound")
     v = np.clip(v, -1.0, 1.0)
     x = (plant.b @ v + w) / plant.a
     cost = float(np.sum(g * np.abs(x)))
-    return AllocationSolution(x, v, cost, pivots, flips, bland)
+    return AllocationSolution(x, v, cost, pivots, flips)
 
 
 def _dual_point(gm: np.ndarray, u0: np.ndarray) -> np.ndarray:

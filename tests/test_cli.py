@@ -45,7 +45,7 @@ def test_certify_textbook_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "overall: pass" in text
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 12
+    assert report["schema_version"] == 13
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
     assert {"input_matrix_m", "tuning_margins", "equilibrium_residual",
@@ -524,7 +524,7 @@ def test_simulate_writes_artifacts(tmp_path):
                 "--t-end", "30") == 0
     traj = simulate.read_trajectory_csv(out / "trajectory.csv")
     costs = json.loads((out / "costs.json").read_text())
-    assert costs["schema_version"] == 12
+    assert costs["schema_version"] == 13
     assert costs["costs"]["j1"] > 0.0
     assert costs["final_max_abs_x"] == pytest.approx(
         float(np.max(np.abs(traj.x[-1]))))
@@ -802,7 +802,7 @@ def test_diagnostics_counters_repeat(tmp_path):
             (out / "certify.json").read_text())["checks"]
             if c["name"] == "storage_decrease")
         diags[run].append({k: storage[k] for k in _RK4_COUNTERS})
-        assert all(json.loads(p.read_text())["schema_version"] == 12
+        assert all(json.loads(p.read_text())["schema_version"] == 13
                    for p in reports + (out / "certify.json",))
     assert diags["a"] == diags["b"]
     sim, cmp_, lp, probe = diags["a"]
@@ -812,7 +812,7 @@ def test_diagnostics_counters_repeat(tmp_path):
     # and then long enough that its scans double past their first 8 steps
     assert sim["affine_steps"] > 0 and sim["patterns"] > 0
     assert 0 < sim["blocks"] and 8 * sim["blocks"] < sim["affine_steps"]
-    assert set(lp) == {"pivots", "bound_flips", "bland_pivots"}
+    assert set(lp) == {"pivots", "bound_flips"}
     assert lp["pivots"] > 0
     # the storage probe runs 10 / min(a) hours at the default step
     scn, _ = cli.load_config(BENCHMARK)
@@ -832,7 +832,7 @@ def test_cold_snap_simulate_counts_sampled_blocks(tmp_path):
                     str(CONFIGS / "benchmark_cold_snap.json"),
                     "--out", str(out)) == 0
         report = json.loads((out / "costs.json").read_text())
-        assert report["schema_version"] == 12
+        assert report["schema_version"] == 13
         diags.append(report["diagnostics"])
     assert diags[0] == diags[1]
     diag = diags[0]
@@ -950,11 +950,18 @@ def test_malformed_scenario_values(key, value, tmp_path, capsys):
     _assert_usage_error(["certify", "--config", str(cfg)], capsys)
 
 
-@pytest.mark.parametrize("gamma", ["1,,2", "x", ",".join(["1"] * 9 + ["nan"]),
-                                   ",".join(["inf"] + ["1"] * 9)])
-def test_lp_rejects_unparsable_or_non_finite_gamma(gamma, capsys):
-    _assert_usage_error(["lp", "--config", BENCHMARK, "--gamma", gamma],
-                        capsys)
+@pytest.mark.parametrize("config,gamma", [
+    pytest.param(config, gamma, id=gamma) for config, gamma in [
+        (BENCHMARK, "1,,2"), (BENCHMARK, "x"),
+        (BENCHMARK, ",".join(["1"] * 9 + ["nan"])),
+        (BENCHMARK, ",".join(["inf"] + ["1"] * 9)),
+        # diag(gamma) A^-1 B overflows, and gamma / a underflows
+        (BENCHMARK, ",".join(["1e308"] + ["1"] * 9)),
+        (TEXTBOOK, "1e-320")]])
+def test_lp_rejects_unparsable_or_non_finite_gamma(config, gamma, capsys):
+    err = _assert_usage_error(["lp", "--config", config, "--gamma", gamma],
+                              capsys)
+    assert "--gamma" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -981,15 +988,22 @@ def test_bad_step_horizon_and_tolerance_flags(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate"], ["compare", "--controllers", "decentralized", "static"]])
+    ["simulate"], ["compare", "--controllers", "decentralized", "static"],
+    ["certify"]])
 def test_step_cap_is_config_error(command, monkeypatch, tmp_path, capsys):
     # the textbook network has one agent: 20 steps of 0.25 h pass a cap
-    # of 20, 21 do not
+    # of 20, 21 do not; certify's storage probe spans 10 / a = 10 h, so
+    # there 20 steps of 0.5 h pass and steps of 0.49 h do not
     monkeypatch.setattr(simulate, "MAX_AGENT_STEPS", 20)
-    argv = (command[:1] + ["--config", TEXTBOOK, "--dt", "0.25",
+    argv = (command[:1] + ["--config", TEXTBOOK,
                            "--out", str(tmp_path / "out")] + command[1:])
-    assert _run(*argv, "--t-end", "5") == 0
-    _assert_usage_error(argv + ["--t-end", "5.25"], capsys)
+    if command[0] == "certify":
+        fits, past = ["--dt", "0.5"], ["--dt", "0.49"]
+    else:
+        fits = ["--dt", "0.25", "--t-end", "5"]
+        past = ["--dt", "0.25", "--t-end", "5.25"]
+    assert _run(*argv, *fits) == 0
+    _assert_usage_error(argv + past, capsys)
 
 
 @pytest.mark.parametrize("command,run", [
