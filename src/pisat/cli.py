@@ -408,16 +408,21 @@ def cmd_compare(args) -> int:
     names = list(ctx.controllers)
     if len(names) < 2:
         raise ConfigError("compare needs at least two controllers")
-    # every controller runs the simulate command's integration, from rest
-    l_diag = heating.default_cost_weights(ctx.scn)
-    trajs, rows = [], []
+    # every controller runs the simulate command's integration, from rest,
+    # on one forcing table, freed before the costs are taken so that it
+    # does not add to their peak memory
+    ctx.wsig = ctx.wsig.shared()
+    trajs = []
     for name in names:
         ctrl = _resolve_controller(ctx.scn, name, ctx.plant).controller
         try:
-            traj = _run_from_rest(ctx, ctrl)
+            trajs.append(_run_from_rest(ctx, ctrl))
         except NonFiniteState as exc:
             raise NonFiniteState(f"{name}: {exc}") from exc
-        trajs.append(traj)
+    del ctx.wsig
+    l_diag = heating.default_cost_weights(ctx.scn)
+    rows = []
+    for name, traj in zip(names, trajs):
         costs = simulate.evaluate_costs(traj, l_diag)
         rows.append({"controller": name, "j1": costs.j1, "jinf": costs.jinf,
                      "j2": costs.j2,

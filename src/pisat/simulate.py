@@ -308,9 +308,12 @@ class _PatternMaps:
             d <<= 1
         u = np.concatenate((y[None], a[:-1])) @ mat[:, n2:]
         u += f[:, n2:]
+        # most scans hold throughout: test the block whole first
+        if np.all((lo <= u) & (u <= hi)) and np.abs(a).max() <= limit:
+            return a, span
         ok = (np.all((lo <= u) & (u <= hi), axis=1)
               & np.all(np.abs(a) <= limit, axis=1))
-        return a, span if ok.all() else int(np.argmin(ok))
+        return a, int(np.argmin(ok))
 
     def observe(self, us) -> None:
         """Update after a staged step with (4, n) stage inputs ``us``."""
@@ -619,19 +622,26 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as CSV with full double precision.
 
     Header: t,x1..xn,z1..zn,u1..un,v1..vn.  For static feedback the z
-    columns are zeros.
+    columns are zeros.  Every cell is ``repr`` of its float; a row whose
+    v is its u bit for bit (no input saturated) repeats the u text.
     """
     n = traj.n
     header = "t," + ",".join(f"{p}{i + 1}" for p in _CSV_PREFIXES
                              for i in range(n))
-    blocks = np.hstack([traj.t[:, None], traj.x, traj.z, traj.u, traj.v])
+    blocks = np.hstack([traj.t[:, None], traj.x, traj.z, traj.u],
+                       dtype=float)
+    vs = np.asarray(traj.v, dtype=float)
+    # bitwise, not ==: -0.0 == 0.0, but the two print differently
+    same = np.all(blocks[:, -n:].view(np.int64) == vs.view(np.int64), axis=1)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
         # row.tolist() gives Python floats, whose repr is the text that
         # repr(float(c)) gives for each cell; one row at a time, as a list
         # of the whole table holds every float as an object at once
-        fh.writelines(",".join(map(repr, row.tolist())) + "\n"
-                      for row in blocks)
+        for row, v, reuse in zip(blocks, vs, same.tolist()):
+            cells = list(map(repr, row.tolist()))
+            cells += cells[-n:] if reuse else map(repr, v.tolist())
+            fh.write(",".join(cells) + "\n")
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -659,6 +660,51 @@ def test_compare_is_simulate_per_controller(tmp_path):
         "diagnostics"]
     assert diag == {k: sum(sim["diagnostics"][k] for sim in sims)
                     for k in _RK4_COUNTERS}
+
+
+def _count_interp(monkeypatch):
+    calls, interp = [], np.interp
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return interp(*args, **kwargs)
+    monkeypatch.setattr(np, "interp", counted)
+    return calls
+
+
+def test_compare_samples_the_forcing_once(monkeypatch):
+    # the three controllers integrate on one forcing table, so compare
+    # interpolates once per agent over the 3 stage times of every step
+    cold = str(CONFIGS / "benchmark_cold_snap.json")
+    n = len(json.loads(pathlib.Path(cold).read_text())["a_kw_per_degc"])
+    calls = _count_interp(monkeypatch)
+    assert _run("compare", "--config", cold, "--controllers",
+                "decentralized", "coordinating", "static",
+                "--t-end", "24") == 0
+    assert calls == [3 * 480] * n
+
+
+def test_simulate_drops_the_forcing_before_writing(tmp_path, monkeypatch):
+    # simulate's one run keeps no forcing table past its integrate call
+    cold = str(CONFIGS / "benchmark_cold_snap.json")
+    tables, call = [], model.DisturbanceSignal.__call__
+
+    def sample(self, t):
+        table = call(self, t)
+        tables.append(weakref.ref(table))
+        return table
+    monkeypatch.setattr(model.DisturbanceSignal, "__call__", sample)
+    written, write = [], simulate.write_trajectory_csv
+
+    def checked(traj, path):
+        written.append([ref() is None for ref in tables])
+        write(traj, path)
+    monkeypatch.setattr(simulate, "write_trajectory_csv", checked)
+    calls = _count_interp(monkeypatch)
+    assert _run("simulate", "--config", cold, "--t-end", "24",
+                "--out", str(tmp_path)) == 0
+    n = len(json.loads(pathlib.Path(cold).read_text())["a_kw_per_degc"])
+    assert written == [[True]] and calls == [3 * 480] * n
 
 
 def test_compare_table_and_files(tmp_path, capsys):

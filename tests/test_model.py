@@ -145,6 +145,29 @@ def test_disturbance_on_time_grid():
             np.testing.assert_array_equal(out[idx], w(t[idx]))
 
 
+def test_shared_disturbance_keeps_its_last_table_read_only():
+    w = model.DisturbanceSignal.sampled([0.0, 1.0, 3.0],
+                                        [[0.0, 10.0], [2.0, 10.0],
+                                         [2.0, 30.0]])
+    shared = w.shared()
+    t = np.array([[0.0, 0.5], [1.5, 3.0]])
+    table = shared(t)
+    np.testing.assert_array_equal(table, w(t))
+    # an equal time array, another object, gets the same table
+    assert shared(t.copy()) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1.0
+    # a different grid gets a fresh table, equal to a direct evaluation;
+    # -0.0 for 0.0 is a different grid, since the key is bitwise
+    for grid in (np.array([[-0.0, 0.5], [1.5, 3.0]]), t + 0.25, t[:1]):
+        fresh = shared(grid)
+        assert fresh is not table
+        np.testing.assert_array_equal(fresh, w(grid))
+        table = fresh
+    # the signal itself keeps nothing, and its tables are writable
+    assert w(t) is not w(t) and w(t).flags.writeable
+
+
 def test_disturbance_rejects_bad_axes():
     with pytest.raises(ValueError):
         model.DisturbanceSignal.sampled([0.0, 0.0], [[1.0], [2.0]])

@@ -750,6 +750,49 @@ def test_csv_round_trip_and_determinism(tmp_path):
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+def _repr_per_cell(traj) -> bytes:
+    # the CSV as repr(float(c)) of every numpy cell, one line per row
+    header = "t," + ",".join(f"{p}{i + 1}" for p in "xzuv"
+                             for i in range(traj.n))
+    blocks = np.hstack([traj.t[:, None], traj.x, traj.z, traj.u, traj.v])
+    return "".join([header + "\n"] + [
+        ",".join(repr(float(c)) for c in row) + "\n"
+        for row in blocks]).encode("ascii")
+
+
+def test_csv_reuses_u_text_only_for_bitwise_equal_v(tmp_path):
+    # row 1's v equals its u under ==, but u1 = -0.0 where v1 = 0.0, so
+    # its v cells are not its u text; row 0's v is its u bit for bit
+    t = np.array([0.0, 1.0])
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    u = np.array([[0.5, -0.25], [-0.0, 0.1]])
+    v = np.array([[0.5, -0.25], [0.0, 0.1]])
+    assert np.all(u == v)
+    traj = simulate.Trajectory(t, x, np.zeros_like(x), u, v)
+    path = tmp_path / "zero.csv"
+    simulate.write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _repr_per_cell(traj)
+    assert path.read_text().splitlines()[2].endswith(",-0.0,0.1,0.0,0.1")
+
+
+def test_csv_of_a_saturating_loop_is_repr_per_cell(tmp_path):
+    # agent 1 starts saturated and leaves saturation, agent 2 never
+    # saturates: rows of both kinds, those with v equal to u bit for
+    # bit and those with one saturated input
+    plant = model.PlantModel([1.0, 1.0], [[1.0, -0.1], [-0.1, 1.0]],
+                             sector.saturation_deadzone(2))
+    ctrl = model.ControllerSpec("decentralized", [1.0, 1.0], [0.5, 0.5],
+                                [0.5, 0.5])
+    traj = simulate.integrate(plant, ctrl, [0.0, 0.0], [6.0, 0.5],
+                              [0.0, 0.0], (0.0, 8.0), 0.05)
+    same = np.all(traj.u.view(np.int64) == traj.v.view(np.int64), axis=1)
+    assert 0 < same.sum() < same.size
+    assert np.all(traj.u[:, 1] == traj.v[:, 1])
+    path = tmp_path / "sat.csv"
+    simulate.write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _repr_per_cell(traj)
+
+
 def test_csv_static_writes_zero_z(tmp_path):
     plant, _ = _linear_loop()
     stat = model.ControllerSpec(
