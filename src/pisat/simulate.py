@@ -616,32 +616,187 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
 
 
 _CSV_PREFIXES = ("x", "z", "u", "v")
+# write_trajectory_csv turns this many rows at a time into text, so that
+# its arrays stay within a few hundred kB whatever the run's length
+CSV_CHUNK_ROWS = 200
+
+# Shortest round-trip digits on whole arrays (as in Ryu: Adams, PLDI
+# 2018).  ``repr`` of a double is its shortest round-trip decimal, written
+# positionally for 1e-4 <= |x| < 1e16.  For such an x whose mantissa is
+# not a power of two (so that its neighbours lie one ulp either side),
+# take k = 16 - floor(log10 |x|) in 1..20: y = |x| 10^k lies in
+# [1e16, 1e17) and is the exact sum h + l of an integer and |l| <= 1/2,
+# by Dekker's product (Numer. Math. 1971; 10^k is an exact double).
+# Rounding y to the nearest multiple of 100, 10 and 1 gives the 15-, 16-
+# and 17-digit candidates, each decided by the sign of
+# (remainder - s/2) + l, which the rounded sum keeps.  repr's digits are
+# the shortest candidate nearer y than half an ulp of x times 10^k.  A
+# tie, a distance within _TEXT_MARGIN of that bound (the distances carry
+# rounding errors below 1e-14), and every cell off the range (zeros,
+# subnormals, powers of two, inf, nan, the exponent forms) take repr.
+_TEXT_MARGIN = 1e-6
+_POW10 = 10.0 ** np.arange(21)
+_IPOW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _split(a):
+    # Veltkamp's split: a = hi + lo, each half with at most 26 bits
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(x, k):
+    """hi, lo with hi + lo = x 10^k exactly (Dekker's product)."""
+    hi = x * _POW10[k]
+    xh, xl = _split(x)
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+
+
+def _shortest_digits(x):
+    """The digits n and the shift k that write repr's digits of each x
+    in [1e-4, 1e16) whose mantissa is not 0.5 as n 10^-k, and a mask of
+    the cells that this decides."""
+    k = 16 - np.floor(np.log10(x)).astype(np.int64)
+    np.clip(k, 1, 20, out=k)
+    hi, lo = _scaled(x, k)
+    # y = h + l with h an integer and |l| <= 1/2, both exact
+    lo_int = np.rint(lo)
+    frac = lo - lo_int
+    h = hi.astype(np.int64) + lo_int.astype(np.int64)
+    bound = np.ldexp(_POW10[k], np.frexp(x)[1] - 54)  # ulp(x) 10^k / 2
+    slack = bound - np.abs(frac)
+    # a shorter candidate within the bound replaces a longer one; an
+    # unsure length leaves the cell undecided unless a shorter one holds
+    digits = h
+    done = slack > _TEXT_MARGIN
+    unsure = (np.abs(slack) <= _TEXT_MARGIN) | (np.abs(frac) == 0.5)
+    for s in (10, 100):                   # 16, then 15 digits
+        q = h // s
+        rem = (h - q * s).astype(float)
+        side = (rem - 0.5 * s) + frac     # the sign of y / s - q - 1/2
+        up = side > 0
+        # the nearer multiple of s lies |s/2 - |side|| from y
+        slack = bound - np.abs(0.5 * s - np.abs(side))
+        ok = (slack > _TEXT_MARGIN) & (side != 0)
+        digits = digits + ok * ((q + up) * s - digits)
+        unsure = (unsure | (np.abs(slack) <= _TEXT_MARGIN) | (side == 0)) & ~ok
+        done |= ok
+    # where log10 rounds across a power of ten, y falls just outside
+    # [1e16, 1e17) and every candidate has a digit more or fewer: the
+    # bound, the shortest-first choice and the text's frame still hold
+    return digits, k, done & ~unsure
+
+
+# A cell's text is 12 uint32 words, whose NUL bytes the writer drops:
+# [sign][4 integer groups][dot][5 fraction groups][separator], a group
+# being 4 decimal digits, so that every cell's text has one frame.  The
+# integer's leading and the fraction's trailing zeros are NUL, all but
+# the units and the tenths digit.
+_CELL_WORDS = 12
+
+
+def _word(*chars: int) -> np.uint32:
+    return np.array(chars + (0,) * (4 - len(chars)), np.uint8).view(
+        np.uint32)[0]
+
+
+def _digit_words() -> np.ndarray:
+    """Words of the 4-digit groups g = 0..9999: at g all four digits, at
+    g + _LEADING NUL for the zeros before the first nonzero digit, at
+    g + _TRAILING NUL for the zeros after the last."""
+    g = np.arange(10_000, dtype=np.uint16)
+    place = np.array([[1000], [100], [10], [1]], np.uint16)
+    text = (g // place % 10 + 48).astype(np.uint8)
+    before = g < place
+    after = g % (10 * place) == 0
+    rows = np.concatenate([text, text * ~before, text * ~after], axis=1)
+    return np.ascontiguousarray(rows.T).view(np.uint32).ravel()
+
+
+_LEADING, _TRAILING = 10_000, 20_000
+_DIGIT_WORDS = _digit_words()
+# the units and the tenths digit of a zero integer or fraction
+_ZERO_UNITS, _ZERO_TENTHS = _word(0, 0, 0, 48), _word(48)
+_MINUS, _DOT, _COMMA, _NEWLINE = (_word(c) for c in b"-.,\n")
+
+
+def _cell_text(cells, words) -> None:
+    """Write each cell's repr text into its row of ``words`` (one row of
+    _CELL_WORDS per cell), all but the separator word."""
+    mag = np.abs(cells)
+    fast = (mag >= 1e-4) & (mag < 1e16) & (np.frexp(mag)[0] != 0.5)
+    # 1.5 stands in for the cells that take repr
+    digits, k, ok = _shortest_digits(np.where(fast, mag, 1.5))
+    scale = _IPOW10[np.minimum(k, 17)]
+    whole = digits // scale
+    frac = digits - whole * scale             # the k digits after the point
+    # the fraction's 20 places: 12 in ahead, 8 in behind
+    cut = _IPOW10[np.maximum(k - 12, 0)]
+    ahead = frac // cut
+    behind = (frac - ahead * cut) * _IPOW10[np.minimum(20 - k, 7)] * (k > 12)
+    ahead *= _IPOW10[np.maximum(12 - k, 0)]
+
+    words[:, 0] = np.signbit(cells) * _MINUS
+    # the integer's groups from the units up, each blank before its first
+    # nonzero digit when all above it are zero
+    v = whole
+    for j in (4, 3, 2, 1):
+        q = v // 10_000
+        words[:, j] = _DIGIT_WORDS[
+            v - q * 10_000 + _LEADING * (whole < _IPOW10[20 - 4 * j])]
+        v = q
+    words[:, 4] |= (whole == 0) * _ZERO_UNITS
+    words[:, 5] = _DOT
+    # the fraction's groups from its last place back, each blank after its
+    # last nonzero digit when all below it are zero
+    trail = _TRAILING
+    for v, last, first in ((behind, 10, 9), (ahead, 8, 6)):
+        for j in range(last, first - 1, -1):
+            q = v // 10_000
+            g = v - q * 10_000
+            words[:, j] = _DIGIT_WORDS[g + trail]
+            trail = trail * (g == 0)
+            v = q
+    words[:, 6] |= (frac == 0) * _ZERO_TENTHS
+
+    slow = np.flatnonzero(~(fast & ok))
+    if slow.size:
+        # repr's text, at most 24 characters, fills the 11 words before
+        # the separator
+        text = np.array([repr(c) for c in cells[slow].tolist()], dtype="S44")
+        words[slow, :-1] = text.view(np.uint32).reshape(-1, 11)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as CSV with full double precision.
 
     Header: t,x1..xn,z1..zn,u1..un,v1..vn.  For static feedback the z
-    columns are zeros.  Every cell is ``repr`` of its float; a row whose
-    v is its u bit for bit (no input saturated) repeats the u text.
+    columns are zeros.  Every cell is the text ``repr`` gives its float.
     """
     n = traj.n
     header = "t," + ",".join(f"{p}{i + 1}" for p in _CSV_PREFIXES
                              for i in range(n))
-    blocks = np.hstack([traj.t[:, None], traj.x, traj.z, traj.u],
-                       dtype=float)
-    vs = np.asarray(traj.v, dtype=float)
-    # bitwise, not ==: -0.0 == 0.0, but the two print differently
-    same = np.all(blocks[:, -n:].view(np.int64) == vs.view(np.int64), axis=1)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        # row.tolist() gives Python floats, whose repr is the text that
-        # repr(float(c)) gives for each cell; one row at a time, as a list
-        # of the whole table holds every float as an object at once
-        for row, v, reuse in zip(blocks, vs, same.tolist()):
-            cells = list(map(repr, row.tolist()))
-            cells += cells[-n:] if reuse else map(repr, v.tolist())
-            fh.write(",".join(cells) + "\n")
+    parts = (traj.t[:, None], traj.x, traj.z, traj.u, traj.v)
+    rows = traj.t.size
+    words = np.empty((min(rows, CSV_CHUNK_ROWS), 1 + 4 * n, _CELL_WORDS),
+                     np.uint32)
+    words[:, :, -1] = _COMMA
+    words[:, -1, -1] = _NEWLINE
+    keep = np.empty(words.size * 4, bool)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            chunk = np.hstack([p[start:start + CSV_CHUNK_ROWS]
+                               for p in parts], dtype=float)
+            cells = words[:chunk.shape[0]].reshape(-1, _CELL_WORDS)
+            _cell_text(chunk.ravel(), cells)
+            text = cells.view(np.uint8).ravel()
+            fh.write(text[np.not_equal(text, 0, out=keep[:text.size])])
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -793,6 +793,69 @@ def test_csv_of_a_saturating_loop_is_repr_per_cell(tmp_path):
     assert path.read_bytes() == _repr_per_cell(traj)
 
 
+_CHUNK = simulate.CSV_CHUNK_ROWS
+# the ends of the writer's fast path (1e-4 <= |x| < 1e16, mantissa not a
+# power of two) and the values repr writes otherwise
+_EDGE_VALUES = np.array([
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+    np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+    9999999999999998.0, 1e16, np.nextafter(1e16, math.inf),
+    0.5, 1.0, 1024.0, 0.1, 0.30000000000000004, 2.0 / 3.0, 1e22,
+    np.nextafter(1e3, 0.0), np.nextafter(0.01, 0.0),
+    math.inf, -math.inf, math.nan])
+
+
+def _random_cells(rng, shape) -> np.ndarray:
+    # random mantissa bits under exponents mostly around the fast path
+    # (2^-14 .. 2^54) and otherwise anywhere, random signs
+    biased = np.where(rng.random(shape) < 0.8, rng.integers(1009, 1078, shape),
+                      rng.integers(0, 2047, shape))
+    bits = (rng.integers(0, 1 << 52, shape) | (biased << 52)
+            | (rng.integers(0, 2, shape) << 63))
+    cells = bits.view(float)
+    # short decimals, whose shortest digits are fewer than 15
+    short = rng.random(shape) < 0.3
+    cells[short] = (rng.integers(-10 ** 6, 10 ** 6, shape)
+                    / 10.0 ** rng.integers(-9, 11, shape))[short]
+    edge = rng.random(shape) < 0.1
+    cells[edge] = rng.choice(_EDGE_VALUES, shape)[edge]
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+       n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_csv_text_is_repr_per_cell(tmp_path_factory, rows, n, seed):
+    rng = np.random.default_rng(seed)
+    t, x, z, u, v = (_random_cells(rng, (rows, w)) for w in (1, n, n, n, n))
+    traj = simulate.Trajectory(t[:, 0], x, z, u, v)
+    path = tmp_path_factory.mktemp("text") / "cells.csv"
+    simulate.write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _repr_per_cell(traj)
+
+
+def test_csv_of_each_edge_value_is_its_repr(tmp_path):
+    t = np.arange(_EDGE_VALUES.size, dtype=float)
+    col = _EDGE_VALUES[:, None]
+    traj = simulate.Trajectory(t, col, -col, col, -col)
+    path = tmp_path / "edge.csv"
+    simulate.write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _repr_per_cell(traj)
+
+
+def test_csv_of_the_cold_snap_is_repr_per_cell(tmp_path):
+    # simulate's decentralized run on the bundled cold snap: 6,721 rows,
+    # not a multiple of the chunk, with the run's spread of magnitudes
+    plant, ctrls, wsig = _cold_snap()
+    n = plant.n
+    traj = simulate.integrate(plant, ctrls[0], wsig, np.zeros(n),
+                              np.zeros(n), (0.0, 336.0), 0.05)
+    assert traj.t.size == 6721 and traj.t.size % _CHUNK
+    path = tmp_path / "cold.csv"
+    simulate.write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _repr_per_cell(traj)
+
+
 def test_csv_static_writes_zero_z(tmp_path):
     plant, _ = _linear_loop()
     stat = model.ControllerSpec(
