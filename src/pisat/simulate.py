@@ -19,12 +19,13 @@ P^4, .. gives their states (Blelloch, "Prefix sums and their
 applications", 1990), and one more product all their stage inputs.  The
 loop commits the steps before the first whose stage input leaves its
 piece or whose state fails the blow-up test, and takes that step staged,
-evaluating the loop at its four stages.  L doubles while the pattern
-holds and starts short again after a kink, up to a cap that falls with
-n, since the scan's log2(L) products grow as n^2 while the loop overhead
-they save does not.  The partial last step is always staged.  In exact
-arithmetic all ways are the same RK4 step, kinks included; in floating
-point they agree to rounding.
+evaluating the loop at its four stages.  L doubles after a scan that
+holds throughout, up to a cap that falls with n, since the scan's
+log2(L) products grow as n^2 while the loop overhead they save does
+not.  A scan that stops part way starts L short again; one that fails
+at its first step keeps it.  The partial last step is always staged.
+In exact arithmetic all ways are the same RK4 step, kinks included; in
+floating point they agree to rounding.
 
 The maps, the staged steps and the dt bound share one description of the
 loop, y' = y M0 + f(u) B1 + [w, 0] with u = y L (``_loop``): a pattern's
@@ -380,15 +381,16 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
     whose state fails the blow-up test, and takes that step staged: four
     stages of two products each (``_stage_kernel``), so a kink is stepped
     as RK4 steps it and a blow-up raises at the step where it happens.  L
-    starts at 8 on a pattern, doubles after every scan that holds
+    starts at 8 on a pattern and doubles after every scan that holds
     throughout, up to a cap that falls with n (256 up to n = 14, 32 at
-    n = 40, 4 at n = 100), and starts at 8 again after a kink; a scan
-    that fails at its first step makes the loop stage 1, 2, 4, .. steps
-    before it scans again.  The partial last step (``h`` below ``dt``)
-    is always staged.  The two ways agree up to rounding, kinks
-    included.  The load may be constant or sampled.  The returned
-    ``counts`` say how many steps took each way, how many maps were
-    built and how many scans committed steps.
+    n = 40, 4 at n = 100).  A scan that commits some steps and then
+    stops starts L at 8 again; one that fails at its first step keeps
+    its L, and the loop scans again after that one staged step.  The
+    partial last step (``h`` below ``dt``) is always staged.  The two
+    ways agree up to rounding, kinks included.  The load may be
+    constant or sampled.  The returned ``counts`` say how many steps
+    took each way, how many maps were built and how many scans
+    committed steps.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0 and dt > 0.0 and all(map(math.isfinite, (t0, t1, dt)))):
@@ -436,13 +438,11 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
     limit = BLOWUP_LIMIT * max(1.0, float(np.abs(ys[0]).max()))
     cap = _scan_cap(n)
     first = length = min(_SCAN_FIRST, cap)
-    affine = scans = idle = backoff = 0
+    affine = scans = 0
     k = 0
     y = ys[0]
     while k < steps:
-        if idle:
-            idle -= 1
-        elif maps.live is not None and k < full:
+        if maps.live is not None and k < full:
             span = min(length, full - k)
             states, held = maps.scan(y, w_flat[k:k + span], limit)
             if held:
@@ -451,15 +451,10 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
                 y = ys[k]
                 affine += held
                 scans += 1
-                backoff = 0
                 if held == span:
                     length = min(2 * length, cap)
                     continue
                 length = first
-            else:
-                # the pattern fails at once: wait 1, 2, 4, .. staged steps
-                backoff = 2 * backoff or 1
-                idle = backoff - 1
         # the staged step, at a kink or without a live map
         w = forcing[k]
         y = _rk4(y, float(hs[k]),
@@ -813,12 +808,16 @@ def read_trajectory_csv(path) -> Trajectory:
                              for i in range(n))
     if lines[0] != expect:
         raise ParseError(f"{path}: unexpected header")
+    if len(lines) == 1:
+        raise ParseError(f"{path}: no data rows")
+    for row, ln in enumerate(lines[1:], 1):
+        if ln.count(",") != 4 * n:
+            raise ParseError(f"{path}: row {row} holds {ln.count(',') + 1} "
+                             f"cells, the header {1 + 4 * n}")
     try:
-        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 1 + 4 * n:
-        raise ParseError(f"{path}: ragged rows")
     t = data[:, 0]
     x = data[:, 1:n + 1]
     z = data[:, n + 1:2 * n + 1]

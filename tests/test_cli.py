@@ -333,6 +333,25 @@ def test_certify_storage_names_merged_knots(tmp_path):
     assert "value_initial" not in storage
 
 
+# the probe integrates z, which sits near z0 of about 1e12 here, so z - z0
+# in V keeps only the rounding of z; each case's comment counts the probe
+# steps that read an increase while the probe integrates z
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the storage probe reads rounding "
+                          "as increases at large loads")
+@pytest.mark.parametrize("base, s", [(BENCHMARK, 1e-4),    # 129 of 2,396
+                                     (TEXTBOOK, 1e-4),     # 1 of 200
+                                     (TEXTBOOK, 1e-8)],    # 8 of 200
+                         ids=["bundled-s1e-4", "textbook-s1e-4",
+                              "textbook-s1e-8"])
+def test_certify_storage_holds_at_large_load(tmp_path, base, s):
+    data = _scaled(json.loads(pathlib.Path(base).read_text()), load=1e7, s=s)
+    _, by_name = _certify_checks(tmp_path, data)
+    storage = by_name["storage_decrease"]
+    assert storage["status"] == "pass"
+    assert storage["increase_steps"] == 0
+
+
 def test_certify_storage_rises_on_the_loop_at_a_times_100(tmp_path):
     # a x 1e2 on the bundled network breaks p_i s_i < 1 (antiwindup
     # margin -4 on every agent); V rises on probe steps 5 and 6, where

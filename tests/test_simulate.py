@@ -413,9 +413,10 @@ def test_held_pattern_takes_logarithmically_many_scans():
         assert traj.counts == simulate.StepCounts(steps - 1, 1, 1, scans)
 
 
-def test_scan_failing_at_its_first_step_backs_off(monkeypatch):
-    # a live map whose every scan fails at its first step is tried at
-    # steps 1, 2, 4, 8, .., not at every step, and the run stays staged
+def test_scan_failing_at_its_first_step_stays_staged(monkeypatch):
+    # a live map whose every scan fails at its first step is tried again
+    # at every staged step after it is built, with its length of 8 kept,
+    # and the run stays staged
     log = _scan_log(monkeypatch)
     scan = simulate._PatternMaps.scan
     monkeypatch.setattr(simulate._PatternMaps, "scan",
@@ -425,7 +426,10 @@ def test_scan_failing_at_its_first_step_backs_off(monkeypatch):
     traj = _assert_loop_matches_oracle(plant, ctrl, [0.7, -0.4],
                                        [1.0, -2.0], [0.5, 0.0], (0.0, 3.0),
                                        0.01)
-    assert len(log) == 9    # steps 1, 2, 4, .., 256 of the 300
+    # one scan at each of steps 1 to 299 of the 300, each asking 8 steps
+    # or as many as are left
+    assert [asked for asked, _ in log] == [min(8, 300 - k)
+                                           for k in range(1, 300)]
     assert traj.counts == simulate.StepCounts(0, 300, 1, 0)
 
 
@@ -870,9 +874,14 @@ def test_csv_static_writes_zero_z(tmp_path):
 
 def test_csv_rejects_mangled_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t,x1,z1,u1\n0.0,1.0,2.0,3.0\n")
-    with pytest.raises(ParseError):
-        simulate.read_trajectory_csv(path)
+    header = "t,x1,z1,u1,v1\n"
+    for text, match in [("t,x1,z1,u1\n0.0,1.0,2.0,3.0\n", "unexpected header"),
+                        (header + "0.0,1.0,2.0,3.0,4.0\n0.1,1.0,2.0,3.0\n",
+                         "row 2 holds 4 cells, the header 5"),
+                        (header, "no data rows")]:
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            simulate.read_trajectory_csv(path)
 
 
 def _trace(plant, ctrl, eq, traj):
