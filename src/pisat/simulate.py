@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -687,14 +688,6 @@ def _shortest_digits(x):
     return digits, k, done & ~unsure
 
 
-# A cell's text is 12 uint32 words, whose NUL bytes the writer drops:
-# [sign][4 integer groups][dot][5 fraction groups][separator], a group
-# being 4 decimal digits, so that every cell's text has one frame.  The
-# integer's leading and the fraction's trailing zeros are NUL, all but
-# the units and the tenths digit.
-_CELL_WORDS = 12
-
-
 def _word(*chars: int) -> np.uint32:
     return np.array(chars + (0,) * (4 - len(chars)), np.uint8).view(
         np.uint32)[0]
@@ -720,10 +713,18 @@ _ZERO_UNITS, _ZERO_TENTHS = _word(0, 0, 0, 48), _word(48)
 _MINUS, _DOT, _COMMA, _NEWLINE = (_word(c) for c in b"-.,\n")
 
 
-def _cell_text(cells, words) -> None:
-    """Write each cell's repr text into its row of ``words`` (one row of
-    _CELL_WORDS per cell), all but the separator word."""
-    mag = np.abs(cells)
+# A cell's text is g + 8 uint32 words, whose NUL bytes the writer drops:
+# [sign][g integer groups][dot][5 fraction groups][separator], a group
+# being 4 decimal digits, so that every cell of a chunk has one frame.  g
+# is 1 to 4, the fewest groups that hold the chunk's largest integer
+# part.  The integer's leading and the fraction's trailing zeros are NUL,
+# all but the units and the tenths digit.
+def _cell_text(cells, todo, buf):
+    """Write the repr text of each cell of ``cells`` that ``todo`` marks
+    into a view of ``buf`` with g + 8 words per cell, all but the
+    separator word, and return that view (cells' shape by g + 8)."""
+    x = cells[todo]
+    mag = np.abs(x)
     fast = (mag >= 1e-4) & (mag < 1e16) & (np.frexp(mag)[0] != 0.5)
     # 1.5 stands in for the cells that take repr
     digits, k, ok = _shortest_digits(np.where(fast, mag, 1.5))
@@ -736,35 +737,48 @@ def _cell_text(cells, words) -> None:
     behind = (frac - ahead * cut) * _IPOW10[np.minimum(20 - k, 7)] * (k > 12)
     ahead *= _IPOW10[np.maximum(12 - k, 0)]
 
-    words[:, 0] = np.signbit(cells) * _MINUS
+    g = 1 + int(np.count_nonzero(whole.max() >= _IPOW10[4:16:4]))
+    words = buf[:cells.size * (g + 8)].reshape(*cells.shape, g + 8)
+
+    def put(j, w):
+        words[..., j][todo] = w
+
+    put(0, np.signbit(x) * _MINUS)
     # the integer's groups from the units up, each blank before its first
     # nonzero digit when all above it are zero
     v = whole
-    for j in (4, 3, 2, 1):
+    for j in range(g, 0, -1):
         q = v // 10_000
-        words[:, j] = _DIGIT_WORDS[
-            v - q * 10_000 + _LEADING * (whole < _IPOW10[20 - 4 * j])]
+        group = _DIGIT_WORDS[v - q * 10_000 + _LEADING * (q == 0)]
+        if j == g:
+            group |= (whole == 0) * _ZERO_UNITS
+        put(j, group)
         v = q
-    words[:, 4] |= (whole == 0) * _ZERO_UNITS
-    words[:, 5] = _DOT
+    put(g + 1, _DOT)
     # the fraction's groups from its last place back, each blank after its
     # last nonzero digit when all below it are zero
     trail = _TRAILING
-    for v, last, first in ((behind, 10, 9), (ahead, 8, 6)):
+    for v, last, first in ((behind, 6, 5), (ahead, 4, 2)):
         for j in range(last, first - 1, -1):
             q = v // 10_000
-            g = v - q * 10_000
-            words[:, j] = _DIGIT_WORDS[g + trail]
-            trail = trail * (g == 0)
+            r = v - q * 10_000
+            group = _DIGIT_WORDS[r + trail]
+            if j == 2:
+                group |= (frac == 0) * _ZERO_TENTHS
+            put(g + j, group)
+            trail = trail * (r == 0)
             v = q
-    words[:, 6] |= (frac == 0) * _ZERO_TENTHS
 
     slow = np.flatnonzero(~(fast & ok))
     if slow.size:
-        # repr's text, at most 24 characters, fills the 11 words before
-        # the separator
-        text = np.array([repr(c) for c in cells[slow].tolist()], dtype="S44")
-        words[slow, :-1] = text.view(np.uint32).reshape(-1, 11)
+        # repr's text, at most 24 characters, fills the g + 7 >= 8 words
+        # before the separator
+        text = np.array([repr(c) for c in x[slow].tolist()],
+                        dtype=f"S{4 * (g + 7)}")
+        at = np.flatnonzero(todo)[slow]
+        words.reshape(-1, g + 8)[at, :-1] = text.view(np.uint32).reshape(
+            -1, g + 7)
+    return words
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -778,19 +792,26 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                              for i in range(n))
     parts = (traj.t[:, None], traj.x, traj.z, traj.u, traj.v)
     rows = traj.t.size
-    words = np.empty((min(rows, CSV_CHUNK_ROWS), 1 + 4 * n, _CELL_WORDS),
-                     np.uint32)
-    words[:, :, -1] = _COMMA
-    words[:, -1, -1] = _NEWLINE
-    keep = np.empty(words.size * 4, bool)
+    # room for a chunk's words at the widest frame, 4 + 8 words a cell
+    buf = np.empty(min(rows, CSV_CHUNK_ROWS) * (1 + 4 * n) * 12, np.uint32)
+    keep = np.empty(buf.size * 4, bool)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for start in range(0, rows, CSV_CHUNK_ROWS):
             chunk = np.hstack([p[start:start + CSV_CHUNK_ROWS]
                                for p in parts], dtype=float)
-            cells = words[:chunk.shape[0]].reshape(-1, _CELL_WORDS)
-            _cell_text(chunk.ravel(), cells)
-            text = cells.view(np.uint8).ravel()
+            u, v = chunk[:, 1 + 2 * n:1 + 3 * n], chunk[:, 1 + 3 * n:]
+            # a v cell equal to its u cell bit for bit takes the u text
+            same = u.view(np.int64) == v.view(np.int64)
+            todo = np.ones(chunk.shape, bool)
+            todo[:, 1 + 3 * n:] = ~same
+            words = _cell_text(chunk, todo, buf)
+            cell = words.view((np.void, 4 * words.shape[-1]))[..., 0]
+            np.copyto(cell[:, 1 + 3 * n:], cell[:, 1 + 2 * n:1 + 3 * n],
+                      where=same)
+            words[..., -1] = _COMMA
+            words[:, -1, -1] = _NEWLINE
+            text = words.view(np.uint8).ravel()
             fh.write(text[np.not_equal(text, 0, out=keep[:text.size])])
 
 
@@ -817,7 +838,10 @@ def read_trajectory_csv(path) -> Trajectory:
     try:
         data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        # numpy counts the data rows from 0, the messages above from 1
+        msg = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + 1}",
+                     str(exc))
+        raise ParseError(f"{path}: {msg}") from exc
     t = data[:, 0]
     x = data[:, 1:n + 1]
     z = data[:, n + 1:2 * n + 1]

@@ -806,7 +806,11 @@ _EDGE_VALUES = np.array([
     9999999999999998.0, 1e16, np.nextafter(1e16, math.inf),
     0.5, 1.0, 1024.0, 0.1, 0.30000000000000004, 2.0 / 3.0, 1e22,
     np.nextafter(1e3, 0.0), np.nextafter(0.01, 0.0),
-    math.inf, -math.inf, math.nan])
+    math.inf, -math.inf, math.nan,
+    # the ends of the frame's 1 to 4 integer groups; below each, the 15-
+    # digit candidate carries into the next group (10000.0000000000)
+    *(v for p in (1e4, 1e8, 1e12)
+      for v in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf)))])
 
 
 def _random_cells(rng, shape) -> np.ndarray:
@@ -834,6 +838,49 @@ def test_csv_text_is_repr_per_cell(tmp_path_factory, rows, n, seed):
     t, x, z, u, v = (_random_cells(rng, (rows, w)) for w in (1, n, n, n, n))
     traj = simulate.Trajectory(t[:, 0], x, z, u, v)
     path = tmp_path_factory.mktemp("text") / "cells.csv"
+    simulate.write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _repr_per_cell(traj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+       n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       share=st.sampled_from([0.3, 0.7, 1.0]))
+def test_csv_text_where_v_copies_u_is_repr_per_cell(tmp_path_factory, rows,
+                                                     n, seed, share):
+    # v copies u in a random share of its cells, and in some others u and
+    # v are zeros of opposite signs: equal under == but not bit for bit
+    rng = np.random.default_rng(seed)
+    t, x, z, u, v = (_random_cells(rng, (rows, w)) for w in (1, n, n, n, n))
+    copied = rng.random(u.shape) < share
+    v[copied] = u[copied]
+    zeros = rng.random(u.shape) < 0.1
+    u[zeros] = rng.choice([0.0, -0.0], u.shape)[zeros]
+    v[zeros] = -u[zeros]
+    traj = simulate.Trajectory(t[:, 0], x, z, u, v)
+    path = tmp_path_factory.mktemp("copy") / "cells.csv"
+    simulate.write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _repr_per_cell(traj)
+
+
+@pytest.mark.parametrize("wide", [1e4, 12345678.9, -123456789012.5,
+                                  9999999999999998.0])
+@pytest.mark.parametrize("row", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_csv_frame_follows_each_chunks_widest_cell(tmp_path, wide, row):
+    # every cell is below 1e4 but one, in the last row of the first chunk
+    # or in the first or second row of the next: the chunks' frames differ
+    rng = np.random.default_rng(7)
+    rows, n = 2 * _CHUNK + 1, 2
+    t, x, z, u, v = (np.where(rng.random((rows, w)) < 0.5,
+                              rng.uniform(-1e4, 1e4, (rows, w)),
+                              rng.integers(-10 ** 8, 10 ** 8, (rows, w))
+                              / 10.0 ** rng.integers(4, 12, (rows, w)))
+                     for w in (1, n, n, n, n))
+    v[:, 0] = u[:, 0]
+    u[row, 0] = v[row, 0] = wide
+    x[row, 1] = -wide
+    traj = simulate.Trajectory(t[:, 0], x, z, u, v)
+    path = tmp_path / "frame.csv"
     simulate.write_trajectory_csv(traj, path)
     assert path.read_bytes() == _repr_per_cell(traj)
 
@@ -878,6 +925,8 @@ def test_csv_rejects_mangled_header(tmp_path):
     for text, match in [("t,x1,z1,u1\n0.0,1.0,2.0,3.0\n", "unexpected header"),
                         (header + "0.0,1.0,2.0,3.0,4.0\n0.1,1.0,2.0,3.0\n",
                          "row 2 holds 4 cells, the header 5"),
+                        (header + "0.0,1.0,2.0,3.0,4.0\n0.1,1.0,abc,3.0,4.0\n",
+                         "'abc' to float64 at row 2, column 3"),
                         (header, "no data rows")]:
         path.write_text(text)
         with pytest.raises(ParseError, match=match):
