@@ -15,17 +15,17 @@ A pattern's map is built only after the pattern has held through
 max(1, n // 5) consecutive staged steps (a build costs O(n^3), a staged
 step O(n^2)).  While it is live the loop scans ahead: one product gives
 the forcing of the next L steps, a prefix scan with the powers P, P^2,
-P^4, .. gives their states (Blelloch, "Prefix sums and their
-applications", 1990), and one more product all their stage inputs.  The
-loop commits the steps before the first whose stage input leaves its
-piece or whose state fails the blow-up test, and takes that step staged,
-evaluating the loop at its four stages.  L doubles after a scan that
-holds throughout, up to a cap that falls with n, since the scan's
-log2(L) products grow as n^2 while the loop overhead they save does
-not.  A scan that stops part way starts L short again; one that fails
-at its first step keeps it.  The partial last step is always staged.
-In exact arithmetic all ways are the same RK4 step, kinks included; in
-floating point they agree to rounding.
+P^4, .. writes their states into the trajectory (Blelloch, "Prefix sums
+and their applications", 1990), and one more product all their stage
+inputs.  The loop commits the steps before the first whose stage input
+leaves its piece or whose state fails the blow-up test, and takes that
+step staged, at its four stages; later steps rewrite the rows past it.
+L doubles after a scan that holds throughout, up to a cap that falls
+with n, since the scan's log2(L) products grow as n^2 while the loop
+overhead they save does not.  A scan that stops part way starts L short
+again; one that fails at its first step keeps it.  The partial last
+step is always staged.  In exact arithmetic all ways are the same RK4
+step, kinks included; in floating point they agree to rounding.
 
 The maps, the staged steps and the dt bound share one description of the
 loop, y' = y M0 + f(u) B1 + [w, 0] with u = y L (``_loop``): a pattern's
@@ -282,46 +282,53 @@ class _PatternMaps:
         self.maps = {}
         self.live = None
         self.built = 0
+        # the scans' work arrays: forcing outputs and stage inputs
+        self.forcing = np.empty((_scan_cap(plant.n), 6 * plant.n))
+        self.inputs = np.empty((len(self.forcing), 4 * plant.n))
 
-    def scan(self, y, w, limit: float):
-        """The states of the next len(w) steps from y, and how many hold.
+    def scan(self, block, w, limit: float) -> int:
+        """Step the live pattern into block[1:]; return the steps held.
 
-        ``w`` is the (L, 3n) load of the L steps; a constant load is
-        carried by the bias, and only len(w) counts.  Step j of the live
-        pattern is y_{j+1} = y_j P + f_j, with f_j the state part of its
-        forcing outputs f = w_j tw + bias, so a prefix scan gives the L
-        states in log2(L) products with the powers of P, and one more
-        product gives all 4L stage inputs.  Step j holds when its stage
-        inputs lie on the assumed pieces and its state passes the
-        blow-up test; the count returned is that of the steps before
-        the first that does not.
+        ``block`` is the view ys[k:k + 1 + L] of the run's trajectory and
+        ``w`` the (L, 3n) load of its L steps (a constant load is carried
+        by the bias).  Step j is y_{j+1} = y_j P + f_j, f_j the state part
+        of its forcing f = w_j tw + bias, so a prefix scan gives the L
+        states in log2(L) products with the powers of P, and block[:-1]
+        times the map's input columns all 4L stage inputs.  A step holds
+        when its stage inputs lie on the assumed pieces and its state
+        passes the blow-up test; the rows from the first that does not
+        on are written over by the steps that later commit them.
         """
         mat, tw, bias, lo, hi, pows = self.live
         span, n2 = len(w), 2 * self.plant.n
-        f = bias if tw is None else w @ tw + bias
-        a = np.empty((span, n2))
+        if tw is None:
+            f = bias
+        else:
+            f = np.matmul(w, tw, out=self.forcing[:span])
+            f += bias
+        a = block[1:]
         a[:] = f[:, :n2]
-        a[0] += y @ pows[0]
+        a[0] += block[0] @ pows[0]
         d = 1
         for i in range((span - 1).bit_length()):
             if i == len(pows):
                 pows.append(pows[-1] @ pows[-1])
             a[d:] += a[:-d] @ pows[i]
             d <<= 1
-        u = np.concatenate((y[None], a[:-1])) @ mat[:, n2:]
+        u = np.matmul(block[:-1], mat[:, n2:], out=self.inputs[:span])
         u += f[:, n2:]
+        inside = (lo <= u) & (u <= hi)
         # most scans hold throughout: test the block whole first
-        if np.all((lo <= u) & (u <= hi)) and np.abs(a).max() <= limit:
-            return a, span
-        ok = (np.all((lo <= u) & (u <= hi), axis=1)
-              & np.all(np.abs(a) <= limit, axis=1))
-        return a, int(np.argmin(ok))
+        if inside.all() and np.abs(a).max() <= limit:
+            return span
+        ok = inside.all(axis=1) & np.all(np.abs(a) <= limit, axis=1)
+        return int(np.argmin(ok))
 
     def observe(self, us) -> None:
         """Update after a staged step with (4, n) stage inputs ``us``."""
         pieces = self.plant.pair.piece_of(us)
-        key = (pieces[0].tobytes() if np.all(pieces == pieces[0])
-               else None)
+        raw = pieces.tobytes()              # a pattern: four equal rows
+        key = raw[:len(raw) // 4] if raw == raw[:len(raw) // 4] * 4 else None
         last, run = self.run
         run = 0 if key is None else run + 1 if key == last else 1
         self.run = key, run
@@ -338,20 +345,22 @@ class _PatternMaps:
 
 
 def _stage_kernel(pair: sector.SectorPair, loop):
-    """The loop's RK4 stage ``stage(y, w, j)``, dy = y M0 + f(u) B1 + [w, 0]
+    """The loop's RK4 stage ``stage(y, j)``, dy = y M0 + f(u) B1 + [w_j, 0]
     with u = y L in two products: y [M0 | L] fills row j of a (4, 3n)
-    buffer, whose u columns are the (4, n) stage inputs returned."""
+    buffer.  Returns stage, the buffer's u columns (the (4, n) stage
+    inputs) and the (4, n) loads w_j, which the caller sets once a step."""
     kmat, b1 = loop
     n, n2, f = pair.n, 2 * pair.n, sector.bind_f(pair)
     buf = np.empty((4, 3 * n))
+    loads = np.empty((4, n))
 
-    def stage(y, w, j):
+    def stage(y, j):
         yk = np.matmul(y, kmat, out=buf[j])
         dy = yk[:n2] + f(yk[n2:]) @ b1
-        dy[:n] += w
+        dy[:n] += loads[j]
         return dy
 
-    return stage, buf[:, n2:]
+    return stage, buf[:, n2:], loads
 
 
 def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
@@ -371,27 +380,27 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
     Each step is classic RK4 (``_rk4``), taken one of two ways.  While
     every input stays on one piece of the sector (its saturation
     pattern) the loop is affine, and a step is one affine map, the RK4
-    step run once on a basis (see ``_affine_step``).  A
-    pattern's map is built once the pattern has held through
-    max(1, n // 5) consecutive staged steps.  While it is live the loop
-    scans ahead (see ``_PatternMaps.scan``): one product gives the
-    forcing of the next L steps, a prefix scan with the powers of the
-    map's P gives their L states in log2(L) products, and one more
-    product gives all 4L stage inputs.  The loop commits the steps before
-    the first that fails, one whose stage input leaves its piece or
-    whose state fails the blow-up test, and takes that step staged: four
-    stages of two products each (``_stage_kernel``), so a kink is stepped
-    as RK4 steps it and a blow-up raises at the step where it happens.  L
-    starts at 8 on a pattern and doubles after every scan that holds
-    throughout, up to a cap that falls with n (256 up to n = 14, 32 at
-    n = 40, 4 at n = 100).  A scan that commits some steps and then
-    stops starts L at 8 again; one that fails at its first step keeps
-    its L, and the loop scans again after that one staged step.  The
-    partial last step (``h`` below ``dt``) is always staged.  The two
-    ways agree up to rounding, kinks included.  The load may be
-    constant or sampled.  The returned ``counts`` say how many steps
-    took each way, how many maps were built and how many scans
-    committed steps.
+    step run once on a basis (see ``_affine_step``).  A pattern's map is
+    built once the pattern has held through max(1, n // 5) consecutive
+    staged steps.  While it is live the loop scans ahead (see
+    ``_PatternMaps.scan``): one product gives the forcing of the next L
+    steps, a prefix scan with the powers of the map's P writes their L
+    states straight into the trajectory in log2(L) products, and one
+    more product gives all 4L stage inputs.  The loop commits the steps
+    before the first that fails, one whose stage input leaves its piece
+    or whose state fails the blow-up test, and takes that step staged:
+    four stages of two products each (``_stage_kernel``), so a kink is
+    stepped as RK4 steps it and a blow-up raises at the step where it
+    happens; later steps rewrite the rows past it.  L starts at 8 on a
+    pattern and doubles after every scan that holds throughout, up to a
+    cap that falls with n (256 up to n = 14, 32 at n = 40, 4 at
+    n = 100).  A scan that commits some steps and then stops starts L at
+    8 again; one that fails at its first step keeps its L, and the loop
+    scans again after that one staged step.  The partial last step
+    (``h`` below ``dt``) is always staged.  The two ways agree up to
+    rounding, kinks included.  The load may be constant or sampled.  The
+    returned ``counts`` say how many steps took each way, how many maps
+    were built and how many scans committed steps.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0 and dt > 0.0 and all(map(math.isfinite, (t0, t1, dt)))):
@@ -431,7 +440,7 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
     w_flat = forcing.reshape(steps, 3 * n)
     maps = _PatternMaps(plant, ctrl, dt,
                         wsig(t0) if wsig.is_constant else None)
-    stage, us = _stage_kernel(plant.pair, maps.loop)
+    stage, us, loads = _stage_kernel(plant.pair, maps.loop)
 
     ys = np.empty((steps + 1, 2 * n))
     ys[0, :n] = _start(x_init, n)
@@ -445,9 +454,8 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
     while k < steps:
         if maps.live is not None and k < full:
             span = min(length, full - k)
-            states, held = maps.scan(y, w_flat[k:k + span], limit)
+            held = maps.scan(ys[k:k + 1 + span], w_flat[k:k + span], limit)
             if held:
-                ys[k + 1:k + 1 + held] = states[:held]
                 k += held
                 y = ys[k]
                 affine += held
@@ -457,9 +465,8 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
                     continue
                 length = first
         # the staged step, at a kink or without a live map
-        w = forcing[k]
-        y = _rk4(y, float(hs[k]),
-                 lambda v, j: stage(v, w[_STAGE_LOAD[j]], j))
+        np.take(forcing[k], _STAGE_LOAD, axis=0, out=loads)
+        y = _rk4(y, float(hs[k]), stage)
         if not np.abs(y).max() <= limit:
             raise NonFiniteState(f"state left +-{limit:g} near "
                                  f"t={ts[k + 1]:.6g} (step {k + 1})")
@@ -502,8 +509,9 @@ def evaluate_costs(traj: Trajectory, l_diag) -> CostReport:
         dt = np.diff(t)
         return float(np.sum(0.5 * dt * (f[1:] + f[:-1])) / horizon)
 
-    j1 = avg(np.sum(np.abs(traj.x), axis=1))
-    jinf = avg(np.max(np.abs(traj.x), axis=1))
+    mag = np.abs(traj.x)
+    j1 = avg(np.sum(mag, axis=1))
+    jinf = avg(np.max(mag, axis=1))
     j2 = avg(np.sum(l * traj.x ** 2, axis=1) + np.sum(traj.v ** 2, axis=1))
     return CostReport(j1, jinf, j2, horizon, l)
 

@@ -75,10 +75,10 @@ def test_canonical_matrices_per_variant():
 
 def _derivative(plant, ctrl, x, z, w):
     # (dx, dz, u) of one controller from the integrator's stage kernel
-    stage, us = simulate._stage_kernel(plant.pair,
-                                       simulate._loop(plant, ctrl))
-    dy = stage(np.concatenate((x, z)).astype(float),
-               np.asarray(w, dtype=float), 0)
+    stage, us, loads = simulate._stage_kernel(plant.pair,
+                                              simulate._loop(plant, ctrl))
+    loads[0] = w
+    dy = stage(np.concatenate((x, z)).astype(float), 0)
     return dy[:plant.n], dy[plant.n:], us[0]
 
 

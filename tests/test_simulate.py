@@ -64,10 +64,12 @@ def test_rk4_step_and_its_stage_loads(monkeypatch):
     calls = []
 
     def recording_kernel(pair, loop):
-        def stage(y, w, j):
-            calls.append((j, float(w[0])))
+        loads = np.zeros((4, pair.n))
+
+        def stage(y, j):
+            calls.append((j, float(loads[j, 0])))
             return np.zeros_like(y)
-        return stage, np.zeros((4, pair.n))
+        return stage, np.zeros((4, pair.n)), loads
 
     monkeypatch.setattr(simulate, "_stage_kernel", recording_kernel)
     plant = model.PlantModel([1.0], [[1.0]], sector.identity_zero(1))
@@ -208,9 +210,8 @@ def test_whole_cold_snap_runs_take_every_step(flip, monkeypatch):
     if flip:
         scan = simulate._PatternMaps.scan
 
-        def failing(self, y, w, limit):
-            states, held = scan(self, y, w, limit)
-            return states, min(held, len(w) - 1)
+        def failing(self, block, w, limit):
+            return min(scan(self, block, w, limit), len(w) - 1)
         monkeypatch.setattr(simulate._PatternMaps, "scan", failing)
     plant, ctrls, wsig = _cold_snap()
     n = plant.n
@@ -222,16 +223,38 @@ def test_whole_cold_snap_runs_take_every_step(flip, monkeypatch):
         assert all(run.counts.staged >= run.counts.blocks for run in runs)
 
 
-@pytest.mark.parametrize("n, hold", [(10, 2), (40, 8)])
-def test_map_is_built_once_its_pattern_holds_n_over_5_steps(n, hold, rng):
+@pytest.mark.parametrize("n, hold, kind", [
+    pytest.param(10, 2, "saturation", id="10-2"),
+    pytest.param(40, 8, "saturation", id="40-8"),
+    pytest.param(10, 2, "split", id="10-2-split"),
+    pytest.param(10, 2, "padded", id="10-2-padded"),
+    pytest.param(10, 2, "identity", id="10-2-identity")])
+def test_map_is_built_once_its_pattern_holds_n_over_5_steps(n, hold, kind,
+                                                            rng):
     # a pattern held through one staged step fewer than max(1, n // 5)
     # gets no map, one held through exactly that many gets one; a step on
-    # another pattern starts the count again
+    # another pattern, or one whose four stage inputs are not on one
+    # pattern (``split``), starts the count again.  The identity has one
+    # piece, so its stage inputs, however they differ, hold one pattern
     plant, ctrl = random_instance(rng, n)
+    if kind in ("padded", "identity"):
+        pair = (random_pwl_pair(rng, n) if kind == "padded"
+                else sector.identity_zero(n))
+        plant = model.PlantModel(plant.a, plant.b, pair)
     maps = simulate._PatternMaps(plant, ctrl, 0.05, np.zeros(n))
-    linear, saturated = np.zeros((4, n)), np.full((4, n), 5.0)
-    for us in [linear] * (hold - 1) + [saturated] + [linear] * (hold - 1):
+    # on the padded pair, 5 lies beyond every knot: the right extension
+    linear, other = np.zeros((4, n)), np.full((4, n), 5.0)
+    if kind == "padded":
+        assert np.any(np.diff(plant.pair.knots, axis=0) == 0.0)
+    if kind == "split":
+        other[3] = 0.0
+    if kind == "identity":
+        other = rng.uniform(-5.0, 5.0, (4, n))
+    for us in [linear] * (hold - 1) + [other] + [linear] * (hold - 1):
         maps.observe(us)
+    if kind == "identity":
+        assert maps.built == 1 and maps.live is not None
+        return
     assert maps.built == 0 and maps.live is None
     maps.observe(linear)
     assert maps.built == 1 and maps.live is not None
@@ -318,10 +341,10 @@ def _scan_log(monkeypatch):
     # (steps asked, steps held) of every scan, in order
     log, scan = [], simulate._PatternMaps.scan
 
-    def logged(self, y, w, limit):
-        states, held = scan(self, y, w, limit)
+    def logged(self, block, w, limit):
+        held = scan(self, block, w, limit)
         log.append((len(w), held))
-        return states, held
+        return held
     monkeypatch.setattr(simulate._PatternMaps, "scan", logged)
     return log
 
@@ -419,9 +442,11 @@ def test_scan_failing_at_its_first_step_stays_staged(monkeypatch):
     # and the run stays staged
     log = _scan_log(monkeypatch)
     scan = simulate._PatternMaps.scan
-    monkeypatch.setattr(simulate._PatternMaps, "scan",
-                        lambda self, y, w, limit: (scan(self, y, w, limit)[0],
-                                                   0))
+
+    def failing(self, block, w, limit):
+        scan(self, block, w, limit)
+        return 0
+    monkeypatch.setattr(simulate._PatternMaps, "scan", failing)
     plant, ctrl = _linear_loop()
     traj = _assert_loop_matches_oracle(plant, ctrl, [0.7, -0.4],
                                        [1.0, -2.0], [0.5, 0.0], (0.0, 3.0),
@@ -431,6 +456,45 @@ def test_scan_failing_at_its_first_step_stays_staged(monkeypatch):
     assert [asked for asked, _ in log] == [min(8, 300 - k)
                                            for k in range(1, 300)]
     assert traj.counts == simulate.StepCounts(0, 300, 1, 0)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_scans_that_commit_nothing_leave_no_rows_behind(sampled,
+                                                         monkeypatch):
+    # every scan writes its states into the trajectory and then commits
+    # none of them, so each of those rows must be written over by the
+    # staged step that takes it: the run equals, bit for bit, the run
+    # whose maps are never live, where a scan row left behind would pass
+    # any oracle that allows rounding
+    rng = np.random.default_rng(7)
+    plant, ctrl = random_instance(rng, 5)
+    w = random_disturbance(rng, 5)
+    if sampled:
+        w = model.DisturbanceSignal.sampled(
+            [0.0, 1.0, 3.0], w + rng.uniform(-1.0, 1.0, (3, 5)))
+    args = (plant, ctrl, w, rng.uniform(-3.0, 3.0, 5),
+            rng.uniform(-3.0, 3.0, 5), (0.0, 3.0), 0.01)
+    scan, observe = simulate._PatternMaps.scan, simulate._PatternMaps.observe
+    asked = []
+
+    def committing_nothing(self, block, w, limit):
+        scan(self, block, w, limit)
+        asked.append(len(w))
+        return 0
+
+    def never_live(self, us):
+        observe(self, us)
+        self.live = None
+    monkeypatch.setattr(simulate._PatternMaps, "scan", committing_nothing)
+    scanned = simulate.integrate(*args)
+    monkeypatch.setattr(simulate._PatternMaps, "observe", never_live)
+    staged = simulate.integrate(*args)
+    assert sum(asked) > 1000
+    assert scanned.counts == staged.counts
+    assert scanned.counts.affine == 0 and scanned.counts.patterns > 0
+    for got, want in zip((scanned.x, scanned.z, scanned.u, scanned.v),
+                         (staged.x, staged.z, staged.u, staged.v)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_chattering_run_stays_staged():
@@ -474,12 +538,14 @@ def test_stage_kernel_matches_branch_reference(kind, rng):
             else random_pwl_pair(rng, 6))
     plant = model.PlantModel(saturated.a, saturated.b, pair)
     for ctrl in _three_controllers(plant, dec):
-        stage, us = simulate._stage_kernel(pair, simulate._loop(plant, ctrl))
+        stage, us, loads = simulate._stage_kernel(pair,
+                                                  simulate._loop(plant, ctrl))
         x = rng.uniform(-5.0, 5.0, (4, 6))
         z = rng.uniform(-5.0, 5.0, (4, 6)) if ctrl.is_pi else None
         w = rng.uniform(-10.0, 10.0, (4, 6))
         y = np.concatenate((x, np.zeros_like(x) if z is None else z), axis=1)
-        dy = np.array([stage(y[j], w[j], j) for j in range(4)])
+        loads[:] = w
+        dy = np.array([stage(y[j], j) for j in range(4)])
         dx, dz, u = oracles.closed_loop_derivative_branches(plant, ctrl, x,
                                                             z, w)
         if dz is None:
