@@ -5,8 +5,7 @@ and a district heating benchmark.
 
 from .equilibrium import (ContractionMap, EquilibriumResult,
                           build_contraction, measure_contraction,
-                          probe_uniqueness, solve_equilibrium,
-                          stationary_residual)
+                          probe_uniqueness, solve_equilibrium)
 from .errors import (CertificateFailure, ConditionViolated, ConfigError,
                      DimensionMismatch, InvalidSectorPair,
                      MaxIterationsExceeded, NonFiniteState, NotMMatrix,

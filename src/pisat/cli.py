@@ -7,7 +7,7 @@ inputs produce byte-identical files.  Each command starts from one run
 context: the config, every setting of ``_SETTINGS`` resolved (flag,
 then run key, then default) and checked, and the standard form.  The
 equilibrium's stationary residual is judged against ``RESIDUAL_TOL``
-times its scale.
+times its scale (in certify, min(RESIDUAL_TOL, 1e-3 tol) times it).
 
 Exit codes: 0 all checks passed, 1 a certificate or solver check
 failed, 2 warnings only, 64 usage or config problem.  Errors and
@@ -123,11 +123,7 @@ def load_config(path) -> tuple[heating.HeatingScenario, dict]:
     controller, tol.  The commands check their values and let
     command-line flags override them.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    data = heating.read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     if "scenario" not in data:
@@ -289,8 +285,10 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
     # a step beyond RK4's stability estimate would fail the probe on a
     # blow-up of the integrator, not on the storage function
     dt = simulate.stable_dt(plant, ctrl, dt)
-    traj = _integrate("--dt", plant, ctrl, w_ref, eq.x0 + 1.0, eq.z0,
-                      (0.0, horizon), dt)
+    # no flag sets the probe's span, so a step cap names it with --dt
+    traj = _integrate(f"--dt, on the storage probe's horizon 10 / min(a) = "
+                      f"{horizon:.3g} h", plant, ctrl, w_ref, eq.x0 + 1.0,
+                      eq.z0, (0.0, horizon), dt)
     try:
         trace = simulate.lyapunov_trace(plant, ctrl, eq, traj, params)
     except PisatError as exc:
@@ -355,13 +353,13 @@ def _rk4_diagnostics(*trajs) -> dict:
             "blocks": c.blocks, "derivative_evaluations": 4 * c.staged}
 
 
-def _integrate(flags: str, *args) -> simulate.Trajectory:
+def _integrate(source: str, *args) -> simulate.Trajectory:
     # with the step and the span checked, integrate raises ValueError
-    # only for a run past its step cap, which the named flags set
+    # only for a run past its step cap, which ``source`` names
     try:
         return simulate.integrate(*args)
     except ValueError as exc:
-        raise ConfigError(f"{flags}: {exc}") from None
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _run_from_rest(ctx, ctrl) -> simulate.Trajectory:

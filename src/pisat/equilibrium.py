@@ -53,27 +53,23 @@ class ContractionMap:
     """The scaled fixed-point map together with its contraction data.
 
     Iterates act on zeta = d * u.  ``contraction_bound`` is the 1-norm
-    Lipschitz constant max(lam, max_i mu_i), always below one.
+    Lipschitz constant g of the map, always below one.  ``bkt`` is
+    (b_hat - k I)^T, with b_hat the scaled coupling of
+    ``build_contraction``.
     """
 
-    b_hat: np.ndarray
+    bkt: np.ndarray
     w_hat: np.ndarray
     k: float
-    lam: float
-    mu: np.ndarray
     contraction_bound: float
     scaling_d: np.ndarray
     scaled_pair: sector.SectorPair
-
-    def __post_init__(self):
-        bkt = (self.b_hat - self.k * np.eye(self.b_hat.shape[0])).T
-        object.__setattr__(self, "_bkt", bkt)
 
     def __call__(self, zeta):
         zeta = np.asarray(zeta, dtype=float)
         f = sector.eval_f(self.scaled_pair, zeta)
         h = zeta - f
-        return -((1.0 - self.k) * h + f @ self._bkt + self.w_hat) / self.k
+        return -((1.0 - self.k) * h + f @ self.bkt + self.w_hat) / self.k
 
     @property
     def n(self) -> int:
@@ -134,17 +130,8 @@ def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
     mu = (k - (np.diag(b_hat) - col_off)) / k
     bound = max(lam, float(np.max(mu)))
     scaled = sector.scale_pair(plant.pair, d)
-    return ContractionMap(b_hat, w_hat, k, lam, mu, bound, d, scaled)
-
-
-def stationary_residual(plant: model.PlantModel, ctrl: model.ControllerSpec,
-                        u, w) -> float:
-    """Max-norm residual of the stationary input equation at u."""
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    f = sector.eval_f(plant.pair, u)
-    sa = ctrl.s * plant.a
-    return float(np.max(np.abs((u - f) + (f @ plant.b.T) / sa + w / sa)))
+    bkt = (b_hat - k * np.eye(plant.n)).T
+    return ContractionMap(bkt, w_hat, k, bound, d, scaled)
 
 
 def _next_pieces(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -230,13 +217,15 @@ def solve_equilibrium(plant: model.PlantModel, ctrl: model.ControllerSpec,
     """
     w = _load(plant, ctrl, w)
     cmap = build_contraction(plant, ctrl, w)
+    sa = ctrl.s * plant.a
     start = plant.pair.piece_of(np.zeros((1, plant.n)))
-    (u0,), rounds, _ = _pattern_loop(plant.b, plant.pair, ctrl.s * plant.a,
-                                     w, start)
-    residual = stationary_residual(plant, ctrl, u0, w)
-    load = float(np.max(np.abs(w / (ctrl.s * plant.a))))
-    scale = max(1.0, load, float(np.max(np.abs(u0))))
+    (u0,), rounds, _ = _pattern_loop(plant.b, plant.pair, sa, w, start)
     f0 = sector.eval_f(plant.pair, u0)
+    load = w / sa
+    # the max-norm residual of the stationary equation divided by s a
+    residual = float(np.max(np.abs((u0 - f0) + (f0 @ plant.b.T) / sa
+                                   + load)))
+    scale = max(1.0, float(np.max(np.abs(load))), float(np.max(np.abs(u0))))
     x0 = (plant.b @ f0 + w) / plant.a
     z0 = (-ctrl.p * x0 - u0) / ctrl.r
     return EquilibriumResult(x0, z0, u0, residual, rounds, cmap, scale)

@@ -217,10 +217,15 @@ def scenario_from_json(data: dict) -> HeatingScenario:
             from exc
 
 
-def load_scenario(path) -> HeatingScenario:
+def read_json(path):
+    """The JSON value in the file at ``path``; malformed JSON raises
+    ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    return scenario_from_json(data)
+
+
+def load_scenario(path) -> HeatingScenario:
+    return scenario_from_json(read_json(path))

@@ -367,11 +367,12 @@ def certify_equilibrium_optimality(
     if ctrl.variant != model.VARIANT_DECENTRALIZED:
         raise UnsupportedVariant("certificate requires the decentralized variant")
     g = model._positive_vector(gamma, "gamma", plant.n)
-    if not check_gamma_condition(g, plant):
-        raise ConditionViolated(
-            "diag(gamma) A^-1 B is not a strictly column-dominant M-matrix")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     gm, gw = _weighted_system(g, plant, w)
+    # check_gamma_condition's test, on this gm
+    if not matrixlab.is_strictly_column_dominant(gm):
+        raise ConditionViolated(
+            "diag(gamma) A^-1 B is not a strictly column-dominant M-matrix")
     eq_cost = float(np.sum(g * np.abs(eq.x0)))
     bound = _dual_value(gm, gw, _dual_point(gm, eq.u0))
     deadzone = eq.u0 - np.clip(eq.u0, -1.0, 1.0)

@@ -20,12 +20,9 @@ and their applications", 1990), and one more product all their stage
 inputs.  The loop commits the steps before the first whose stage input
 leaves its piece or whose state fails the blow-up test, and takes that
 step staged, at its four stages; later steps rewrite the rows past it.
-L doubles after a scan that holds throughout, up to a cap that falls
-with n, since the scan's log2(L) products grow as n^2 while the loop
-overhead they save does not.  A scan that stops part way starts L short
-again; one that fails at its first step keeps it.  The partial last
-step is always staged.  In exact arithmetic all ways are the same RK4
-step, kinks included; in floating point they agree to rounding.
+L follows the rule at ``_SCAN_FIRST``.  The partial last step is always
+staged.  In exact arithmetic all ways are the same RK4 step, kinks
+included; in floating point they agree to rounding.
 
 The maps, the staged steps and the dt bound share one description of the
 loop, y' = y M0 + f(u) B1 + [w, 0] with u = y L (``_loop``): a pattern's
@@ -241,15 +238,17 @@ def _affine_step(loop, pair, piece: np.ndarray, h: float, w_const):
 # to its earlier patterns: its simulate built 17 maps for 12 (and staged
 # 50 steps for 45), its 3-controller compare 37 for 22 (108 for 93)
 _MAPS_KEPT = 3
-# a call's first scan on a pattern takes _SCAN_FIRST steps, and each scan
-# that holds throughout doubles the next, up to _scan_cap(n); a scan of L
-# steps trades L turns of the loop for log2(L) products of its L states,
-# O(L n^2 log L) flops, so L n^2 stays within 51,200 (256 steps up to
-# n = 14, 32 at n = 40, 4 at n = 100), which also bounds its (L, 6n)
-# arrays and its powers of P.  In process, first lengths of 8 and 16 ran
-# alike and faster than 4, caps of 128 to 1024 alike at n <= 12, 16 to
-# 32 fastest at n = 40, and 4 to 8 at n = 100, where scans of one step
-# ran 20% slower than scans of 4
+# a call's first scan takes L = min(_SCAN_FIRST, _scan_cap(n)) steps, a
+# scan that holds throughout doubles the next L, up to _scan_cap(n), one
+# that commits some steps and then stops sets L back to the first, and
+# one that fails at its first step keeps L, so the loop scans again after
+# that one staged step.  A scan of L steps trades L turns of the loop for
+# log2(L) products of its L states, O(L n^2 log L) flops, so L n^2 stays
+# within 51,200 (256 steps up to n = 14, 32 at n = 40, 4 at n = 100),
+# which also bounds its (L, 6n) arrays and its powers of P.  In process,
+# first lengths of 8 and 16 ran alike and faster than 4, caps of 128 to
+# 1024 alike at n <= 12, 16 to 32 fastest at n = 40, and 4 to 8 at
+# n = 100, where scans of one step ran 20% slower than scans of 4
 _SCAN_FIRST = 8
 _SCAN_WORK = 32 * 40 * 40
 _SCAN_STEPS = 256
@@ -391,13 +390,9 @@ def integrate(plant: model.PlantModel, ctrl: model.ControllerSpec, w, x_init,
     or whose state fails the blow-up test, and takes that step staged:
     four stages of two products each (``_stage_kernel``), so a kink is
     stepped as RK4 steps it and a blow-up raises at the step where it
-    happens; later steps rewrite the rows past it.  L starts at 8 on a
-    pattern and doubles after every scan that holds throughout, up to a
-    cap that falls with n (256 up to n = 14, 32 at n = 40, 4 at
-    n = 100).  A scan that commits some steps and then stops starts L at
-    8 again; one that fails at its first step keeps its L, and the loop
-    scans again after that one staged step.  The partial last step
-    (``h`` below ``dt``) is always staged.  The two ways agree up to
+    happens; later steps rewrite the rows past it.  The scan length L
+    follows the rule at ``_SCAN_FIRST``.  The partial last step (``h``
+    below ``dt``) is always staged.  The two ways agree up to
     rounding, kinks included.  The load may be constant or sampled.  The
     returned ``counts`` say how many steps took each way, how many maps
     were built and how many scans committed steps.
@@ -488,7 +483,6 @@ class CostReport:
     jinf: float
     j2: float
     horizon: float
-    l_diag: np.ndarray
 
 
 def evaluate_costs(traj: Trajectory, l_diag) -> CostReport:
@@ -513,7 +507,7 @@ def evaluate_costs(traj: Trajectory, l_diag) -> CostReport:
     j1 = avg(np.sum(mag, axis=1))
     jinf = avg(np.max(mag, axis=1))
     j2 = avg(np.sum(l * traj.x ** 2, axis=1) + np.sum(traj.v ** 2, axis=1))
-    return CostReport(j1, jinf, j2, horizon, l)
+    return CostReport(j1, jinf, j2, horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,9 +560,9 @@ def lyapunov_parameters(plant: model.PlantModel,
 
 @dataclass(frozen=True, eq=False)
 class LyapunovTrace:
-    """Storage function along a trajectory with decrease diagnostics."""
+    """Storage function along a trajectory with decrease diagnostics,
+    one entry per row of the trajectory."""
 
-    t: np.ndarray
     value: np.ndarray
     vdot_analytic: np.ndarray
     increase_steps: np.ndarray
@@ -616,28 +610,28 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
 
     slack = INCREASE_TOL * np.maximum(1.0, value[:-1])
     bad = np.nonzero(value[1:] > value[:-1] + slack)[0]
-    return LyapunovTrace(traj.t, value, vdot, bad, bad.size == 0)
+    return LyapunovTrace(value, vdot, bad, bad.size == 0)
 
 
-_CSV_PREFIXES = ("x", "z", "u", "v")
 # write_trajectory_csv turns this many rows at a time into text, so that
 # its arrays stay within a few hundred kB whatever the run's length
 CSV_CHUNK_ROWS = 200
 
 # Shortest round-trip digits on whole arrays (as in Ryu: Adams, PLDI
 # 2018).  ``repr`` of a double is its shortest round-trip decimal, written
-# positionally for 1e-4 <= |x| < 1e16.  For such an x whose mantissa is
-# not a power of two (so that its neighbours lie one ulp either side),
-# take k = 16 - floor(log10 |x|) in 1..20: y = |x| 10^k lies in
+# positionally for 1e-4 <= |x| < 1e16.  For such an x take
+# k = 16 - floor(log10 |x|) in 1..20: y = |x| 10^k lies in
 # [1e16, 1e17) and is the exact sum h + l of an integer and |l| <= 1/2,
 # by Dekker's product (Numer. Math. 1971; 10^k is an exact double).
 # Rounding y to the nearest multiple of 100, 10 and 1 gives the 15-, 16-
 # and 17-digit candidates, each decided by the sign of
 # (remainder - s/2) + l, which the rounded sum keeps.  repr's digits are
-# the shortest candidate nearer y than half an ulp of x times 10^k.  A
-# tie, a distance within _TEXT_MARGIN of that bound (the distances carry
-# rounding errors below 1e-14), and every cell off the range (zeros,
-# subnormals, powers of two, inf, nan, the exponent forms) take repr.
+# the shortest candidate nearer y than half an ulp of x times 10^k (a
+# power of two's lower neighbour lies nearer, but the 67 in range are
+# exact decimals that this rule writes as repr does).  A tie, a distance
+# within _TEXT_MARGIN of that bound (the distances carry rounding errors
+# below 1e-14), and every cell off the range (zeros, subnormals, inf,
+# nan, the exponent forms) take repr.
 _TEXT_MARGIN = 1e-6
 _POW10 = 10.0 ** np.arange(21)
 _IPOW10 = 10 ** np.arange(18, dtype=np.int64)
@@ -663,8 +657,8 @@ def _scaled(x, k):
 
 def _shortest_digits(x):
     """The digits n and the shift k that write repr's digits of each x
-    in [1e-4, 1e16) whose mantissa is not 0.5 as n 10^-k, and a mask of
-    the cells that this decides."""
+    in [1e-4, 1e16) as n 10^-k, and a mask of the cells that this
+    decides."""
     k = 16 - np.floor(np.log10(x)).astype(np.int64)
     np.clip(k, 1, 20, out=k)
     hi, lo = _scaled(x, k)
@@ -733,7 +727,7 @@ def _cell_text(cells, todo, buf):
     separator word, and return that view (cells' shape by g + 8)."""
     x = cells[todo]
     mag = np.abs(x)
-    fast = (mag >= 1e-4) & (mag < 1e16) & (np.frexp(mag)[0] != 0.5)
+    fast = (mag >= 1e-4) & (mag < 1e16)
     # 1.5 stands in for the cells that take repr
     digits, k, ok = _shortest_digits(np.where(fast, mag, 1.5))
     scale = _IPOW10[np.minimum(k, 17)]
@@ -789,6 +783,10 @@ def _cell_text(cells, todo, buf):
     return words
 
 
+def _csv_header(n: int) -> str:
+    return "t," + ",".join(f"{p}{i + 1}" for p in "xzuv" for i in range(n))
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as CSV with full double precision.
 
@@ -796,15 +794,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     columns are zeros.  Every cell is the text ``repr`` gives its float.
     """
     n = traj.n
-    header = "t," + ",".join(f"{p}{i + 1}" for p in _CSV_PREFIXES
-                             for i in range(n))
     parts = (traj.t[:, None], traj.x, traj.z, traj.u, traj.v)
     rows = traj.t.size
     # room for a chunk's words at the widest frame, 4 + 8 words a cell
     buf = np.empty(min(rows, CSV_CHUNK_ROWS) * (1 + 4 * n) * 12, np.uint32)
     keep = np.empty(buf.size * 4, bool)
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
+        fh.write(_csv_header(n).encode("ascii") + b"\n")
         for start in range(0, rows, CSV_CHUNK_ROWS):
             chunk = np.hstack([p[start:start + CSV_CHUNK_ROWS]
                                for p in parts], dtype=float)
@@ -829,13 +825,9 @@ def read_trajectory_csv(path) -> Trajectory:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
-    cols = lines[0].split(",")
-    if cols[0] != "t" or (len(cols) - 1) % 4 != 0:
-        raise ParseError(f"{path}: unexpected header")
-    n = (len(cols) - 1) // 4
-    expect = "t," + ",".join(f"{p}{i + 1}" for p in _CSV_PREFIXES
-                             for i in range(n))
-    if lines[0] != expect:
+    # a header of n >= 1 agents holds 4n commas
+    n = max(1, lines[0].count(",") // 4)
+    if lines[0] != _csv_header(n):
         raise ParseError(f"{path}: unexpected header")
     if len(lines) == 1:
         raise ParseError(f"{path}: no data rows")

@@ -352,6 +352,22 @@ def test_certify_storage_holds_at_large_load(tmp_path, base, s):
     assert storage["increase_steps"] == 0
 
 
+# the rest of that sweep, load x 1, 1e3, 1e7 by s x 1, 1e-4, 1e-8 on both
+# bases: the 14 cells the two tests above leave out all pass the probe
+@pytest.mark.parametrize("base", [BENCHMARK, TEXTBOOK],
+                         ids=["bundled", "textbook"])
+@pytest.mark.parametrize("load, s", [(load, s) for load in (1.0, 1e3, 1e7)
+                                     for s in (1.0, 1e-4, 1e-8)
+                                     if load < 1e7 or s == 1.0])
+def test_certify_storage_holds_across_the_sweep(tmp_path, base, load, s):
+    data = _scaled(json.loads(pathlib.Path(base).read_text()), load=load, s=s)
+    code, by_name = _certify_checks(tmp_path, data)
+    storage = by_name["storage_decrease"]
+    assert code in (0, 2)
+    assert storage["status"] == "pass"
+    assert storage["increase_steps"] == 0
+
+
 def test_certify_storage_rises_on_the_loop_at_a_times_100(tmp_path):
     # a x 1e2 on the bundled network breaks p_i s_i < 1 (antiwindup
     # margin -4 on every agent); V rises on probe steps 5 and 6, where
@@ -1069,6 +1085,20 @@ def test_step_cap_is_config_error(command, monkeypatch, tmp_path, capsys):
         past = ["--dt", "0.25", "--t-end", "5.25"]
     assert _run(*argv, *fits) == 0
     _assert_usage_error(argv + past, capsys)
+
+
+def test_certify_step_cap_names_the_storage_probe(tmp_path, capsys):
+    # decay a = 1e-6 /h: the probe spans its fixed horizon 10 / a = 1e7 h,
+    # 2e8 steps of the default dt, which no flag sets; --dt 100 clears it
+    data = json.loads(pathlib.Path(TEXTBOOK).read_text())
+    data["c_kwh_per_degc"] = [1e6]
+    data["controller"]["r_per_degc_h"] = [5e-7]
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps(data))
+    err = _assert_usage_error(["certify", "--config", str(cfg)], capsys)
+    assert "storage probe's horizon 10 / min(a) = 1e+07 h" in err
+    assert "2e+08 steps" in err
+    assert _run("certify", "--config", str(cfg), "--dt", "100") == 0
 
 
 @pytest.mark.parametrize("command,run", [

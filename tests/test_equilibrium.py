@@ -47,7 +47,6 @@ def test_contraction_constants_identity_case():
     ctrl = model.ControllerSpec("decentralized", [1.0], [0.5], [1.0])
     cmap = equilibrium.build_contraction(plant, ctrl, [0.5])
     assert cmap.k == pytest.approx(3.0)
-    assert cmap.lam == pytest.approx(2.0 / 3.0)
     assert cmap.contraction_bound == pytest.approx(2.0 / 3.0)
 
 

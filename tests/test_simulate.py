@@ -864,8 +864,8 @@ def test_csv_of_a_saturating_loop_is_repr_per_cell(tmp_path):
 
 
 _CHUNK = simulate.CSV_CHUNK_ROWS
-# the ends of the writer's fast path (1e-4 <= |x| < 1e16, mantissa not a
-# power of two) and the values repr writes otherwise
+# the ends of the writer's fast path (1e-4 <= |x| < 1e16) and the values
+# repr writes otherwise
 _EDGE_VALUES = np.array([
     0.0, -0.0, 5e-324, 2.2250738585072014e-308,
     np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
@@ -876,6 +876,10 @@ _EDGE_VALUES = np.array([
     # the ends of the frame's 1 to 4 integer groups; below each, the 15-
     # digit candidate carries into the next group (10000.0000000000)
     *(v for p in (1e4, 1e8, 1e12)
+      for v in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))),
+    # every power of two on the fast path, 2^-13 .. 2^53, whose lower
+    # neighbour lies half as far as its upper one, and both neighbours
+    *(v for p in 2.0 ** np.arange(-13, 54)
       for v in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf)))])
 
 
@@ -1038,12 +1042,12 @@ def test_lyapunov_trace_decreases_and_matches_fd(rng):
         assert trace.value[0] >= 0.0 and trace.value[-1] <= trace.value[0]
         # pointwise agreement is limited by finite-difference truncation
         # at saturation corners; the integral identity is the sharp check
-        vdot_fd = np.gradient(trace.value, trace.t, edge_order=2)
+        vdot_fd = np.gradient(trace.value, traj.t, edge_order=2)
         err = np.abs(trace.vdot_analytic[2:-2] - vdot_fd[2:-2])
         scale = np.maximum(1.0, np.abs(trace.vdot_analytic[2:-2]))
         assert float(np.max(err / scale)) < 5e-3
         swing = trace.value[-1] - trace.value[0]
-        integ = np.trapezoid(trace.vdot_analytic, trace.t)
+        integ = np.trapezoid(trace.vdot_analytic, traj.t)
         assert abs(integ - swing) <= 1e-3 * (1.0 + abs(swing))
 
 
