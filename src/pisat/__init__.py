@@ -28,9 +28,10 @@ from .sector import (PwlFunction, SectorPair, custom_pwl, eval_f,
                      identity_zero, integral_from_zero, saturation_deadzone,
                      scale_pair, shift_pair)
 from .simulate import (CostReport, LyapunovParameters, LyapunovTrace,
-                       Trajectory, evaluate_costs, integrate,
+                       StorageProbe, Trajectory, evaluate_costs, integrate,
                        lyapunov_parameters, lyapunov_trace,
-                       read_trajectory_csv, write_trajectory_csv)
+                       read_trajectory_csv, storage_probe,
+                       write_trajectory_csv)
 
 __version__ = "0.1.0"
 

@@ -28,8 +28,9 @@ import warnings
 import numpy as np
 
 from . import equilibrium, heating, model, optimality, simulate
-from .errors import (ConditionViolated, ConfigError, NonFiniteState,
-                     ParseError, PisatError, UnsupportedVariant)
+from .errors import (CertificateFailure, ConditionViolated, ConfigError,
+                     InvalidSectorPair, NonFiniteState, ParseError,
+                     PisatError, UnsupportedVariant)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -244,7 +245,7 @@ def cmd_certify(args) -> int:
                        <= 1e-6 * eq.scale else "fail",
                        "input_spread": probe.spread, "restarts": 20,
                        "scale": eq.scale, "solves": probe.solves})
-        checks.append(_storage_check(plant, ctrl, eq, w_ref, ctx.dt))
+        checks.append(_storage_check(plant, ctrl, eq, ctx.dt))
     else:
         for name in ("equilibrium_residual", "contraction_ratio",
                      "uniqueness_probe"):
@@ -275,25 +276,16 @@ def cmd_certify(args) -> int:
     return {"pass": EXIT_PASS, "warn": EXIT_WARN, "fail": EXIT_FAIL}[status]
 
 
-def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
+def _storage_check(plant, ctrl, eq, dt) -> dict:
     try:
-        params = simulate.lyapunov_parameters(plant, ctrl)
-    except PisatError as exc:
+        probe = simulate.storage_probe(plant, ctrl, eq, dt)
+    except (CertificateFailure, InvalidSectorPair) as exc:
         return {"name": "storage_decrease", "status": "fail",
                 "detail": str(exc)}
-    horizon = 10.0 / float(np.min(plant.a))
-    # a step beyond RK4's stability estimate would fail the probe on a
-    # blow-up of the integrator, not on the storage function
-    dt = simulate.stable_dt(plant, ctrl, dt)
-    # no flag sets the probe's span, so a step cap names it with --dt
-    traj = _integrate(f"--dt, on the storage probe's horizon 10 / min(a) = "
-                      f"{horizon:.3g} h", plant, ctrl, w_ref, eq.x0 + 1.0,
-                      eq.z0, (0.0, horizon), dt)
-    try:
-        trace = simulate.lyapunov_trace(plant, ctrl, eq, traj, params)
-    except PisatError as exc:
-        return {"name": "storage_decrease", "status": "fail",
-                "detail": str(exc), "dt_h": dt, **_rk4_diagnostics(traj)}
+    except ValueError as exc:
+        # no flag sets the probe's span, so a step cap names it with --dt
+        raise ConfigError(f"--dt, {exc}") from None
+    params, trace = probe.params, probe.trace
     return {"name": "storage_decrease",
             "status": "pass" if trace.passed else "fail",
             "epsilon": params.epsilon,
@@ -302,13 +294,13 @@ def _storage_check(plant, ctrl, eq, w_ref, dt) -> dict:
             "alpha": params.alpha,
             "beta_min": params.beta_min,
             "gain_norm": params.gain_norm,
-            "horizon_h": horizon,
-            "dt_h": dt,
+            "horizon_h": probe.horizon,
+            "dt_h": probe.dt,
             "increase_steps": int(trace.increase_steps.size),
             "value_initial": float(trace.value[0]),
             "value_final": float(trace.value[-1]),
             "vdot_max": float(trace.vdot_analytic.max()),
-            **_rk4_diagnostics(traj)}
+            **_rk4_diagnostics(probe)}
 
 
 def _optimality_check(plant, ctrl, w_ref, tol, eq) -> dict:
@@ -338,36 +330,27 @@ def _optimality_check(plant, ctrl, w_ref, tol, eq) -> dict:
 # --------------------------------------------------------------- simulate
 
 
-def _z_rest(ctrl, n):
-    # PI loops start with an empty integrator; static feedback has none
-    return np.zeros(n) if ctrl.is_pi else None
-
-
-def _rk4_diagnostics(*trajs) -> dict:
+def _rk4_diagnostics(*runs) -> dict:
     # a staged step evaluates the vector field four times, an affine step
     # not at all; a block is one scan's committed affine steps; several
-    # runs report the sums of their counts
-    c = simulate.StepCounts(*map(sum, zip(*(t.counts for t in trajs))))
+    # runs (or a storage probe) report the sums of their counts
+    c = simulate.StepCounts(*map(sum, zip(*(r.counts for r in runs))))
     return {"rk4_steps": c.affine + c.staged, "affine_steps": c.affine,
             "staged_steps": c.staged, "patterns": c.patterns,
             "blocks": c.blocks, "derivative_evaluations": 4 * c.staged}
 
 
-def _integrate(source: str, *args) -> simulate.Trajectory:
-    # with the step and the span checked, integrate raises ValueError
-    # only for a run past its step cap, which ``source`` names
-    try:
-        return simulate.integrate(*args)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
-
-
 def _run_from_rest(ctx, ctrl) -> simulate.Trajectory:
-    # simulate's and compare's run
+    # simulate's and compare's run; PI loops start with an empty
+    # integrator, static feedback has none.  With the step and the span
+    # checked, integrate raises ValueError only past its step cap
     n = ctx.plant.n
-    return _integrate("--t-end and --dt", ctx.plant, ctrl, ctx.wsig,
-                      np.zeros(n), _z_rest(ctrl, n), (0.0, ctx.t_end),
-                      ctx.dt)
+    try:
+        return simulate.integrate(ctx.plant, ctrl, ctx.wsig, np.zeros(n),
+                                  np.zeros(n) if ctrl.is_pi else None,
+                                  (0.0, ctx.t_end), ctx.dt)
+    except ValueError as exc:
+        raise ConfigError(f"--t-end and --dt: {exc}") from None
 
 
 def _out_dir(ctx) -> str | None:

@@ -52,17 +52,16 @@ _TIE_TOL = 1e-12
 class ContractionMap:
     """The scaled fixed-point map together with its contraction data.
 
-    Iterates act on zeta = d * u.  ``contraction_bound`` is the 1-norm
-    Lipschitz constant g of the map, always below one.  ``bkt`` is
-    (b_hat - k I)^T, with b_hat the scaled coupling of
-    ``build_contraction``.
+    Iterates act on zeta = d * u, with d = s * plant.gain_scaling.
+    ``contraction_bound`` is the 1-norm Lipschitz constant g of the map,
+    always below one.  ``bkt`` is (b_hat - k I)^T, with b_hat the
+    scaled coupling of ``build_contraction``.
     """
 
     bkt: np.ndarray
     w_hat: np.ndarray
     k: float
     contraction_bound: float
-    scaling_d: np.ndarray
     scaled_pair: sector.SectorPair
 
     def __call__(self, zeta):
@@ -131,7 +130,7 @@ def build_contraction(plant: model.PlantModel, ctrl: model.ControllerSpec,
     bound = max(lam, float(np.max(mu)))
     scaled = sector.scale_pair(plant.pair, d)
     bkt = (b_hat - k * np.eye(plant.n)).T
-    return ContractionMap(bkt, w_hat, k, bound, d, scaled)
+    return ContractionMap(bkt, w_hat, k, bound, scaled)
 
 
 def _next_pieces(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -243,14 +243,25 @@ def _saturate(u: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(u, -1.0), 1.0)
 
 
+def _clip(k0, k1, v0, s1, u: np.ndarray) -> np.ndarray:
+    # _table_f on two knots and flat extensions, its zero terms dropped:
+    # they only turn -0.0 into +0.0, as + 0.0 does, so the two agree bit
+    # for bit on finite u (an infinite u gives NaN there, an end here)
+    return v0 + s1 * (np.minimum(np.maximum(u, k0), k1) - k0) + 0.0
+
+
 def bind_f(pair: SectorPair) -> Callable[[np.ndarray], np.ndarray]:
     """f of ``pair`` as a function of a float array, resolved once.
 
-    The function skips the input checks of :func:`eval_f`; callers that
-    evaluate f many times on arrays they built bind it once.
+    A pair with two knots and flat extensions (saturation, shifted or
+    scaled) is a clip.  The function skips the input checks of
+    :func:`eval_f`; callers that evaluate f many times on arrays they
+    built bind it once.
     """
     if pair.kind == KIND_SATURATION:
         return _saturate
+    if len(pair.knots) == 2 and not np.count_nonzero(pair.slope[[0, -1]]):
+        return partial(_clip, *pair.knots, pair.values[0], pair.slope[1])
     return partial(_table_f, pair)
 
 

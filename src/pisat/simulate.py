@@ -33,11 +33,14 @@ loop from one start.  Costs are time averages computed with trapezoidal
 quadrature on the recorded grid.  The monitor evaluates a
 piecewise-quadratic storage function in closed form along a trajectory
 together with its analytic derivative, and flags any step where the
-stored value increases beyond tolerance.
+stored value increases beyond tolerance; the storage probe runs it in
+error coordinates, on the loop with its pair shifted to the equilibrium
+input and load 0, whose states stay near 1 however large y_eq.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import re
@@ -569,36 +572,36 @@ class LyapunovTrace:
     passed: bool
 
 
-def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
+def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec,
                    traj: Trajectory,
                    params: LyapunovParameters) -> LyapunovTrace:
-    """Evaluate the storage function along a recorded trajectory.
+    """Evaluate the storage function along a run in error coordinates.
 
-    Valid for the decentralized variant under the constant disturbance
-    used to compute ``eq``, with the weights ``params`` that
-    :func:`lyapunov_parameters` derived for this plant and controller.
+    ``traj`` is a run of the error plant ``plant`` (the decentralized
+    loop with its pair f shifted to u0, see :func:`storage_probe`), so
+    its z is z - z0, its u is u - u0 and its v is f(u) - f(u0); the
+    weights ``params`` are :func:`lyapunov_parameters`'s for the loop.
     The value is integrated segmentwise in closed form, and its
-    derivative is the analytic one.
-    Steps with V(t_{k+1}) > V(t_k) + INCREASE_TOL max(1, V(t_k)) are
-    flagged.
+    derivative is the analytic one.  Steps with V(t_{k+1}) > V(t_k) +
+    INCREASE_TOL max(1, V(t_k)) are flagged.
     """
     eps = params.epsilon
     q = params.q
+    pair = plant.pair
     coeff_z = q * (plant.a * ctrl.p / ctrl.r - 1.0)
-    pair_t = sector.shift_pair(plant.pair, eq.u0)
-    z_t = -ctrl.r * (traj.z - eq.z0)
-    u_t = traj.u - eq.u0
+    z_t = -ctrl.r * traj.z
+    u_t = traj.u
 
-    terms = np.stack([coeff_z * (sector.integral_from_zero(pair_t, z_t)
+    terms = np.stack([coeff_z * (sector.integral_from_zero(pair, z_t)
                                  + 0.5 * eps * z_t ** 2),
-                      q * (sector.integral_from_zero(pair_t, u_t)
+                      q * (sector.integral_from_zero(pair, u_t)
                            + 0.5 * eps * u_t ** 2)], axis=-1)
     # a running sum, agent by agent and z term first, so the rounding of
     # the value does not depend on numpy's pairwise summation
     value = np.cumsum(terms.reshape(traj.t.size, -1), axis=1)[:, -1]
 
-    fz = sector.eval_f(pair_t, z_t)
-    fu = sector.eval_f(pair_t, u_t)
+    fz = sector.eval_f(pair, z_t)
+    fu = traj.v
     hu = u_t - fu
     gz = fz + eps * z_t
     gu = fu + eps * u_t
@@ -611,6 +614,46 @@ def lyapunov_trace(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
     slack = INCREASE_TOL * np.maximum(1.0, value[:-1])
     bad = np.nonzero(value[1:] > value[:-1] + slack)[0]
     return LyapunovTrace(value, vdot, bad, bad.size == 0)
+
+
+class StorageProbe(NamedTuple):
+    """The storage probe's weights, span, step, trace and step counts."""
+
+    params: LyapunovParameters
+    horizon: float
+    dt: float
+    trace: LyapunovTrace
+    counts: StepCounts
+
+
+def storage_probe(plant: model.PlantModel, ctrl: model.ControllerSpec, eq,
+                  dt: float) -> StorageProbe:
+    """Trace V along one run toward the equilibrium ``eq``.
+
+    f is incrementally sector-bounded, so the error e = y - y_eq obeys
+    the same loop with the pair shifted to u0 and load 0 (Khalil,
+    Nonlinear Systems, 3rd ed., ch. 4).  The probe integrates that error
+    plant (the plant's a, b and gain scaling: B is not proved again)
+    from x_e = 1, z_e = 0 over 10 / min(a), with ``dt`` cut to
+    :func:`stable_dt` so that it fails on V, not on a blow-up of RK4.
+    Raises CertificateFailure or InvalidSectorPair (a shift that merges
+    knots) before any step, and ValueError naming the horizon past the
+    step cap.
+    """
+    params = lyapunov_parameters(plant, ctrl)
+    error = copy.copy(plant)
+    object.__setattr__(error, "pair", sector.shift_pair(plant.pair, eq.u0))
+    horizon = 10.0 / float(np.min(plant.a))
+    dt = stable_dt(plant, ctrl, dt)
+    try:
+        traj = integrate(error, ctrl, 0.0, np.ones(plant.n),
+                         np.zeros(plant.n), (0.0, horizon), dt)
+    except ValueError as exc:
+        raise ValueError(f"on the storage probe's horizon 10 / min(a) = "
+                         f"{horizon:.3g} h: {exc}") from None
+    return StorageProbe(params, horizon, dt,
+                        lyapunov_trace(error, ctrl, traj, params),
+                        traj.counts)
 
 
 # write_trajectory_csv turns this many rows at a time into text, so that

@@ -29,7 +29,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from pisat import heating, model, sector
+from pisat import heating, model, sector, simulate
 from pisat.errors import (DimensionMismatch, MaxIterationsExceeded,
                           ParseError, PisatError, SolverFailure,
                           UnsupportedVariant)
@@ -584,6 +584,18 @@ def transform_to_error_coords(plant, ctrl, eq, x, z):
     z = np.asarray(z, dtype=float)
     u = -ctrl.p * x - ctrl.r * z
     return -ctrl.r * (z - eq.z0), u - eq.u0
+
+
+def error_run(plant, eq, traj):
+    """A recorded run of the loop itself, read around the equilibrium
+    ``eq``: the error plant (the pair shifted to u0) and the run's
+    x - x0, z - z0, u - u0 and the shifted f of u - u0, the form
+    ``simulate.lyapunov_trace`` reads."""
+    pair = sector.shift_pair(plant.pair, eq.u0)
+    u = traj.u - eq.u0
+    return (model.PlantModel(plant.a, plant.b, pair),
+            simulate.Trajectory(traj.t, traj.x - eq.x0, traj.z - eq.z0, u,
+                                sector.eval_f(pair, u)))
 
 
 def error_coords_derivative(plant, ctrl, eq, z_t, u_t, pair_t=None):

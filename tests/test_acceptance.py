@@ -100,7 +100,8 @@ def test_criterion_3_global_stability(batch):
             err = max(float(np.max(np.abs(traj.x[-1] - eq.x0))),
                       float(np.max(np.abs(traj.z[-1] - eq.z0))))
             worst_final = max(worst_final, err)
-            trace = simulate.lyapunov_trace(plant, ctrl, eq, traj, params)
+            error, run = oracles.error_run(plant, eq, traj)
+            trace = simulate.lyapunov_trace(error, ctrl, run, params)
             monitor_ok = monitor_ok and trace.passed
     seconds = time.monotonic() - start
     ok = worst_final <= 1e-4 and monitor_ok and seconds < 300.0

@@ -333,12 +333,24 @@ def test_certify_storage_names_merged_knots(tmp_path):
     assert "value_initial" not in storage
 
 
-# the probe integrates z, which sits near z0 of about 1e12 here, so z - z0
-# in V keeps only the rounding of z; each case's comment counts the probe
-# steps that read an increase while the probe integrates z
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the storage probe reads rounding "
-                          "as increases at large loads")
+def test_certify_fails_merged_knots_before_the_probe(tmp_path, monkeypatch):
+    # the probe builds its error plant, the pair shifted to u0, before it
+    # steps: merged knots fail the check with no RK4 step, and the entry
+    # carries no step or RK4 counters
+    calls = _count_calls(monkeypatch, simulate, "integrate")
+    data = _scaled(json.loads(pathlib.Path(BENCHMARK).read_text()),
+                   load=1e7, s=1e-8)
+    code, by_name = _certify_checks(tmp_path, data)
+    storage = by_name["storage_decrease"]
+    assert code == 1 and storage["status"] == "fail"
+    assert "merges" in storage["detail"]
+    assert set(storage) == {"name", "status", "detail"}
+    assert calls == []
+
+
+# z0 lies near 1e12 here; a probe that integrated z itself kept only the
+# rounding of z in z - z0, and read increases on the steps each case's
+# comment counts; the probe integrates the error z - z0 instead
 @pytest.mark.parametrize("base, s", [(BENCHMARK, 1e-4),    # 129 of 2,396
                                      (TEXTBOOK, 1e-4),     # 1 of 200
                                      (TEXTBOOK, 1e-8)],    # 8 of 200

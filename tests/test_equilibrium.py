@@ -259,7 +259,8 @@ def test_pattern_loop_matches_plain_iteration(rng, restarts):
         for tol in (1e-6, 1e-9):
             ref, _, _ = oracles.iterate_plain(cmap, -cmap.w_hat / cmap.k,
                                               1e-3 * tol)
-            assert np.max(np.sum(np.abs(cmap.scaling_d * u - ref),
+            d = ctrl.s * plant.gain_scaling
+            assert np.max(np.sum(np.abs(d * u - ref),
                                  axis=-1)) <= tol
 
 

@@ -172,9 +172,12 @@ def test_derived_scalings_are_the_scalings(rng):
         plant = model.PlantModel(a, b, sector.saturation_deadzone(n))
         ctrl = model.ControllerSpec("decentralized", np.ones(n), np.ones(n),
                                     s)
+        # the map scales saturation's knot 1 to its d = s * gain_scaling
         cmap = equilibrium.build_contraction(plant, ctrl, np.zeros(n))
+        assert np.array_equal(cmap.scaled_pair.knots[-1],
+                              ctrl.s * plant.gain_scaling)
         np.testing.assert_allclose(
-            cmap.scaling_d,
+            ctrl.s * plant.gain_scaling,
             matrixlab.column_dominance_scaling(b / (s * a)[:, None]),
             rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(plant.gain_scaling / a,

@@ -203,6 +203,44 @@ def test_stacked_eval_equals_interp_on_saturation_transforms(rng):
                                         u))
 
 
+def test_clip_is_the_table_bit_for_bit(rng):
+    # shifted and scaled saturation (two knots, flat extensions) bind to
+    # a clip, _table_f's arithmetic with its zero terms dropped: equal
+    # bit for bit on finite inputs, the sign of zero included
+    n = 6
+    base = sector.saturation_deadzone(n)
+    pairs = [sector.scale_pair(base, np.exp(rng.uniform(-5.0, 5.0, n)))]
+    for spread in (0.5, 1.0, 3.0, 1e6):
+        pairs.append(sector.shift_pair(base, rng.normal(0.0, spread, n)))
+    for pair in pairs:
+        clip = sector.bind_f(pair)
+        assert clip.func is sector._clip
+        # signed, magnitudes from 1e-3 up to 1e16, then each knot, its
+        # neighbours, +-0.0 and +-1e16
+        u = (rng.uniform(-1.0, 1.0, (400, n))
+             * 10.0 ** rng.uniform(-3.0, 16.0, (400, n)))
+        u = np.vstack([u, pair.knots, np.nextafter(pair.knots, np.inf),
+                       np.nextafter(pair.knots, -np.inf), np.zeros((1, n)),
+                       np.full((1, n), -0.0), np.full((2, n), [[1e16],
+                                                               [-1e16]])])
+        got, want = clip(u), sector._table_f(pair, u)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        # +-inf: the clip gives f at the last and the first knot, the
+        # table NaN (zero slope times an infinite extension); NaN gives
+        # NaN on both
+        special = np.full((3, n), [[np.inf], [-np.inf], [np.nan]])
+        got = clip(special)
+        np.testing.assert_array_equal(got[:2], clip(pair.knots[::-1]))
+        assert np.isnan(got[2]).all()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sector._table_f(pair, special)).all()
+    # a sloped extension keeps the table
+    sloped = sector.custom_pwl([sector.PwlFunction([-1.0, 1.0], [-0.5, 0.5],
+                                                   0.2, 0.0)])
+    assert sector.bind_f(sloped).func is sector._table_f
+
+
 def test_stacked_eval_matches_interp_on_custom_pairs(rng):
     single = sector.PwlFunction(np.zeros(1), np.zeros(1), 0.3, 0.7)
     comps = oracles.pair_components(random_pwl_pair(rng, 5)) + (single,)

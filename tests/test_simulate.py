@@ -1004,8 +1004,32 @@ def test_csv_rejects_mangled_header(tmp_path):
 
 
 def _trace(plant, ctrl, eq, traj):
-    return simulate.lyapunov_trace(plant, ctrl, eq, traj,
-                                   simulate.lyapunov_parameters(plant, ctrl))
+    params = simulate.lyapunov_parameters(plant, ctrl)
+    error, run = oracles.error_run(plant, eq, traj)
+    return simulate.lyapunov_trace(error, ctrl, run, params)
+
+
+def test_storage_probe_traces_the_loop_around_its_equilibrium(rng):
+    # the probe's run of the error plant from x_e = 1, z_e = 0 under load
+    # 0 is the loop's own run from (x0 + 1, z0) under w, read around the
+    # equilibrium; where z0 is moderate both traces agree to rounding
+    for _ in range(5):
+        plant, ctrl = random_instance(rng)
+        w = random_disturbance(rng, plant.n)
+        eq = equilibrium.solve_equilibrium(plant, ctrl, w)
+        probe = simulate.storage_probe(plant, ctrl, eq, 0.01)
+        assert probe.horizon == 10.0 / float(np.min(plant.a))
+        assert probe.dt == simulate.stable_dt(plant, ctrl, 0.01)
+        traj = simulate.integrate(plant, ctrl, w, eq.x0 + 1.0, eq.z0,
+                                  (0.0, probe.horizon), probe.dt)
+        want = _trace(plant, ctrl, eq, traj)
+        got = probe.trace
+        assert got.passed and want.passed
+        assert sum(probe.counts[:2]) == traj.t.size - 1
+        np.testing.assert_allclose(got.value, want.value, rtol=1e-9,
+                                   atol=1e-12 * want.value[0])
+        np.testing.assert_allclose(got.vdot_analytic, want.vdot_analytic,
+                                   rtol=1e-9, atol=1e-12 * want.value[0])
 
 
 def test_lyapunov_parameters_textbook():

@@ -11,7 +11,10 @@ one BLAS thread:
   both cold-snap configs;
 - ``certify``, ``equilibrium``, ``lp`` and a 20 h ``simulate`` on
   ``benchmark_constant``, ``textbook_single`` and the seed-5, ratio-4
-  networks of ``perfbench/gen.py`` at n = 3, 12, 40 and 100.
+  networks of ``perfbench/gen.py`` at n = 3, 12, 40 and 100;
+- ``certify`` on ``benchmark_constant`` with the outdoor deviation from
+  the setpoint x 1e7 and the anti-windup gains x 1e-4, where z0 lies
+  near 1e12.
 
 Run r writes ``OUT/runs/r/stdout``, ``stderr``, ``exit`` and the files
 the command wrote, under ``files/``; OUT's own path reads ``OUT`` in the
@@ -23,6 +26,7 @@ from two versions of the package take the same inputs, and
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -46,7 +50,7 @@ def _gen():
 
 def matrix(inputs: pathlib.Path) -> list[tuple[str, list[str], bool]]:
     """(label, argv, writes a directory) of every run; the generated
-    networks are written into ``inputs``."""
+    networks and the scaled bundled config are written into ``inputs``."""
     runs = []
     for cfg in (CONFIGS / "benchmark_cold_snap.json",
                 CONFIGS / "run_cold_snap.json"):
@@ -66,6 +70,16 @@ def matrix(inputs: pathlib.Path) -> list[tuple[str, list[str], bool]]:
         runs.append((f"{cfg.stem}-simulate-20h",
                      ["simulate", "--config", str(cfg), "--t-end", "20"],
                      True))
+    data = json.loads((CONFIGS / "benchmark_constant.json").read_text())
+    x_c = data["x_c_degc"]
+    data["t_ext"] = {"constant_degc": x_c + 1e7 * (
+        data["t_ext"]["constant_degc"] - x_c)}
+    data["controller"]["s_degc"] = [1e-4 * v
+                                    for v in data["controller"]["s_degc"]]
+    large = inputs / "benchmark_constant_load1e7_s1e-4.json"
+    large.write_text(json.dumps(data, indent=2) + "\n")
+    runs.append((f"{large.stem}-certify",
+                 ["certify", "--config", str(large)], False))
     return runs
 
 
