@@ -28,9 +28,8 @@ import warnings
 import numpy as np
 
 from . import equilibrium, heating, model, optimality, simulate
-from .errors import (CertificateFailure, ConditionViolated, ConfigError,
-                     InvalidSectorPair, NonFiniteState, ParseError,
-                     PisatError, UnsupportedVariant)
+from .errors import (ConditionViolated, ConfigError, NonFiniteState,
+                     ParseError, PisatError, UnsupportedVariant)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -279,7 +278,9 @@ def cmd_certify(args) -> int:
 def _storage_check(plant, ctrl, eq, dt) -> dict:
     try:
         probe = simulate.storage_probe(plant, ctrl, eq, dt)
-    except (CertificateFailure, InvalidSectorPair) as exc:
+    except NonFiniteState:
+        raise       # a blow-up of the run stops certify, as in simulate
+    except PisatError as exc:       # before any step
         return {"name": "storage_decrease", "status": "fail",
                 "detail": str(exc)}
     except ValueError as exc:
